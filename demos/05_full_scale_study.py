@@ -17,7 +17,6 @@ parser = argparse.ArgumentParser()
 parser.add_argument("--m", type=int, default=1000)
 parser.add_argument("--sizes", type=int, nargs="+", default=[100, 300, 500])
 parser.add_argument("--seed", type=int, default=11000)
-parser.add_argument("--threads", type=int, default=1)
 parser.add_argument("--out-prefix", default="full_study")
 args = parser.parse_args()
 
@@ -25,8 +24,7 @@ for n in args.sizes:
     config = McConfig(
         scenario="nb", n=n, replicates=args.m, seed=args.seed,
         methods=("mle:nb", "ugee:nb", "ugee:poisson", "ugee:const"),
-        params={"tau": 10.0, "beta0": 3.0, "beta1": 3.0, "a": 0.0, "b": 1.0},
-        threads=args.threads)
+        params={"tau": 10.0, "beta0": 3.0, "beta1": 3.0, "a": 0.0, "b": 1.0})
     start = time.perf_counter()
     report = run_monte_carlo(config)
     elapsed = time.perf_counter() - start

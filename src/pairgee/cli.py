@@ -1,10 +1,12 @@
 """Command-line entry points: ``fit``, ``distance``, ``simulate``.
 
 Exit codes: 0 success, 1 non-convergence or invalid simulation report,
-2 input error.  Every flag default can be overridden by an environment
-variable named ``PAIRGEE_<FLAG>`` (dashes as underscores), e.g.
-``PAIRGEE_THREADS=2``.  Numbers in result files are serialised with
-``repr``, which round-trips float64 exactly.
+2 input error.  The defaults of ``--out``, ``--layout``, ``--link``,
+``--working-variance``, ``--tol``, ``--max-iter``, ``--n``, ``--m`` and
+``--seed`` can be overridden by an environment variable named
+``PAIRGEE_<FLAG>`` (dashes as underscores), e.g. ``PAIRGEE_TOL=1e-10``; a
+value that does not parse is an input error.  Numbers in result files are
+serialised with ``repr``, which round-trips float64 exactly.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from . import __version__
 from .errors import InputError, NonConvergence
 from .fit import FitConfig, PairData, adaptive_fit, build_pairs, fit_icc
 from .io import load_dataset
-from .kernels import Kernel, apply_pseudocount, clr
+from .kernels import Kernel, apply_pseudocount, pairwise_responses
 from .model import FrmModel, PairCovariate, WorkingVariance, stack_subjects
 from .simulate import McConfig, run_monte_carlo
+from .ustat import CHUNK_PAIRS, chunk_slices, enumerate_pairs
 
 _WV_FLAGS = {"const": "constant", "poisson": "poisson", "propmean": "propmean",
              "nb": "nb", "bernoulli": "bernoulli"}
@@ -50,8 +53,6 @@ class RunSpec:
     max_iter: int = 100
     out: str | None = None
     full: bool = False
-    threads: int = 1
-    deterministic: bool = True
     seed: int = 0
     scenario: str = "nb"
     n: int = 100
@@ -61,18 +62,19 @@ class RunSpec:
 
 
 def _env_default(name: str, fallback, cast=str):
-    raw = os.environ.get(f"PAIRGEE_{name.upper().replace('-', '_')}")
+    var = f"PAIRGEE_{name.upper().replace('-', '_')}"
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
     try:
         return cast(raw)
     except ValueError:
-        return fallback
+        raise InputError(f"environment variable {var}={raw!r} is not a valid "
+                         f"{cast.__name__}") from None
 
 
 def _fit_config(spec: RunSpec) -> FitConfig:
-    return FitConfig(tol_eq=spec.tol, tol_step=spec.tol, max_iter=spec.max_iter,
-                     threads=spec.threads, deterministic=spec.deterministic)
+    return FitConfig(tol_eq=spec.tol, tol_step=spec.tol, max_iter=spec.max_iter)
 
 
 def _parse_pair_flag(value: str | None) -> PairCovariate | None:
@@ -183,28 +185,35 @@ def cmd_distance(spec: RunSpec) -> int:
     ids, Y, _ = stack_subjects(records)
     comps = np.vstack([apply_pseudocount(row, spec.pseudocount, spec.eps).values
                        for row in Y])
-    C = clr(comps)
-    lines = []
-    if spec.full:
-        lines.append("id," + ",".join(str(s) for s in ids))
-        for a in range(len(ids)):
-            diffs = C - C[a]
-            dist = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-            dist[a] = 0.0
-            lines.append(str(ids[a]) + "," + ",".join(repr(float(v)) for v in dist))
-    else:
-        lines.append("i1,i2,distance")
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                d = C[a] - C[b]
-                lines.append(f"{ids[a]},{ids[b]},{float(np.sqrt(d @ d))!r}")
-    text = "\n".join(lines) + "\n"
     if spec.out:
         with open(spec.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            _write_distances(fh, ids, comps, spec.full)
     else:
-        print(text, end="")
+        _write_distances(sys.stdout, ids, comps, spec.full)
     return 0
+
+
+def _write_distances(fh, ids, comps: np.ndarray, full: bool) -> None:
+    """Write the distances about ``CHUNK_PAIRS`` pairs at a time, so that no
+    array over all pairs and taxa is ever built."""
+    kernel = Kernel.aitchison()
+    n = len(ids)
+    if full:
+        fh.write("id," + ",".join(str(s) for s in ids) + "\n")
+        for rows in chunk_slices(n, max(1, CHUNK_PAIRS // n)):
+            block = np.arange(rows.start, rows.stop)
+            dist = pairwise_responses(kernel, comps, np.repeat(block, n),
+                                      np.tile(np.arange(n), len(block)))
+            for a, row in zip(block.tolist(), dist.reshape(len(block), n).tolist()):
+                fh.write(f"{ids[a]}," + ",".join(map(repr, row)) + "\n")
+        return
+    fh.write("i1,i2,distance\n")
+    pairs = enumerate_pairs(n)
+    for sl in chunk_slices(len(pairs), CHUNK_PAIRS):
+        i1, i2 = pairs[sl, 0], pairs[sl, 1]
+        dist = pairwise_responses(kernel, comps, i1, i2)
+        fh.write("".join(f"{ids[a]},{ids[b]},{d!r}\n" for a, b, d
+                         in zip(i1.tolist(), i2.tolist(), dist.tolist())))
 
 
 def cmd_simulate(spec: RunSpec) -> int:
@@ -212,8 +221,7 @@ def cmd_simulate(spec: RunSpec) -> int:
     methods = tuple(spec.methods.split(",")) if spec.methods else ()
     config = McConfig(scenario=spec.scenario, n=spec.n, replicates=spec.m,
                       seed=spec.seed, methods=methods,
-                      params=spec.scenario_params, threads=spec.threads,
-                      deterministic=spec.deterministic)
+                      params=spec.scenario_params)
     report = run_monte_carlo(config)
     print(report.summary())
     if spec.out:
@@ -231,13 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=_env_default("out", None))
-        p.add_argument("--threads", type=int,
-                       default=_env_default("threads", os.cpu_count() or 1, int))
-        det = p.add_mutually_exclusive_group()
-        det.add_argument("--deterministic", dest="deterministic",
-                         action="store_true", default=True)
-        det.add_argument("--no-deterministic", dest="deterministic",
-                         action="store_false")
 
     fit = sub.add_parser("fit", help="fit a pairwise regression")
     fit.add_argument("--data", required=True)
@@ -306,9 +307,8 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    spec = _spec_from_args(args)
     try:
+        spec = _spec_from_args(_build_parser().parse_args(argv))
         if spec.command == "fit":
             return cmd_fit(spec)
         if spec.command == "distance":

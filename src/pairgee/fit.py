@@ -154,8 +154,6 @@ class FitConfig:
     adaptive_max_rounds: int = 25
     adaptive_tol: float = 1e-6
     chunk: int = CHUNK_PAIRS
-    threads: int = 1
-    deterministic: bool = True
     sandwich_correction: bool = True
 
     def __post_init__(self):
@@ -210,10 +208,35 @@ def _check_variances(V: np.ndarray, data: PairData, sl: slice) -> None:
             pair=(int(data.i1[k]), int(data.i2[k])))
 
 
-def _scalar_chunk(model: FrmModel, data: PairData, Xa: np.ndarray,
-                  beta: np.ndarray, sl: slice,
-                  want_scores: bool = False):
-    """Per-chunk mean, gradient weights and (optionally) pair scores."""
+# Every working-variance form V(h) makes the estimating function the exact
+# gradient of a quasi-likelihood Q with dQ/dh = (f - h)/V(h).  The scoring
+# matrix is positive semidefinite, so the scoring direction is always an
+# ascent direction for Q; halving until Q stops decreasing therefore cannot
+# stall, unlike halving on ||U||_2 (whose merit the scoring direction may
+# increase when the response sits far above the fitted mean).
+
+def _quasi_objective(wv, f: np.ndarray, h: np.ndarray, r: np.ndarray,
+                     V: np.ndarray) -> float:
+    """Quasi-likelihood Q of one pair chunk; r = f - h and V = V(h)."""
+    if wv.kind in ("constant", "userfixed"):
+        return float(np.sum(-0.5 * r ** 2 / V))
+    if wv.kind == "bernoulli":
+        return float(np.sum(f * np.log(h) + (1.0 - f) * np.log(1.0 - h)))
+    if wv.kind == "nb" and wv.value is not None and np.isfinite(wv.value):
+        tau = wv.value
+        return float(np.sum(f * np.log(h / (tau + h)) - tau * np.log(tau + h)))
+    # poisson, propmean, and nb in its variance-equals-mean limit
+    scale = (wv.value or 1.0) if wv.kind == "propmean" else 1.0
+    return float(np.sum(f * np.log(h) - h) / scale)
+
+
+def _chunk_terms(model: FrmModel, data: PairData, Xa: np.ndarray,
+                 beta: np.ndarray, sl: slice):
+    """Quasi-objective, pair scores and scoring matrix of one pair chunk.
+
+    The mean, its derivative and the working variance are evaluated once
+    and shared by all three.
+    """
     xa = Xa[sl]
     eta = xa @ beta
     h, g = link_mean_deriv(model.link, eta)
@@ -224,13 +247,28 @@ def _scalar_chunk(model: FrmModel, data: PairData, Xa: np.ndarray,
             pair=(int(data.i1[k]), int(data.i2[k])), eta=float(eta.max()))
     V = variance_eval(model.working_variance, h, rows=sl)
     _check_variances(V, data, sl)
-    r = data.f[sl] - h
+    f = data.f[sl]
+    r = f - h
     s = xa * (g * r / V)[:, None]
-    U_part = s.sum(axis=0)
-    J_part = (xa * (g * g / V)[:, None]).T @ xa
-    if want_scores:
-        return U_part, J_part, s
-    return U_part, J_part
+    J = (xa * (g * g / V)[:, None]).T @ xa
+    return _quasi_objective(model.working_variance, f, h, r, V), s, J
+
+
+def _pair_pass(model: FrmModel, data: PairData, Xa: np.ndarray,
+               beta: np.ndarray, config: FitConfig, sandwich: bool = False):
+    """One pass over the pair chunks at ``beta``: the quasi-objective, U and J.
+
+    With ``sandwich`` the pass also returns the per-subject sums of the
+    pair scores and Z2 = sum of the scores' outer products.
+    """
+    def part(sl: slice):
+        merit, s, J = _chunk_terms(model, data, Xa, beta, sl)
+        if not sandwich:
+            return merit, s.sum(axis=0), J
+        acc = interleaved_accumulate(data.n, data.i1[sl], data.i2[sl], s)
+        return merit, s.sum(axis=0), J, acc, s.T @ s
+
+    return chunked_reduce(part, data.n_pairs, chunk=config.chunk)
 
 
 def assemble_ugee(model, data: PairData, beta: np.ndarray,
@@ -248,7 +286,7 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray,
 
     if isinstance(model, (IccModel, MeanVarianceModel)):
         R, V = _moment_responses(model, data)
-        U, J, s = _moment_assemble(model, R, V, beta)
+        _, U, J, s = _moment_assemble(model, R, V, beta)
         if return_scores:
             return U, J, PairScoreTable(data.n, s)
         return U, J
@@ -257,22 +295,15 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray,
     if Xa.shape[1] != beta.size:
         raise InputError(f"beta length {beta.size} does not match design "
                          f"dimension {Xa.shape[1]}")
-
-    if return_scores:
-        parts = [
-            _scalar_chunk(model, data, Xa, beta, sl, want_scores=True)
-            for sl in chunk_slices(data.n_pairs, config.chunk)
-        ]
-        U = sum((p[0] for p in parts[1:]), start=parts[0][0])
-        J = sum((p[1] for p in parts[1:]), start=parts[0][1])
-        scores = np.vstack([p[2] for p in parts])
-        return U, J, PairScoreTable(data.n, scores)
-
-    U, J = chunked_reduce(
-        lambda sl: _scalar_chunk(model, data, Xa, beta, sl),
-        data.n_pairs, chunk=config.chunk, threads=config.threads,
-        deterministic=config.deterministic)
-    return U, J
+    if not return_scores:
+        return _pair_pass(model, data, Xa, beta, config)[1:]
+    U = J = None
+    scores = []
+    for sl in chunk_slices(data.n_pairs, config.chunk):
+        _, s, Jc = _chunk_terms(model, data, Xa, beta, sl)
+        scores.append(s)
+        U, J = (s.sum(axis=0), Jc) if U is None else (U + s.sum(axis=0), J + Jc)
+    return U, J, PairScoreTable(data.n, np.vstack(scores))
 
 
 def _moment_responses(model, data: PairData):
@@ -292,74 +323,14 @@ def _moment_responses(model, data: PairData):
 
 
 def _moment_assemble(model, R: np.ndarray, V: np.ndarray, theta: np.ndarray):
+    """Quasi-objective, U, J and the pair scores of a 2-d model."""
     h, D = model.mean_map(theta)
     resid = R - h            # (N, d)
+    merit = float(np.sum(-0.5 * resid * resid / V))
     s = (resid / V) @ D      # (N, q)
     U = s.sum(axis=0)
     J = len(R) * D.T @ (D / V[:, None])
-    return U, J, s
-
-
-# --------------------------------------------------------------------------- #
-# Quasi-objective used as the line-search merit
-# --------------------------------------------------------------------------- #
-#
-# Every working-variance form V(h) makes the estimating function the exact
-# gradient of a quasi-likelihood Q with dQ/dh = (f - h)/V(h).  The scoring
-# matrix is positive semidefinite, so the scoring direction is always an
-# ascent direction for Q; halving until Q stops decreasing therefore cannot
-# stall, unlike halving on ||U||_2 (whose merit the scoring direction may
-# increase when the response sits far above the fitted mean).
-
-def _quasi_chunk(model: FrmModel, data: PairData, Xa: np.ndarray,
-                 beta: np.ndarray, sl: slice):
-    xa = Xa[sl]
-    h, _ = link_mean_deriv(model.link, xa @ beta)
-    f = data.f[sl]
-    wv = model.working_variance
-    if wv.kind in ("constant", "userfixed"):
-        V = variance_eval(wv, h, rows=sl)
-        _check_variances(V, data, sl)
-        return (float(np.sum(-0.5 * (f - h) ** 2 / V)),)
-    if wv.kind in ("poisson", "propmean"):
-        V = variance_eval(wv, h, rows=sl)
-        _check_variances(V, data, sl)
-        scale = 1.0 if wv.kind == "poisson" else (wv.value or 1.0)
-        return (float(np.sum(f * np.log(h) - h) / scale),)
-    if wv.kind == "nb":
-        tau = np.inf if wv.value is None else wv.value
-        V = variance_eval(wv, h, rows=sl)
-        _check_variances(V, data, sl)
-        if np.isinf(tau):
-            return (float(np.sum(f * np.log(h) - h)),)
-        return (float(np.sum(f * np.log(h / (tau + h)) - tau * np.log(tau + h))),)
-    # bernoulli
-    V = variance_eval(wv, h, rows=sl)
-    _check_variances(V, data, sl)
-    return (float(np.sum(f * np.log(h) + (1.0 - f) * np.log(1.0 - h))),)
-
-
-def _scalar_merit(model, data, Xa, config):
-    def merit(beta):
-        (total,) = chunked_reduce(
-            lambda sl: _quasi_chunk(model, data, Xa, beta, sl),
-            data.n_pairs, chunk=config.chunk, threads=config.threads,
-            deterministic=config.deterministic)
-        if not np.isfinite(total):
-            raise EvaluationError("quasi-objective is not finite")
-        return total
-    return merit
-
-
-def _moment_merit(model, R, V):
-    def merit(theta):
-        h, _ = model.mean_map(theta)
-        resid = R - h
-        total = float(np.sum(-0.5 * resid * resid / V))
-        if not np.isfinite(total):
-            raise EvaluationError("quasi-objective is not finite")
-        return total
-    return merit
+    return merit, U, J, s
 
 
 # --------------------------------------------------------------------------- #
@@ -402,11 +373,20 @@ def _checked_solve(J: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.linalg.solve(J, U)
 
 
-def _newton(assemble, merit, beta0: np.ndarray, n_pairs: int, config: FitConfig):
-    """Scoring loop; steps are halved while the quasi-objective decreases."""
+def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig):
+    """Scoring loop; steps are halved while the quasi-objective decreases.
+
+    ``evaluate(beta)`` returns (quasi-objective, U, J) from one pass, so
+    the accepted candidate's U and J are already at hand.
+    """
+    def point(beta):
+        m, U, J = evaluate(beta)
+        if not np.isfinite(m):
+            raise EvaluationError("quasi-objective is not finite")
+        return m, U, J
+
     beta = np.asarray(beta0, dtype=float).copy()
-    U, J = assemble(beta)
-    m = merit(beta)
+    m, U, J = point(beta)
     iterations = 0
     flagged = 0
     converged = False
@@ -426,7 +406,7 @@ def _newton(assemble, merit, beta0: np.ndarray, n_pairs: int, config: FitConfig)
                 lam *= 0.5
                 continue
             try:
-                m2 = merit(cand)
+                m2, U2, J2 = point(cand)
             except EvaluationError as exc:
                 last_err = exc
                 lam *= 0.5
@@ -434,15 +414,14 @@ def _newton(assemble, merit, beta0: np.ndarray, n_pairs: int, config: FitConfig)
             if m2 >= m - slack or halving == config.max_halvings:
                 if m2 < m - slack:
                     flagged += 1
-                accepted = (cand, m2)
+                accepted = (cand, m2, U2, J2)
                 break
             lam *= 0.5
         if accepted is None:
             raise last_err if last_err is not None else EvaluationError(
                 "step halving failed to produce an evaluable iterate")
         prev = beta
-        beta, m = accepted
-        U, J = assemble(beta)
+        beta, m, U, J = accepted
         iterations = it
         if (np.max(np.abs(beta - prev)) <= config.tol_step
                 and float(np.max(np.abs(U))) / n_pairs <= config.tol_eq):
@@ -458,11 +437,18 @@ def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitRes
     """Solve the weighted pairwise estimating equations by Fisher scoring.
 
     Raises NonConvergence (carrying the last iterate packaged as a
-    ``FitResult``) when the iteration budget is exhausted, and
-    SingularInformation when the scoring matrix degenerates.
+    ``FitResult`` with its sandwich) when the iteration budget is
+    exhausted, and SingularInformation when the scoring matrix
+    degenerates.
     """
     config = config or FitConfig()
+    return _with_sandwich(model, data, _solve(model, data, config), config)
 
+
+def _solve(model, data: PairData, config: FitConfig) -> FitResult:
+    """``solve_ugee`` up to the sandwich: a converged result comes back with
+    ``cov_beta``, ``b_matrix`` and ``sigma_u`` left None for the caller to
+    fill; NonConvergence still carries a result with its sandwich."""
     if isinstance(model, (IccModel, MeanVarianceModel)):
         R, V = _moment_responses(model, data)
         q = 2
@@ -471,11 +457,9 @@ def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitRes
         theta0 = (np.asarray(config.init_beta, dtype=float)
                   if config.init_beta is not None else model.init_theta(R))
 
-        def assemble(theta):
-            U, J, _ = _moment_assemble(model, R, V, theta)
-            return U, J
+        def evaluate(theta):
+            return _moment_assemble(model, R, V, theta)[:3]
 
-        merit = _moment_merit(model, R, V)
         names = model.param_names
     else:
         Xa = augment(data.x, model.intercept)
@@ -490,26 +474,25 @@ def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitRes
         if theta0.size != q:
             raise InputError(f"init_beta length {theta0.size} does not match {q}")
 
-        def assemble(beta):
-            return assemble_ugee(model, data, beta, config)
+        def evaluate(beta):
+            return _pair_pass(model, data, Xa, beta, config)
 
-        merit = _scalar_merit(model, data, Xa, config)
         slopes = [f"beta{k + 1}" for k in range(q - int(model.intercept))]
         names = tuple((["beta0"] if model.intercept else []) + slopes)
+    if not np.all(np.isfinite(theta0)):
+        raise InputError("beta must be finite")
 
     beta, eq_norm, iterations, converged, flagged = _newton(
-        assemble, merit, theta0, data.n_pairs, config)
-
-    def package(cov, B, Su):
-        return FitResult(
-            beta=beta, cov_beta=cov, b_matrix=B, sigma_u=Su, eq_norm=eq_norm,
-            iterations=iterations, converged=converged, n_subjects=data.n,
-            n_pairs=data.n_pairs, flagged_steps=flagged, param_names=names)
+        evaluate, theta0, data.n_pairs, config)
+    result = FitResult(
+        beta=beta, cov_beta=None, b_matrix=None, sigma_u=None, eq_norm=eq_norm,
+        iterations=iterations, converged=converged, n_subjects=data.n,
+        n_pairs=data.n_pairs, flagged_steps=flagged, param_names=names)
 
     if converged:
-        return package(*sandwich_variance(model, data, beta, config=config))
+        return result
     try:
-        result = package(*sandwich_variance(model, data, beta, config=config))
+        result = _with_sandwich(model, data, result, config)
     except (EvaluationError, SingularInformation):
         result = None
     raise NonConvergence(
@@ -521,6 +504,12 @@ def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitRes
 # --------------------------------------------------------------------------- #
 # Sandwich covariance
 # --------------------------------------------------------------------------- #
+
+def _with_sandwich(model, data: PairData, result: FitResult,
+                   config: FitConfig) -> FitResult:
+    cov, B, Su = sandwich_variance(model, data, result.beta, config=config)
+    return dataclasses.replace(result, cov_beta=cov, b_matrix=B, sigma_u=Su)
+
 
 def _psd_floor(M: np.ndarray) -> np.ndarray:
     M = 0.5 * (M + M.T)
@@ -551,26 +540,13 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
 
     if isinstance(model, (IccModel, MeanVarianceModel)):
         R, V = _moment_responses(model, data)
-        _, J, s = _moment_assemble(model, R, V, beta)
-        q = s.shape[1]
-        acc = np.zeros((n, q))
-        interleaved_accumulate(acc, data.i1, data.i2, s)
+        _, _, B_sum, s = _moment_assemble(model, R, V, beta)
+        acc = interleaved_accumulate(n, data.i1, data.i2, s)
         Z2 = s.T @ s
-        B_sum = J
     else:
         Xa = augment(data.x, model.intercept)
-        q = Xa.shape[1]
-
-        def part(sl: slice):
-            U_part, J_part, s = _scalar_chunk(model, data, Xa, beta, sl,
-                                              want_scores=True)
-            acc_part = np.zeros((n, q))
-            interleaved_accumulate(acc_part, data.i1[sl], data.i2[sl], s)
-            return acc_part, s.T @ s, J_part
-
-        acc, Z2, B_sum = chunked_reduce(
-            part, N, chunk=config.chunk, threads=config.threads,
-            deterministic=config.deterministic)
+        _, _, B_sum, acc, Z2 = _pair_pass(model, data, Xa, beta, config,
+                                          sandwich=True)
 
     B = B_sum / N
     cond = np.linalg.cond(B)
@@ -677,20 +653,22 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
 
     value = _initial_nuisance(model, data)
     trace = [value]
-    result = solve_ugee(_with_nuisance(model, value), data, config)
+    result = _solve(_with_nuisance(model, value), data, config)
     for rounds in range(1, config.adaptive_max_rounds + 1):
         new = estimate_nuisance(model, data, result.beta, config)
         trace.append(new)
         done = _nuisance_close(new, value, config.adaptive_tol)
         value = new
         warm = dataclasses.replace(config, init_beta=result.beta)
-        result = solve_ugee(_with_nuisance(model, value), data, warm)
+        result = _solve(_with_nuisance(model, value), data, warm)
         if done:
-            return dataclasses.replace(result, nuisance=value,
-                                       nuisance_rounds=rounds)
-    raise NonConvergence(
-        f"adaptive working-variance loop did not settle in "
-        f"{config.adaptive_max_rounds} rounds", trace=trace, result=result)
+            break
+    result = _with_sandwich(_with_nuisance(model, value), data, result, config)
+    if not done:
+        raise NonConvergence(
+            f"adaptive working-variance loop did not settle in "
+            f"{config.adaptive_max_rounds} rounds", trace=trace, result=result)
+    return dataclasses.replace(result, nuisance=value, nuisance_rounds=rounds)
 
 
 # --------------------------------------------------------------------------- #

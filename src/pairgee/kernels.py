@@ -106,8 +106,8 @@ def aitchison_distance(y1, y2) -> float:
     v2 = _composition_values(y2)
     if v1.size != v2.size:
         raise InputError(f"composition lengths differ: {v1.size} vs {v2.size}")
-    diff = clr(v1) - clr(v2)
-    return float(np.sqrt(diff @ diff))
+    return float(pairwise_responses(Kernel.aitchison(), np.vstack([v1, v2]),
+                                    np.array([0]), np.array([1]))[0])
 
 
 def mww_indicator(y1: float, y2: float, ties: str = "le") -> float:

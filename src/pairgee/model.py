@@ -264,28 +264,15 @@ def variance_eval(wv: WorkingVariance, h: np.ndarray,
 
 @dataclass(frozen=True)
 class FrmModel:
-    """Scalar model: E(f | pair covariate x) = link(beta' x [+ intercept]).
-
-    ``pair_covariate`` is optional; it is used when building pair data from
-    subject records and may be omitted when the pair covariates are already
-    materialised.
-    """
+    """Scalar model: E(f | pair covariate x) = link(beta' x [+ intercept])."""
 
     link: str
     working_variance: WorkingVariance
     intercept: bool = True
-    pair_covariate: PairCovariate | None = None
-    response_dim: int = 1
 
     def __post_init__(self):
         if self.link not in LINK_KINDS:
             raise InputError(f"unknown link kind {self.link!r}")
-        if self.response_dim != 1:
-            raise InputError("FrmModel is scalar; use IccModel / MeanVarianceModel")
-
-    def beta_dim(self, p: int) -> int:
-        base = self.pair_covariate.output_dim(p) if self.pair_covariate else p
-        return base + (1 if self.intercept else 0)
 
 
 def augment(x: np.ndarray, intercept: bool) -> np.ndarray:
@@ -360,7 +347,6 @@ class IccModel:
     """Two-dimensional model for rater agreement; parameters (tau2, rho)."""
 
     raters: int
-    response_dim: int = 2
     param_names: tuple[str, str] = ("tau2", "rho")
 
     def mean_map(self, theta):
@@ -375,7 +361,6 @@ class IccModel:
 class MeanVarianceModel:
     """Two-dimensional model for the mean and variance of a pairwise response."""
 
-    response_dim: int = 2
     param_names: tuple[str, str] = ("mu", "sigma2")
 
     def mean_map(self, theta):

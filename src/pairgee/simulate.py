@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,8 +29,9 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from .errors import InputError, NonConvergence
-from .fit import FitConfig, PairData, adaptive_fit, fit_icc
-from .model import FrmModel, WorkingVariance
+from .fit import NB_TAU_MAX, FitConfig, PairData, adaptive_fit, fit_icc
+from .kernels import Kernel, pairwise_responses
+from .model import FrmModel, PairCovariate, WorkingVariance, pair_covariate_matrix
 from .ustat import enumerate_pairs
 
 SCENARIOS = ("nb", "linear", "icc", "mww")
@@ -42,8 +42,6 @@ _DEFAULT_METHODS = {
     "icc": ("icc",),
     "mww": ("ugee:bernoulli",),
 }
-
-NB_TAU_MAX = 1e8
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -182,12 +180,9 @@ def gen_mww_probit(n: int, seed_or_rng, beta=1.0,
 def mww_pair_data(d: MwwData, ties: str = "le") -> PairData:
     pairs = enumerate_pairs(len(d.y))
     i1, i2 = pairs[:, 0], pairs[:, 1]
-    if ties == "midrank":
-        f = np.where(d.y[i1] < d.y[i2], 1.0,
-                     np.where(d.y[i1] == d.y[i2], 0.5, 0.0))
-    else:
-        f = (d.y[i1] <= d.y[i2]).astype(float)
-    return PairData(n=len(d.y), i1=i1, i2=i2, x=d.x[i1] - d.x[i2], f=f)
+    f = pairwise_responses(Kernel.mww(ties), d.y[:, None], i1, i2)
+    x = pair_covariate_matrix(PairCovariate("difference"), d.x, i1, i2)
+    return PairData(n=len(d.y), i1=i1, i2=i2, x=x, f=f)
 
 
 # --------------------------------------------------------------------------- #
@@ -303,8 +298,6 @@ class McConfig:
     seed: int
     methods: tuple = ()
     params: dict = field(default_factory=dict)
-    threads: int = 1
-    deterministic: bool = True
     keep_details: bool = False
 
     def __post_init__(self):
@@ -405,7 +398,7 @@ def _scenario_dataset(config: McConfig, rep: int):
 
 def _fit_method(method: str, dataset, config: McConfig):
     """Fit one estimator; returns (param names, estimates, reported variances)."""
-    fitcfg = FitConfig(threads=1, deterministic=config.deterministic)
+    fitcfg = FitConfig()
     if method == "icc":
         res = fit_icc(dataset.ratings, fitcfg)
         return res.param_names, res.beta, np.diag(res.cov_beta)
@@ -449,17 +442,12 @@ def run_monte_carlo(config: McConfig) -> McReport:
     """Run the study and aggregate Est / Asy / Emp per method and parameter.
 
     Replicate r uses the independent stream (seed, r), so results do not
-    depend on execution order or thread count.  Replicates where a method
+    depend on execution order.  Replicates where a method
     fails are excluded from that method's aggregates and counted.  The
     report is flagged invalid when any method loses more than 10% of
     replicates.
     """
-    reps = range(config.replicates)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda r: _one_replicate(config, r), reps))
-    else:
-        results = [_one_replicate(config, r) for r in reps]
+    results = [_one_replicate(config, r) for r in range(config.replicates)]
 
     rows: list[McRow] = []
     invalid = False

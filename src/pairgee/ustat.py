@@ -11,23 +11,23 @@ this ordering is fixed project-wide and shared with the binary dump format.
 
 Determinism
 -----------
-Reductions over pairs run in fixed-size chunks (1024 pairs) whose partial
-sums are combined in chunk order.  Worker threads only ever compute whole
-chunks, so results are bit-identical for any thread count.  Passing
-``deterministic=False`` to the reduction helper allows whole-array numpy
-sums instead, which may differ in the last bits.
+Reductions over pairs run in fixed-size chunks (``CHUNK_PAIRS`` pairs)
+whose partial sums are added to a running total in chunk order, so a
+result depends on the chunk size but on nothing else.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# Not used here: the benchmark tracer (bench/spans.py) counts thread pools
+# by replacing this module attribute.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 
-CHUNK_PAIRS = 1024
+CHUNK_PAIRS = 16384
 
 
 def enumerate_pairs(n: int) -> np.ndarray:
@@ -50,29 +50,18 @@ def chunk_slices(n_items: int, chunk: int = CHUNK_PAIRS) -> list[slice]:
     return [slice(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
 
 
-def chunked_reduce(fn, n_items: int, *, chunk: int = CHUNK_PAIRS,
-                   threads: int = 1, deterministic: bool = True):
+def chunked_reduce(fn, n_items: int, *, chunk: int = CHUNK_PAIRS):
     """Sum ``fn(slice)`` over a fixed chunking of ``range(n_items)``.
 
-    ``fn`` returns a tuple of arrays (or scalars); partial results are added
-    in chunk-index order regardless of which worker produced them.  With
-    ``deterministic=False`` and a single thread the whole range is evaluated
-    in one call.
+    ``fn`` returns a tuple of arrays (or scalars); each chunk's result is
+    added to a running total in chunk-index order.
     """
     if n_items == 0:
         raise InputError("nothing to reduce over")
-    if not deterministic and threads <= 1:
-        return fn(slice(0, n_items))
-    slices = chunk_slices(n_items, chunk)
-    if threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, slices))
-    else:
-        parts = [fn(sl) for sl in slices]
-    total = list(parts[0])
-    for part in parts[1:]:
-        for j, val in enumerate(part):
-            total[j] = total[j] + val
+    total = None
+    for sl in chunk_slices(n_items, chunk):
+        part = fn(sl)
+        total = part if total is None else tuple(t + p for t, p in zip(total, part))
     return tuple(total)
 
 
@@ -164,17 +153,21 @@ def ustatistic_mean(kernel, data) -> float | np.ndarray:
 # Projection of pair scores onto subjects
 # --------------------------------------------------------------------------- #
 
-def interleaved_accumulate(acc: np.ndarray, i1: np.ndarray, i2: np.ndarray,
-                           scores: np.ndarray) -> None:
-    """Add each pair score to both members' accumulators, in pair order.
+def interleaved_accumulate(n: int, i1: np.ndarray, i2: np.ndarray,
+                           scores: np.ndarray) -> np.ndarray:
+    """Per-subject sums of the scores of own pairs, shape (n, q).
 
-    The updates are applied sequentially as (i1[0], i2[0], i1[1], i2[1], ...),
-    which makes the result bit-identical to a plain loop over pairs.
+    Each pair score is added to both members' sums, starting from zero, in
+    the sequential order (i1[0], i2[0], i1[1], i2[1], ...), which makes the
+    result bit-identical to a plain loop over pairs.
     """
     idx = np.empty(2 * len(i1), dtype=np.int64)
     idx[0::2] = i1
     idx[1::2] = i2
-    np.add.at(acc, idx, np.repeat(scores, 2, axis=0))
+    acc = np.empty((n, scores.shape[1]))
+    for j in range(scores.shape[1]):
+        acc[:, j] = np.bincount(idx, weights=np.repeat(scores[:, j], 2), minlength=n)
+    return acc
 
 
 def hajek_scores(table: PairScoreTable) -> np.ndarray:
@@ -186,8 +179,7 @@ def hajek_scores(table: PairScoreTable) -> np.ndarray:
     """
     n = table.n
     pairs = enumerate_pairs(n)
-    acc = np.zeros((n, table.q))
-    interleaved_accumulate(acc, pairs[:, 0], pairs[:, 1], table.scores)
+    acc = interleaved_accumulate(n, pairs[:, 0], pairs[:, 1], table.scores)
     return acc * (2.0 / (n - 1))
 
 

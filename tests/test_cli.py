@@ -126,7 +126,7 @@ def test_distance_full_matrix(tmp_path):
 
 def test_simulate_writes_reproducible_reports(tmp_path):
     args = ["simulate", "--scenario", "nb", "--n", "25", "--m", "3",
-            "--seed", "7", "--methods", "ugee:poisson", "--threads", "1"]
+            "--seed", "7", "--methods", "ugee:poisson"]
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
@@ -136,6 +136,16 @@ def test_simulate_writes_reproducible_reports(tmp_path):
     assert payload["rows"][0]["method"] == "ugee:poisson"
     header = open(out1 + ".csv").readline().strip()
     assert header == "scenario,n,method,param,est,asy,emp,failures"
+
+
+@pytest.mark.parametrize("var,value", [("PAIRGEE_TOL", "abc"),
+                                       ("PAIRGEE_MAX_ITER", "x")])
+def test_malformed_environment_default_exits_2(tmp_path, monkeypatch, capsys,
+                                               var, value):
+    monkeypatch.setenv(var, value)
+    path = _write(tmp_path, "s.csv", "id,x1,y1\na,0,1\nb,1,2\nc,2,2\n")
+    assert main(["fit", "--data", path, "--kernel", "sqhalfdiff"]) == 2
+    assert var in capsys.readouterr().err
 
 
 def test_simulate_invalid_report_exits_nonzero(tmp_path):

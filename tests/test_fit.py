@@ -10,6 +10,9 @@ from pairgee import (EvaluationError, FitConfig, FrmModel, InputError, Kernel,
                      hajek_scores, make_rng, projection_variance,
                      sandwich_variance, solve_ugee)
 
+from pairgee.fit import _pair_pass
+from pairgee.model import augment
+
 from oracles import (brute_hajek, brute_projection_variance, nb_tau_quadratic,
                      pairwise_least_squares)
 
@@ -102,16 +105,43 @@ def test_assemble_rejects_nonpositive_variance_with_pair():
     assert err.value.pair is not None
 
 
-def test_assemble_threads_and_chunking_are_bit_identical():
+def test_assemble_chunking_matches_one_chunk():
     rng = np.random.default_rng(8)
     data = _random_pairs(rng, 60)  # 1770 pairs: crosses a chunk boundary
     beta = np.array([0.7])
-    U1, J1 = assemble_ugee(_model(), data, beta, FitConfig(threads=1))
-    U3, J3 = assemble_ugee(_model(), data, beta, FitConfig(threads=3))
-    assert np.array_equal(U1, U3) and np.array_equal(J1, J3)
-    U0, J0 = assemble_ugee(_model(), data, beta,
-                           FitConfig(deterministic=False))
+    U1, J1 = assemble_ugee(_model(), data, beta, FitConfig(chunk=1024))
+    U0, J0 = assemble_ugee(_model(), data, beta, FitConfig(chunk=data.n_pairs))
     assert np.allclose(U0, U1, rtol=1e-10)
+    assert np.allclose(J0, J1, rtol=1e-10)
+
+
+@pytest.mark.parametrize("link,wv,value", [
+    ("identity", "constant", 2.5), ("exp", "poisson", None),
+    ("exp", "propmean", 1.7), ("exp", "nb", 4.0), ("exp", "nb", None),
+    ("expit", "bernoulli", None), ("exp", "userfixed", None)])
+def test_merit_gradient_equals_estimating_equations(link, wv, value):
+    # the line-search merit is the quasi-likelihood whose gradient is U
+    rng = np.random.default_rng(20)
+    n = 30
+    pairs = enumerate_pairs(n)
+    x = rng.uniform(-1.0, 1.0, size=(len(pairs), 1))
+    beta = np.array([0.3, 0.8])
+    if link == "expit":
+        f = (rng.random(len(pairs)) < 0.5).astype(float)
+    else:
+        f = rng.poisson(np.exp(1.0 + x[:, 0])).astype(float)
+    data = PairData(n=n, i1=pairs[:, 0], i2=pairs[:, 1], x=x, f=f)
+    per_pair = rng.uniform(0.5, 2.0, len(pairs)) if wv == "userfixed" else None
+    model = FrmModel(link=link, working_variance=WorkingVariance(
+        wv, value, per_pair=per_pair), intercept=True)
+    Xa = augment(data.x, True)
+    config = FitConfig(chunk=128)  # several chunks
+    _, U, _ = _pair_pass(model, data, Xa, beta, config)
+    step = 1e-6
+    grad = [(_pair_pass(model, data, Xa, beta + step * e, config)[0]
+             - _pair_pass(model, data, Xa, beta - step * e, config)[0]) / (2 * step)
+            for e in np.eye(2)]
+    assert np.allclose(grad, U, rtol=1e-6, atol=1e-6 * np.max(np.abs(U)))
 
 
 # ------------------------------------------------------------------ solver
@@ -212,7 +242,7 @@ def test_sandwich_streaming_matches_brute_force_across_chunks():
     rng = np.random.default_rng(14)
     data = _random_pairs(rng, 70)  # 2415 pairs: several chunks
     model = _model()
-    res = solve_ugee(model, data)
+    res = solve_ugee(model, data, FitConfig(chunk=1024))
     _, _, table = assemble_ugee(model, data, res.beta, return_scores=True)
     brute = brute_projection_variance(brute_hajek(data.n, table.scores))
     assert np.allclose(res.sigma_u, brute, rtol=1e-12, atol=1e-15)
@@ -347,6 +377,36 @@ def test_adaptive_constant_settles_in_one_round():
     assert res.nuisance == pytest.approx(np.var(data.f, ddof=1), rel=1e-14)
 
 
+def test_adaptive_fit_builds_the_sandwich_once(monkeypatch):
+    import pairgee.fit as fit_module
+    data = gen_nb_scenario(40, 33)
+    model = FrmModel(link="exp", working_variance=WorkingVariance("nb"),
+                     intercept=True)
+    calls = []
+    original = fit_module.sandwich_variance
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fit_module, "sandwich_variance", counting)
+    res = adaptive_fit(model, data)
+    assert res.nuisance_rounds >= 2 and len(calls) == 1
+    final = solve_ugee(fit_module._with_nuisance(model, res.nuisance), data,
+                       FitConfig(init_beta=res.beta))
+    assert np.array_equal(res.cov_beta, final.cov_beta)
+
+
+def test_adaptive_nonconvergence_in_a_round_carries_a_result():
+    data = gen_nb_scenario(40, 34)
+    model = FrmModel(link="exp", working_variance=WorkingVariance("nb"),
+                     intercept=True)
+    with pytest.raises(NonConvergence) as err:
+        adaptive_fit(model, data, FitConfig(max_iter=1))
+    assert err.value.result is not None
+    assert np.all(np.isfinite(err.value.result.cov_beta))
+
+
 def test_adaptive_nb_beats_poisson_on_overdispersed_data():
     data = gen_nb_scenario(150, 77, tau=10.0)
     nb = adaptive_fit(FrmModel(link="exp",
@@ -423,3 +483,13 @@ def test_init_beta_override_is_respected():
     res = solve_ugee(_model(), data, FitConfig(init_beta=np.array([5.0])))
     oracle = pairwise_least_squares(data.x, data.f, False)
     assert np.allclose(res.beta, oracle, atol=1e-10)
+
+
+def test_nonfinite_init_beta_is_an_input_error():
+    rng = np.random.default_rng(20)
+    with pytest.raises(InputError, match="finite"):
+        solve_ugee(_model(), _random_pairs(rng, 10),
+                   FitConfig(init_beta=np.array([np.nan])))
+    with pytest.raises(InputError, match="finite"):
+        fit_icc(gen_icc_ratings(20, 3, 5).ratings,
+                FitConfig(init_beta=np.array([np.nan, 0.5])))

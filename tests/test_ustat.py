@@ -167,19 +167,17 @@ def test_degenerate_kernel_projection_shrinks():
 
 # ----------------------------------------------------- chunking and dumps
 
-def test_chunked_reduce_matches_plain_sum_and_threads():
+def test_chunked_reduce_matches_plain_sum():
     rng = np.random.default_rng(31)
     vals = rng.normal(size=5000)
 
     def part(sl):
         return (vals[sl].sum(), (vals[sl] ** 2).sum())
 
-    serial = chunked_reduce(part, len(vals), chunk=1024, threads=1)
-    threaded = chunked_reduce(part, len(vals), chunk=1024, threads=3)
-    assert serial == threaded  # bit-identical under deterministic chunking
-    loose = chunked_reduce(part, len(vals), chunk=1024, threads=1,
-                           deterministic=False)
-    assert loose[0] == pytest.approx(serial[0], rel=1e-10)
+    chunked = chunked_reduce(part, len(vals), chunk=1024)
+    whole = chunked_reduce(part, len(vals), chunk=len(vals))
+    assert chunked[0] == pytest.approx(whole[0], rel=1e-10)
+    assert chunked[1] == pytest.approx(whole[1], rel=1e-10)
 
 
 def test_dump_and_load_pair_scores_roundtrip(tmp_path):
