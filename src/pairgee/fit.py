@@ -30,8 +30,8 @@ known constraint stabilises it when it is near zero.  When the projection
 dominates, the floor and the clipping are O(1/n) relative corrections and
 the estimate agrees with the plain formula; when responses are
 pair-independent the floor alone survives, which is the correct limit.
-The plain uncorrected form is available via
-``FitConfig.sandwich_correction = False``.
+``sandwich_variance(..., corrected=False)`` returns the plain
+uncorrected form.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .kernels import Kernel, pairwise_responses
 from .links import link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
-from .ustat import (CHUNK_PAIRS, PairScoreTable, chunk_slices, chunked_reduce,
+from .ustat import (CHUNK_PAIRS, PairScoreTable, canonical_order, chunked_reduce,
                     enumerate_pairs, interleaved_accumulate, pair_count,
                     projection_variance)
 
@@ -93,10 +92,7 @@ class PairData:
             raise InputError(
                 f"incomplete pair set: {len(i1)} of {pair_count(self.n)} pairs "
                 f"for n={self.n}")
-        key = i1 * np.int64(self.n) + i2
-        if len(np.unique(key)) != len(key):
-            raise InputError("duplicate pair in dataset")
-        order = np.argsort(key, kind="stable")
+        order = canonical_order(self.n, i1, i2, "dataset")
         object.__setattr__(self, "i1", i1[order])
         object.__setattr__(self, "i2", i2[order])
         object.__setattr__(self, "x", x[order])
@@ -154,7 +150,6 @@ class FitConfig:
     adaptive_max_rounds: int = 25
     adaptive_tol: float = 1e-6
     chunk: int = CHUNK_PAIRS
-    sandwich_correction: bool = True
 
     def __post_init__(self):
         if min(self.tol_step, self.tol_eq, self.adaptive_tol) <= 0:
@@ -254,15 +249,57 @@ def _chunk_terms(model: FrmModel, data: PairData, Xa: np.ndarray,
     return _quasi_objective(model.working_variance, f, h, r, V), s, J
 
 
-def _pair_pass(model: FrmModel, data: PairData, Xa: np.ndarray,
-               beta: np.ndarray, config: FitConfig, sandwich: bool = False):
+def _bind(model, data: PairData):
+    """The model-specific side of a fit on ``data``.
+
+    Returns (terms, names, start): ``terms(theta, sl)`` gives the
+    quasi-objective, the pair scores and the scoring matrix of the pair
+    chunk ``sl``; ``names`` names the q parameters; ``start`` is the
+    default initial value.  This is the only code that tells the scalar
+    model from the two-dimensional moment models, whose mean h and
+    gradient D are the same for every pair.
+    """
+    if isinstance(model, FrmModel):
+        Xa = augment(data.x, model.intercept)
+        q = Xa.shape[1]
+        if q == 0:
+            raise InputError("model has no parameters: no covariates and no intercept")
+        _collinearity_check(Xa, model.intercept)
+        slopes = [f"beta{k + 1}" for k in range(q - int(model.intercept))]
+        names = tuple((["beta0"] if model.intercept else []) + slopes)
+
+        def terms(beta, sl):
+            return _chunk_terms(model, data, Xa, beta, sl)
+
+        return terms, names, _default_init(model, data, q)
+
+    R = model.responses(data.f)
+    V = R.var(axis=0, ddof=1)
+    if np.any(~np.isfinite(V) | (V <= 0)):
+        raise EvaluationError("degenerate pairwise responses: a component has "
+                              "zero empirical variance")
+
+    def terms(theta, sl):
+        h, D = model.mean_map(theta)
+        resid = R[sl] - h        # (chunk, 2)
+        merit = float(np.sum(-0.5 * resid * resid / V))
+        return merit, (resid / V) @ D, len(resid) * D.T @ (D / V[:, None])
+
+    return terms, model.param_names, model.init_theta(R)
+
+
+def _pair_pass(terms, data: PairData, beta: np.ndarray, config: FitConfig,
+               sandwich: bool = False, scores: list | None = None):
     """One pass over the pair chunks at ``beta``: the quasi-objective, U and J.
 
     With ``sandwich`` the pass also returns the per-subject sums of the
-    pair scores and Z2 = sum of the scores' outer products.
+    pair scores and Z2 = sum of the scores' outer products.  A ``scores``
+    list receives each chunk's pair scores.
     """
     def part(sl: slice):
-        merit, s, J = _chunk_terms(model, data, Xa, beta, sl)
+        merit, s, J = terms(beta, sl)
+        if scores is not None:
+            scores.append(s)
         if not sandwich:
             return merit, s.sum(axis=0), J
         acc = interleaved_accumulate(data.n, data.i1[sl], data.i2[sl], s)
@@ -283,54 +320,15 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray,
     beta = np.asarray(beta, dtype=float)
     if not np.all(np.isfinite(beta)):
         raise InputError("beta must be finite")
-
-    if isinstance(model, (IccModel, MeanVarianceModel)):
-        R, V = _moment_responses(model, data)
-        _, U, J, s = _moment_assemble(model, R, V, beta)
-        if return_scores:
-            return U, J, PairScoreTable(data.n, s)
-        return U, J
-
-    Xa = augment(data.x, model.intercept)
-    if Xa.shape[1] != beta.size:
-        raise InputError(f"beta length {beta.size} does not match design "
-                         f"dimension {Xa.shape[1]}")
+    terms, names, _ = _bind(model, data)
+    if beta.size != len(names):
+        raise InputError(f"beta length {beta.size} does not match the "
+                         f"{len(names)} model parameters")
+    scores = [] if return_scores else None
+    _, U, J = _pair_pass(terms, data, beta, config, scores=scores)
     if not return_scores:
-        return _pair_pass(model, data, Xa, beta, config)[1:]
-    U = J = None
-    scores = []
-    for sl in chunk_slices(data.n_pairs, config.chunk):
-        _, s, Jc = _chunk_terms(model, data, Xa, beta, sl)
-        scores.append(s)
-        U, J = (s.sum(axis=0), Jc) if U is None else (U + s.sum(axis=0), J + Jc)
+        return U, J
     return U, J, PairScoreTable(data.n, np.vstack(scores))
-
-
-def _moment_responses(model, data: PairData):
-    """Response matrix and empirical diagonal variance of a 2-d model."""
-    if isinstance(model, IccModel):
-        if data.f.ndim != 2 or data.f.shape[1] != 2:
-            raise InputError("rater-agreement model needs two-component responses")
-        R = data.f
-    else:
-        f = data.f if data.f.ndim == 1 else data.f[:, 0]
-        R = np.column_stack([f, f * f])
-    V = R.var(axis=0, ddof=1)
-    if np.any(~np.isfinite(V) | (V <= 0)):
-        raise EvaluationError("degenerate pairwise responses: a component has "
-                              "zero empirical variance")
-    return R, V
-
-
-def _moment_assemble(model, R: np.ndarray, V: np.ndarray, theta: np.ndarray):
-    """Quasi-objective, U, J and the pair scores of a 2-d model."""
-    h, D = model.mean_map(theta)
-    resid = R - h            # (N, d)
-    merit = float(np.sum(-0.5 * resid * resid / V))
-    s = (resid / V) @ D      # (N, q)
-    U = s.sum(axis=0)
-    J = len(R) * D.T @ (D / V[:, None])
-    return merit, U, J, s
 
 
 # --------------------------------------------------------------------------- #
@@ -339,7 +337,7 @@ def _moment_assemble(model, R: np.ndarray, V: np.ndarray, theta: np.ndarray):
 
 def _default_init(model, data: PairData, q: int) -> np.ndarray:
     beta = np.zeros(q)
-    if isinstance(model, FrmModel) and model.link == "exp":
+    if model.link == "exp":
         fbar = float(np.mean(data.f))
         if fbar > 0:
             if model.intercept:
@@ -449,38 +447,19 @@ def _solve(model, data: PairData, config: FitConfig) -> FitResult:
     """``solve_ugee`` up to the sandwich: a converged result comes back with
     ``cov_beta``, ``b_matrix`` and ``sigma_u`` left None for the caller to
     fill; NonConvergence still carries a result with its sandwich."""
-    if isinstance(model, (IccModel, MeanVarianceModel)):
-        R, V = _moment_responses(model, data)
-        q = 2
-        if data.n < q + 1:
-            raise InputError(f"need at least {q + 1} subjects to fit {q} parameters")
-        theta0 = (np.asarray(config.init_beta, dtype=float)
-                  if config.init_beta is not None else model.init_theta(R))
-
-        def evaluate(theta):
-            return _moment_assemble(model, R, V, theta)[:3]
-
-        names = model.param_names
-    else:
-        Xa = augment(data.x, model.intercept)
-        q = Xa.shape[1]
-        if q == 0:
-            raise InputError("model has no parameters: no covariates and no intercept")
-        if data.n < q + 1:
-            raise InputError(f"need at least {q + 1} subjects to fit {q} parameters")
-        _collinearity_check(Xa, model.intercept)
-        theta0 = (np.asarray(config.init_beta, dtype=float)
-                  if config.init_beta is not None else _default_init(model, data, q))
-        if theta0.size != q:
-            raise InputError(f"init_beta length {theta0.size} does not match {q}")
-
-        def evaluate(beta):
-            return _pair_pass(model, data, Xa, beta, config)
-
-        slopes = [f"beta{k + 1}" for k in range(q - int(model.intercept))]
-        names = tuple((["beta0"] if model.intercept else []) + slopes)
+    terms, names, start = _bind(model, data)
+    q = len(names)
+    if data.n < q + 1:
+        raise InputError(f"need at least {q + 1} subjects to fit {q} parameters")
+    theta0 = (np.asarray(config.init_beta, dtype=float)
+              if config.init_beta is not None else start)
+    if theta0.size != q:
+        raise InputError(f"init_beta length {theta0.size} does not match {q}")
     if not np.all(np.isfinite(theta0)):
         raise InputError("beta must be finite")
+
+    def evaluate(theta):
+        return _pair_pass(terms, data, theta, config)
 
     beta, eq_norm, iterations, converged, flagged = _newton(
         evaluate, theta0, data.n_pairs, config)
@@ -521,8 +500,7 @@ def _psd_floor(M: np.ndarray) -> np.ndarray:
 
 
 def sandwich_variance(model, data: PairData, beta: np.ndarray,
-                      config: FitConfig | None = None,
-                      corrected: bool | None = None):
+                      config: FitConfig | None = None, corrected: bool = True):
     """Sandwich covariance of the estimate at ``beta``.
 
     Returns (cov_beta, b_matrix, sigma_u):
@@ -533,20 +511,10 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
                 is false)
     """
     config = config or FitConfig()
-    if corrected is None:
-        corrected = config.sandwich_correction
-    beta = np.asarray(beta, dtype=float)
     n, N = data.n, data.n_pairs
-
-    if isinstance(model, (IccModel, MeanVarianceModel)):
-        R, V = _moment_responses(model, data)
-        _, _, B_sum, s = _moment_assemble(model, R, V, beta)
-        acc = interleaved_accumulate(n, data.i1, data.i2, s)
-        Z2 = s.T @ s
-    else:
-        Xa = augment(data.x, model.intercept)
-        _, _, B_sum, acc, Z2 = _pair_pass(model, data, Xa, beta, config,
-                                          sandwich=True)
+    terms, _, _ = _bind(model, data)
+    _, _, B_sum, acc, Z2 = _pair_pass(terms, data, np.asarray(beta, dtype=float),
+                                      config, sandwich=True)
 
     B = B_sum / N
     cond = np.linalg.cond(B)
@@ -572,20 +540,17 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
 # Working-variance nuisance estimation and the adaptive loop
 # --------------------------------------------------------------------------- #
 
-def _fitted_means(model: FrmModel, data: PairData, beta: np.ndarray) -> np.ndarray:
-    Xa = augment(data.x, model.intercept)
-    h, _ = link_mean_deriv(model.link, Xa @ np.asarray(beta, dtype=float))
-    return h
-
-
 def estimate_nuisance(model, data: PairData, beta: np.ndarray,
                       config: FitConfig | None = None) -> float:
     """Estimate the working-variance nuisance at the current beta.
 
     constant   sample variance of the pairwise responses
     propmean   least-squares tau2 = sum(r^2 h) / sum(h^2)
-    nb         bounded 1-d search (over log dispersion) minimising
-               sum( (r^2 - h (1 + h/tau))^2 ); hitting the upper bound
+    nb         least-squares dispersion minimising
+               sum( (r^2 - h (1 + h/tau))^2 ) over tau in
+               [NB_TAU_MIN, NB_TAU_MAX]; the objective is quadratic in
+               phi = 1/tau, minimised at phi = sum((r^2 - h) h^2) / sum(h^4).
+               tau at or above 0.99 NB_TAU_MAX (including phi <= 0)
                returns inf, meaning variance-equals-mean
     """
     kind = model.working_variance.kind
@@ -593,26 +558,26 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray,
         return float(np.var(data.f, ddof=1))
     if kind not in ("propmean", "nb"):
         raise InputError(f"working variance kind {kind!r} has no nuisance parameter")
-    h = _fitted_means(model, data, beta)
-    r2 = (data.f - h) ** 2
+    Xa = augment(data.x, model.intercept)
+    h, _ = link_mean_deriv(model.link, Xa @ np.asarray(beta, dtype=float))
+    r2 = data.f - h
+    r2 *= r2
     if kind == "propmean":
         denom = float(h @ h)
         if denom <= 0:
             raise EvaluationError("cannot estimate proportional variance: "
                                   "fitted means are all zero")
         return float((r2 @ h) / denom)
-    h2 = h * h
-
-    def objective(log_tau: float) -> float:
-        resid = r2 - h - h2 / np.exp(log_tau)
-        return float(resid @ resid)
-
-    res = minimize_scalar(objective, bounds=(np.log(NB_TAU_MIN), np.log(NB_TAU_MAX)),
-                          method="bounded", options={"xatol": 1e-10})
-    tau = float(np.exp(res.x))
-    if tau >= 0.99 * NB_TAU_MAX:
+    r2 -= h
+    h *= h
+    denom = float(h @ h)
+    if denom <= 0:
+        raise EvaluationError("cannot estimate nb dispersion: "
+                              "fitted means are all zero")
+    phi = float(r2 @ h) / denom   # sum((r^2 - h) h^2) / sum(h^4)
+    if phi <= 1.0 / (0.99 * NB_TAU_MAX):
         return float("inf")
-    return tau
+    return max(1.0 / phi, NB_TAU_MIN)
 
 
 def _initial_nuisance(model, data: PairData) -> float:
@@ -625,10 +590,8 @@ def _initial_nuisance(model, data: PairData) -> float:
 
 
 def _nuisance_close(new: float, old: float, tol: float) -> bool:
-    if np.isinf(new) and np.isinf(old):
-        return True
     if np.isinf(new) or np.isinf(old):
-        return False
+        return new == old
     return abs(new - old) <= tol * (1.0 + abs(old))
 
 
@@ -640,30 +603,42 @@ def _with_nuisance(model: FrmModel, value: float) -> FrmModel:
 
 
 def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitResult:
-    """Alternate nuisance estimation and equation solving until both settle.
+    """Fit with the working-variance nuisance estimated from the data.
 
     Working variances without a nuisance parameter are solved directly
-    (zero adaptive rounds).  Raises NonConvergence with the trace of
-    nuisance iterates if the alternation fails to settle.
+    (zero adaptive rounds).  The scale nuisances, c of ``constant`` and
+    tau2 of ``propmean``, cancel from the estimating equations and from
+    the sandwich: they are solved once at their initial value, and the
+    nuisance is estimated once at the solution (one round).  The ``nb``
+    dispersion changes the weights, so its estimation alternates with
+    re-solving until it settles; NonConvergence carries the trace of its
+    iterates if it does not.  ``iterations`` is summed over all solves.
     """
     config = config or FitConfig()
-    if isinstance(model, (IccModel, MeanVarianceModel)) \
-            or not model.working_variance.has_nuisance:
+    if not isinstance(model, FrmModel) or not model.working_variance.has_nuisance:
         return solve_ugee(model, data, config)
 
     value = _initial_nuisance(model, data)
     trace = [value]
     result = _solve(_with_nuisance(model, value), data, config)
-    for rounds in range(1, config.adaptive_max_rounds + 1):
-        new = estimate_nuisance(model, data, result.beta, config)
-        trace.append(new)
-        done = _nuisance_close(new, value, config.adaptive_tol)
-        value = new
-        warm = dataclasses.replace(config, init_beta=result.beta)
-        result = _solve(_with_nuisance(model, value), data, warm)
-        if done:
-            break
-    result = _with_sandwich(_with_nuisance(model, value), data, result, config)
+    iterations = result.iterations
+    rounds, done = 1, True
+    if model.working_variance.kind != "nb":
+        value = estimate_nuisance(model, data, result.beta, config)
+    else:
+        for rounds in range(1, config.adaptive_max_rounds + 1):
+            new = estimate_nuisance(model, data, result.beta, config)
+            trace.append(new)
+            done = _nuisance_close(new, value, config.adaptive_tol)
+            value = new
+            warm = dataclasses.replace(config, init_beta=result.beta)
+            result = _solve(_with_nuisance(model, value), data, warm)
+            iterations += result.iterations
+            if done:
+                break
+    result = dataclasses.replace(
+        _with_sandwich(_with_nuisance(model, value), data, result, config),
+        iterations=iterations)
     if not done:
         raise NonConvergence(
             f"adaptive working-variance loop did not settle in "

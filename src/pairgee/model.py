@@ -352,6 +352,12 @@ class IccModel:
     def mean_map(self, theta):
         return icc_mean_map(theta, self.raters)
 
+    def responses(self, f: np.ndarray) -> np.ndarray:
+        """The (N, 2) response matrix: the two agreement components as given."""
+        if f.ndim != 2 or f.shape[1] != 2:
+            raise InputError("rater-agreement model needs two-component responses")
+        return f
+
     def init_theta(self, R: np.ndarray) -> np.ndarray:
         tau2 = float(max(np.mean(R[:, 1]), 1e-12))
         return np.array([tau2, 0.0])
@@ -365,6 +371,11 @@ class MeanVarianceModel:
 
     def mean_map(self, theta):
         return meanvar_mean_map(theta)
+
+    def responses(self, f: np.ndarray) -> np.ndarray:
+        """The (N, 2) response matrix (f, f^2) of the first response component."""
+        f = f if f.ndim == 1 else f[:, 0]
+        return np.column_stack([f, f * f])
 
     def init_theta(self, R: np.ndarray) -> np.ndarray:
         mu = float(np.mean(R[:, 0]))

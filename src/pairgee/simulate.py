@@ -106,8 +106,9 @@ def gen_linear_exogenous(n: int, seed_or_rng, beta: float = 1.0,
 def linear_pair_data(d: LinearData) -> PairData:
     pairs = enumerate_pairs(len(d.x))
     i1, i2 = pairs[:, 0], pairs[:, 1]
-    return PairData(n=len(d.x), i1=i1, i2=i2,
-                    x=(d.x[i1] - d.x[i2])[:, None], f=d.y[i1] - d.y[i2])
+    diff = pair_covariate_matrix(PairCovariate("difference"),
+                                 np.column_stack([d.x, d.y]), i1, i2)
+    return PairData(n=len(d.x), i1=i1, i2=i2, x=diff[:, :1], f=diff[:, 1])
 
 
 class IccData(NamedTuple):

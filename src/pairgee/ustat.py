@@ -45,6 +45,19 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray, what: str) -> np.ndarray:
+    """Stable permutation that puts pairs (i1, i2) in lexicographic order.
+
+    Raises InputError naming ``what`` when a pair occurs twice.
+    """
+    key = i1 * np.int64(n) + i2
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if np.any(key[1:] == key[:-1]):
+        raise InputError(f"duplicate pair in {what}")
+    return order
+
+
 def chunk_slices(n_items: int, chunk: int = CHUNK_PAIRS) -> list[slice]:
     """Fixed partition of range(n_items) into consecutive chunks."""
     return [slice(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
@@ -111,12 +124,9 @@ class PairScoreTable:
             scores = scores[:, None]
         if np.any(i1 >= i2) or i1.min(initial=0) < 0 or i2.max(initial=0) >= n:
             raise InputError("pair indices must satisfy 0 <= i1 < i2 < n")
-        key = i1 * np.int64(n) + i2
-        if len(np.unique(key)) != len(key):
-            raise InputError("duplicate pair in score table")
-        if len(key) != pair_count(n):
-            raise InputError(f"incomplete pair table: {len(key)} of {pair_count(n)} pairs")
-        order = np.argsort(key, kind="stable")
+        order = canonical_order(n, i1, i2, "score table")
+        if len(order) != pair_count(n):
+            raise InputError(f"incomplete pair table: {len(order)} of {pair_count(n)} pairs")
         return PairScoreTable(n, scores[order])
 
 

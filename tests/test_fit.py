@@ -10,8 +10,7 @@ from pairgee import (EvaluationError, FitConfig, FrmModel, InputError, Kernel,
                      hajek_scores, make_rng, projection_variance,
                      sandwich_variance, solve_ugee)
 
-from pairgee.fit import _pair_pass
-from pairgee.model import augment
+from pairgee.fit import _bind, _pair_pass
 
 from oracles import (brute_hajek, brute_projection_variance, nb_tau_quadratic,
                      pairwise_least_squares)
@@ -57,6 +56,8 @@ def test_pair_data_validation():
                  x=np.zeros((4, 1)), f=np.ones(4))
     with pytest.raises(InputError):
         PairData(n=3, i1=[1, 0, 1], i2=[0, 2, 2], x=np.zeros((3, 1)), f=np.ones(3))
+    with pytest.raises(InputError, match="duplicate pair in dataset"):
+        PairData(n=3, i1=[0, 1, 0], i2=[1, 2, 1], x=np.zeros((3, 1)), f=np.ones(3))
 
 
 def test_build_pairs_matches_manual_construction():
@@ -134,12 +135,12 @@ def test_merit_gradient_equals_estimating_equations(link, wv, value):
     per_pair = rng.uniform(0.5, 2.0, len(pairs)) if wv == "userfixed" else None
     model = FrmModel(link=link, working_variance=WorkingVariance(
         wv, value, per_pair=per_pair), intercept=True)
-    Xa = augment(data.x, True)
+    terms, _, _ = _bind(model, data)
     config = FitConfig(chunk=128)  # several chunks
-    _, U, _ = _pair_pass(model, data, Xa, beta, config)
+    _, U, _ = _pair_pass(terms, data, beta, config)
     step = 1e-6
-    grad = [(_pair_pass(model, data, Xa, beta + step * e, config)[0]
-             - _pair_pass(model, data, Xa, beta - step * e, config)[0]) / (2 * step)
+    grad = [(_pair_pass(terms, data, beta + step * e, config)[0]
+             - _pair_pass(terms, data, beta - step * e, config)[0]) / (2 * step)
             for e in np.eye(2)]
     assert np.allclose(grad, U, rtol=1e-6, atol=1e-6 * np.max(np.abs(U)))
 
@@ -316,7 +317,7 @@ def test_estimate_nuisance_nb_matches_quadratic_oracle():
     tau = estimate_nuisance(model, data, beta)
     h = np.exp(beta[0] + beta[1] * data.x[:, 0])
     oracle = nb_tau_quadratic((data.f - h) ** 2, h)
-    assert tau == pytest.approx(oracle, rel=1e-6)
+    assert tau == pytest.approx(oracle, rel=1e-12)
 
 
 def test_estimate_nuisance_nb_consistency():
@@ -329,7 +330,7 @@ def test_estimate_nuisance_nb_consistency():
 
 def test_estimate_nuisance_nb_underdispersed_data_hits_sentinel():
     # squared residuals sit below the mean everywhere: no overdispersion
-    # signal, so the bounded search runs into the upper bound
+    # signal, so the least-squares 1/tau is not positive
     rng = make_rng(7)
     n = 40
     pairs = enumerate_pairs(n)
@@ -375,6 +376,38 @@ def test_adaptive_constant_settles_in_one_round():
     res = adaptive_fit(model, data)
     assert res.nuisance_rounds == 1
     assert res.nuisance == pytest.approx(np.var(data.f, ddof=1), rel=1e-14)
+
+
+def test_adaptive_propmean_is_poisson_in_one_round():
+    # tau2 scales U, J and the scores alike, so it cancels from beta and
+    # from the sandwich
+    data = gen_nb_scenario(100, make_rng(11, 0))
+    prop = adaptive_fit(FrmModel(link="exp", working_variance=WorkingVariance(
+        "propmean"), intercept=True), data)
+    pois = solve_ugee(FrmModel(link="exp", working_variance=WorkingVariance(
+        "poisson"), intercept=True), data)
+    assert prop.nuisance_rounds == 1
+    assert prop.beta.tobytes() == pois.beta.tobytes()
+    assert np.allclose(prop.cov_beta, pois.cov_beta, rtol=1e-12, atol=0.0)
+
+
+def test_adaptive_nb_iterations_sum_over_rounds(monkeypatch):
+    import pairgee.fit as fit_module
+    data = gen_nb_scenario(40, 33)
+    model = FrmModel(link="exp", working_variance=WorkingVariance("nb"),
+                     intercept=True)
+    per_round = []
+    original = fit_module._solve
+
+    def recording(*args, **kwargs):
+        res = original(*args, **kwargs)
+        per_round.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(fit_module, "_solve", recording)
+    res = adaptive_fit(model, data)
+    assert len(per_round) == res.nuisance_rounds + 1
+    assert res.iterations > 0 and res.iterations == sum(per_round)
 
 
 def test_adaptive_fit_builds_the_sandwich_once(monkeypatch):
@@ -442,6 +475,14 @@ def test_fit_icc_invariant_to_rater_effects():
     gamma = np.array([1.0, -2.0, 1.0])
     res2 = fit_icc(base.ratings + gamma[None, :])
     assert np.allclose(res1.beta, res2.beta, atol=1e-12)
+
+
+def test_fit_icc_chunked_matches_one_chunk():
+    ratings = gen_icc_ratings(40, 4, 9).ratings  # 780 pairs: 112 chunks of 7
+    one = fit_icc(ratings)
+    chunked = fit_icc(ratings, FitConfig(chunk=7))
+    assert np.allclose(chunked.beta, one.beta, rtol=1e-12, atol=0.0)
+    assert np.allclose(chunked.cov_beta, one.cov_beta, rtol=1e-12, atol=0.0)
 
 
 def test_fit_mean_variance_closed_form():

@@ -115,7 +115,7 @@ def test_hajek_double_counting_identity():
 def test_incomplete_table_rejected():
     with pytest.raises(InputError):
         PairScoreTable(4, np.ones(5))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="duplicate pair in score table"):
         PairScoreTable.from_pairs(3, [0, 0, 1], [1, 1, 2], [1.0, 2.0, 3.0])
 
 
