@@ -1,5 +1,11 @@
 """Command-line entry points: ``fit``, ``distance``, ``simulate``.
 
+Each ``cmd_*`` takes the namespace argparse returns; flag choices and
+solver defaults come from the library.  A ``simulate`` parameter flag is a
+keyword of the scenario generators and applies only to scenarios whose
+generator takes it; any other one is an input error, as is a method that
+does not apply to the scenario.
+
 Exit codes: 0 success, 1 non-convergence or invalid simulation report,
 2 input error.  The defaults of ``--out``, ``--layout``, ``--link``,
 ``--working-variance``, ``--tol``, ``--max-iter``, ``--n``, ``--m`` and
@@ -15,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -23,42 +28,19 @@ from scipy.special import ndtr
 from . import __version__
 from .errors import InputError, NonConvergence
 from .fit import FitConfig, PairData, adaptive_fit, build_pairs, fit_icc
-from .io import load_dataset
+from .io import LAYOUTS, load_dataset
 from .kernels import Kernel, apply_pseudocount, pairwise_responses
-from .model import FrmModel, PairCovariate, WorkingVariance, stack_subjects
-from .simulate import McConfig, run_monte_carlo
+from .links import LINK_KINDS
+from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
+                    stack_subjects)
+from .simulate import SCENARIOS, McConfig, run_monte_carlo
 from .ustat import CHUNK_PAIRS, chunk_slices, enumerate_pairs
 
-_WV_FLAGS = {"const": "constant", "poisson": "poisson", "propmean": "propmean",
-             "nb": "nb", "bernoulli": "bernoulli"}
 _PAIR_FLAGS = {"diff": "difference", "sum": "sum", "concat": "concatenate"}
-
-
-@dataclass
-class RunSpec:
-    """Parsed command-line request; one command per process."""
-
-    command: str
-    data: str | None = None
-    layout: str = "subjects"
-    kernel: str | None = None
-    link: str = "identity"
-    pair: str | None = None
-    working_variance: str = "const"
-    intercept: bool = True
-    ties: str = "le"
-    pseudocount: str = "half-min"
-    eps: float = 0.0
-    tol: float = 1e-8
-    max_iter: int = 100
-    out: str | None = None
-    full: bool = False
-    seed: int = 0
-    scenario: str = "nb"
-    n: int = 100
-    m: int = 200
-    methods: str | None = None
-    scenario_params: dict = field(default_factory=dict)
+# simulate flags that set a keyword of the scenario's generator (dest, type)
+_SCENARIO_PARAMS = tuple((name, float) for name in (
+    "tau", "beta0", "beta1", "a", "b", "beta", "sigma_x", "sigma_eps", "mu",
+    "sigma_b2", "sigma_bg2", "sigma_e2")) + (("raters", int),)
 
 
 def _env_default(name: str, fallback, cast=str):
@@ -73,8 +55,8 @@ def _env_default(name: str, fallback, cast=str):
                          f"{cast.__name__}") from None
 
 
-def _fit_config(spec: RunSpec) -> FitConfig:
-    return FitConfig(tol_eq=spec.tol, tol_step=spec.tol, max_iter=spec.max_iter)
+def _fit_config(args: argparse.Namespace) -> FitConfig:
+    return FitConfig(tol_eq=args.tol, tol_step=args.tol, max_iter=args.max_iter)
 
 
 def _parse_pair_flag(value: str | None) -> PairCovariate | None:
@@ -92,16 +74,16 @@ def _parse_pair_flag(value: str | None) -> PairCovariate | None:
                      f"(expected diff|sum|concat|onehot:K)")
 
 
-def _make_kernel(spec: RunSpec) -> Kernel:
-    if spec.kernel == "aitchison":
+def _make_kernel(args: argparse.Namespace) -> Kernel:
+    if args.kernel == "aitchison":
         return Kernel.aitchison()
-    if spec.kernel == "mww":
-        return Kernel.mww(ties=spec.ties)
-    if spec.kernel == "sqhalfdiff":
+    if args.kernel == "mww":
+        return Kernel.mww(ties=args.ties)
+    if args.kernel == "sqhalfdiff":
         return Kernel.sqhalfdiff()
-    if spec.kernel == "icc":
+    if args.kernel == "icc":
         return Kernel.icc()
-    raise InputError(f"unknown kernel {spec.kernel!r}")
+    raise InputError(f"unknown kernel {args.kernel!r}")
 
 
 def _result_payload(res) -> dict:
@@ -127,44 +109,42 @@ def _result_payload(res) -> dict:
     }
 
 
-def cmd_fit(spec: RunSpec) -> int:
+def cmd_fit(args: argparse.Namespace) -> int:
     """Fit a model to a dataset and write a JSON result."""
-    if spec.data is None:
-        raise InputError("fit needs --data")
-    dataset = load_dataset(spec.data, spec.layout)
+    dataset = load_dataset(args.data, args.layout)
 
-    if spec.kernel == "icc":
-        if spec.layout != "subjects":
+    if args.kernel == "icc":
+        if args.layout != "subjects":
             raise InputError("icc kernel needs the subjects layout")
         _, Y, _ = stack_subjects(dataset)
-        result = fit_icc(Y, _fit_config(spec))
+        result = fit_icc(Y, _fit_config(args))
     else:
         if isinstance(dataset, PairData):
             data = dataset
         else:
-            if spec.kernel is None:
+            if args.kernel is None:
                 raise InputError("subject-level layouts need --kernel")
-            if spec.kernel == "aitchison" and spec.layout != "abundance":
+            if args.kernel == "aitchison" and args.layout != "abundance":
                 raise InputError("aitchison kernel needs the abundance layout")
-            pseudo = spec.pseudocount if spec.kernel == "aitchison" else None
-            data = build_pairs(dataset, _make_kernel(spec),
-                               pair_covariate=_parse_pair_flag(spec.pair),
-                               pseudocount=pseudo, eps=spec.eps)
-        model = FrmModel(link=spec.link,
+            pseudo = args.pseudocount if args.kernel == "aitchison" else None
+            data = build_pairs(dataset, _make_kernel(args),
+                               pair_covariate=_parse_pair_flag(args.pair),
+                               pseudocount=pseudo, eps=args.eps)
+        model = FrmModel(link=args.link,
                          working_variance=WorkingVariance(
-                             _WV_FLAGS.get(spec.working_variance,
-                                           spec.working_variance)),
-                         intercept=spec.intercept)
+                             VARIANCE_FLAGS.get(args.working_variance,
+                                                args.working_variance)),
+                         intercept=args.intercept)
         try:
-            result = adaptive_fit(model, data, _fit_config(spec))
+            result = adaptive_fit(model, data, _fit_config(args))
         except NonConvergence as exc:
             if exc.result is not None:
-                _write_json(spec.out, _result_payload(exc.result))
+                _write_json(args.out, _result_payload(exc.result))
             print(f"fit did not converge: {exc}", file=sys.stderr)
             return 1
 
     payload = _result_payload(result)
-    _write_json(spec.out, payload)
+    _write_json(args.out, payload)
     return 0
 
 
@@ -177,19 +157,17 @@ def _write_json(out: str | None, payload: dict) -> None:
         print(text)
 
 
-def cmd_distance(spec: RunSpec) -> int:
+def cmd_distance(args: argparse.Namespace) -> int:
     """Write pairwise compositional distances for an abundance file."""
-    if spec.data is None:
-        raise InputError("distance needs --data")
-    records = load_dataset(spec.data, "abundance")
+    records = load_dataset(args.data, "abundance")
     ids, Y, _ = stack_subjects(records)
-    comps = np.vstack([apply_pseudocount(row, spec.pseudocount, spec.eps).values
+    comps = np.vstack([apply_pseudocount(row, args.pseudocount, args.eps).values
                        for row in Y])
-    if spec.out:
-        with open(spec.out, "w", encoding="utf-8", newline="\n") as fh:
-            _write_distances(fh, ids, comps, spec.full)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            _write_distances(fh, ids, comps, args.full)
     else:
-        _write_distances(sys.stdout, ids, comps, spec.full)
+        _write_distances(sys.stdout, ids, comps, args.full)
     return 0
 
 
@@ -216,17 +194,18 @@ def _write_distances(fh, ids, comps: np.ndarray, full: bool) -> None:
                          in zip(i1.tolist(), i2.tolist(), dist.tolist())))
 
 
-def cmd_simulate(spec: RunSpec) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     """Run a Monte Carlo study; writes CSV + JSON and prints a summary table."""
-    methods = tuple(spec.methods.split(",")) if spec.methods else ()
-    config = McConfig(scenario=spec.scenario, n=spec.n, replicates=spec.m,
-                      seed=spec.seed, methods=methods,
-                      params=spec.scenario_params)
+    methods = tuple(args.methods.split(",")) if args.methods else ()
+    params = {name: getattr(args, name) for name, _ in _SCENARIO_PARAMS
+              if getattr(args, name) is not None}
+    config = McConfig(scenario=args.scenario, n=args.n, replicates=args.m,
+                      seed=args.seed, methods=methods, params=params)
     report = run_monte_carlo(config)
     print(report.summary())
-    if spec.out:
-        report.to_csv(spec.out + ".csv")
-        report.to_json(spec.out + ".json")
+    if args.out:
+        report.to_csv(args.out + ".csv")
+        report.to_json(args.out + ".json")
     return 1 if report.invalid else 0
 
 
@@ -241,15 +220,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=_env_default("out", None))
 
     fit = sub.add_parser("fit", help="fit a pairwise regression")
+    fit.set_defaults(run=cmd_fit)
     fit.add_argument("--data", required=True)
-    fit.add_argument("--layout", choices=("subjects", "pairs", "abundance"),
+    fit.add_argument("--layout", choices=LAYOUTS,
                      default=_env_default("layout", "subjects"))
     fit.add_argument("--kernel", choices=("aitchison", "mww", "sqhalfdiff", "icc"))
-    fit.add_argument("--link", choices=("identity", "exp", "expit", "probitc"),
+    fit.add_argument("--link", choices=LINK_KINDS,
                      default=_env_default("link", "identity"))
     fit.add_argument("--pair", help="diff | sum | concat | onehot:K")
     fit.add_argument("--working-variance", dest="working_variance",
-                     choices=tuple(_WV_FLAGS), default=_env_default(
+                     choices=tuple(VARIANCE_FLAGS), default=_env_default(
                          "working_variance", "const"))
     icpt = fit.add_mutually_exclusive_group()
     icpt.add_argument("--intercept", dest="intercept", action="store_true",
@@ -260,12 +240,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="half-min")
     fit.add_argument("--eps", type=float, default=0.0,
                      help="additive pseudocount size")
-    fit.add_argument("--tol", type=float, default=_env_default("tol", 1e-8, float))
+    fit.add_argument("--tol", type=float,
+                     default=_env_default("tol", FitConfig.tol_eq, float))
     fit.add_argument("--max-iter", dest="max_iter", type=int,
-                     default=_env_default("max_iter", 100, int))
+                     default=_env_default("max_iter", FitConfig.max_iter, int))
     common(fit)
 
     dist = sub.add_parser("distance", help="pairwise compositional distances")
+    dist.set_defaults(run=cmd_distance)
     dist.add_argument("--data", required=True)
     dist.add_argument("--pseudocount", choices=("half-min", "additive"),
                       default="half-min")
@@ -275,45 +257,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common(dist)
 
     sim = sub.add_parser("simulate", help="Monte Carlo study")
-    sim.add_argument("--scenario", choices=("nb", "linear", "icc", "mww"),
-                     default="nb")
+    sim.set_defaults(run=cmd_simulate)
+    sim.add_argument("--scenario", choices=tuple(SCENARIOS), default="nb")
     sim.add_argument("--n", type=int, default=_env_default("n", 100, int))
     sim.add_argument("--m", type=int, default=_env_default("m", 200, int))
     sim.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
     sim.add_argument("--methods", help="comma-separated method list")
-    for name in ("tau", "beta0", "beta1", "a", "b", "beta", "sigma-x",
-                 "sigma-eps", "mu", "sigma-b2", "sigma-bg2", "sigma-e2"):
-        sim.add_argument(f"--{name}", type=float, default=None)
-    sim.add_argument("--raters", type=int, default=None)
+    for name, cast in _SCENARIO_PARAMS:
+        sim.add_argument("--" + name.replace("_", "-"), type=cast)
     common(sim)
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    spec = RunSpec(command=args.command)
-    for name in vars(spec):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(spec, name, getattr(args, name))
-    if args.command == "simulate":
-        params = {}
-        for name in ("tau", "beta0", "beta1", "a", "b", "beta", "sigma_x",
-                     "sigma_eps", "mu", "sigma_b2", "sigma_bg2", "sigma_e2",
-                     "raters"):
-            val = getattr(args, name, None)
-            if val is not None:
-                params[name] = val
-        spec.scenario_params = params
-    return spec
-
-
 def main(argv=None) -> int:
     try:
-        spec = _spec_from_args(_build_parser().parse_args(argv))
-        if spec.command == "fit":
-            return cmd_fit(spec)
-        if spec.command == "distance":
-            return cmd_distance(spec)
-        return cmd_simulate(spec)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

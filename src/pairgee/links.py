@@ -41,7 +41,9 @@ def link_mean_deriv(kind: str, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Returns
     -------
-    (h, dh) : arrays of the same shape as ``eta``
+    (h, dh) : arrays of the same shape as ``eta``; they may be the same
+        array (the ``exp`` link, where h' = h), so a caller that writes
+        into one must not read the other afterwards
 
     Raises
     ------
@@ -61,7 +63,7 @@ def link_mean_deriv(kind: str, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             raise EvaluationError(
                 f"exp-link overflow: eta={hi:.6g} exceeds {_EXP_ETA_MAX:g}", eta=hi)
         h = np.exp(eta)
-        return h, h.copy()
+        return h, h
     if kind == "expit":
         h = expit(eta)
         return h, h * (1.0 - h)

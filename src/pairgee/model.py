@@ -23,6 +23,10 @@ from .links import LINK_KINDS, link_mean_deriv
 
 PAIR_TRANSFORMS = ("difference", "sum", "concatenate", "onehot")
 VARIANCE_KINDS = ("constant", "poisson", "propmean", "nb", "bernoulli", "userfixed")
+# Short names of the kinds that need no per-pair values, as the CLI's
+# --working-variance and the study's ugee:<name> methods spell them.
+VARIANCE_FLAGS = {"const": "constant", "poisson": "poisson", "propmean": "propmean",
+                  "nb": "nb", "bernoulli": "bernoulli"}
 
 
 # --------------------------------------------------------------------------- #

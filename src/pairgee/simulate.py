@@ -6,6 +6,11 @@ requested estimators, and aggregates three columns per parameter: the mean
 estimate (est), the mean of the reported variances (asy) and the empirical
 variance of the estimates across replicates (emp).
 
+``SCENARIOS`` defines each scenario in one row.  A study's parameters are
+its generator's keyword arguments.  Methods: ``ugee:<variance>`` (a key of
+``VARIANCE_FLAGS``) for nb, linear and mww, ``mle:nb`` for nb, ``icc`` for
+icc; any other parameter or method is an input error.
+
 Scenarios
 ---------
 ``nb``      overdispersed counts per pair: X_i ~ U(a, b) per subject,
@@ -20,6 +25,7 @@ Scenarios
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -28,20 +34,12 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from .errors import InputError, NonConvergence
+from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .fit import NB_TAU_MAX, FitConfig, PairData, adaptive_fit, fit_icc
 from .kernels import Kernel, pairwise_responses
-from .model import FrmModel, PairCovariate, WorkingVariance, pair_covariate_matrix
+from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
+                    pair_covariate_matrix)
 from .ustat import enumerate_pairs
-
-SCENARIOS = ("nb", "linear", "icc", "mww")
-
-_DEFAULT_METHODS = {
-    "nb": ("mle:nb", "ugee:nb", "ugee:poisson", "ugee:const"),
-    "linear": ("ugee:const",),
-    "icc": ("icc",),
-    "mww": ("ugee:bernoulli",),
-}
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -289,9 +287,48 @@ def nb_working_mle(data: PairData, max_iter: int = 200,
 # Monte Carlo harness
 # --------------------------------------------------------------------------- #
 
+class Scenario(NamedTuple):
+    """One row of ``SCENARIOS``: everything that defines a study scenario.
+
+    ``generator`` and ``pair_data`` name functions of this module and are
+    looked up when a replicate runs, so wrappers installed on the module's
+    attributes (tracing, profiling) see the calls.
+    """
+
+    generator: str          # gen_*(n, seed_or_rng, **params) -> record
+    pair_data: str | None   # record -> PairData; None fits the record as is
+    link: str | None        # link of the ugee:<variance> methods; None: none apply
+    intercept: bool
+    methods: tuple          # default methods; the only non-ugee ones that apply
+    defaults: dict = {}     # generator arguments its signature leaves unset
+
+    def parameters(self) -> frozenset:
+        """The generator's keyword arguments, the names ``McConfig.params`` may use."""
+        names = inspect.signature(globals()[self.generator]).parameters
+        return frozenset(names) - {"n", "seed_or_rng"}
+
+    def applies(self, method: str) -> bool:
+        if method.startswith("ugee:"):
+            return self.link is not None and method[5:] in VARIANCE_FLAGS
+        return method in self.methods
+
+
+SCENARIOS = {
+    "nb": Scenario("gen_nb_scenario", None, "exp", True,
+                   ("mle:nb", "ugee:nb", "ugee:poisson", "ugee:const")),
+    "linear": Scenario("gen_linear_exogenous", "linear_pair_data", "identity",
+                       False, ("ugee:const",)),
+    "icc": Scenario("gen_icc_ratings", None, None, False, ("icc",),
+                    {"raters": 4}),
+    "mww": Scenario("gen_mww_probit", "mww_pair_data", "probitc", False,
+                    ("ugee:bernoulli",)),
+}
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """One Monte Carlo study: scenario, size, seed, methods, parameters."""
+    """One Monte Carlo study: scenario, size, seed, methods, and parameters,
+    which are passed to the scenario's generator unchanged."""
 
     scenario: str
     n: int
@@ -308,8 +345,19 @@ class McConfig:
             raise InputError("scenarios need n >= 10 subjects")
         if self.replicates < 1:
             raise InputError("need at least one replicate")
+        row = SCENARIOS[self.scenario]
+        taken = row.parameters()
+        for name in self.params:
+            if name not in taken:
+                raise InputError(f"scenario {self.scenario!r} takes no parameter "
+                                 f"{name!r}; {row.generator} takes "
+                                 f"{', '.join(sorted(taken))}")
         if not self.methods:
-            object.__setattr__(self, "methods", _DEFAULT_METHODS[self.scenario])
+            object.__setattr__(self, "methods", row.methods)
+        for method in self.methods:
+            if not row.applies(method):
+                raise InputError(f"method {method!r} does not apply to scenario "
+                                 f"{self.scenario!r}")
 
 
 @dataclass(frozen=True)
@@ -375,80 +423,57 @@ class McReport:
 
 
 def _scenario_dataset(config: McConfig, rep: int):
-    p = config.params
-    rng = make_rng(config.seed, rep)
-    if config.scenario == "nb":
-        return gen_nb_scenario(config.n, rng, tau=p.get("tau", 10.0),
-                               beta0=p.get("beta0", 3.0), beta1=p.get("beta1", 3.0),
-                               a=p.get("a", 0.0), b=p.get("b", 1.0))
-    if config.scenario == "linear":
-        d = gen_linear_exogenous(config.n, rng, beta=p.get("beta", 1.0),
-                                 sigma_x=p.get("sigma_x", 1.0),
-                                 sigma_eps=p.get("sigma_eps", 1.0))
-        return linear_pair_data(d)
-    if config.scenario == "icc":
-        d = gen_icc_ratings(config.n, p.get("raters", 4), rng,
-                            mu=p.get("mu", 0.0),
-                            sigma_b2=p.get("sigma_b2", 1.0),
-                            sigma_bg2=p.get("sigma_bg2", 0.3),
-                            sigma_e2=p.get("sigma_e2", 0.7))
-        return d
-    d = gen_mww_probit(config.n, rng, beta=p.get("beta", 1.0))
-    return mww_pair_data(d)
+    """Replicate ``rep``'s dataset, the record its scenario's generator returns."""
+    row = SCENARIOS[config.scenario]
+    return globals()[row.generator](n=config.n, seed_or_rng=make_rng(config.seed, rep),
+                                    **{**row.defaults, **config.params})
 
 
-def _fit_method(method: str, dataset, config: McConfig):
+def _fit_method(method: str, data, row: Scenario):
     """Fit one estimator; returns (param names, estimates, reported variances)."""
-    fitcfg = FitConfig()
     if method == "icc":
-        res = fit_icc(dataset.ratings, fitcfg)
-        return res.param_names, res.beta, np.diag(res.cov_beta)
-    if method == "mle:nb":
-        res = nb_working_mle(dataset)
+        res = fit_icc(data.ratings, FitConfig())
+    elif method == "mle:nb":
+        res = nb_working_mle(data)
         if not res.converged:
             raise NonConvergence("working likelihood did not converge")
-        return res.param_names, res.beta, np.diag(res.cov_beta)
-    if not method.startswith("ugee:"):
-        raise InputError(f"unknown method {method!r}")
-    raw = method.split(":", 1)[1]
-    wv_kind = {"const": "constant"}.get(raw, raw)
-    if config.scenario == "nb":
-        model = FrmModel(link="exp", working_variance=WorkingVariance(wv_kind),
-                         intercept=True)
-    elif config.scenario == "linear":
-        model = FrmModel(link="identity", working_variance=WorkingVariance(wv_kind),
-                         intercept=False)
-    elif config.scenario == "mww":
-        model = FrmModel(link="probitc", working_variance=WorkingVariance(wv_kind),
-                         intercept=False)
     else:
-        raise InputError(f"method {method!r} does not apply to scenario "
-                         f"{config.scenario!r}")
-    res = adaptive_fit(model, dataset, fitcfg)
+        wv = WorkingVariance(VARIANCE_FLAGS[method.split(":", 1)[1]])
+        model = FrmModel(link=row.link, working_variance=wv, intercept=row.intercept)
+        res = adaptive_fit(model, data, FitConfig())
     return res.param_names, res.beta, np.diag(res.cov_beta)
 
 
 def _one_replicate(config: McConfig, rep: int):
-    dataset = _scenario_dataset(config, rep)
-    out = {}
+    """Replicate ``rep``'s record and each method's fit (None when it failed)."""
+    row = SCENARIOS[config.scenario]
+    record = _scenario_dataset(config, rep)
+    data = record if row.pair_data is None else globals()[row.pair_data](record)
+    fits = {}
     for method in config.methods:
         try:
-            out[method] = _fit_method(method, dataset, config)
-        except Exception:  # noqa: BLE001 - failures are counted, not fatal
-            out[method] = None
-    return out
+            fits[method] = _fit_method(method, data, row)
+        except (EvaluationError, NonConvergence, SingularInformation):
+            fits[method] = None  # counted, not fatal
+    return record, fits
 
 
 def run_monte_carlo(config: McConfig) -> McReport:
     """Run the study and aggregate Est / Asy / Emp per method and parameter.
 
     Replicate r uses the independent stream (seed, r), so results do not
-    depend on execution order.  Replicates where a method
-    fails are excluded from that method's aggregates and counted.  The
+    depend on execution order.  Replicates where a method fails to
+    evaluate, converge or invert its information are excluded from that
+    method's aggregates and counted; any other exception propagates.  The
     report is flagged invalid when any method loses more than 10% of
     replicates.
     """
-    results = [_one_replicate(config, r) for r in range(config.replicates)]
+    results = []
+    for rep in range(config.replicates):
+        record, fits = _one_replicate(config, rep)
+        results.append(fits)
+        if rep == 0:
+            truth = record
 
     rows: list[McRow] = []
     invalid = False
@@ -471,20 +496,13 @@ def run_monte_carlo(config: McConfig) -> McReport:
 
     extras = {}
     if config.scenario == "linear":
-        p = config.params
-        target = p.get("sigma_eps", 1.0) ** 2 / p.get("sigma_x", 1.0) ** 2
         for row in rows:
             if row.method.startswith("ugee") and row.emp is not None:
                 extras["n_times_emp"] = config.n * row.emp
-                extras["reference_variance"] = target
+                extras["reference_variance"] = truth.sigma_eps ** 2 / truth.sigma_x ** 2
                 break
     if config.scenario == "icc":
-        p = config.params
-        d = gen_icc_ratings(10, p.get("raters", 4), make_rng(config.seed, 0),
-                            sigma_b2=p.get("sigma_b2", 1.0),
-                            sigma_bg2=p.get("sigma_bg2", 0.3),
-                            sigma_e2=p.get("sigma_e2", 0.7))
-        extras["true_rho"] = d.true_rho
+        extras["true_rho"] = truth.true_rho
     details = None
     if config.keep_details:
         details = tuple(

@@ -1,11 +1,15 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from pairgee import (FrmModel, WorkingVariance, adaptive_fit, aitchison_distance,
-                     apply_pseudocount, gen_nb_scenario)
-from pairgee.cli import main
+from pairgee import (FitConfig, FrmModel, WorkingVariance, adaptive_fit,
+                     aitchison_distance, apply_pseudocount, gen_nb_scenario)
+from pairgee.cli import _SCENARIO_PARAMS, _build_parser, main
+from pairgee.io import LAYOUTS
+from pairgee.links import LINK_KINDS
+from pairgee.simulate import SCENARIOS
 
 
 def _write(tmp_path, name, text):
@@ -162,3 +166,49 @@ def test_simulate_icc_scenario_runs(tmp_path):
     payload = json.loads(open(str(tmp_path / "icc") + ".json").read())
     params = {row["param"] for row in payload["rows"]}
     assert params == {"tau2", "rho"}
+
+
+@pytest.mark.parametrize("extra", [
+    ["--scenario", "nb", "--methods", "ugee:foo,mle:nb"],
+    ["--scenario", "icc", "--methods", "ugee:poisson"],
+    ["--scenario", "linear", "--tau", "5"]])
+def test_simulate_method_or_parameter_outside_scenario_exits_2(tmp_path, capsys,
+                                                               extra):
+    out = tmp_path / "bad"
+    code = main(["simulate", "--n", "20", "--m", "3", "--out", str(out)] + extra)
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
+
+
+def _subparser(name):
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def _action(parser, dest):
+    return next(a for a in parser._actions if a.dest == dest)
+
+
+def test_fit_solver_defaults_are_fit_config_defaults(monkeypatch):
+    monkeypatch.delenv("PAIRGEE_TOL", raising=False)
+    monkeypatch.delenv("PAIRGEE_MAX_ITER", raising=False)
+    fit = _subparser("fit")
+    assert _action(fit, "tol").default == FitConfig.tol_eq
+    assert _action(fit, "max_iter").default == FitConfig.max_iter
+
+
+def test_flag_choices_are_the_library_names():
+    assert tuple(_action(_subparser("simulate"), "scenario").choices) == \
+        tuple(SCENARIOS)
+    assert tuple(_action(_subparser("fit"), "link").choices) == LINK_KINDS
+    assert tuple(_action(_subparser("fit"), "layout").choices) == LAYOUTS
+
+
+def test_every_simulate_parameter_flag_is_a_generator_keyword():
+    taken = set().union(*(row.parameters() for row in SCENARIOS.values()))
+    sim = _subparser("simulate")
+    for name, _ in _SCENARIO_PARAMS:
+        assert name in taken
+        assert _action(sim, name).option_strings == ["--" + name.replace("_", "-")]

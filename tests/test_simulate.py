@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import pairgee.simulate
 from pairgee import (InputError, McConfig, gen_icc_ratings,
                      gen_linear_exogenous, gen_mww_probit, gen_nb_scenario,
                      linear_pair_data, make_rng, mww_pair_data, nb_working_mle,
@@ -226,3 +227,40 @@ def test_mc_config_validation():
         McConfig(scenario="nb", n=5, replicates=2, seed=0)
     with pytest.raises(InputError):
         McConfig(scenario="nb", n=30, replicates=0, seed=0)
+
+
+@pytest.mark.parametrize("scenario,method", [
+    ("nb", "ugee:foo"), ("nb", "ugee:userfixed"), ("icc", "ugee:poisson"),
+    ("nb", "icc"), ("linear", "icc"), ("icc", "mle:nb"), ("mww", "mle:nb"),
+    ("nb", "foo")])
+def test_mc_config_rejects_method_outside_its_scenario(scenario, method):
+    with pytest.raises(InputError, match="does not apply"):
+        McConfig(scenario=scenario, n=30, replicates=2, seed=0,
+                 methods=(method,))
+
+
+@pytest.mark.parametrize("scenario,params", [
+    ("linear", {"tau": 5.0}), ("nb", {"raters": 3}), ("icc", {"beta": 1.0}),
+    ("mww", {"sigma_eps": 1.0})])
+def test_mc_config_rejects_parameter_its_generator_does_not_take(scenario, params):
+    with pytest.raises(InputError, match="takes no parameter"):
+        McConfig(scenario=scenario, n=30, replicates=2, seed=0, params=params)
+
+
+def test_run_monte_carlo_lets_programming_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside a fit")
+
+    monkeypatch.setattr(pairgee.simulate, "adaptive_fit", broken)
+    config = McConfig(scenario="nb", n=20, replicates=2, seed=1,
+                      methods=("ugee:poisson",))
+    with pytest.raises(TypeError, match="bug inside a fit"):
+        run_monte_carlo(config)
+
+
+def test_run_monte_carlo_icc_true_rho_is_the_generators():
+    params = {"raters": 3, "sigma_b2": 0.5, "sigma_bg2": 0.2, "sigma_e2": 0.9}
+    report = run_monte_carlo(McConfig(scenario="icc", n=20, replicates=2,
+                                      seed=6, params=params))
+    expected = gen_icc_ratings(20, seed_or_rng=make_rng(6, 0), **params).true_rho
+    assert report.extras == {"true_rho": expected}
