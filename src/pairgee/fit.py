@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .kernels import Kernel, pairwise_responses
-from .links import link_mean_deriv
+from .links import link_complement, link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
 from .ustat import (CHUNK_PAIRS, PairScoreTable, canonical_order, chunked_reduce,
@@ -211,12 +211,16 @@ def _check_variances(V: np.ndarray, data: PairData, sl: slice) -> None:
 # increase when the response sits far above the fitted mean).
 
 def _quasi_objective(wv, f: np.ndarray, h: np.ndarray, r: np.ndarray,
-                     V: np.ndarray) -> float:
-    """Quasi-likelihood Q of one pair chunk; r = f - h and V = V(h)."""
+                     V: np.ndarray, comp: np.ndarray | None = None) -> float:
+    """Quasi-likelihood Q of one pair chunk; r = f - h, V = V(h) and, for
+    the bernoulli kind, comp = 1 - h."""
     if wv.kind in ("constant", "userfixed"):
         return float(np.sum(-0.5 * r ** 2 / V))
     if wv.kind == "bernoulli":
-        return float(np.sum(f * np.log(h) + (1.0 - f) * np.log(1.0 - h)))
+        # V = h comp > 0 was checked, so both logs are finite; comp comes
+        # from eta (links.link_complement), so it keeps its relative
+        # precision where h rounds to 1
+        return float(np.sum(f * np.log(h) + (1.0 - f) * np.log(comp)))
     if wv.kind == "nb" and wv.value is not None and np.isfinite(wv.value):
         tau = wv.value
         return float(np.sum(f * np.log(h / (tau + h)) - tau * np.log(tau + h)))
@@ -240,13 +244,15 @@ def _chunk_terms(model: FrmModel, data: PairData, Xa: np.ndarray,
         raise EvaluationError(
             f"non-finite mean on pair ({int(data.i1[k])}, {int(data.i2[k])})",
             pair=(int(data.i1[k]), int(data.i2[k])), eta=float(eta.max()))
-    V = variance_eval(model.working_variance, h, rows=sl)
+    wv = model.working_variance
+    comp = link_complement(model.link, eta, h) if wv.kind == "bernoulli" else None
+    V = variance_eval(wv, h, rows=sl, complement=comp)
     _check_variances(V, data, sl)
     f = data.f[sl]
     r = f - h
     s = xa * (g * r / V)[:, None]
     J = (xa * (g * g / V)[:, None]).T @ xa
-    return _quasi_objective(model.working_variance, f, h, r, V), s, J
+    return _quasi_objective(wv, f, h, r, V, comp), s, J
 
 
 def _bind(model, data: PairData):

@@ -18,6 +18,7 @@ Parse failures report the file row number and column name.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -55,7 +56,7 @@ def _parse_float(cell: str, path, row: int, col: str) -> float:
     except ValueError:
         raise InputError(f"{path}: row {row}, column {col!r}: "
                          f"cannot parse {cell!r} as a number") from None
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise InputError(f"{path}: row {row}, column {col!r}: non-finite value")
     return val
 

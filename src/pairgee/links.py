@@ -72,3 +72,19 @@ def link_mean_deriv(kind: str, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         dh = -_INV_SQRT_2PI * np.exp(-0.5 * eta * eta)
         return h, dh
     raise InputError(f"unknown link kind {kind!r}; expected one of {LINK_KINDS}")
+
+
+def link_complement(kind: str, eta: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """1 - h for the mean ``h`` = h(``eta``) of one link kind.
+
+    The ``expit`` and ``probitc`` means are distribution functions of eta,
+    so their complement is evaluated from eta itself (expit(-eta),
+    Phi(eta)); 1 - h would round to 0 once h rounds to 1, which under
+    ``probitc`` happens for eta < -8.3.  The other links return 1 - h, so
+    a mean outside (0, 1) gives a nonpositive complement.
+    """
+    if kind == "expit":
+        return expit(-eta)
+    if kind == "probitc":
+        return ndtr(eta)
+    return 1.0 - h

@@ -204,7 +204,8 @@ class WorkingVariance:
       ``poisson``    V = h
       ``propmean``   V = tau2 * h                (value = tau2)
       ``nb``         V = h * (1 + h / tau)       (value = tau; inf => Poisson)
-      ``bernoulli``  V = h * (1 - h), needs h in (0, 1)
+      ``bernoulli``  V = h * (1 - h), needs h in (0, 1); under the expit
+                     and probitc links 1 - h is evaluated from eta
       ``userfixed``  per-pair values supplied by the caller
 
     For kinds with a nuisance parameter, ``value=None`` means "not yet
@@ -237,12 +238,15 @@ class WorkingVariance:
 
 
 def variance_eval(wv: WorkingVariance, h: np.ndarray,
-                  rows: slice | None = None) -> np.ndarray:
+                  rows: slice | None = None,
+                  complement: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the working variance at mean values ``h``.
 
     ``rows`` selects the matching slice of per-pair values for the
-    ``userfixed`` kind.  Caller is responsible for checking positivity of
-    the result (the fitting code raises with the offending pair).
+    ``userfixed`` kind.  ``complement`` is 1 - h for the ``bernoulli``
+    kind, as ``links.link_complement`` evaluates it (default 1 - h).
+    Caller is responsible for checking positivity of the result (the
+    fitting code raises with the offending pair).
     """
     h = np.asarray(h, dtype=float)
     if wv.kind == "constant":
@@ -257,7 +261,7 @@ def variance_eval(wv: WorkingVariance, h: np.ndarray,
         tau = np.inf if wv.value is None else wv.value
         return h * (1.0 + h / tau)
     if wv.kind == "bernoulli":
-        return h * (1.0 - h)
+        return h * (1.0 - h if complement is None else complement)
     vals = wv.per_pair
     return vals[rows] if rows is not None else vals.copy()
 

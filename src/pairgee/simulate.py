@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .fit import NB_TAU_MAX, FitConfig, PairData, adaptive_fit, fit_icc
@@ -203,12 +202,88 @@ class MleResult:
         return np.sqrt(np.clip(np.diag(self.cov_beta), 0.0, None))
 
 
-def _nb_loglik(f: np.ndarray, mu: np.ndarray, tau: float) -> float:
+def _nb_loglik(f: np.ndarray, mu: np.ndarray, tau: float,
+               log_f_fact: np.ndarray) -> float:
+    """Count log-likelihood summed over pairs; ``log_f_fact`` is gammaln(f + 1)."""
     if np.isinf(tau):  # variance-equals-mean limit
-        return float(np.sum(f * np.log(mu) - mu - gammaln(f + 1.0)))
+        return float(np.sum(f * np.log(mu) - mu - log_f_fact))
     p = 1.0 / (1.0 + mu / tau)
-    return float(np.sum(gammaln(f + tau) - gammaln(tau) - gammaln(f + 1.0)
+    return float(np.sum(gammaln(f + tau) - gammaln(tau) - log_f_fact
                         + tau * np.log(p) + f * np.log1p(-p)))
+
+
+# the dispersion search interval of the working MLE, in log tau
+_LOG_TAU_BOUNDS = (float(np.log(1e-3)), float(np.log(NB_TAU_MAX)))
+
+
+def _nb_profile_score(log_tau: float, f: np.ndarray, mu: np.ndarray,
+                      counts: np.ndarray, weights: np.ndarray,
+                      known: dict | None = None) -> float:
+    """d loglik / d tau at tau = exp(``log_tau``), whose sign is that of
+    d loglik / d log tau; ``known`` maps log tau to scores already
+    evaluated.
+
+    Per pair the score is psi(f + tau) - psi(tau) + log(tau / (tau + mu))
+    + (mu - f) / (tau + mu); the digamma terms run over the distinct
+    ``counts`` of ``f``, weighted by their frequencies ``weights``.  Its
+    terms are O(1 / tau) and cancel to an O(1 / tau^2) sum, which near
+    NB_TAU_MAX is rounding noise.  So for tau >= 1e3 it is summed as
+    excess(f) + log1p(z) - z with z = (f - mu) / (tau + mu) and
+    excess(f) = psi(f + tau) - psi(tau) - log1p(f / tau), both O(1 / tau^2);
+    the excess differences the asymptotic series psi(x) - log(x) =
+    -1/(2x) - 1/(12x^2) + 1/(120x^4) - ... term by term (the first omitted
+    term is below 1e-16 of it there).
+    """
+    if known and log_tau in known:
+        return known[log_tau]
+    tau = np.exp(log_tau)
+    if tau < 1e3:
+        return float(weights @ (digamma(counts + tau) - digamma(tau))
+                     + np.sum((mu - f) / (tau + mu) - np.log1p(mu / tau)))
+    # with ia = 1/tau and ib = 1/(f + tau), ia - ib = f ia ib and the excess
+    # is (ia - ib)/2 + (ia^2 - ib^2)/12 - (ia^4 - ib^4)/120
+    ia = 1.0 / tau
+    ib = 1.0 / (counts + tau)
+    excess = counts * ia * ib * (
+        0.5 + (ia + ib) * (1.0 - (ia * ia + ib * ib) / 10.0) / 12.0)
+    z = (f - mu) / (tau + mu)
+    return float(weights @ excess + np.sum(np.log1p(z) - z))
+
+
+def _nb_profile_tau(f: np.ndarray, mu: np.ndarray, tau_prev: float,
+                    log_f_fact: np.ndarray, counts: np.ndarray,
+                    weights: np.ndarray) -> float:
+    """The dispersion maximising the count likelihood at means ``mu``."""
+    # imported here, not at module level: scipy.optimize costs about 0.4 s
+    # of start-up that every other pairgee process would pay
+    from scipy.optimize import brentq
+
+    # the arrays go to brentq as args: it wraps the function it is given in
+    # a reference cycle, which would keep a closure's arrays alive until
+    # the next garbage collection
+    args = (f, mu, counts, weights)
+    lo, hi = _LOG_TAU_BOUNDS
+    a = float(np.clip(np.log(tau_prev), lo, hi))
+    s_a = _nb_profile_score(a, *args)
+    bound = hi if s_a > 0 else lo
+    root, width = a, 0.1
+    while s_a != 0 and a != bound:
+        b = float(np.clip(a + np.copysign(width, s_a), lo, hi))
+        s_b = _nb_profile_score(b, *args)
+        if (s_b > 0) != (s_a > 0) or s_b == 0:
+            # brentq starts by evaluating both ends of the bracket
+            root = brentq(_nb_profile_score, min(a, b), max(a, b),
+                          args=args + ({a: s_a, b: s_b},))
+            break
+        a, s_a, root, width = b, s_b, b, 2.0 * width
+    tau = float(np.exp(root))
+    # the sentinel compares log-likelihoods summed pair by pair: sums over
+    # hoisted or per-count terms reach 1e9 near NB_TAU_MAX, and their
+    # rounding swamps the 1e-3 margin
+    if _nb_loglik(f, mu, float("inf"), log_f_fact) \
+            >= _nb_loglik(f, mu, tau, log_f_fact) - 1e-3:
+        return float("inf")
+    return tau
 
 
 def nb_working_mle(data: PairData, max_iter: int = 200,
@@ -216,11 +291,21 @@ def nb_working_mle(data: PairData, max_iter: int = 200,
     """Maximise the overdispersed-count likelihood treating pairs as independent.
 
     A log-linear mean with intercept is fitted by alternating scoring steps
-    for the coefficients with a bounded one-dimensional search for the
-    dispersion.  The reported covariance is the inverse observed information
-    for the coefficients at the optimum (dispersion held fixed), a benchmark
-    convention.  A dispersion at the search's upper bound is reported as
-    inf (variance equals mean).
+    for the coefficients with a profile step for the dispersion tau.  The
+    profile step finds the root of the profile score
+
+        sum[psi(f + tau) - psi(tau) + log(tau / (tau + mu)) + (mu - f) / (tau + mu)]
+
+    in log tau over [1e-3, NB_TAU_MAX] with Brent's method, on a bracket
+    that starts at the previous round's tau and widens until the score
+    changes sign; without a sign change the root is the bound.  The score
+    is summed in a form that keeps its sign up to NB_TAU_MAX, with its
+    digamma terms evaluated once per distinct count (``_nb_profile_score``).
+    The dispersion is reported as inf (variance equals mean) when the
+    Poisson-limit log-likelihood, summed pair by pair, is within 1e-3 of
+    the log-likelihood at the root.  The reported covariance is the inverse
+    observed information for the coefficients at the optimum (dispersion
+    held fixed), a benchmark convention.
     """
     f = data.f
     if np.any(f < 0):
@@ -235,18 +320,8 @@ def nb_working_mle(data: PairData, max_iter: int = 200,
     excess = float(np.sum((f - mu) ** 2 - mu))
     tau = float(np.clip(np.sum(mu * mu) / excess, 1e-2, NB_TAU_MAX)) \
         if excess > 0 else float("inf")
-
-    def profile_tau(mu):
-        # compare against the exact variance-equals-mean limit: the profile
-        # flattens there and the bounded search alone cannot certify it
-        limit = _nb_loglik(f, mu, float("inf"))
-        res = minimize_scalar(
-            lambda log_tau: -_nb_loglik(f, mu, float(np.exp(log_tau))),
-            bounds=(np.log(1e-3), np.log(NB_TAU_MAX)),
-            method="bounded", options={"xatol": 1e-12})
-        if limit >= -res.fun - 1e-3:
-            return float("inf")
-        return float(np.exp(res.x))
+    log_f_fact = gammaln(f + 1.0)
+    counts, weights = np.unique(f, return_counts=True)
 
     converged = False
     it = 0
@@ -263,7 +338,7 @@ def nb_working_mle(data: PairData, max_iter: int = 200,
             if np.max(np.abs(step)) < tol:
                 break
         mu = np.exp(X @ beta)
-        tau = profile_tau(mu)
+        tau = _nb_profile_tau(f, mu, tau, log_f_fact, counts, weights)
         tau_moved = (abs(np.log(tau) - np.log(tau_old)) > 1e-6
                      if np.isfinite(tau) and np.isfinite(tau_old)
                      else np.isfinite(tau) != np.isfinite(tau_old))
@@ -279,7 +354,7 @@ def nb_working_mle(data: PairData, max_iter: int = 200,
     cov = np.linalg.inv(obs_info)
     names = tuple(f"beta{k}" for k in range(q))
     return MleResult(beta=beta, cov_beta=cov, tau=tau,
-                     loglik=_nb_loglik(f, mu, tau), iterations=it,
+                     loglik=_nb_loglik(f, mu, tau, log_f_fact), iterations=it,
                      converged=converged, param_names=names)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
+from scipy.special import gammaln
 
 
 def brute_pairs(n):
@@ -89,6 +91,69 @@ def nb_tau_quadratic(r2, h):
     if phi <= 0:
         return math.inf
     return 1.0 / phi
+
+
+def nb_loglik(f, mu, tau):
+    """Negative-binomial log-likelihood of independent counts (inf: Poisson)."""
+    if np.isinf(tau):
+        return float(np.sum(f * np.log(mu) - mu - gammaln(f + 1.0)))
+    p = 1.0 / (1.0 + mu / tau)
+    return float(np.sum(gammaln(f + tau) - gammaln(tau) - gammaln(f + 1.0)
+                        + tau * np.log(p) + f * np.log1p(-p)))
+
+
+def nb_working_mle_bounded(f, x, tau_max=1e8, max_iter=200, tol=1e-10):
+    """Reference working MLE: a bounded search over log tau from scratch.
+
+    Alternates scoring steps for the log-linear coefficients (intercept
+    first) with a bounded Brent search of the profile log-likelihood over
+    log tau in [log 1e-3, log tau_max].  tau is inf when the Poisson limit
+    is within 1e-3 of the searched maximum.  Returns (beta, tau, loglik,
+    iterations, converged).
+    """
+    f = np.asarray(f, dtype=float)
+    X = np.column_stack([np.ones(len(f)), np.asarray(x, dtype=float)])
+    beta = np.zeros(X.shape[1])
+    fbar = float(f.mean())
+    beta[0] = np.log(fbar) if fbar > 0 else 0.0
+    mu = np.exp(X @ beta)
+    excess = float(np.sum((f - mu) ** 2 - mu))
+    tau = float(np.clip(np.sum(mu * mu) / excess, 1e-2, tau_max)) \
+        if excess > 0 else math.inf
+
+    def profile_tau(mu):
+        limit = nb_loglik(f, mu, math.inf)
+        res = minimize_scalar(
+            lambda log_tau: -nb_loglik(f, mu, float(np.exp(log_tau))),
+            bounds=(np.log(1e-3), np.log(tau_max)),
+            method="bounded", options={"xatol": 1e-12})
+        if limit >= -res.fun - 1e-3:
+            return math.inf
+        return float(np.exp(res.x))
+
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        beta_old, tau_old = beta.copy(), tau
+        for _ in range(50):
+            mu = np.exp(np.clip(X @ beta, -700, 700))
+            p = 1.0 / (1.0 + mu / tau)
+            score = X.T @ ((f - mu) * p)
+            info = (X * (mu * p)[:, None]).T @ X
+            step = np.linalg.solve(info, score)
+            beta = beta + step
+            if np.max(np.abs(step)) < tol:
+                break
+        mu = np.exp(X @ beta)
+        tau = profile_tau(mu)
+        tau_moved = (abs(np.log(tau) - np.log(tau_old)) > 1e-6
+                     if np.isfinite(tau) and np.isfinite(tau_old)
+                     else np.isfinite(tau) != np.isfinite(tau_old))
+        if np.max(np.abs(beta - beta_old)) < 1e-9 and not tau_moved:
+            converged = True
+            break
+    mu = np.exp(X @ beta)
+    return beta, tau, nb_loglik(f, mu, tau), it, converged
 
 
 def clr_by_hand(v):

@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairgee
 from pairgee import (FitConfig, FrmModel, WorkingVariance, adaptive_fit,
                      aitchison_distance, apply_pseudocount, gen_nb_scenario)
 from pairgee.cli import _SCENARIO_PARAMS, _build_parser, main
@@ -25,6 +30,20 @@ def _write_nb_pairs_csv(tmp_path, n=60, seed=17):
         lines.append(f"s{data.i1[k]:03d},s{data.i2[k]:03d},"
                      f"{float(data.f[k])!r},{float(data.x[k, 0])!r}")
     return _write(tmp_path, "nb_pairs.csv", "\n".join(lines) + "\n"), data
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is loaded by the working MLE alone: importing it would
+    # add its start-up time to every pairgee process
+    src = str(Path(pairgee.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pairgee.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_fit_identity_on_subjects(tmp_path):

@@ -6,9 +6,9 @@ from pairgee import (EvaluationError, FitConfig, FrmModel, InputError, Kernel,
                      PairData, SingularInformation, SubjectRecord,
                      WorkingVariance, adaptive_fit, assemble_ugee, build_pairs,
                      enumerate_pairs, estimate_nuisance, fit_icc,
-                     fit_mean_variance, gen_icc_ratings, gen_nb_scenario,
-                     hajek_scores, make_rng, projection_variance,
-                     sandwich_variance, solve_ugee)
+                     fit_mean_variance, gen_icc_ratings, gen_mww_probit,
+                     gen_nb_scenario, hajek_scores, make_rng,
+                     projection_variance, sandwich_variance, solve_ugee)
 
 from pairgee.fit import _bind, _pair_pass
 
@@ -516,6 +516,21 @@ def test_solver_expit_link_with_binary_working_variance():
     res = solve_ugee(model, data)
     assert res.converged
     assert res.beta[0] == pytest.approx(0.8, abs=0.25)
+
+
+@pytest.mark.parametrize("n,beta,expected", [
+    (200, (3.0, -1.5), (2.92, -1.42)), (60, 5.0, (4.83,))])
+def test_probitc_bernoulli_fit_with_saturated_means(n, beta, expected):
+    # |eta| > 8.3 on some pairs: the probitc mean rounds to 1 there, and
+    # the bernoulli variance must take 1 - h from eta, not from h
+    d = gen_mww_probit(n, make_rng(1, 0), beta=beta)
+    subjects = [SubjectRecord(k, y=[d.y[k]], x=d.x[k]) for k in range(n)]
+    data = build_pairs(subjects, Kernel.mww(), PairCovariate("difference"))
+    model = FrmModel("probitc", WorkingVariance("bernoulli"), intercept=False)
+    res = adaptive_fit(model, data)
+    assert res.converged
+    assert np.allclose(res.beta, expected, atol=0.01)
+    assert np.all(np.isfinite(res.se) & (res.se > 0))
 
 
 def test_init_beta_override_is_respected():

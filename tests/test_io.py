@@ -86,6 +86,18 @@ def test_load_pairs_incomplete_rejected(tmp_path):
         load_dataset(path, "pairs")
 
 
+@pytest.mark.parametrize("row,column,cell", [(3, "f", "nan"), (4, "x1", "inf")])
+def test_load_pairs_nonfinite_cell_names_row_and_column(tmp_path, row, column, cell):
+    cells = [["a", "b", "1.0", "0.1"], ["c", "a", "2.0", "0.2"],
+             ["b", "c", "3.0", "0.3"]]
+    cells[row - 2][["i1", "i2", "f", "x1"].index(column)] = cell
+    path = _write(tmp_path, "nonfinite.csv",
+                  "i1,i2,f,x1\n" + "".join(",".join(r) + "\n" for r in cells))
+    with pytest.raises(InputError,
+                       match=f"row {row}, column '{column}': non-finite value"):
+        load_dataset(path, "pairs")
+
+
 def test_load_pairs_self_pair_rejected(tmp_path):
     path = _write(tmp_path, "self.csv",
                   "i1,i2,f\na,a,1.0\n")

@@ -8,6 +8,7 @@ from pairgee import (EvaluationError, FrmModel, InputError, PairCovariate,
                      icc_mean_map, link_mean_deriv, mean_and_gradient,
                      meanvar_mean_map, onehot_pair_labels, pair_covariate_eval,
                      stack_subjects)
+from pairgee.links import link_complement
 from pairgee.model import pair_covariate_matrix, variance_eval
 
 from oracles import central_diff
@@ -38,6 +39,18 @@ def test_link_output_ranges():
     assert np.all((h > 0) & (h < 1))
     h, _ = link_mean_deriv("probitc", np.linspace(-8, 8, 101))
     assert np.all((h > 0) & (h < 1))
+
+
+@pytest.mark.parametrize("kind,far", [("expit", 40.0), ("probitc", 30.0)])
+def test_link_complement_survives_a_mean_that_rounds_to_one(kind, far):
+    # 1 - h(eta) = h(-eta) for both links; at |eta| = far one side of h
+    # rounds to 1, where 1 - h would be exactly zero
+    eta = np.array([-far, -9.0, -0.5, 0.5, 9.0, far])
+    h, _ = link_mean_deriv(kind, eta)
+    assert np.any(h == 1.0)
+    comp = link_complement(kind, eta, h)
+    assert np.array_equal(comp, link_mean_deriv(kind, -eta)[0])
+    assert np.all(comp > 0)
 
 
 def test_probitc_values():

@@ -11,6 +11,8 @@ from pairgee import (InputError, McConfig, gen_icc_ratings,
                      linear_pair_data, make_rng, mww_pair_data, nb_working_mle,
                      run_monte_carlo)
 
+from oracles import nb_working_mle_bounded
+
 
 # ----------------------------------------------------------------- streams
 
@@ -156,6 +158,44 @@ def test_nb_working_mle_no_dispersion_signal_hits_sentinel():
     res = nb_working_mle(data)
     assert np.isinf(res.tau)
     assert res.converged
+
+
+@pytest.mark.parametrize("rep", [1, 18])
+def test_nb_working_mle_weak_dispersion_signal_hits_sentinel(rep):
+    # tau = 1e5 at n = 100: no tau beats the Poisson limit by 1e-3, which
+    # only a pair-by-pair log-likelihood resolves near NB_TAU_MAX; on
+    # replicate 18 the profile score's root is 1.7e6, inside the search
+    # interval, with a gain of 7.3e-4
+    res = nb_working_mle(gen_nb_scenario(100, make_rng(5, rep), tau=1e5))
+    assert np.isinf(res.tau)
+    assert res.converged
+
+
+def test_nb_working_mle_flat_profile_keeps_its_interior_maximum():
+    # the profile peaks at tau = 2.4e5 with a gain of 0.05 over the Poisson
+    # limit; the score's sign must hold up between there and NB_TAU_MAX,
+    # where a digamma difference is rounding noise (a bounded search of the
+    # log-likelihood does not converge here in 200 rounds)
+    res = nb_working_mle(gen_nb_scenario(100, make_rng(5, 13), tau=1e6))
+    assert res.converged
+    assert 2e5 < res.tau < 3e5
+
+
+_MLE_DATASETS = ([(f"seed{s}-rep{r}", s, r, 10.0) for s in (11, 12) for r in range(40)]
+                 + [(f"tau{t:g}", 5, 1, t) for t in (0.05, 0.5, 2.0, 1e3, 1e5)])
+
+
+def test_nb_working_mle_matches_bounded_search_reference():
+    # the profile-score root against a bounded search of the profile
+    # log-likelihood from scratch in every round
+    for name, seed, rep, tau in _MLE_DATASETS:
+        data = gen_nb_scenario(100, make_rng(seed, rep), tau=tau)
+        res = nb_working_mle(data)
+        beta, ref_tau, loglik, _, converged = nb_working_mle_bounded(data.f, data.x)
+        assert np.isinf(res.tau) == np.isinf(ref_tau), name
+        assert res.loglik == pytest.approx(loglik, rel=1e-12), name
+        assert np.max(np.abs(res.beta - beta)) <= 1e-8, name
+        assert res.converged == converged, name
 
 
 def test_nb_working_mle_rejects_negative_counts():
