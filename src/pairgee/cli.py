@@ -56,7 +56,7 @@ def _env_default(name: str, fallback, cast=str):
 
 
 def _fit_config(args: argparse.Namespace) -> FitConfig:
-    return FitConfig(tol_eq=args.tol, tol_step=args.tol, max_iter=args.max_iter)
+    return FitConfig(tol_eq=args.tol, max_iter=args.max_iter)
 
 
 def _parse_pair_flag(value: str | None) -> PairCovariate | None:

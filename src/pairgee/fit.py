@@ -46,13 +46,19 @@ from .kernels import Kernel, pairwise_responses
 from .links import link_complement, link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
-from .ustat import (CHUNK_PAIRS, PairScoreTable, canonical_order, chunked_reduce,
-                    enumerate_pairs, interleaved_accumulate, pair_count,
+from .ustat import (CHUNK_PAIRS, canonical_order, chunked_reduce,
+                    enumerate_pairs, interleaved_accumulate,
                     projection_variance)
 
 COND_LIMIT = 1e12
 NB_TAU_MAX = 1e8
 NB_TAU_MIN = 1e-8
+# step halvings per scoring iteration; the last candidate is accepted
+# (and counted as flagged) even when it lowers the quasi-objective
+MAX_HALVINGS = 20
+# nb dispersion rounds of ``adaptive_fit`` and their scaled settling tolerance
+ADAPTIVE_MAX_ROUNDS = 25
+ADAPTIVE_TOL = 1e-6
 
 
 # --------------------------------------------------------------------------- #
@@ -86,12 +92,6 @@ class PairData:
             raise InputError("pair arrays have inconsistent lengths")
         if self.n < 2:
             raise InputError("need at least 2 subjects")
-        if np.any(i1 >= i2) or (len(i1) and (i1.min() < 0 or i2.max() >= self.n)):
-            raise InputError("pair indices must satisfy 0 <= i1 < i2 < n")
-        if len(i1) != pair_count(self.n):
-            raise InputError(
-                f"incomplete pair set: {len(i1)} of {pair_count(self.n)} pairs "
-                f"for n={self.n}")
         order = canonical_order(self.n, i1, i2, "dataset")
         object.__setattr__(self, "i1", i1[order])
         object.__setattr__(self, "i2", i2[order])
@@ -134,30 +134,23 @@ def build_pairs(subjects, kernel: Kernel, pair_covariate=None,
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver knobs; the defaults suit datasets up to a few thousand subjects.
+    """Settings of the scoring loop.
 
-    ``tol_eq`` bounds the sup-norm of the estimating equations divided by
-    the pair count; ``tol_step`` the sup-norm of the parameter update.
-    ``adaptive_tol`` bounds the (scaled) change of the working-variance
-    nuisance between rounds.
+    ``init_beta`` is the starting value (default: the model's own start).
+    An iterate has converged when max|U| / N <= ``tol_eq``, with U the
+    estimating equations and N the pair count; the CLI's ``--tol`` sets
+    it.  ``max_iter`` bounds the scoring iterations of one solve.
     """
 
     init_beta: np.ndarray | None = None
-    tol_step: float = 1e-8
     tol_eq: float = 1e-8
     max_iter: int = 100
-    max_halvings: int = 20
-    adaptive_max_rounds: int = 25
-    adaptive_tol: float = 1e-6
-    chunk: int = CHUNK_PAIRS
 
     def __post_init__(self):
-        if min(self.tol_step, self.tol_eq, self.adaptive_tol) <= 0:
-            raise InputError("tolerances must be positive")
-        if self.max_iter < 1 or self.adaptive_max_rounds < 1:
-            raise InputError("iteration limits must be >= 1")
-        if self.chunk < 1:
-            raise InputError("chunk size must be >= 1")
+        if self.tol_eq <= 0:
+            raise InputError("tol_eq must be positive")
+        if self.max_iter < 1:
+            raise InputError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -294,35 +287,30 @@ def _bind(model, data: PairData):
     return terms, model.param_names, model.init_theta(R)
 
 
-def _pair_pass(terms, data: PairData, beta: np.ndarray, config: FitConfig,
-               sandwich: bool = False, scores: list | None = None):
+def _pair_pass(terms, data: PairData, beta: np.ndarray, sandwich: bool = False):
     """One pass over the pair chunks at ``beta``: the quasi-objective, U and J.
 
     With ``sandwich`` the pass also returns the per-subject sums of the
-    pair scores and Z2 = sum of the scores' outer products.  A ``scores``
-    list receives each chunk's pair scores.
+    pair scores and Z2 = sum of the scores' outer products.  The chunk
+    size is this module's ``CHUNK_PAIRS``, read when the pass runs.
     """
     def part(sl: slice):
         merit, s, J = terms(beta, sl)
-        if scores is not None:
-            scores.append(s)
         if not sandwich:
             return merit, s.sum(axis=0), J
         acc = interleaved_accumulate(data.n, data.i1[sl], data.i2[sl], s)
         return merit, s.sum(axis=0), J, acc, s.T @ s
 
-    return chunked_reduce(part, data.n_pairs, chunk=config.chunk)
+    return chunked_reduce(part, data.n_pairs, chunk=CHUNK_PAIRS)
 
 
-def assemble_ugee(model, data: PairData, beta: np.ndarray,
-                  config: FitConfig | None = None, return_scores: bool = False):
-    """Estimating equations U(beta), scoring matrix J(beta) and, on request,
-    the full per-pair score table.
+def assemble_ugee(model, data: PairData, beta: np.ndarray):
+    """Estimating equations U(beta) and scoring matrix J(beta), returned as
+    (U, J).
 
     U = sum_i D_i' V_i^-1 (f_i - h_i)   and   J = sum_i D_i' V_i^-1 D_i,
-    accumulated over fixed pair chunks in index order.
+    accumulated over ``CHUNK_PAIRS``-pair chunks in index order.
     """
-    config = config or FitConfig()
     beta = np.asarray(beta, dtype=float)
     if not np.all(np.isfinite(beta)):
         raise InputError("beta must be finite")
@@ -330,11 +318,8 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray,
     if beta.size != len(names):
         raise InputError(f"beta length {beta.size} does not match the "
                          f"{len(names)} model parameters")
-    scores = [] if return_scores else None
-    _, U, J = _pair_pass(terms, data, beta, config, scores=scores)
-    if not return_scores:
-        return U, J
-    return U, J, PairScoreTable(data.n, np.vstack(scores))
+    _, U, J = _pair_pass(terms, data, beta)
+    return U, J
 
 
 # --------------------------------------------------------------------------- #
@@ -404,7 +389,7 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig):
         accepted = None
         last_err = None
         slack = 1e-10 * (1.0 + abs(m))
-        for halving in range(config.max_halvings + 1):
+        for halving in range(MAX_HALVINGS + 1):
             cand = beta + lam * step
             if not np.all(np.isfinite(cand)):
                 lam *= 0.5
@@ -415,7 +400,7 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig):
                 last_err = exc
                 lam *= 0.5
                 continue
-            if m2 >= m - slack or halving == config.max_halvings:
+            if m2 >= m - slack or halving == MAX_HALVINGS:
                 if m2 < m - slack:
                     flagged += 1
                 accepted = (cand, m2, U2, J2)
@@ -424,13 +409,8 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig):
         if accepted is None:
             raise last_err if last_err is not None else EvaluationError(
                 "step halving failed to produce an evaluable iterate")
-        prev = beta
         beta, m, U, J = accepted
         iterations = it
-        if (np.max(np.abs(beta - prev)) <= config.tol_step
-                and float(np.max(np.abs(U))) / n_pairs <= config.tol_eq):
-            converged = True
-            break
     eq_norm = float(np.max(np.abs(U))) / n_pairs
     if eq_norm <= config.tol_eq:
         converged = True
@@ -446,7 +426,7 @@ def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitRes
     degenerates.
     """
     config = config or FitConfig()
-    return _with_sandwich(model, data, _solve(model, data, config), config)
+    return _with_sandwich(model, data, _solve(model, data, config))
 
 
 def _solve(model, data: PairData, config: FitConfig) -> FitResult:
@@ -465,7 +445,7 @@ def _solve(model, data: PairData, config: FitConfig) -> FitResult:
         raise InputError("beta must be finite")
 
     def evaluate(theta):
-        return _pair_pass(terms, data, theta, config)
+        return _pair_pass(terms, data, theta)
 
     beta, eq_norm, iterations, converged, flagged = _newton(
         evaluate, theta0, data.n_pairs, config)
@@ -477,7 +457,7 @@ def _solve(model, data: PairData, config: FitConfig) -> FitResult:
     if converged:
         return result
     try:
-        result = _with_sandwich(model, data, result, config)
+        result = _with_sandwich(model, data, result)
     except (EvaluationError, SingularInformation):
         result = None
     raise NonConvergence(
@@ -490,9 +470,8 @@ def _solve(model, data: PairData, config: FitConfig) -> FitResult:
 # Sandwich covariance
 # --------------------------------------------------------------------------- #
 
-def _with_sandwich(model, data: PairData, result: FitResult,
-                   config: FitConfig) -> FitResult:
-    cov, B, Su = sandwich_variance(model, data, result.beta, config=config)
+def _with_sandwich(model, data: PairData, result: FitResult) -> FitResult:
+    cov, B, Su = sandwich_variance(model, data, result.beta)
     return dataclasses.replace(result, cov_beta=cov, b_matrix=B, sigma_u=Su)
 
 
@@ -506,8 +485,9 @@ def _psd_floor(M: np.ndarray) -> np.ndarray:
 
 
 def sandwich_variance(model, data: PairData, beta: np.ndarray,
-                      config: FitConfig | None = None, corrected: bool = True):
-    """Sandwich covariance of the estimate at ``beta``.
+                      corrected: bool = True):
+    """Sandwich covariance of the estimate at ``beta``, from one pass over
+    the ``CHUNK_PAIRS``-pair chunks.
 
     Returns (cov_beta, b_matrix, sigma_u):
       b_matrix  per-pair mean of D'V^-1 D
@@ -516,11 +496,10 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
                 docstring (or B^-1 sigma_u B^-1 / n when ``corrected``
                 is false)
     """
-    config = config or FitConfig()
     n, N = data.n, data.n_pairs
     terms, _, _ = _bind(model, data)
     _, _, B_sum, acc, Z2 = _pair_pass(terms, data, np.asarray(beta, dtype=float),
-                                      config, sandwich=True)
+                                      sandwich=True)
 
     B = B_sum / N
     cond = np.linalg.cond(B)
@@ -546,9 +525,9 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
 # Working-variance nuisance estimation and the adaptive loop
 # --------------------------------------------------------------------------- #
 
-def estimate_nuisance(model, data: PairData, beta: np.ndarray,
-                      config: FitConfig | None = None) -> float:
-    """Estimate the working-variance nuisance at the current beta.
+def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
+    """Estimate the working-variance nuisance of ``model`` at ``beta``, in
+    one vectorised pass over all pairs.
 
     constant   sample variance of the pairwise responses
     propmean   least-squares tau2 = sum(r^2 h) / sum(h^2)
@@ -595,17 +574,15 @@ def _initial_nuisance(model, data: PairData) -> float:
     return float("inf")  # nb: start from variance-equals-mean
 
 
-def _nuisance_close(new: float, old: float, tol: float) -> bool:
+def _nuisance_close(new: float, old: float) -> bool:
     if np.isinf(new) or np.isinf(old):
         return new == old
-    return abs(new - old) <= tol * (1.0 + abs(old))
+    return abs(new - old) <= ADAPTIVE_TOL * (1.0 + abs(old))
 
 
 def _with_nuisance(model: FrmModel, value: float) -> FrmModel:
-    wv = model.working_variance
-    safe = None if (wv.kind == "nb" and np.isinf(value)) else value
     return dataclasses.replace(model, working_variance=dataclasses.replace(
-        wv, value=safe))
+        model.working_variance, value=value))
 
 
 def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitResult:
@@ -630,12 +607,12 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     iterations = result.iterations
     rounds, done = 1, True
     if model.working_variance.kind != "nb":
-        value = estimate_nuisance(model, data, result.beta, config)
+        value = estimate_nuisance(model, data, result.beta)
     else:
-        for rounds in range(1, config.adaptive_max_rounds + 1):
-            new = estimate_nuisance(model, data, result.beta, config)
+        for rounds in range(1, ADAPTIVE_MAX_ROUNDS + 1):
+            new = estimate_nuisance(model, data, result.beta)
             trace.append(new)
-            done = _nuisance_close(new, value, config.adaptive_tol)
+            done = _nuisance_close(new, value)
             value = new
             warm = dataclasses.replace(config, init_beta=result.beta)
             result = _solve(_with_nuisance(model, value), data, warm)
@@ -643,12 +620,12 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
             if done:
                 break
     result = dataclasses.replace(
-        _with_sandwich(_with_nuisance(model, value), data, result, config),
+        _with_sandwich(_with_nuisance(model, value), data, result),
         iterations=iterations)
     if not done:
         raise NonConvergence(
             f"adaptive working-variance loop did not settle in "
-            f"{config.adaptive_max_rounds} rounds", trace=trace, result=result)
+            f"{ADAPTIVE_MAX_ROUNDS} rounds", trace=trace, result=result)
     return dataclasses.replace(result, nuisance=value, nuisance_rounds=rounds)
 
 

@@ -198,9 +198,13 @@ def pairwise_responses(kernel: Kernel, Y: np.ndarray,
 
     Returns shape (n_pairs,) for scalar kernels and (n_pairs, d) otherwise.
     Built-in kernels are vectorised; custom kernels run per pair and wrap
-    failures with the offending pair index.
+    failures with the offending pair index.  The ``mww`` and ``sqhalfdiff``
+    kernels take one outcome column.
     """
     Y = np.asarray(Y, dtype=float)
+    if kernel.kind in ("mww", "sqhalfdiff") and Y.shape[1] != 1:
+        raise InputError(f"{kernel.kind} kernel needs one outcome column, "
+                         f"got {Y.shape[1]}")
     if kernel.kind == "aitchison":
         if Y.shape[1] < 2:
             raise InputError("compositional distance needs outcome length >= 2")

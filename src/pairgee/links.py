@@ -66,7 +66,8 @@ def link_mean_deriv(kind: str, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         return h, h
     if kind == "expit":
         h = expit(eta)
-        return h, h * (1.0 - h)
+        # 1 - h from eta: 1 - h rounds to 0 for eta >= 37
+        return h, h * expit(-eta)
     if kind == "probitc":
         h = ndtr(-eta)
         dh = -_INV_SQRT_2PI * np.exp(-0.5 * eta * eta)

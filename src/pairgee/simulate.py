@@ -214,6 +214,10 @@ def _nb_loglik(f: np.ndarray, mu: np.ndarray, tau: float,
 
 # the dispersion search interval of the working MLE, in log tau
 _LOG_TAU_BOUNDS = (float(np.log(1e-3)), float(np.log(NB_TAU_MAX)))
+# rounds of the working MLE (scoring steps for beta, then a dispersion
+# step) and the step size that ends a round's scoring steps
+MLE_MAX_ROUNDS = 200
+MLE_STEP_TOL = 1e-10
 
 
 def _nb_profile_score(log_tau: float, f: np.ndarray, mu: np.ndarray,
@@ -286,8 +290,7 @@ def _nb_profile_tau(f: np.ndarray, mu: np.ndarray, tau_prev: float,
     return tau
 
 
-def nb_working_mle(data: PairData, max_iter: int = 200,
-                   tol: float = 1e-10) -> MleResult:
+def nb_working_mle(data: PairData) -> MleResult:
     """Maximise the overdispersed-count likelihood treating pairs as independent.
 
     A log-linear mean with intercept is fitted by alternating scoring steps
@@ -305,7 +308,8 @@ def nb_working_mle(data: PairData, max_iter: int = 200,
     Poisson-limit log-likelihood, summed pair by pair, is within 1e-3 of
     the log-likelihood at the root.  The reported covariance is the inverse
     observed information for the coefficients at the optimum (dispersion
-    held fixed), a benchmark convention.
+    held fixed), a benchmark convention.  ``converged`` is false when beta
+    still moves by 1e-9 or log tau by 1e-6 after ``MLE_MAX_ROUNDS`` rounds.
     """
     f = data.f
     if np.any(f < 0):
@@ -325,7 +329,7 @@ def nb_working_mle(data: PairData, max_iter: int = 200,
 
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MLE_MAX_ROUNDS + 1):
         beta_old, tau_old = beta.copy(), tau
         # scoring steps for beta at fixed tau
         for _ in range(50):
@@ -335,7 +339,7 @@ def nb_working_mle(data: PairData, max_iter: int = 200,
             info = (X * (mu * p)[:, None]).T @ X
             step = np.linalg.solve(info, score)
             beta = beta + step
-            if np.max(np.abs(step)) < tol:
+            if np.max(np.abs(step)) < MLE_STEP_TOL:
                 break
         mu = np.exp(X @ beta)
         tau = _nb_profile_tau(f, mu, tau, log_f_fact, counts, weights)

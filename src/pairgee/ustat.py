@@ -46,10 +46,17 @@ def pair_count(n: int) -> int:
 
 
 def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray, what: str) -> np.ndarray:
-    """Stable permutation that puts pairs (i1, i2) in lexicographic order.
+    """Stable permutation that puts the complete pair set (i1, i2) of n
+    subjects in lexicographic order.
 
-    Raises InputError naming ``what`` when a pair occurs twice.
+    Raises InputError naming ``what`` when an index pair is out of range,
+    when the count is not n(n-1)/2, or when a pair occurs twice.
     """
+    if np.any(i1 >= i2) or i1.min(initial=0) < 0 or i2.max(initial=0) >= n:
+        raise InputError("pair indices must satisfy 0 <= i1 < i2 < n")
+    if len(i1) != pair_count(n):
+        raise InputError(f"incomplete {what}: {len(i1)} of {pair_count(n)} pairs "
+                         f"for n={n}")
     key = i1 * np.int64(n) + i2
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -122,11 +129,7 @@ class PairScoreTable:
         scores = np.asarray(scores, dtype=float)
         if scores.ndim == 1:
             scores = scores[:, None]
-        if np.any(i1 >= i2) or i1.min(initial=0) < 0 or i2.max(initial=0) >= n:
-            raise InputError("pair indices must satisfy 0 <= i1 < i2 < n")
         order = canonical_order(n, i1, i2, "score table")
-        if len(order) != pair_count(n):
-            raise InputError(f"incomplete pair table: {len(order)} of {pair_count(n)} pairs")
         return PairScoreTable(n, scores[order])
 
 

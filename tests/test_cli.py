@@ -109,6 +109,25 @@ def test_fit_kernel_layout_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+def test_fit_scalar_kernel_on_two_outcome_columns_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "subj.csv", "id,x1,y1,y2\n" + "".join(
+        f"s{i},{0.1 * i},{0.2 * i},{(i * 7) % 5}\n" for i in range(8)))
+    code = main(["fit", "--data", path, "--layout", "subjects",
+                 "--kernel", "sqhalfdiff", "--pair", "diff",
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == 2
+    assert "one outcome column" in capsys.readouterr().err
+
+
+def test_fit_zero_tolerance_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "subj.csv", "id,x1,y1\n" + "".join(
+        f"s{i},{0.1 * i},{0.2 * i}\n" for i in range(8)))
+    code = main(["fit", "--data", path, "--layout", "subjects",
+                 "--kernel", "sqhalfdiff", "--pair", "diff", "--tol", "0"])
+    assert code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_fit_missing_file_exits_2(tmp_path):
     assert main(["fit", "--data", str(tmp_path / "none.csv")]) == 2
 

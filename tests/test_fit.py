@@ -3,13 +3,14 @@ import pytest
 
 from pairgee import (EvaluationError, FitConfig, FrmModel, InputError, Kernel,
                      MeanVarianceModel, NonConvergence, PairCovariate,
-                     PairData, SingularInformation, SubjectRecord,
+                     PairData, PairScoreTable, SingularInformation, SubjectRecord,
                      WorkingVariance, adaptive_fit, assemble_ugee, build_pairs,
                      enumerate_pairs, estimate_nuisance, fit_icc,
                      fit_mean_variance, gen_icc_ratings, gen_mww_probit,
                      gen_nb_scenario, hajek_scores, make_rng,
                      projection_variance, sandwich_variance, solve_ugee)
 
+import pairgee.fit
 from pairgee.fit import _bind, _pair_pass
 
 from oracles import (brute_hajek, brute_projection_variance, nb_tau_quadratic,
@@ -30,6 +31,11 @@ def _random_pairs(rng, n, p=1, beta=None, link="identity", noise=1.0):
     else:
         f = np.exp(eta) + noise * rng.normal(size=len(pairs))
     return PairData(n=n, i1=pairs[:, 0], i2=pairs[:, 1], x=x, f=f)
+
+
+def _score_table(model, data, beta):
+    """The per-pair scores at ``beta``, evaluated as one chunk."""
+    return PairScoreTable(data.n, _bind(model, data)[0](beta, slice(0, data.n_pairs))[1])
 
 
 # ------------------------------------------------------------- pair data
@@ -106,12 +112,14 @@ def test_assemble_rejects_nonpositive_variance_with_pair():
     assert err.value.pair is not None
 
 
-def test_assemble_chunking_matches_one_chunk():
+def test_assemble_chunking_matches_one_chunk(monkeypatch):
     rng = np.random.default_rng(8)
     data = _random_pairs(rng, 60)  # 1770 pairs: crosses a chunk boundary
     beta = np.array([0.7])
-    U1, J1 = assemble_ugee(_model(), data, beta, FitConfig(chunk=1024))
-    U0, J0 = assemble_ugee(_model(), data, beta, FitConfig(chunk=data.n_pairs))
+    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", 1024)
+    U1, J1 = assemble_ugee(_model(), data, beta)
+    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", data.n_pairs)
+    U0, J0 = assemble_ugee(_model(), data, beta)
     assert np.allclose(U0, U1, rtol=1e-10)
     assert np.allclose(J0, J1, rtol=1e-10)
 
@@ -120,7 +128,7 @@ def test_assemble_chunking_matches_one_chunk():
     ("identity", "constant", 2.5), ("exp", "poisson", None),
     ("exp", "propmean", 1.7), ("exp", "nb", 4.0), ("exp", "nb", None),
     ("expit", "bernoulli", None), ("exp", "userfixed", None)])
-def test_merit_gradient_equals_estimating_equations(link, wv, value):
+def test_merit_gradient_equals_estimating_equations(link, wv, value, monkeypatch):
     # the line-search merit is the quasi-likelihood whose gradient is U
     rng = np.random.default_rng(20)
     n = 30
@@ -136,16 +144,22 @@ def test_merit_gradient_equals_estimating_equations(link, wv, value):
     model = FrmModel(link=link, working_variance=WorkingVariance(
         wv, value, per_pair=per_pair), intercept=True)
     terms, _, _ = _bind(model, data)
-    config = FitConfig(chunk=128)  # several chunks
-    _, U, _ = _pair_pass(terms, data, beta, config)
+    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", 128)  # several chunks
+    _, U, _ = _pair_pass(terms, data, beta)
     step = 1e-6
-    grad = [(_pair_pass(terms, data, beta + step * e, config)[0]
-             - _pair_pass(terms, data, beta - step * e, config)[0]) / (2 * step)
+    grad = [(_pair_pass(terms, data, beta + step * e)[0]
+             - _pair_pass(terms, data, beta - step * e)[0]) / (2 * step)
             for e in np.eye(2)]
     assert np.allclose(grad, U, rtol=1e-6, atol=1e-6 * np.max(np.abs(U)))
 
 
 # ------------------------------------------------------------------ solver
+
+@pytest.mark.parametrize("field,value", [("tol_eq", 0.0), ("max_iter", 0)])
+def test_fit_config_rejects_a_setting_that_stops_nothing(field, value):
+    with pytest.raises(InputError):
+        FitConfig(**{field: value})
+
 
 def test_solver_equals_pairwise_least_squares():
     rng = np.random.default_rng(9)
@@ -232,19 +246,20 @@ def test_sandwich_streaming_matches_table_path_exactly():
     data = _random_pairs(rng, 40)
     model = _model()
     res = solve_ugee(model, data)
-    _, _, table = assemble_ugee(model, data, res.beta, return_scores=True)
+    table = _score_table(model, data, res.beta)
     su_table = projection_variance(hajek_scores(table))
     assert np.array_equal(res.sigma_u, su_table)
     brute = brute_projection_variance(brute_hajek(data.n, table.scores))
     assert np.array_equal(res.sigma_u, brute)
 
 
-def test_sandwich_streaming_matches_brute_force_across_chunks():
+def test_sandwich_streaming_matches_brute_force_across_chunks(monkeypatch):
     rng = np.random.default_rng(14)
     data = _random_pairs(rng, 70)  # 2415 pairs: several chunks
     model = _model()
-    res = solve_ugee(model, data, FitConfig(chunk=1024))
-    _, _, table = assemble_ugee(model, data, res.beta, return_scores=True)
+    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", 1024)
+    res = solve_ugee(model, data)
+    table = _score_table(model, data, res.beta)
     brute = brute_projection_variance(brute_hajek(data.n, table.scores))
     assert np.allclose(res.sigma_u, brute, rtol=1e-12, atol=1e-15)
 
@@ -285,7 +300,7 @@ def test_sandwich_correction_can_be_disabled():
     assert np.allclose(cov_plain, Binv @ Su @ Binv / data.n, rtol=1e-12)
     assert np.array_equal(res.cov_beta, cov_corr)
     # corrected = PSD projection part + per-pair floor, so it dominates the floor
-    _, _, table = assemble_ugee(model, data, res.beta, return_scores=True)
+    table = _score_table(model, data, res.beta)
     Z2hat = table.scores.T @ table.scores / data.n_pairs
     floor = Binv @ Z2hat @ Binv / data.n_pairs
     gap_eigs = np.linalg.eigvalsh(cov_corr - floor)
@@ -477,10 +492,11 @@ def test_fit_icc_invariant_to_rater_effects():
     assert np.allclose(res1.beta, res2.beta, atol=1e-12)
 
 
-def test_fit_icc_chunked_matches_one_chunk():
+def test_fit_icc_chunked_matches_one_chunk(monkeypatch):
     ratings = gen_icc_ratings(40, 4, 9).ratings  # 780 pairs: 112 chunks of 7
     one = fit_icc(ratings)
-    chunked = fit_icc(ratings, FitConfig(chunk=7))
+    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", 7)
+    chunked = fit_icc(ratings)
     assert np.allclose(chunked.beta, one.beta, rtol=1e-12, atol=0.0)
     assert np.allclose(chunked.cov_beta, one.cov_beta, rtol=1e-12, atol=0.0)
 

@@ -5,7 +5,8 @@ import pytest
 
 from pairgee import (Composition, EvaluationError, InputError, Kernel,
                      aitchison_distance, apply_pseudocount, icc_pair_kernel,
-                     mww_indicator, pairwise_responses, sq_half_diff)
+                     mww_indicator, pairwise_responses, sq_half_diff,
+                     ustatistic_mean)
 
 from oracles import aitchison_by_hand
 
@@ -147,6 +148,13 @@ def test_pairwise_responses_match_scalar_functions():
     for k in range(len(i1)):
         assert vals[k] == pytest.approx(icc_pair_kernel(ratings[i1[k]],
                                                         ratings[i2[k]]))
+
+
+@pytest.mark.parametrize("kind", ["mww", "sqhalfdiff"])
+def test_scalar_kernels_reject_several_outcome_columns(kind):
+    Y = np.random.default_rng(6).normal(size=(6, 2))
+    with pytest.raises(InputError, match="one outcome column"):
+        ustatistic_mean(getattr(Kernel, kind)(), Y)
 
 
 def test_mww_midrank_vectorised():

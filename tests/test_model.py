@@ -53,6 +53,16 @@ def test_link_complement_survives_a_mean_that_rounds_to_one(kind, far):
     assert np.all(comp > 0)
 
 
+@pytest.mark.parametrize("eta", [36.0, 37.0, 40.0, -40.0])
+def test_expit_derivative_keeps_its_complement(eta):
+    # h' = h (1 - h) = e^-|eta| / (1 + e^-|eta|)^2; 1 - h rounds to 0 for
+    # eta >= 37, so the derivative must not be formed from it
+    t = math.exp(-abs(eta))
+    exact = t / (1.0 + t) ** 2
+    _, dh = link_mean_deriv("expit", np.array([eta]))
+    assert abs(dh[0] - exact) <= 1e-12 * exact
+
+
 def test_probitc_values():
     h, dh = link_mean_deriv("probitc", np.array([0.0]))
     assert h[0] == pytest.approx(0.5, abs=1e-15)
