@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 non-convergence or invalid simulation report,
 ``--working-variance``, ``--tol``, ``--max-iter``, ``--n``, ``--m`` and
 ``--seed`` can be overridden by an environment variable named
 ``PAIRGEE_<FLAG>`` (dashes as underscores), e.g. ``PAIRGEE_TOL=1e-10``; a
-value that does not parse is an input error.  Numbers in result files are
-serialised with ``repr``, which round-trips float64 exactly.
+value that does not parse, or is not one of the flag's choices, is an
+input error.  Numbers in result files are serialised with ``repr``, which
+round-trips float64 exactly.
 """
 
 from __future__ import annotations
@@ -43,16 +44,20 @@ _SCENARIO_PARAMS = tuple((name, float) for name in (
     "sigma_b2", "sigma_bg2", "sigma_e2")) + (("raters", int),)
 
 
-def _env_default(name: str, fallback, cast=str):
+def _env_default(name: str, fallback, cast=str, choices=None):
     var = f"PAIRGEE_{name.upper().replace('-', '_')}"
     raw = os.environ.get(var)
     if raw is None:
         return fallback
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise InputError(f"environment variable {var}={raw!r} is not a valid "
                          f"{cast.__name__}") from None
+    if choices is not None and value not in choices:
+        raise InputError(f"environment variable {var}={raw!r} is not one of "
+                         f"{', '.join(choices)}")
+    return value
 
 
 def _fit_config(args: argparse.Namespace) -> FitConfig:
@@ -92,8 +97,7 @@ def _result_payload(res) -> dict:
                   where=se > 0)
     pvals = 2.0 * ndtr(-np.abs(z))
     return {
-        "params": list(res.param_names or
-                       [f"beta{k}" for k in range(len(res.beta))]),
+        "params": list(res.param_names),
         "beta": [float(v) for v in res.beta],
         "se": [float(v) for v in se],
         "z": [None if not np.isfinite(v) else float(v) for v in z],
@@ -223,14 +227,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(run=cmd_fit)
     fit.add_argument("--data", required=True)
     fit.add_argument("--layout", choices=LAYOUTS,
-                     default=_env_default("layout", "subjects"))
+                     default=_env_default("layout", "subjects", choices=LAYOUTS))
     fit.add_argument("--kernel", choices=("aitchison", "mww", "sqhalfdiff", "icc"))
     fit.add_argument("--link", choices=LINK_KINDS,
-                     default=_env_default("link", "identity"))
+                     default=_env_default("link", "identity", choices=LINK_KINDS))
     fit.add_argument("--pair", help="diff | sum | concat | onehot:K")
     fit.add_argument("--working-variance", dest="working_variance",
                      choices=tuple(VARIANCE_FLAGS), default=_env_default(
-                         "working_variance", "const"))
+                         "working_variance", "const", choices=tuple(VARIANCE_FLAGS)))
     icpt = fit.add_mutually_exclusive_group()
     icpt.add_argument("--intercept", dest="intercept", action="store_true",
                       default=True)

@@ -172,10 +172,10 @@ class FitResult:
     converged: bool
     n_subjects: int
     n_pairs: int
+    param_names: tuple
     nuisance: float | None = None
     nuisance_rounds: int = 0
     flagged_steps: int = 0
-    param_names: tuple | None = None
 
     @property
     def se(self) -> np.ndarray:
@@ -222,14 +222,14 @@ def _quasi_objective(wv, f: np.ndarray, h: np.ndarray, r: np.ndarray,
     return float(np.sum(f * np.log(h) - h) / scale)
 
 
-def _chunk_terms(model: FrmModel, data: PairData, Xa: np.ndarray,
-                 beta: np.ndarray, sl: slice):
+def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
     """Quasi-objective, pair scores and scoring matrix of one pair chunk.
 
-    The mean, its derivative and the working variance are evaluated once
-    and shared by all three.
+    The chunk's design (with its intercept column), the mean, its
+    derivative and the working variance are built once and shared by all
+    three.
     """
-    xa = Xa[sl]
+    xa = augment(data.x[sl], model.intercept)
     eta = xa @ beta
     h, g = link_mean_deriv(model.link, eta)
     if not np.all(np.isfinite(h)):
@@ -259,16 +259,19 @@ def _bind(model, data: PairData):
     gradient D are the same for every pair.
     """
     if isinstance(model, FrmModel):
-        Xa = augment(data.x, model.intercept)
-        q = Xa.shape[1]
+        q = data.x.shape[1] + int(model.intercept)
         if q == 0:
             raise InputError("model has no parameters: no covariates and no intercept")
-        _collinearity_check(Xa, model.intercept)
-        slopes = [f"beta{k + 1}" for k in range(q - int(model.intercept))]
+        wv = model.working_variance
+        if wv.kind == "userfixed" and wv.per_pair.shape != (data.n_pairs,):
+            raise InputError(f"userfixed working variance has {wv.per_pair.size} "
+                             f"per-pair values for {data.n_pairs} pairs")
+        _collinearity_check(data.x, model.intercept)
+        slopes = [f"beta{k + 1}" for k in range(data.x.shape[1])]
         names = tuple((["beta0"] if model.intercept else []) + slopes)
 
         def terms(beta, sl):
-            return _chunk_terms(model, data, Xa, beta, sl)
+            return _chunk_terms(model, data, beta, sl)
 
         return terms, names, _default_init(model, data, q)
 
@@ -342,11 +345,10 @@ def _default_init(model, data: PairData, q: int) -> np.ndarray:
     return beta
 
 
-def _collinearity_check(Xa: np.ndarray, intercept: bool) -> None:
-    if not intercept or Xa.shape[1] < 2:
+def _collinearity_check(x: np.ndarray, intercept: bool) -> None:
+    if not intercept or x.shape[1] == 0:
         return
-    cols = Xa[:, 1:]
-    spread = cols.max(axis=0) - cols.min(axis=0)
+    spread = x.max(axis=0) - x.min(axis=0)
     if np.any(spread == 0):
         j = int(np.argmax(spread == 0))
         raise SingularInformation(
@@ -526,8 +528,8 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
 # --------------------------------------------------------------------------- #
 
 def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
-    """Estimate the working-variance nuisance of ``model`` at ``beta``, in
-    one vectorised pass over all pairs.
+    """Estimate the working-variance nuisance of ``model`` at ``beta``, from
+    sums accumulated over the ``CHUNK_PAIRS``-pair chunks in index order.
 
     constant   sample variance of the pairwise responses
     propmean   least-squares tau2 = sum(r^2 h) / sum(h^2)
@@ -543,26 +545,27 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
         return float(np.var(data.f, ddof=1))
     if kind not in ("propmean", "nb"):
         raise InputError(f"working variance kind {kind!r} has no nuisance parameter")
-    Xa = augment(data.x, model.intercept)
-    h, _ = link_mean_deriv(model.link, Xa @ np.asarray(beta, dtype=float))
-    r2 = data.f - h
-    r2 *= r2
-    if kind == "propmean":
-        denom = float(h @ h)
-        if denom <= 0:
-            raise EvaluationError("cannot estimate proportional variance: "
-                                  "fitted means are all zero")
-        return float((r2 @ h) / denom)
-    r2 -= h
-    h *= h
-    denom = float(h @ h)
+    beta = np.asarray(beta, dtype=float)
+
+    def part(sl: slice):
+        h, _ = link_mean_deriv(model.link, augment(data.x[sl], model.intercept) @ beta)
+        r2 = data.f[sl] - h
+        r2 *= r2
+        if kind == "nb":
+            r2 -= h
+            h *= h
+        return r2 @ h, h @ h
+
+    num, denom = chunked_reduce(part, data.n_pairs, chunk=CHUNK_PAIRS)
     if denom <= 0:
-        raise EvaluationError("cannot estimate nb dispersion: "
-                              "fitted means are all zero")
-    phi = float(r2 @ h) / denom   # sum((r^2 - h) h^2) / sum(h^4)
-    if phi <= 1.0 / (0.99 * NB_TAU_MAX):
+        raise EvaluationError(f"cannot estimate the {kind} nuisance: "
+                              f"fitted means are all zero")
+    ratio = float(num) / float(denom)   # propmean: tau2; nb: phi = 1/tau
+    if kind == "propmean":
+        return ratio
+    if ratio <= 1.0 / (0.99 * NB_TAU_MAX):
         return float("inf")
-    return max(1.0 / phi, NB_TAU_MIN)
+    return max(1.0 / ratio, NB_TAU_MIN)
 
 
 def _initial_nuisance(model, data: PairData) -> float:

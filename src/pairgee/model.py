@@ -14,7 +14,7 @@ shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -206,7 +206,9 @@ class WorkingVariance:
       ``nb``         V = h * (1 + h / tau)       (value = tau; inf => Poisson)
       ``bernoulli``  V = h * (1 - h), needs h in (0, 1); under the expit
                      and probitc links 1 - h is evaluated from eta
-      ``userfixed``  per-pair values supplied by the caller
+      ``userfixed``  per-pair values supplied by the caller as ``per_pair``,
+                     one per pair in ``PairData``'s canonical row order
+                     (that of ``ustat.enumerate_pairs``)
 
     For kinds with a nuisance parameter, ``value=None`` means "not yet
     estimated"; the adaptive fitting loop fills it in.
@@ -355,7 +357,7 @@ class IccModel:
     """Two-dimensional model for rater agreement; parameters (tau2, rho)."""
 
     raters: int
-    param_names: tuple[str, str] = ("tau2", "rho")
+    param_names: ClassVar[tuple[str, str]] = ("tau2", "rho")
 
     def mean_map(self, theta):
         return icc_mean_map(theta, self.raters)
@@ -375,7 +377,7 @@ class IccModel:
 class MeanVarianceModel:
     """Two-dimensional model for the mean and variance of a pairwise response."""
 
-    param_names: tuple[str, str] = ("mu", "sigma2")
+    param_names: ClassVar[tuple[str, str]] = ("mu", "sigma2")
 
     def mean_map(self, theta):
         return meanvar_mean_map(theta)

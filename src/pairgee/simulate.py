@@ -415,7 +415,6 @@ class McConfig:
     seed: int
     methods: tuple = ()
     params: dict = field(default_factory=dict)
-    keep_details: bool = False
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -453,9 +452,9 @@ class McRow:
 class McReport:
     """Aggregated Monte Carlo results, one row per (method, parameter).
 
-    ``details`` (kept only when requested) holds the raw per-replicate
-    fits as a tuple of {method: (estimates, reported variances) or None};
-    it is never serialised.
+    ``details`` holds the raw per-replicate fits as a tuple of
+    {method: (estimates, reported variances) or None}; it is never
+    serialised, and reports compare equal by their other fields.
     """
 
     scenario: str
@@ -465,7 +464,7 @@ class McReport:
     rows: tuple
     invalid: bool
     extras: dict = field(default_factory=dict)
-    details: tuple | None = None
+    details: tuple = field(default=(), compare=False)
 
     def to_json(self, path) -> None:
         payload = {
@@ -582,12 +581,9 @@ def run_monte_carlo(config: McConfig) -> McReport:
                 break
     if config.scenario == "icc":
         extras["true_rho"] = truth.true_rho
-    details = None
-    if config.keep_details:
-        details = tuple(
-            {m: (None if res[m] is None else (res[m][1], res[m][2]))
-             for m in config.methods}
-            for res in results)
+    details = tuple({m: (None if res[m] is None else (res[m][1], res[m][2]))
+                     for m in config.methods}
+                    for res in results)
     return McReport(scenario=config.scenario, n=config.n,
                     replicates=config.replicates, seed=config.seed,
                     rows=tuple(rows), invalid=invalid, extras=extras,

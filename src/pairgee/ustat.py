@@ -65,12 +65,12 @@ def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray, what: str) -> np.nda
     return order
 
 
-def chunk_slices(n_items: int, chunk: int = CHUNK_PAIRS) -> list[slice]:
+def chunk_slices(n_items: int, chunk: int) -> list[slice]:
     """Fixed partition of range(n_items) into consecutive chunks."""
     return [slice(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
 
 
-def chunked_reduce(fn, n_items: int, *, chunk: int = CHUNK_PAIRS):
+def chunked_reduce(fn, n_items: int, *, chunk: int):
     """Sum ``fn(slice)`` over a fixed chunking of ``range(n_items)``.
 
     ``fn`` returns a tuple of arrays (or scalars); each chunk's result is
@@ -129,6 +129,8 @@ class PairScoreTable:
         scores = np.asarray(scores, dtype=float)
         if scores.ndim == 1:
             scores = scores[:, None]
+        if len(i1) != len(i2) or scores.shape[0] != len(i1):
+            raise InputError("pair arrays have inconsistent lengths")
         order = canonical_order(n, i1, i2, "score table")
         return PairScoreTable(n, scores[order])
 
@@ -157,7 +159,7 @@ def ustatistic_mean(kernel, data) -> float | np.ndarray:
         vals = pairwise_responses(kernel, Y, i1[sl], i2[sl])
         return (np.sum(np.atleast_2d(vals.T).T, axis=0),)
 
-    (total,) = chunked_reduce(part, len(pairs))
+    (total,) = chunked_reduce(part, len(pairs), chunk=CHUNK_PAIRS)
     mean = total / len(pairs)
     return float(mean[0]) if kernel.output_dim == 1 else mean
 

@@ -37,8 +37,7 @@ def nb_study():
                       methods=("mle:nb", "ugee:nb", "ugee:poisson",
                                "ugee:const"),
                       params={"tau": 10.0, "beta0": 3.0, "beta1": 3.0,
-                              "a": 0.0, "b": 1.0},
-                      keep_details=True)
+                              "a": 0.0, "b": 1.0})
     start = time.perf_counter()
     report = run_monte_carlo(config)
     elapsed = time.perf_counter() - start

@@ -181,7 +181,10 @@ def test_simulate_writes_reproducible_reports(tmp_path):
 
 
 @pytest.mark.parametrize("var,value", [("PAIRGEE_TOL", "abc"),
-                                       ("PAIRGEE_MAX_ITER", "x")])
+                                       ("PAIRGEE_MAX_ITER", "x"),
+                                       ("PAIRGEE_WORKING_VARIANCE", "constant"),
+                                       ("PAIRGEE_LINK", "bogus"),
+                                       ("PAIRGEE_LAYOUT", "bogus")])
 def test_malformed_environment_default_exits_2(tmp_path, monkeypatch, capsys,
                                                var, value):
     monkeypatch.setenv(var, value)

@@ -280,6 +280,16 @@ def test_sandwich_reweighting_invariance():
         1.0, np.max(np.abs(res1.cov_beta)))
 
 
+@pytest.mark.parametrize("count", [12, 19])
+def test_userfixed_variances_must_match_the_pairs(count):
+    data = _random_pairs(np.random.default_rng(16), 6)  # 15 pairs
+    model = FrmModel(link="identity", intercept=False,
+                     working_variance=WorkingVariance(
+                         "userfixed", per_pair=np.ones(count)))
+    with pytest.raises(InputError, match=f"{count} per-pair values for 15 pairs"):
+        solve_ugee(model, data)
+
+
 def test_sandwich_reported_covariances_are_psd():
     rng = np.random.default_rng(16)
     for trial in range(10):
@@ -374,6 +384,41 @@ def test_estimate_nuisance_rejects_kinds_without_nuisance():
     data = gen_nb_scenario(20, 5)
     with pytest.raises(InputError):
         estimate_nuisance(_model(wv="poisson"), data, np.zeros(1))
+
+
+@pytest.mark.parametrize("wv", ["propmean", "nb"])
+def test_estimate_nuisance_rejects_all_zero_means(wv):
+    data = gen_nb_scenario(20, 5)
+    with pytest.raises(EvaluationError, match="fitted means are all zero"):
+        estimate_nuisance(_model(wv=wv), data, np.zeros(1))
+
+
+def test_pair_passes_see_one_chunk_at_a_time(monkeypatch):
+    # every evaluation of the model over pairs, in the solver and in the
+    # nuisance estimate, builds the design of one chunk only
+    data = gen_nb_scenario(60, 3)  # 1770 pairs: two chunks of 1024
+    models = {wv: FrmModel(link="exp", working_variance=WorkingVariance(wv),
+                           intercept=True) for wv in ("propmean", "nb")}
+    beta = np.array([3.0, 3.0])
+    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", data.n_pairs)
+    one_chunk = {wv: estimate_nuisance(m, data, beta) for wv, m in models.items()}
+    rows = []
+
+    def recording(fn, arg):
+        def wrapper(*args, **kwargs):
+            rows.append(len(args[arg]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pairgee.fit, "augment", recording(pairgee.fit.augment, 0))
+    monkeypatch.setattr(pairgee.fit, "link_mean_deriv",
+                        recording(pairgee.fit.link_mean_deriv, 1))
+    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", 1024)
+    adaptive_fit(models["nb"], data)
+    for wv, model in models.items():
+        assert estimate_nuisance(model, data, beta) == pytest.approx(
+            one_chunk[wv], rel=1e-12)
+    assert rows and max(rows) <= 1024
 
 
 def test_adaptive_poisson_runs_zero_rounds():

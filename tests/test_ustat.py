@@ -117,6 +117,10 @@ def test_incomplete_table_rejected():
         PairScoreTable(4, np.ones(5))
     with pytest.raises(InputError, match="duplicate pair in score table"):
         PairScoreTable.from_pairs(3, [0, 0, 1], [1, 1, 2], [1.0, 2.0, 3.0])
+    with pytest.raises(InputError, match="inconsistent lengths"):
+        PairScoreTable.from_pairs(3, [0, 0], [1, 2, 2], [1.0, 2.0, 3.0])
+    with pytest.raises(InputError, match="inconsistent lengths"):
+        PairScoreTable.from_pairs(3, [0, 0, 1], [1, 2, 2], [1.0, 2.0])
 
 
 def test_table_from_unordered_pairs():
