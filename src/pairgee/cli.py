@@ -7,20 +7,14 @@ generator takes it; any other one is an input error, as is a method that
 does not apply to the scenario.
 
 Exit codes: 0 success, 1 non-convergence or invalid simulation report,
-2 input error.  The defaults of ``--out``, ``--layout``, ``--link``,
-``--working-variance``, ``--tol``, ``--max-iter``, ``--n``, ``--m`` and
-``--seed`` can be overridden by an environment variable named
-``PAIRGEE_<FLAG>`` (dashes as underscores), e.g. ``PAIRGEE_TOL=1e-10``; a
-value that does not parse, or is not one of the flag's choices, is an
-input error.  Numbers in result files are serialised with ``repr``, which
-round-trips float64 exactly.
+2 input error.  Settings come from the arguments alone.  Numbers in result
+files are serialised with ``repr``, which round-trips float64 exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -30,7 +24,8 @@ from . import __version__
 from .errors import InputError, NonConvergence
 from .fit import FitConfig, PairData, adaptive_fit, build_pairs, fit_icc
 from .io import LAYOUTS, load_dataset
-from .kernels import Kernel, apply_pseudocount, pairwise_responses
+from .kernels import (KERNEL_KINDS, Kernel, apply_pseudocount,
+                      pairwise_responses)
 from .links import LINK_KINDS
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     stack_subjects)
@@ -42,22 +37,6 @@ _PAIR_FLAGS = {"diff": "difference", "sum": "sum", "concat": "concatenate"}
 _SCENARIO_PARAMS = tuple((name, float) for name in (
     "tau", "beta0", "beta1", "a", "b", "beta", "sigma_x", "sigma_eps", "mu",
     "sigma_b2", "sigma_bg2", "sigma_e2")) + (("raters", int),)
-
-
-def _env_default(name: str, fallback, cast=str, choices=None):
-    var = f"PAIRGEE_{name.upper().replace('-', '_')}"
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    try:
-        value = cast(raw)
-    except ValueError:
-        raise InputError(f"environment variable {var}={raw!r} is not a valid "
-                         f"{cast.__name__}") from None
-    if choices is not None and value not in choices:
-        raise InputError(f"environment variable {var}={raw!r} is not one of "
-                         f"{', '.join(choices)}")
-    return value
 
 
 def _fit_config(args: argparse.Namespace) -> FitConfig:
@@ -77,18 +56,6 @@ def _parse_pair_flag(value: str | None) -> PairCovariate | None:
         return PairCovariate("onehot", levels=levels)
     raise InputError(f"unknown pair transform {value!r} "
                      f"(expected diff|sum|concat|onehot:K)")
-
-
-def _make_kernel(args: argparse.Namespace) -> Kernel:
-    if args.kernel == "aitchison":
-        return Kernel.aitchison()
-    if args.kernel == "mww":
-        return Kernel.mww(ties=args.ties)
-    if args.kernel == "sqhalfdiff":
-        return Kernel.sqhalfdiff()
-    if args.kernel == "icc":
-        return Kernel.icc()
-    raise InputError(f"unknown kernel {args.kernel!r}")
 
 
 def _result_payload(res) -> dict:
@@ -131,7 +98,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             if args.kernel == "aitchison" and args.layout != "abundance":
                 raise InputError("aitchison kernel needs the abundance layout")
             pseudo = args.pseudocount if args.kernel == "aitchison" else None
-            data = build_pairs(dataset, _make_kernel(args),
+            data = build_pairs(dataset, Kernel(args.kernel, ties=args.ties),
                                pair_covariate=_parse_pair_flag(args.pair),
                                pseudocount=pseudo, eps=args.eps)
         model = FrmModel(link=args.link,
@@ -220,21 +187,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=_env_default("out", None))
-
     fit = sub.add_parser("fit", help="fit a pairwise regression")
     fit.set_defaults(run=cmd_fit)
     fit.add_argument("--data", required=True)
-    fit.add_argument("--layout", choices=LAYOUTS,
-                     default=_env_default("layout", "subjects", choices=LAYOUTS))
-    fit.add_argument("--kernel", choices=("aitchison", "mww", "sqhalfdiff", "icc"))
-    fit.add_argument("--link", choices=LINK_KINDS,
-                     default=_env_default("link", "identity", choices=LINK_KINDS))
+    fit.add_argument("--layout", choices=LAYOUTS, default="subjects")
+    fit.add_argument("--kernel", choices=tuple(k for k in KERNEL_KINDS
+                                               if k != "custom"))
+    fit.add_argument("--link", choices=LINK_KINDS, default="identity")
     fit.add_argument("--pair", help="diff | sum | concat | onehot:K")
     fit.add_argument("--working-variance", dest="working_variance",
-                     choices=tuple(VARIANCE_FLAGS), default=_env_default(
-                         "working_variance", "const", choices=tuple(VARIANCE_FLAGS)))
+                     choices=tuple(VARIANCE_FLAGS), default="const")
     icpt = fit.add_mutually_exclusive_group()
     icpt.add_argument("--intercept", dest="intercept", action="store_true",
                       default=True)
@@ -244,11 +206,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="half-min")
     fit.add_argument("--eps", type=float, default=0.0,
                      help="additive pseudocount size")
-    fit.add_argument("--tol", type=float,
-                     default=_env_default("tol", FitConfig.tol_eq, float))
+    fit.add_argument("--tol", type=float, default=FitConfig.tol_eq)
     fit.add_argument("--max-iter", dest="max_iter", type=int,
-                     default=_env_default("max_iter", FitConfig.max_iter, int))
-    common(fit)
+                     default=FitConfig.max_iter)
+    fit.add_argument("--out")
 
     dist = sub.add_parser("distance", help="pairwise compositional distances")
     dist.set_defaults(run=cmd_distance)
@@ -258,18 +219,18 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--eps", type=float, default=0.0)
     dist.add_argument("--full", action="store_true",
                       help="write the full symmetric matrix")
-    common(dist)
+    dist.add_argument("--out")
 
     sim = sub.add_parser("simulate", help="Monte Carlo study")
     sim.set_defaults(run=cmd_simulate)
     sim.add_argument("--scenario", choices=tuple(SCENARIOS), default="nb")
-    sim.add_argument("--n", type=int, default=_env_default("n", 100, int))
-    sim.add_argument("--m", type=int, default=_env_default("m", 200, int))
-    sim.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
+    sim.add_argument("--n", type=int, default=100)
+    sim.add_argument("--m", type=int, default=200)
+    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--methods", help="comma-separated method list")
     for name, cast in _SCENARIO_PARAMS:
         sim.add_argument("--" + name.replace("_", "-"), type=cast)
-    common(sim)
+    sim.add_argument("--out")
     return parser
 
 

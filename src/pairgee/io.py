@@ -61,30 +61,43 @@ def _parse_float(cell: str, path, row: int, col: str) -> float:
     return val
 
 
-def load_subjects(path) -> list[SubjectRecord]:
-    """Read a ``subjects`` layout into SubjectRecord objects."""
+def _read_subjects(path, layout: str):
+    """Header, ``id`` column index and an iterator of (row number, stripped
+    id, cells); the iterator raises on a repeated id and, once exhausted, on
+    a file without data rows, so the caller's column checks come first."""
     header, rows = _read_rows(path)
     lower = [h.lower() for h in header]
     if "id" not in lower:
-        raise InputError(f"{path}: subjects layout needs an 'id' column")
+        raise InputError(f"{path}: {layout} layout needs an 'id' column")
     id_col = lower.index("id")
-    x_cols = [j for j, h in enumerate(lower) if h.startswith("x")]
-    y_cols = [j for j, h in enumerate(lower) if h.startswith("y")]
+
+    def subjects():
+        seen = set()
+        for k, row in enumerate(rows, start=2):
+            sid = row[id_col].strip()
+            if sid in seen:
+                raise InputError(f"{path}: row {k}: duplicate subject id {sid!r}")
+            seen.add(sid)
+            yield k, sid, row
+        if not seen:
+            raise InputError(f"{path}: no data rows")
+
+    return header, id_col, subjects()
+
+
+def load_subjects(path) -> list[SubjectRecord]:
+    """Read a ``subjects`` layout into SubjectRecord objects."""
+    header, _, subjects = _read_subjects(path, "subjects")
+    x_cols = [j for j, h in enumerate(header) if h.lower().startswith("x")]
+    y_cols = [j for j, h in enumerate(header) if h.lower().startswith("y")]
     if not y_cols:
         raise InputError(f"{path}: subjects layout needs at least one outcome "
                          f"column (name starting with 'y')")
     records = []
-    seen = set()
-    for k, row in enumerate(rows, start=2):
-        sid = row[id_col].strip()
-        if sid in seen:
-            raise InputError(f"{path}: row {k}: duplicate subject id {sid!r}")
-        seen.add(sid)
+    for k, sid, row in subjects:
         y = [_parse_float(row[j], path, k, header[j]) for j in y_cols]
         x = [_parse_float(row[j], path, k, header[j]) for j in x_cols]
         records.append(SubjectRecord(id=sid, y=np.array(y), x=np.array(x)))
-    if not records:
-        raise InputError(f"{path}: no data rows")
     return records
 
 
@@ -95,21 +108,12 @@ def load_abundance(path) -> list[SubjectRecord]:
     positive entry, since an all-zero row cannot be closed to a
     composition by any pseudocount policy.
     """
-    header, rows = _read_rows(path)
-    lower = [h.lower() for h in header]
-    if "id" not in lower:
-        raise InputError(f"{path}: abundance layout needs an 'id' column")
-    id_col = lower.index("id")
+    header, id_col, subjects = _read_subjects(path, "abundance")
     count_cols = [j for j in range(len(header)) if j != id_col]
     if len(count_cols) < 2:
         raise InputError(f"{path}: abundance layout needs at least 2 count columns")
     records = []
-    seen = set()
-    for k, row in enumerate(rows, start=2):
-        sid = row[id_col].strip()
-        if sid in seen:
-            raise InputError(f"{path}: row {k}: duplicate subject id {sid!r}")
-        seen.add(sid)
+    for k, sid, row in subjects:
         counts = np.array([_parse_float(row[j], path, k, header[j])
                            for j in count_cols])
         if np.any(counts < 0):
@@ -118,8 +122,6 @@ def load_abundance(path) -> list[SubjectRecord]:
             raise InputError(f"{path}: row {k}: all-zero abundance row for "
                              f"subject {sid!r}")
         records.append(SubjectRecord(id=sid, y=counts, x=np.empty(0)))
-    if not records:
-        raise InputError(f"{path}: no data rows")
     return records
 
 

@@ -150,26 +150,34 @@ def icc_pair_kernel(r1: np.ndarray, r2: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A pairwise response function with its declared shape and symmetry.
+    """A pairwise response function and its output dimension.
 
-    ``func`` is only used for ``kind="custom"`` and must be a pure function
-    of two outcome vectors returning a float (output_dim 1) or a sequence
-    (output_dim > 1).  Custom kernels declare ``symmetric`` themselves; the
-    projection machinery handles either case, adding each stored ordered
-    score to both members of the pair.
+    A built-in kind fixes its ``output_dim`` (2 for ``icc``, else 1);
+    ``ties`` (``le`` or ``midrank``) is read by ``mww`` alone.  ``func`` is
+    only used for ``kind="custom"`` and must be a pure function of two
+    outcome vectors returning a float (output_dim 1) or a sequence
+    (output_dim > 1).  The kernel need not be symmetric: the projection
+    machinery adds each stored ordered score to both members of the pair.
     """
 
     kind: str
-    output_dim: int = 1
+    output_dim: int | None = None
     func: Callable | None = None
-    symmetric: bool = True
     ties: str = "le"
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InputError(f"unknown kernel kind {self.kind!r}")
+        if self.ties not in ("le", "midrank"):
+            raise InputError(f"unknown tie convention {self.ties!r}")
         if self.kind == "custom" and self.func is None:
             raise InputError("custom kernel needs a function")
+        dim = 2 if self.kind == "icc" else 1
+        if self.output_dim is None:
+            object.__setattr__(self, "output_dim", dim)
+        elif self.output_dim != dim and self.kind != "custom":
+            raise InputError(f"{self.kind} kernel has output_dim {dim}, "
+                             f"got {self.output_dim}")
 
     @staticmethod
     def aitchison() -> "Kernel":
@@ -177,7 +185,7 @@ class Kernel:
 
     @staticmethod
     def mww(ties: str = "le") -> "Kernel":
-        return Kernel("mww", symmetric=False, ties=ties)
+        return Kernel("mww", ties=ties)
 
     @staticmethod
     def sqhalfdiff() -> "Kernel":
@@ -185,11 +193,11 @@ class Kernel:
 
     @staticmethod
     def icc() -> "Kernel":
-        return Kernel("icc", output_dim=2)
+        return Kernel("icc")
 
     @staticmethod
-    def custom(func: Callable, output_dim: int = 1, symmetric: bool = True) -> "Kernel":
-        return Kernel("custom", output_dim=output_dim, func=func, symmetric=symmetric)
+    def custom(func: Callable, output_dim: int = 1) -> "Kernel":
+        return Kernel("custom", output_dim=output_dim, func=func)
 
 
 def pairwise_responses(kernel: Kernel, Y: np.ndarray,

@@ -91,11 +91,10 @@ def onehot_pair_labels(levels: int) -> list[tuple[int, int]]:
     return [(k1, k2) for k1 in range(1, levels + 1) for k2 in range(k1, levels + 1)]
 
 
-def _onehot_slot(k1: int, k2: int, levels: int) -> int:
-    # row-major over k1 <= k2: slot = offset of row k1 + (k2 - k1)
-    lo, hi = (k1, k2) if k1 <= k2 else (k2, k1)
-    start = (lo - 1) * levels - (lo - 1) * (lo - 2) // 2
-    return start + (hi - lo)
+def _onehot_slot(lo, hi, levels: int):
+    # row-major over lo <= hi: slot = offset of row lo + (hi - lo); scalars
+    # or integer arrays
+    return (lo - 1) * levels - (lo - 1) * (lo - 2) // 2 + (hi - lo)
 
 
 def encode_pair_onehot(x1: int, x2: int, levels: int) -> np.ndarray:
@@ -115,7 +114,7 @@ def encode_pair_onehot(x1: int, x2: int, levels: int) -> np.ndarray:
     if not (1 <= k1 <= levels and 1 <= k2 <= levels):
         raise InputError(f"level pair ({k1}, {k2}) outside 1..{levels}")
     out = np.zeros(levels + levels * (levels - 1) // 2)
-    out[_onehot_slot(k1, k2, levels)] = 1.0
+    out[_onehot_slot(min(k1, k2), max(k1, k2), levels)] = 1.0
     return out
 
 
@@ -183,9 +182,8 @@ def pair_covariate_matrix(spec: PairCovariate, X: np.ndarray,
         raise InputError("categorical covariate has non-integer levels")
     if ints.min(initial=levels) < 1 or ints.max(initial=1) > levels:
         raise InputError(f"categorical level outside 1..{levels}")
-    lo = np.minimum(ints[i1], ints[i2])
-    hi = np.maximum(ints[i1], ints[i2])
-    slots = (lo - 1) * levels - (lo - 1) * (lo - 2) // 2 + (hi - lo)
+    slots = _onehot_slot(np.minimum(ints[i1], ints[i2]),
+                         np.maximum(ints[i1], ints[i2]), levels)
     out = np.zeros((len(i1), spec.output_dim(1)))
     out[np.arange(len(i1)), slots] = 1.0
     return out

@@ -55,6 +55,13 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 # Generators
 # --------------------------------------------------------------------------- #
 
+def _rng(seed_or_rng) -> np.random.Generator:
+    """A generator as given, or ``make_rng`` of a seed."""
+    if isinstance(seed_or_rng, np.random.Generator):
+        return seed_or_rng
+    return make_rng(seed_or_rng)
+
+
 def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
                     beta1: float = 3.0, a: float = 0.0, b: float = 1.0) -> PairData:
     """Overdispersed pairwise counts with a log-linear mean in x1 + x2.
@@ -65,8 +72,7 @@ def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
     """
     if tau <= 0 or b <= a:
         raise InputError("need tau > 0 and b > a")
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else make_rng(seed_or_rng)
+    rng = _rng(seed_or_rng)
     xs = rng.uniform(a, b, size=n)
     pairs = enumerate_pairs(n)
     xp = xs[pairs[:, 0]] + xs[pairs[:, 1]]
@@ -93,8 +99,7 @@ def gen_linear_exogenous(n: int, seed_or_rng, beta: float = 1.0,
     """
     if sigma_x <= 0 or sigma_eps <= 0:
         raise InputError("scale parameters must be positive")
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else make_rng(seed_or_rng)
+    rng = _rng(seed_or_rng)
     x = rng.normal(0.0, sigma_x, size=n)
     y = beta * x + rng.normal(0.0, sigma_eps, size=n)
     return LinearData(x, y, beta, sigma_x, sigma_eps)
@@ -138,8 +143,7 @@ def gen_icc_ratings(n: int, raters: int, seed_or_rng, mu: float = 0.0,
     gamma = np.asarray(gamma, dtype=float)
     if gamma.size != K or abs(gamma.sum()) > 1e-9:
         raise InputError("rater effects must have length K and sum to zero")
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else make_rng(seed_or_rng)
+    rng = _rng(seed_or_rng)
     b = rng.normal(0.0, np.sqrt(sigma_b2), size=n)
     if sigma_bg2 > 0:
         bg = rng.normal(0.0, np.sqrt(sigma_bg2 * K / (K - 1)), size=(n, K))
@@ -167,18 +171,17 @@ def gen_mww_probit(n: int, seed_or_rng, beta=1.0,
     default sigma2_half = 1/2 the difference of two noise terms is standard
     normal, so P(Y1 <= Y2 | X) = Phi(-beta'(x1 - x2)) exactly.
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else make_rng(seed_or_rng)
+    rng = _rng(seed_or_rng)
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     x = rng.normal(0.0, 1.0, size=(n, beta.size))
     y = x @ beta + rng.normal(0.0, np.sqrt(sigma2_half), size=n)
     return MwwData(x, y, beta)
 
 
-def mww_pair_data(d: MwwData, ties: str = "le") -> PairData:
+def mww_pair_data(d: MwwData) -> PairData:
     pairs = enumerate_pairs(len(d.y))
     i1, i2 = pairs[:, 0], pairs[:, 1]
-    f = pairwise_responses(Kernel.mww(ties), d.y[:, None], i1, i2)
+    f = pairwise_responses(Kernel.mww(), d.y[:, None], i1, i2)
     x = pair_covariate_matrix(PairCovariate("difference"), d.x, i1, i2)
     return PairData(n=len(d.y), i1=i1, i2=i2, x=x, f=f)
 

@@ -180,17 +180,20 @@ def test_simulate_writes_reproducible_reports(tmp_path):
     assert header == "scenario,n,method,param,est,asy,emp,failures"
 
 
-@pytest.mark.parametrize("var,value", [("PAIRGEE_TOL", "abc"),
-                                       ("PAIRGEE_MAX_ITER", "x"),
-                                       ("PAIRGEE_WORKING_VARIANCE", "constant"),
-                                       ("PAIRGEE_LINK", "bogus"),
-                                       ("PAIRGEE_LAYOUT", "bogus")])
-def test_malformed_environment_default_exits_2(tmp_path, monkeypatch, capsys,
-                                               var, value):
-    monkeypatch.setenv(var, value)
-    path = _write(tmp_path, "s.csv", "id,x1,y1\na,0,1\nb,1,2\nc,2,2\n")
-    assert main(["fit", "--data", path, "--kernel", "sqhalfdiff"]) == 2
-    assert var in capsys.readouterr().err
+def test_environment_variables_are_not_read(tmp_path, monkeypatch, capsys):
+    subjects = _write(tmp_path, "s.csv", "id,x1,y1\na,0,1\nb,1,2\nc,2,2\n")
+    abundance = _write(tmp_path, "ab.csv", "id,t1,t2\na,1,3\nb,2,2\nc,5,1\n")
+    fit = ["fit", "--data", subjects, "--kernel", "sqhalfdiff"]
+    assert main(fit) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setenv("PAIRGEE_LINK", "bogus")
+    monkeypatch.setenv("PAIRGEE_TOL", "abc")
+    monkeypatch.setenv("PAIRGEE_OUT", str(tmp_path / "env.json"))
+    assert main(["distance", "--data", abundance]) == 0
+    capsys.readouterr()
+    assert main(fit) == 0
+    assert capsys.readouterr().out == expected
+    assert not (tmp_path / "env.json").exists()
 
 
 def test_simulate_invalid_report_exits_nonzero(tmp_path):
@@ -232,9 +235,7 @@ def _action(parser, dest):
     return next(a for a in parser._actions if a.dest == dest)
 
 
-def test_fit_solver_defaults_are_fit_config_defaults(monkeypatch):
-    monkeypatch.delenv("PAIRGEE_TOL", raising=False)
-    monkeypatch.delenv("PAIRGEE_MAX_ITER", raising=False)
+def test_fit_solver_defaults_are_fit_config_defaults():
     fit = _subparser("fit")
     assert _action(fit, "tol").default == FitConfig.tol_eq
     assert _action(fit, "max_iter").default == FitConfig.max_iter

@@ -164,6 +164,14 @@ def test_mww_midrank_vectorised():
     assert np.array_equal(vals, [0.5, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("make", [lambda: Kernel.mww(ties="midrnak"),
+                                  lambda: Kernel("mww", output_dim=2)],
+                         ids=["ties", "output_dim"])
+def test_kernel_rejects_unknown_ties_and_a_wrong_output_dim(make):
+    with pytest.raises(InputError):
+        make()
+
+
 def test_custom_kernel_failure_carries_pair():
     def bad(y1, y2):
         if y1[0] > 0.5:

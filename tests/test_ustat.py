@@ -76,6 +76,12 @@ def test_ustat_vector_kernel():
     assert np.allclose(val, brute, rtol=1e-12)
 
 
+def test_ustat_builtin_kernel_takes_its_output_dim_from_its_kind():
+    r = np.random.default_rng(4).normal(size=(9, 3))
+    assert np.array_equal(ustatistic_mean(Kernel("icc"), r),
+                          ustatistic_mean(Kernel.icc(), r))
+
+
 # ------------------------------------------------------------ hajek scores
 
 def test_hajek_three_subjects_explicit():
