@@ -1,10 +1,11 @@
 """Command-line entry points: ``fit``, ``distance``, ``simulate``.
 
 Each ``cmd_*`` takes the namespace argparse returns; flag choices and
-solver defaults come from the library.  A ``simulate`` parameter flag is a
-keyword of the scenario generators and applies only to scenarios whose
-generator takes it; any other one is an input error, as is a method that
-does not apply to the scenario.
+solver defaults come from the library.  A ``fit`` flag that the layout and
+kernel do not read is an input error.  The ``simulate`` parameter flags are
+the scenario generators' keywords with numeric defaults; each applies only
+to scenarios whose generator takes it, any other one is an input error, as
+is a method that does not apply to the scenario.
 
 Exit codes: 0 success, 1 non-convergence or invalid simulation report,
 2 input error.  Settings come from the arguments alone.  Numbers in result
@@ -14,13 +15,14 @@ files are serialised with ``repr``, which round-trips float64 exactly.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 import numpy as np
 from scipy.special import ndtr
 
-from . import __version__
+from . import __version__, simulate
 from .errors import InputError, NonConvergence
 from .fit import FitConfig, PairData, adaptive_fit, build_pairs, fit_icc
 from .io import LAYOUTS, load_dataset
@@ -33,10 +35,23 @@ from .simulate import SCENARIOS, McConfig, run_monte_carlo
 from .ustat import CHUNK_PAIRS, chunk_slices, enumerate_pairs
 
 _PAIR_FLAGS = {"diff": "difference", "sum": "sum", "concat": "concatenate"}
-# simulate flags that set a keyword of the scenario's generator (dest, type)
-_SCENARIO_PARAMS = tuple((name, float) for name in (
-    "tau", "beta0", "beta1", "a", "b", "beta", "sigma_x", "sigma_eps", "mu",
-    "sigma_b2", "sigma_bg2", "sigma_e2")) + (("raters", int),)
+
+
+def _scenario_params() -> tuple:
+    """The simulate flags as (dest, type): one per scenario-generator keyword
+    whose default, from the generator's signature or the scenario's
+    ``defaults``, is an int or a float, typed as that default."""
+    flags = {}
+    for row in SCENARIOS.values():
+        signature = inspect.signature(getattr(simulate, row.generator))
+        for name, param in signature.parameters.items():
+            default = row.defaults.get(name, param.default)
+            if type(default) in (int, float):
+                flags.setdefault(name, type(default))
+    return tuple(flags.items())
+
+
+_SCENARIO_PARAMS = _scenario_params()
 
 
 def _fit_config(args: argparse.Namespace) -> FitConfig:
@@ -80,8 +95,25 @@ def _result_payload(res) -> dict:
     }
 
 
+def _reject_unread_flags(args: argparse.Namespace) -> None:
+    """A given ``fit`` flag that the layout and kernel do not read is an
+    input error; only the subjects layout has covariates for ``--pair``."""
+    subjects = args.layout != "pairs"
+    reads = {"kernel": subjects,
+             "pair": args.layout == "subjects" and args.kernel != "icc",
+             "ties": subjects and args.kernel == "mww",
+             "pseudocount": subjects and args.kernel == "aitchison",
+             "eps": subjects and args.kernel == "aitchison"}
+    unread = [f"--{flag}" for flag, read in reads.items()
+              if not read and getattr(args, flag) is not None]
+    if unread:
+        raise InputError(f"{', '.join(unread)} not read with --layout {args.layout}"
+                         f" and --kernel {args.kernel or '(none)'}")
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     """Fit a model to a dataset and write a JSON result."""
+    _reject_unread_flags(args)
     dataset = load_dataset(args.data, args.layout)
 
     if args.kernel == "icc":
@@ -97,10 +129,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 raise InputError("subject-level layouts need --kernel")
             if args.kernel == "aitchison" and args.layout != "abundance":
                 raise InputError("aitchison kernel needs the abundance layout")
-            pseudo = args.pseudocount if args.kernel == "aitchison" else None
-            data = build_pairs(dataset, Kernel(args.kernel, ties=args.ties),
+            pseudo = args.pseudocount or "half-min"
+            data = build_pairs(dataset, Kernel(args.kernel, ties=args.ties or "le"),
                                pair_covariate=_parse_pair_flag(args.pair),
-                               pseudocount=pseudo, eps=args.eps)
+                               pseudocount=pseudo if args.kernel == "aitchison" else None,
+                               eps=args.eps or 0.0)
         model = FrmModel(link=args.link,
                          working_variance=WorkingVariance(
                              VARIANCE_FLAGS.get(args.working_variance,
@@ -201,11 +234,12 @@ def _build_parser() -> argparse.ArgumentParser:
     icpt.add_argument("--intercept", dest="intercept", action="store_true",
                       default=True)
     icpt.add_argument("--no-intercept", dest="intercept", action="store_false")
-    fit.add_argument("--ties", choices=("le", "midrank"), default="le")
+    fit.add_argument("--ties", choices=("le", "midrank"),
+                     help="mww tie convention (default le)")
     fit.add_argument("--pseudocount", choices=("half-min", "additive"),
-                     default="half-min")
-    fit.add_argument("--eps", type=float, default=0.0,
-                     help="additive pseudocount size")
+                     help="aitchison zero repair (default half-min)")
+    fit.add_argument("--eps", type=float,
+                     help="additive pseudocount size (default 0)")
     fit.add_argument("--tol", type=float, default=FitConfig.tol_eq)
     fit.add_argument("--max-iter", dest="max_iter", type=int,
                      default=FitConfig.max_iter)

@@ -222,13 +222,10 @@ def _quasi_objective(wv, f: np.ndarray, h: np.ndarray, r: np.ndarray,
     return float(np.sum(f * np.log(h) - h) / scale)
 
 
-def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
-    """Quasi-objective, pair scores and scoring matrix of one pair chunk.
-
-    The chunk's design (with its intercept column), the mean, its
-    derivative and the working variance are built once and shared by all
-    three.
-    """
+def _chunk_mean(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
+    """Design (with its intercept column), linear predictor, mean and mean
+    derivative of one pair chunk, returned as (xa, eta, h, g); a
+    non-finite mean is an EvaluationError naming its pair."""
     xa = augment(data.x[sl], model.intercept)
     eta = xa @ beta
     h, g = link_mean_deriv(model.link, eta)
@@ -237,6 +234,13 @@ def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
         raise EvaluationError(
             f"non-finite mean on pair ({int(data.i1[k])}, {int(data.i2[k])})",
             pair=(int(data.i1[k]), int(data.i2[k])), eta=float(eta.max()))
+    return xa, eta, h, g
+
+
+def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
+    """Quasi-objective, pair scores and scoring matrix of one pair chunk,
+    all three from one ``_chunk_mean`` and one working variance."""
+    xa, eta, h, g = _chunk_mean(model, data, beta, sl)
     wv = model.working_variance
     comp = link_complement(model.link, eta, h) if wv.kind == "bernoulli" else None
     V = variance_eval(wv, h, rows=sl, complement=comp)
@@ -248,15 +252,16 @@ def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
     return _quasi_objective(wv, f, h, r, V, comp), s, J
 
 
-def _bind(model, data: PairData):
-    """The model-specific side of a fit on ``data``.
+def _bind(model, data: PairData, beta=None):
+    """The model-specific side of a fit on ``data`` at ``beta``.
 
-    Returns (terms, names, start): ``terms(theta, sl)`` gives the
+    Returns (terms, names, beta): ``terms(theta, sl)`` gives the
     quasi-objective, the pair scores and the scoring matrix of the pair
-    chunk ``sl``; ``names`` names the q parameters; ``start`` is the
-    default initial value.  This is the only code that tells the scalar
-    model from the two-dimensional moment models, whose mean h and
-    gradient D are the same for every pair.
+    chunk ``sl``; ``names`` names the q parameters; ``beta`` is the given
+    value as a float array, or the model's default start when None.  A
+    ``beta`` other than q finite values is an InputError.  This is the
+    only code that tells the scalar model from the two-dimensional moment
+    models, whose mean h and gradient D are the same for every pair.
     """
     if isinstance(model, FrmModel):
         q = data.x.shape[1] + int(model.intercept)
@@ -273,21 +278,27 @@ def _bind(model, data: PairData):
         def terms(beta, sl):
             return _chunk_terms(model, data, beta, sl)
 
-        return terms, names, _default_init(model, data, q)
+        beta = _default_init(model, data, q) if beta is None else beta
+    else:
+        R = model.responses(data.f)
+        V = R.var(axis=0, ddof=1)
+        if np.any(~np.isfinite(V) | (V <= 0)):
+            raise EvaluationError("degenerate pairwise responses: a component has "
+                                  "zero empirical variance")
+        names = model.param_names
 
-    R = model.responses(data.f)
-    V = R.var(axis=0, ddof=1)
-    if np.any(~np.isfinite(V) | (V <= 0)):
-        raise EvaluationError("degenerate pairwise responses: a component has "
-                              "zero empirical variance")
+        def terms(theta, sl):
+            h, D = model.mean_map(theta)
+            resid = R[sl] - h        # (chunk, 2)
+            merit = float(np.sum(-0.5 * resid * resid / V))
+            return merit, (resid / V) @ D, len(resid) * D.T @ (D / V[:, None])
 
-    def terms(theta, sl):
-        h, D = model.mean_map(theta)
-        resid = R[sl] - h        # (chunk, 2)
-        merit = float(np.sum(-0.5 * resid * resid / V))
-        return merit, (resid / V) @ D, len(resid) * D.T @ (D / V[:, None])
-
-    return terms, model.param_names, model.init_theta(R)
+        beta = model.init_theta(R) if beta is None else beta
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (len(names),) or not np.all(np.isfinite(beta)):
+        raise InputError(f"beta must hold {len(names)} finite values, one per "
+                         f"model parameter; got {beta.tolist()}")
+    return terms, names, beta
 
 
 def _pair_pass(terms, data: PairData, beta: np.ndarray, sandwich: bool = False):
@@ -314,13 +325,7 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray):
     U = sum_i D_i' V_i^-1 (f_i - h_i)   and   J = sum_i D_i' V_i^-1 D_i,
     accumulated over ``CHUNK_PAIRS``-pair chunks in index order.
     """
-    beta = np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(beta)):
-        raise InputError("beta must be finite")
-    terms, names, _ = _bind(model, data)
-    if beta.size != len(names):
-        raise InputError(f"beta length {beta.size} does not match the "
-                         f"{len(names)} model parameters")
+    terms, _, beta = _bind(model, data, beta)
     _, U, J = _pair_pass(terms, data, beta)
     return U, J
 
@@ -376,7 +381,7 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig):
             raise EvaluationError("quasi-objective is not finite")
         return m, U, J
 
-    beta = np.asarray(beta0, dtype=float).copy()
+    beta = beta0.copy()
     m, U, J = point(beta)
     iterations = 0
     flagged = 0
@@ -435,16 +440,10 @@ def _solve(model, data: PairData, config: FitConfig) -> FitResult:
     """``solve_ugee`` up to the sandwich: a converged result comes back with
     ``cov_beta``, ``b_matrix`` and ``sigma_u`` left None for the caller to
     fill; NonConvergence still carries a result with its sandwich."""
-    terms, names, start = _bind(model, data)
+    terms, names, theta0 = _bind(model, data, config.init_beta)
     q = len(names)
     if data.n < q + 1:
         raise InputError(f"need at least {q + 1} subjects to fit {q} parameters")
-    theta0 = (np.asarray(config.init_beta, dtype=float)
-              if config.init_beta is not None else start)
-    if theta0.size != q:
-        raise InputError(f"init_beta length {theta0.size} does not match {q}")
-    if not np.all(np.isfinite(theta0)):
-        raise InputError("beta must be finite")
 
     def evaluate(theta):
         return _pair_pass(terms, data, theta)
@@ -499,9 +498,8 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
                 is false)
     """
     n, N = data.n, data.n_pairs
-    terms, _, _ = _bind(model, data)
-    _, _, B_sum, acc, Z2 = _pair_pass(terms, data, np.asarray(beta, dtype=float),
-                                      sandwich=True)
+    terms, _, beta = _bind(model, data, beta)
+    _, _, B_sum, acc, Z2 = _pair_pass(terms, data, beta, sandwich=True)
 
     B = B_sum / N
     cond = np.linalg.cond(B)
@@ -539,16 +537,22 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
                phi = 1/tau, minimised at phi = sum((r^2 - h) h^2) / sum(h^4).
                tau at or above 0.99 NB_TAU_MAX (including phi <= 0)
                returns inf, meaning variance-equals-mean
+
+    Any other model, the moment models included, is an InputError.  The
+    model, the data and ``beta`` pass the solver's checks, and a
+    non-finite mean is an EvaluationError naming its pair.
     """
-    kind = model.working_variance.kind
+    wv = getattr(model, "working_variance", None)   # the moment models have none
+    if wv is None or not wv.has_nuisance:
+        raise InputError(f"{wv.kind if wv else type(model).__name__} has no "
+                         f"working-variance nuisance")
+    _, _, beta = _bind(model, data, beta)
+    kind = wv.kind
     if kind == "constant":
         return float(np.var(data.f, ddof=1))
-    if kind not in ("propmean", "nb"):
-        raise InputError(f"working variance kind {kind!r} has no nuisance parameter")
-    beta = np.asarray(beta, dtype=float)
 
     def part(sl: slice):
-        h, _ = link_mean_deriv(model.link, augment(data.x[sl], model.intercept) @ beta)
+        _, _, h, _ = _chunk_mean(model, data, beta, sl)
         r2 = data.f[sl] - h
         r2 *= r2
         if kind == "nb":
@@ -568,15 +572,6 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
     return max(1.0 / ratio, NB_TAU_MIN)
 
 
-def _initial_nuisance(model, data: PairData) -> float:
-    kind = model.working_variance.kind
-    if kind == "constant":
-        return float(np.var(data.f, ddof=1))
-    if kind == "propmean":
-        return 1.0
-    return float("inf")  # nb: start from variance-equals-mean
-
-
 def _nuisance_close(new: float, old: float) -> bool:
     if np.isinf(new) or np.isinf(old):
         return new == old
@@ -594,24 +589,28 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     Working variances without a nuisance parameter are solved directly
     (zero adaptive rounds).  The scale nuisances, c of ``constant`` and
     tau2 of ``propmean``, cancel from the estimating equations and from
-    the sandwich: they are solved once at their initial value, and the
-    nuisance is estimated once at the solution (one round).  The ``nb``
-    dispersion changes the weights, so its estimation alternates with
-    re-solving until it settles; NonConvergence carries the trace of its
-    iterates if it does not.  ``iterations`` is summed over all solves.
+    the sandwich, so they take one solve (one round): c is var(f) at any
+    beta and is set before it, tau2 starts at 1 and is estimated once at
+    the solution.  The ``nb`` dispersion changes the weights, so its
+    estimation alternates with re-solving until it settles; NonConvergence
+    carries the trace of its iterates if it does not.  ``iterations`` is
+    summed over all solves.
     """
     config = config or FitConfig()
-    if not isinstance(model, FrmModel) or not model.working_variance.has_nuisance:
+    wv = getattr(model, "working_variance", None)   # the moment models have none
+    if wv is None or not wv.has_nuisance:
         return solve_ugee(model, data, config)
 
-    value = _initial_nuisance(model, data)
+    # c of constant is var(f) at every beta; nb starts at variance-equals-mean
+    value = (float(np.var(data.f, ddof=1)) if wv.kind == "constant"
+             else 1.0 if wv.kind == "propmean" else float("inf"))
     trace = [value]
     result = _solve(_with_nuisance(model, value), data, config)
     iterations = result.iterations
     rounds, done = 1, True
-    if model.working_variance.kind != "nb":
+    if wv.kind == "propmean":
         value = estimate_nuisance(model, data, result.beta)
-    else:
+    elif wv.kind == "nb":
         for rounds in range(1, ADAPTIVE_MAX_ROUNDS + 1):
             new = estimate_nuisance(model, data, result.beta)
             trace.append(new)

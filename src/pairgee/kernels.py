@@ -152,12 +152,13 @@ def icc_pair_kernel(r1: np.ndarray, r2: np.ndarray) -> tuple[float, float]:
 class Kernel:
     """A pairwise response function and its output dimension.
 
-    A built-in kind fixes its ``output_dim`` (2 for ``icc``, else 1);
-    ``ties`` (``le`` or ``midrank``) is read by ``mww`` alone.  ``func`` is
-    only used for ``kind="custom"`` and must be a pure function of two
-    outcome vectors returning a float (output_dim 1) or a sequence
-    (output_dim > 1).  The kernel need not be symmetric: the projection
-    machinery adds each stored ordered score to both members of the pair.
+    A built-in kind fixes its ``output_dim`` (2 for ``icc``, else 1), and
+    a custom one needs it at least 1; ``ties`` (``le`` or ``midrank``) is
+    read by ``mww`` alone.  ``func`` is only used for ``kind="custom"`` and
+    must be a pure function of two outcome vectors returning a float
+    (output_dim 1) or a sequence (output_dim > 1).  The kernel need not be
+    symmetric: the projection machinery adds each stored ordered score to
+    both members of the pair.
     """
 
     kind: str
@@ -177,6 +178,9 @@ class Kernel:
             object.__setattr__(self, "output_dim", dim)
         elif self.output_dim != dim and self.kind != "custom":
             raise InputError(f"{self.kind} kernel has output_dim {dim}, "
+                             f"got {self.output_dim}")
+        elif self.output_dim < 1:
+            raise InputError(f"custom kernel output_dim must be >= 1, "
                              f"got {self.output_dim}")
 
     @staticmethod

@@ -7,8 +7,7 @@ covariate constructions for a pair, link evaluation with analytic
 gradients, and the dedicated mean maps of the two-dimensional models
 (rater-agreement and mean/variance-of-distance).
 
-Everything here is value-semantics and side-effect free; instances can be
-shared freely across threads.
+Everything here is value-semantics and side-effect free.
 """
 
 from __future__ import annotations

@@ -163,18 +163,17 @@ class MwwData(NamedTuple):
     beta: np.ndarray
 
 
-def gen_mww_probit(n: int, seed_or_rng, beta=1.0,
-                   sigma2_half: float = 0.5) -> MwwData:
+def gen_mww_probit(n: int, seed_or_rng, beta=1.0) -> MwwData:
     """Subject outcomes whose pairwise rank indicator follows a probit law.
 
-    Y = beta'X + eps with eps ~ N(0, sigma2_half) and X ~ N(0, I); with the
-    default sigma2_half = 1/2 the difference of two noise terms is standard
-    normal, so P(Y1 <= Y2 | X) = Phi(-beta'(x1 - x2)) exactly.
+    Y = beta'X + eps with eps ~ N(0, 1/2) and X ~ N(0, I): the difference
+    of two noise terms is standard normal, so
+    P(Y1 <= Y2 | X) = Phi(-beta'(x1 - x2)) exactly.
     """
     rng = _rng(seed_or_rng)
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     x = rng.normal(0.0, 1.0, size=(n, beta.size))
-    y = x @ beta + rng.normal(0.0, np.sqrt(sigma2_half), size=n)
+    y = x @ beta + rng.normal(0.0, np.sqrt(0.5), size=n)
     return MwwData(x, y, beta)
 
 

@@ -109,6 +109,33 @@ def test_fit_kernel_layout_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["--layout", "pairs", "--kernel", "mww", "--pair", "onehot:3", "--ties",
+      "midrank", "--pseudocount", "additive"], "--kernel, --pair, --ties, --pseudocount"),
+    (["--layout", "pairs", "--eps", "0.5"], "--eps"),
+    (["--kernel", "sqhalfdiff", "--pair", "diff", "--ties", "le"], "--ties"),
+    (["--kernel", "mww", "--pseudocount", "half-min", "--eps", "0"], "--pseudocount, --eps"),
+    (["--kernel", "icc", "--pair", "diff"], "--pair"),
+    (["--layout", "abundance", "--kernel", "aitchison", "--pair", "diff"], "--pair"),
+], ids=["pairs", "pairs-eps", "ties", "pseudocount", "icc-pair", "abundance-pair"])
+def test_fit_flag_the_layout_and_kernel_do_not_read_exits_2(tmp_path, capsys,
+                                                             argv, unread):
+    # each run exits 0 without the unread flags
+    pairs, _ = _write_nb_pairs_csv(tmp_path, n=12)
+    subjects = _write(tmp_path, "s.csv", "id,x1,y1\n" + "".join(
+        f"s{i},{0.1 * i},{(i * 7) % 5}\n" for i in range(8)))
+    ratings = _write(tmp_path, "r.csv", "id,y1,y2\n" + "".join(
+        f"s{i},{i % 3},{(i * 7) % 5}\n" for i in range(8)))
+    abundance = _write(tmp_path, "ab.csv", "id,t1,t2\na,1,3\nb,2,2\nc,5,1\n")
+    data = {"pairs": pairs, "mww": subjects, "sqhalfdiff": subjects, "icc": ratings,
+            "abundance": abundance}
+    layout_or_kernel = argv[1]
+    code = main(["fit", "--data", data[layout_or_kernel], "--link", "exp",
+                 "--working-variance", "poisson"] + argv)
+    assert code == 2
+    assert f"input error: {unread} not read with" in capsys.readouterr().err
+
+
 def test_fit_scalar_kernel_on_two_outcome_columns_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "subj.csv", "id,x1,y1,y2\n" + "".join(
         f"s{i},{0.1 * i},{0.2 * i},{(i * 7) % 5}\n" for i in range(8)))
@@ -254,3 +281,12 @@ def test_every_simulate_parameter_flag_is_a_generator_keyword():
     for name, _ in _SCENARIO_PARAMS:
         assert name in taken
         assert _action(sim, name).option_strings == ["--" + name.replace("_", "-")]
+
+
+def test_simulate_flags_are_the_generator_keywords_with_numeric_defaults():
+    # int or float defaults, from the signature or the scenario's defaults
+    assert dict(_SCENARIO_PARAMS) == {
+        **dict.fromkeys(("tau", "beta0", "beta1", "a", "b", "beta", "sigma_x",
+                         "sigma_eps", "mu", "sigma_b2", "sigma_bg2", "sigma_e2"),
+                        float),
+        "raters": int}

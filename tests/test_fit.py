@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from pairgee import (EvaluationError, FitConfig, FrmModel, InputError, Kernel,
-                     MeanVarianceModel, NonConvergence, PairCovariate,
+from pairgee import (EvaluationError, FitConfig, FrmModel, IccModel, InputError,
+                     Kernel, MeanVarianceModel, NonConvergence, PairCovariate,
                      PairData, PairScoreTable, SingularInformation, SubjectRecord,
                      WorkingVariance, adaptive_fit, assemble_ugee, build_pairs,
                      enumerate_pairs, estimate_nuisance, fit_icc,
                      fit_mean_variance, gen_icc_ratings, gen_mww_probit,
-                     gen_nb_scenario, hajek_scores, make_rng,
+                     gen_nb_scenario, hajek_scores, icc_pair_data, make_rng,
                      projection_variance, sandwich_variance, solve_ugee)
 
 import pairgee.fit
@@ -391,6 +391,51 @@ def test_estimate_nuisance_rejects_all_zero_means(wv):
     data = gen_nb_scenario(20, 5)
     with pytest.raises(EvaluationError, match="fitted means are all zero"):
         estimate_nuisance(_model(wv=wv), data, np.zeros(1))
+
+
+_NB = FrmModel(link="exp", working_variance=WorkingVariance("nb"), intercept=True)
+_ENTRY_POINTS = {
+    "assemble_ugee": lambda data, beta: assemble_ugee(_NB, data, beta),
+    "sandwich_variance": lambda data, beta: sandwich_variance(_NB, data, beta),
+    "estimate_nuisance": lambda data, beta: estimate_nuisance(_NB, data, beta),
+    "solve_ugee": lambda data, beta: solve_ugee(_NB, data, FitConfig(init_beta=beta)),
+    "adaptive_fit": lambda data, beta: adaptive_fit(_NB, data, FitConfig(init_beta=beta)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_checks_beta_in_one_place(entry):
+    # the nb model has 2 parameters: a short, a long and a NaN beta are
+    # rejected by the same check before any pass over pairs
+    data = gen_nb_scenario(30, 4)
+    for beta in ([3.0], [3.0, 3.0, 0.0], [np.nan, 3.0]):
+        with pytest.raises(InputError, match="beta must hold 2 finite values"):
+            _ENTRY_POINTS[entry](data, np.array(beta))
+
+
+def test_estimate_nuisance_rejects_the_moment_models():
+    data = icc_pair_data(gen_icc_ratings(20, 4, 3).ratings)
+    with pytest.raises(InputError, match="IccModel has no working-variance nuisance"):
+        estimate_nuisance(IccModel(4), data, np.array([1.0, 0.3]))
+
+
+def test_estimate_nuisance_runs_the_solver_model_checks():
+    data = gen_nb_scenario(20, 5)
+    constant = PairData(n=data.n, i1=data.i1, i2=data.i2,
+                        x=np.ones_like(data.x), f=data.f)
+    with pytest.raises(SingularInformation, match="collinear with the intercept"):
+        estimate_nuisance(_NB, constant, np.array([3.0, 0.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_estimate_nuisance_names_the_pair_of_a_non_finite_mean():
+    data = gen_nb_scenario(20, 5)
+    x = data.x.copy()
+    x[7, 0] = 1e300       # the identity-link mean overflows to inf here only
+    wide = PairData(n=data.n, i1=data.i1, i2=data.i2, x=x, f=data.f)
+    with pytest.raises(EvaluationError, match="non-finite mean") as err:
+        estimate_nuisance(_model(wv="propmean"), wide, np.array([1e10]))
+    assert err.value.pair == (int(data.i1[7]), int(data.i2[7]))
 
 
 def test_pair_passes_see_one_chunk_at_a_time(monkeypatch):

@@ -165,8 +165,11 @@ def test_mww_midrank_vectorised():
 
 
 @pytest.mark.parametrize("make", [lambda: Kernel.mww(ties="midrnak"),
-                                  lambda: Kernel("mww", output_dim=2)],
-                         ids=["ties", "output_dim"])
+                                  lambda: Kernel("mww", output_dim=2),
+                                  lambda: Kernel.custom(lambda a, b: 1.0, output_dim=0),
+                                  lambda: Kernel.custom(lambda a, b: 1.0, output_dim=-1)],
+                         ids=["ties", "output_dim", "custom_output_dim_0",
+                              "custom_output_dim_-1"])
 def test_kernel_rejects_unknown_ties_and_a_wrong_output_dim(make):
     with pytest.raises(InputError):
         make()
