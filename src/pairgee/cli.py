@@ -97,18 +97,25 @@ def _result_payload(res) -> dict:
 
 def _reject_unread_flags(args: argparse.Namespace) -> None:
     """A given ``fit`` flag that the layout and kernel do not read is an
-    input error; only the subjects layout has covariates for ``--pair``."""
+    input error; only the subjects layout has covariates for ``--pair``,
+    and the ``icc`` fit reads none of the scalar model's flags.  The data
+    flags are checked before the model flags."""
     subjects = args.layout != "pairs"
-    reads = {"kernel": subjects,
-             "pair": args.layout == "subjects" and args.kernel != "icc",
-             "ties": subjects and args.kernel == "mww",
-             "pseudocount": subjects and args.kernel == "aitchison",
-             "eps": subjects and args.kernel == "aitchison"}
-    unread = [f"--{flag}" for flag, read in reads.items()
-              if not read and getattr(args, flag) is not None]
-    if unread:
-        raise InputError(f"{', '.join(unread)} not read with --layout {args.layout}"
-                         f" and --kernel {args.kernel or '(none)'}")
+    scalar = args.kernel != "icc"
+    data_flags = {"kernel": subjects,
+                  "pair": args.layout == "subjects" and scalar,
+                  "ties": subjects and args.kernel == "mww",
+                  "pseudocount": subjects and args.kernel == "aitchison",
+                  "eps": subjects and args.kernel == "aitchison"}
+    model_flags = {"link": scalar, "working_variance": scalar, "intercept": scalar}
+    for reads in (data_flags, model_flags):
+        unread = ["--no-intercept" if getattr(args, flag) is False
+                  else "--" + flag.replace("_", "-")
+                  for flag, read in reads.items()
+                  if not read and getattr(args, flag) is not None]
+        if unread:
+            raise InputError(f"{', '.join(unread)} not read with --layout "
+                             f"{args.layout} and --kernel {args.kernel or '(none)'}")
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -134,11 +141,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
                                pair_covariate=_parse_pair_flag(args.pair),
                                pseudocount=pseudo if args.kernel == "aitchison" else None,
                                eps=args.eps or 0.0)
-        model = FrmModel(link=args.link,
+        model = FrmModel(link=args.link or "identity",
                          working_variance=WorkingVariance(
-                             VARIANCE_FLAGS.get(args.working_variance,
-                                                args.working_variance)),
-                         intercept=args.intercept)
+                             VARIANCE_FLAGS[args.working_variance or "const"]),
+                         intercept=args.intercept is not False)
         try:
             result = adaptive_fit(model, data, _fit_config(args))
         except NonConvergence as exc:
@@ -226,14 +232,15 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--layout", choices=LAYOUTS, default="subjects")
     fit.add_argument("--kernel", choices=tuple(k for k in KERNEL_KINDS
                                                if k != "custom"))
-    fit.add_argument("--link", choices=LINK_KINDS, default="identity")
+    fit.add_argument("--link", choices=LINK_KINDS, help="(default identity)")
     fit.add_argument("--pair", help="diff | sum | concat | onehot:K")
     fit.add_argument("--working-variance", dest="working_variance",
-                     choices=tuple(VARIANCE_FLAGS), default="const")
+                     choices=tuple(VARIANCE_FLAGS), help="(default const)")
     icpt = fit.add_mutually_exclusive_group()
     icpt.add_argument("--intercept", dest="intercept", action="store_true",
-                      default=True)
-    icpt.add_argument("--no-intercept", dest="intercept", action="store_false")
+                      default=None, help="(default)")
+    icpt.add_argument("--no-intercept", dest="intercept", action="store_false",
+                      default=None)
     fit.add_argument("--ties", choices=("le", "midrank"),
                      help="mww tie convention (default le)")
     fit.add_argument("--pseudocount", choices=("half-min", "additive"),

@@ -223,32 +223,34 @@ def _quasi_objective(wv, f: np.ndarray, h: np.ndarray, r: np.ndarray,
 
 
 def _chunk_mean(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
-    """Design (with its intercept column), linear predictor, mean and mean
-    derivative of one pair chunk, returned as (xa, eta, h, g); a
-    non-finite mean is an EvaluationError naming its pair."""
-    xa = augment(data.x[sl], model.intercept)
-    eta = xa @ beta
+    """Design, linear predictor, mean and mean derivative of one pair chunk,
+    returned as (xt, eta, h, g) with xt the (q, chunk) design of ``augment``
+    (intercept row first); a non-finite mean is an EvaluationError naming
+    its pair."""
+    xt = augment(data.x[sl], model.intercept)
+    eta = beta @ xt
     h, g = link_mean_deriv(model.link, eta)
     if not np.all(np.isfinite(h)):
         k = int(np.argmax(~np.isfinite(h))) + (sl.start or 0)
         raise EvaluationError(
             f"non-finite mean on pair ({int(data.i1[k])}, {int(data.i2[k])})",
             pair=(int(data.i1[k]), int(data.i2[k])), eta=float(eta.max()))
-    return xa, eta, h, g
+    return xt, eta, h, g
 
 
 def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
-    """Quasi-objective, pair scores and scoring matrix of one pair chunk,
-    all three from one ``_chunk_mean`` and one working variance."""
-    xa, eta, h, g = _chunk_mean(model, data, beta, sl)
+    """Quasi-objective, (q, chunk) pair scores and (q, q) scoring matrix of
+    one pair chunk, all three from one ``_chunk_mean`` and one working
+    variance."""
+    xt, eta, h, g = _chunk_mean(model, data, beta, sl)
     wv = model.working_variance
     comp = link_complement(model.link, eta, h) if wv.kind == "bernoulli" else None
     V = variance_eval(wv, h, rows=sl, complement=comp)
     _check_variances(V, data, sl)
     f = data.f[sl]
     r = f - h
-    s = xa * (g * r / V)[:, None]
-    J = (xa * (g * g / V)[:, None]).T @ xa
+    s = xt * (g * r / V)
+    J = (xt * (g * g / V)) @ xt.T
     return _quasi_objective(wv, f, h, r, V, comp), s, J
 
 
@@ -256,10 +258,11 @@ def _bind(model, data: PairData, beta=None):
     """The model-specific side of a fit on ``data`` at ``beta``.
 
     Returns (terms, names, beta): ``terms(theta, sl)`` gives the
-    quasi-objective, the pair scores and the scoring matrix of the pair
-    chunk ``sl``; ``names`` names the q parameters; ``beta`` is the given
-    value as a float array, or the model's default start when None.  A
-    ``beta`` other than q finite values is an InputError.  This is the
+    quasi-objective, the (q, chunk) pair scores and the (q, q) scoring
+    matrix of the pair chunk ``sl``; ``names`` names the q parameters;
+    ``beta`` is the given value as a float array, or the model's default
+    start when None.  A ``beta`` other than q finite values is an
+    InputError.  This is the
     only code that tells the scalar model from the two-dimensional moment
     models, whose mean h and gradient D are the same for every pair.
     """
@@ -289,9 +292,10 @@ def _bind(model, data: PairData, beta=None):
 
         def terms(theta, sl):
             h, D = model.mean_map(theta)
-            resid = R[sl] - h        # (chunk, 2)
-            merit = float(np.sum(-0.5 * resid * resid / V))
-            return merit, (resid / V) @ D, len(resid) * D.T @ (D / V[:, None])
+            resid = R[sl].T - h[:, None]      # (2, chunk)
+            merit = float(np.sum(-0.5 * resid * resid / V[:, None]))
+            return (merit, D.T @ (resid / V[:, None]),
+                    resid.shape[1] * D.T @ (D / V[:, None]))
 
         beta = model.init_theta(R) if beta is None else beta
     beta = np.asarray(beta, dtype=float)
@@ -304,16 +308,18 @@ def _bind(model, data: PairData, beta=None):
 def _pair_pass(terms, data: PairData, beta: np.ndarray, sandwich: bool = False):
     """One pass over the pair chunks at ``beta``: the quasi-objective, U and J.
 
-    With ``sandwich`` the pass also returns the per-subject sums of the
-    pair scores and Z2 = sum of the scores' outer products.  The chunk
-    size is this module's ``CHUNK_PAIRS``, read when the pass runs.
+    With ``sandwich`` the pass also returns the (n, q) per-subject sums of
+    the pair scores and Z2 = sum of the scores' outer products.  ``terms``
+    gives each chunk's scores as a (q, chunk) array, so U and Z2 reduce
+    contiguous rows.  The chunk size is this module's ``CHUNK_PAIRS``, read
+    when the pass runs.
     """
     def part(sl: slice):
         merit, s, J = terms(beta, sl)
         if not sandwich:
-            return merit, s.sum(axis=0), J
-        acc = interleaved_accumulate(data.n, data.i1[sl], data.i2[sl], s)
-        return merit, s.sum(axis=0), J, acc, s.T @ s
+            return merit, s.sum(axis=1), J
+        acc = interleaved_accumulate(data.n, data.i1[sl], data.i2[sl], s.T)
+        return merit, s.sum(axis=1), J, acc, s @ s.T
 
     return chunked_reduce(part, data.n_pairs, chunk=CHUNK_PAIRS)
 

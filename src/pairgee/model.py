@@ -283,11 +283,19 @@ class FrmModel:
 
 
 def augment(x: np.ndarray, intercept: bool) -> np.ndarray:
-    """Prepend an all-ones column when the model has an intercept."""
+    """The (q, m) design of the (m, p) pair covariates ``x``: a leading row
+    of ones when the model has an intercept, then one row per covariate.
+
+    Each row holds one design column over the m pairs contiguously, so
+    products and sums over the pairs read contiguous memory.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if not intercept:
-        return x
-    return np.hstack([np.ones((x.shape[0], 1)), x])
+    first = int(intercept)
+    xt = np.empty((first + x.shape[1], x.shape[0]))
+    if intercept:
+        xt[0] = 1.0
+    xt[first:] = x.T
+    return xt
 
 
 def mean_and_gradient(model: FrmModel, pair_x: np.ndarray,
@@ -300,13 +308,13 @@ def mean_and_gradient(model: FrmModel, pair_x: np.ndarray,
     beta = np.asarray(beta, dtype=float)
     if not np.all(np.isfinite(beta)):
         raise InputError("beta must be finite")
-    xa = augment(np.atleast_1d(pair_x), model.intercept)
-    if xa.shape[1] != beta.size:
+    xt = augment(np.atleast_1d(pair_x), model.intercept)
+    if xt.shape[0] != beta.size:
         raise InputError(f"beta length {beta.size} does not match covariate "
-                         f"dimension {xa.shape[1]}")
-    eta = xa @ beta
+                         f"dimension {xt.shape[0]}")
+    eta = beta @ xt
     h, dh = link_mean_deriv(model.link, eta)
-    return float(h[0]), dh[0] * xa[0]
+    return float(h[0]), dh[0] * xt[:, 0]
 
 
 # --------------------------------------------------------------------------- #

@@ -172,9 +172,12 @@ def interleaved_accumulate(n: int, i1: np.ndarray, i2: np.ndarray,
                            scores: np.ndarray) -> np.ndarray:
     """Per-subject sums of the scores of own pairs, shape (n, q).
 
-    Each pair score is added to both members' sums, starting from zero, in
-    the sequential order (i1[0], i2[0], i1[1], i2[1], ...), which makes the
-    result bit-identical to a plain loop over pairs.
+    ``scores`` is (pairs, q) and is read one column at a time, so the
+    transpose of a row-major (q, pairs) array serves without a copy, each
+    of its columns contiguous.  Each pair score is added to both members'
+    sums, starting from zero, in the sequential order (i1[0], i2[0],
+    i1[1], i2[1], ...), which makes the result bit-identical to a plain
+    loop over pairs.
     """
     idx = np.empty(2 * len(i1), dtype=np.int64)
     idx[0::2] = i1

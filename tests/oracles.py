@@ -68,6 +68,84 @@ def brute_projection_variance(vtil):
     return out / n
 
 
+def _brute_scalar_pair(link, wv_kind, wv_value, eta, f):
+    """Mean derivative g, residual r, working variance V and
+    quasi-likelihood term of one pair of the scalar model."""
+    if link == "identity":
+        h, g, comp = eta, 1.0, 1.0 - eta
+    elif link == "exp":
+        h = math.exp(eta)
+        g, comp = h, 1.0 - h
+    else:  # probitc: h = Phi(-eta)
+        h = 0.5 * math.erfc(eta / math.sqrt(2.0))
+        g = -math.exp(-0.5 * eta * eta) / math.sqrt(2.0 * math.pi)
+        comp = 0.5 * math.erfc(-eta / math.sqrt(2.0))
+    r = f - h
+    if wv_kind == "constant":
+        V = 1.0 if wv_value is None else wv_value
+        q = -0.5 * r * r / V
+    elif wv_kind == "nb":
+        tau = wv_value
+        V = h * (1.0 + h / tau)
+        q = f * math.log(h / (tau + h)) - tau * math.log(tau + h)
+    else:  # bernoulli
+        V = h * comp
+        q = f * math.log(h) + (1.0 - f) * math.log(comp)
+    return g, r, V, q
+
+
+def brute_pair_pass(model, data, beta):
+    """One pair at a time: the quasi-objective, U, J, the (n, q) per-subject
+    sums of the pair scores and Z2 = sum of their outer products.
+
+    ``model`` is a scalar model (``link``, ``working_variance`` of kind
+    constant, nb or bernoulli, ``intercept``) or a rater-agreement model
+    (``raters``), read as plain data.
+    """
+    beta = [float(b) for b in beta]
+    q = len(beta)
+    N = len(data.i1)
+    if hasattr(model, "raters"):
+        K = model.raters
+        tau2, rho = beta
+        c = (1.0 + (K - 1) * rho) / K
+        h = [c * tau2, tau2]
+        D = [[c, (K - 1) * tau2 / K], [1.0, 0.0]]
+        R = [[float(v) for v in row] for row in data.f]
+        V = []
+        for a in range(2):
+            mean = sum(row[a] for row in R) / N
+            V.append(sum((row[a] - mean) ** 2 for row in R) / (N - 1))
+    merit = 0.0
+    U = np.zeros(q)
+    J = np.zeros((q, q))
+    acc = np.zeros((data.n, q))
+    Z2 = np.zeros((q, q))
+    for k in range(N):
+        if hasattr(model, "raters"):
+            r = [R[k][a] - h[a] for a in range(2)]
+            merit += sum(-0.5 * r[a] * r[a] / V[a] for a in range(2))
+            s = np.array([sum(D[a][b] * r[a] / V[a] for a in range(2))
+                          for b in range(q)])
+            Jk = np.array([[sum(D[a][b] * D[a][c] / V[a] for a in range(2))
+                            for c in range(q)] for b in range(q)])
+        else:
+            x = ([1.0] if model.intercept else []) + [float(v) for v in data.x[k]]
+            eta = sum(b * v for b, v in zip(beta, x))
+            wv = model.working_variance
+            g, r, V, term = _brute_scalar_pair(model.link, wv.kind, wv.value,
+                                                  eta, float(data.f[k]))
+            merit += term
+            s = np.array([v * g * r / V for v in x])
+            Jk = np.array([[u * v * g * g / V for v in x] for u in x])
+        U += s
+        J += Jk
+        acc[data.i1[k]] += s
+        acc[data.i2[k]] += s
+        Z2 += np.outer(s, s)
+    return merit, U, J, acc, Z2
+
+
 def pairwise_least_squares(x, f, intercept):
     """Closed-form weighted-by-constant solution of the identity-link equations."""
     x = np.atleast_2d(np.asarray(x, dtype=float))

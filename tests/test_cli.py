@@ -136,6 +136,20 @@ def test_fit_flag_the_layout_and_kernel_do_not_read_exits_2(tmp_path, capsys,
     assert f"input error: {unread} not read with" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--link", "exp"], ["--working-variance", "nb"],
+                                  ["--intercept"], ["--no-intercept"]],
+                         ids=["link", "working-variance", "intercept", "no-intercept"])
+def test_fit_icc_rejects_the_scalar_model_flags(tmp_path, capsys, flag):
+    ratings = _write(tmp_path, "r.csv", "id,y1,y2\n" + "".join(
+        f"s{i},{i % 3},{(i * 7) % 5}\n" for i in range(10)))
+    argv = ["fit", "--data", ratings, "--kernel", "icc", "--out",
+            str(tmp_path / "icc.json")]
+    assert main(argv) == 0
+    assert main(argv + flag) == 2
+    assert (f"input error: {flag[0]} not read with --layout subjects and "
+            f"--kernel icc") in capsys.readouterr().err
+
+
 def test_fit_scalar_kernel_on_two_outcome_columns_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "subj.csv", "id,x1,y1,y2\n" + "".join(
         f"s{i},{0.1 * i},{0.2 * i},{(i * 7) % 5}\n" for i in range(8)))

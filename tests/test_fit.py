@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pairgee import (EvaluationError, FitConfig, FrmModel, IccModel, InputError,
                      Kernel, MeanVarianceModel, NonConvergence, PairCovariate,
@@ -8,13 +12,14 @@ from pairgee import (EvaluationError, FitConfig, FrmModel, IccModel, InputError,
                      enumerate_pairs, estimate_nuisance, fit_icc,
                      fit_mean_variance, gen_icc_ratings, gen_mww_probit,
                      gen_nb_scenario, hajek_scores, icc_pair_data, make_rng,
-                     projection_variance, sandwich_variance, solve_ugee)
+                     mean_and_gradient, projection_variance, sandwich_variance,
+                     solve_ugee)
 
 import pairgee.fit
-from pairgee.fit import _bind, _pair_pass
+from pairgee.fit import _bind, _chunk_mean, _pair_pass
 
-from oracles import (brute_hajek, brute_projection_variance, nb_tau_quadratic,
-                     pairwise_least_squares)
+from oracles import (brute_hajek, brute_pair_pass, brute_projection_variance,
+                     nb_tau_quadratic, pairwise_least_squares)
 
 
 def _model(link="identity", wv="constant", intercept=False, value=None):
@@ -35,7 +40,7 @@ def _random_pairs(rng, n, p=1, beta=None, link="identity", noise=1.0):
 
 def _score_table(model, data, beta):
     """The per-pair scores at ``beta``, evaluated as one chunk."""
-    return PairScoreTable(data.n, _bind(model, data)[0](beta, slice(0, data.n_pairs))[1])
+    return PairScoreTable(data.n, _bind(model, data)[0](beta, slice(0, data.n_pairs))[1].T)
 
 
 # ------------------------------------------------------------- pair data
@@ -151,6 +156,87 @@ def test_merit_gradient_equals_estimating_equations(link, wv, value, monkeypatch
              - _pair_pass(terms, data, beta - step * e)[0]) / (2 * step)
             for e in np.eye(2)]
     assert np.allclose(grad, U, rtol=1e-6, atol=1e-6 * np.max(np.abs(U)))
+
+
+def _pass_case(name):
+    """(model, data, beta) of one pair-pass oracle case; 1225 pairs each."""
+    rng = np.random.default_rng(21)
+    n = 50
+    if name == "icc":
+        return (IccModel(raters=4), icc_pair_data(gen_icc_ratings(n, 4, 22).ratings),
+                np.array([1.2, 0.4]))
+    if name == "identity-const":
+        data = _random_pairs(rng, n, p=2, beta=np.array([0.5, -1.0]))
+        return (_model(wv="constant", value=2.5, intercept=True), data,
+                np.array([0.2, 0.4, -0.7]))
+    if name == "exp-nb":
+        return (_model("exp", "nb", intercept=True, value=4.0),
+                gen_nb_scenario(n, 23), np.array([2.9, 3.2]))
+    pairs = enumerate_pairs(n)
+    if name == "probitc-bernoulli":
+        data = PairData(n=n, i1=pairs[:, 0], i2=pairs[:, 1],
+                        x=rng.normal(size=(len(pairs), 2)),
+                        f=(rng.random(len(pairs)) < 0.4).astype(float))
+        return _model("probitc", "bernoulli"), data, np.array([0.6, -0.3])
+    data = PairData(n=n, i1=pairs[:, 0], i2=pairs[:, 1],   # intercept only
+                    x=np.empty((len(pairs), 0)), f=rng.normal(1.0, 2.0, len(pairs)))
+    return _model(intercept=True), data, np.array([0.8])
+
+
+PASS_CASES = ("identity-const", "exp-nb", "probitc-bernoulli", "intercept-only",
+              "icc")
+
+
+@functools.cache
+def _pass_oracle(name):
+    model, data, beta = _pass_case(name)
+    return model, data, beta, brute_pair_pass(model, data, beta)
+
+
+def _check_pass_against_oracle(name):
+    model, data, beta, want = _pass_oracle(name)
+    terms, _, beta = _bind(model, data, beta)
+    got = _pair_pass(terms, data, beta, sandwich=True)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024, 1225])
+@pytest.mark.parametrize("name", PASS_CASES)
+def test_pair_pass_matches_the_per_pair_loop(name, chunk, monkeypatch):
+    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", chunk)
+    _check_pass_against_oracle(name)
+
+
+@given(name=st.sampled_from(PASS_CASES), chunk=st.integers(1, 1500))
+def test_pair_pass_matches_the_per_pair_loop_at_any_chunk_size(name, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pairgee.fit, "CHUNK_PAIRS", chunk)
+        _check_pass_against_oracle(name)
+
+
+def test_intercept_only_identity_fit_is_the_mean_response():
+    model, data, _ = _pass_case("intercept-only")
+    res = adaptive_fit(model, data)
+    assert res.beta == pytest.approx([np.mean(data.f)], rel=1e-12)
+
+
+def test_one_pair_mean_and_gradient_is_a_row_of_the_chunk_pass():
+    # q = 1, no intercept: the (1, N) design of the pass and the one-pair
+    # design of mean_and_gradient hold the same covariate
+    data = gen_nb_scenario(20, 25)
+    model = _model("exp", "poisson")
+    beta = np.array([3.1])
+    everything = slice(0, data.n_pairs)
+    _, _, h, _ = _chunk_mean(model, data, beta, everything)
+    scores = _bind(model, data)[0](beta, everything)[1]
+    assert scores.shape == (1, data.n_pairs)
+    for k in (0, 7, data.n_pairs - 1):
+        hk, D = mean_and_gradient(model, data.x[k], beta)
+        assert hk == h[k]
+        assert D * (data.f[k] - hk) / hk == pytest.approx(scores[:, k], rel=1e-14)
 
 
 # ------------------------------------------------------------------ solver

@@ -9,7 +9,7 @@ from pairgee import (EvaluationError, FrmModel, InputError, PairCovariate,
                      meanvar_mean_map, onehot_pair_labels, pair_covariate_eval,
                      stack_subjects)
 from pairgee.links import link_complement
-from pairgee.model import pair_covariate_matrix, variance_eval
+from pairgee.model import augment, pair_covariate_matrix, variance_eval
 
 from oracles import central_diff
 
@@ -181,6 +181,15 @@ def test_pair_covariate_matrix_matches_per_pair():
 def _model(link="identity", intercept=True, wv="constant"):
     return FrmModel(link=link, working_variance=WorkingVariance(wv),
                     intercept=intercept)
+
+
+def test_augment_returns_the_design_one_row_per_parameter():
+    x = np.arange(6.0).reshape(3, 2)       # 3 pairs, 2 covariates
+    assert np.array_equal(augment(x, False), x.T)
+    design = augment(x, True)
+    assert np.array_equal(design, [[1, 1, 1], [0, 2, 4], [1, 3, 5]])
+    assert design.flags.c_contiguous
+    assert np.array_equal(augment(np.empty((3, 0)), True), np.ones((1, 3)))
 
 
 def test_mean_and_gradient_exp_with_intercept():
