@@ -9,7 +9,11 @@ is a method that does not apply to the scenario.
 
 Exit codes: 0 success, 1 non-convergence or invalid simulation report,
 2 input error.  Settings come from the arguments alone.  Numbers in result
-files are serialised with ``repr``, which round-trips float64 exactly.
+files are serialised with ``repr``, which round-trips float64 exactly.  A
+fit result's ``z`` and ``p`` are ``FitResult.z`` and ``FitResult.p``, the
+Wald statistic and its two-sided normal p-value erfc(|z| / sqrt 2), so
+this module loads no scipy: an ``exp``-link fit and ``distance`` run
+without it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import json
 import sys
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import __version__, simulate
 from .errors import InputError, NonConvergence
@@ -74,16 +77,12 @@ def _parse_pair_flag(value: str | None) -> PairCovariate | None:
 
 
 def _result_payload(res) -> dict:
-    se = res.se
-    z = np.divide(res.beta, se, out=np.full_like(res.beta, np.nan),
-                  where=se > 0)
-    pvals = 2.0 * ndtr(-np.abs(z))
     return {
         "params": list(res.param_names),
         "beta": [float(v) for v in res.beta],
-        "se": [float(v) for v in se],
-        "z": [None if not np.isfinite(v) else float(v) for v in z],
-        "p": [None if not np.isfinite(v) else float(v) for v in pvals],
+        "se": [float(v) for v in res.se],
+        "z": [None if not np.isfinite(v) else float(v) for v in res.z],
+        "p": [None if not np.isfinite(v) else float(v) for v in res.p],
         "covariance": [[float(v) for v in row] for row in res.cov_beta],
         "nuisance": (None if res.nuisance is None or not np.isfinite(res.nuisance)
                      else float(res.nuisance)),

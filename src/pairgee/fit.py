@@ -37,6 +37,7 @@ uncorrected form.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,6 +182,19 @@ class FitResult:
     def se(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.cov_beta), 0.0, None))
 
+    @property
+    def z(self) -> np.ndarray:
+        """Wald statistics beta / se; NaN where se is 0."""
+        se = self.se
+        return np.divide(self.beta, se, out=np.full_like(self.beta, np.nan),
+                         where=se > 0)
+
+    @property
+    def p(self) -> np.ndarray:
+        """Two-sided normal p-values of ``z``, erfc(|z| / sqrt 2); NaN where
+        se is 0."""
+        return np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in self.z])
+
 
 # --------------------------------------------------------------------------- #
 # Assembly of the estimating equations
@@ -216,7 +230,7 @@ def _quasi_objective(wv, f: np.ndarray, h: np.ndarray, r: np.ndarray,
         return float(np.sum(f * np.log(h) + (1.0 - f) * np.log(comp)))
     if wv.kind == "nb" and wv.value is not None and np.isfinite(wv.value):
         tau = wv.value
-        return float(np.sum(f * np.log(h / (tau + h)) - tau * np.log(tau + h)))
+        return float(f @ np.log(h) - (f + tau) @ np.log(tau + h))
     # poisson, propmean, and nb in its variance-equals-mean limit
     scale = (wv.value or 1.0) if wv.kind == "propmean" else 1.0
     return float(np.sum(f * np.log(h) - h) / scale)

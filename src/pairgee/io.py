@@ -29,7 +29,9 @@ from .model import SubjectRecord
 LAYOUTS = ("subjects", "pairs", "abundance")
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_columns(path) -> tuple[list[str], list[list[str]]]:
+    """Stripped header names and one list of cells per column.  Rows go
+    straight into the column lists, so no row list outlives its line."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -37,17 +39,20 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
                 header = next(reader)
             except StopIteration:
                 raise InputError(f"{path}: empty file, header row required") from None
-            rows = list(reader)
+            header = [name.strip() for name in header]
+            if len(set(header)) != len(header):
+                raise InputError(f"{path}: duplicate column names in header")
+            columns = [[] for _ in header]
+            appends = [column.append for column in columns]
+            for k, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise InputError(f"{path}: row {k} has {len(row)} cells, "
+                                     f"expected {len(header)}")
+                for append, cell in zip(appends, row):
+                    append(cell)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    header = [name.strip() for name in header]
-    if len(set(header)) != len(header):
-        raise InputError(f"{path}: duplicate column names in header")
-    for k, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise InputError(f"{path}: row {k} has {len(row)} cells, "
-                             f"expected {len(header)}")
-    return header, rows
+    return header, columns
 
 
 def _parse_float(cell: str, path, row: int, col: str) -> float:
@@ -65,7 +70,7 @@ def _read_subjects(path, layout: str):
     """Header, ``id`` column index and an iterator of (row number, stripped
     id, cells); the iterator raises on a repeated id and, once exhausted, on
     a file without data rows, so the caller's column checks come first."""
-    header, rows = _read_rows(path)
+    header, columns = _read_columns(path)
     lower = [h.lower() for h in header]
     if "id" not in lower:
         raise InputError(f"{path}: {layout} layout needs an 'id' column")
@@ -73,7 +78,7 @@ def _read_subjects(path, layout: str):
 
     def subjects():
         seen = set()
-        for k, row in enumerate(rows, start=2):
+        for k, row in enumerate(zip(*columns), start=2):
             sid = row[id_col].strip()
             if sid in seen:
                 raise InputError(f"{path}: row {k}: duplicate subject id {sid!r}")
@@ -130,41 +135,57 @@ def load_pairs(path) -> PairData:
 
     Subject ids are mapped to 0-based indices in sorted order.  A pair
     appearing twice (in either orientation) is an error, as is an
-    incomplete set of pairs.
+    incomplete set of pairs.  The checks run on whole columns; only when
+    one fails is the first faulty row looked up (``_first_pair_fault``).
     """
-    header, rows = _read_rows(path)
+    header, columns = _read_columns(path)
     lower = [h.lower() for h in header]
     for need in ("i1", "i2", "f"):
         if need not in lower:
             raise InputError(f"{path}: pairs layout needs column {need!r}")
     c1, c2, cf = lower.index("i1"), lower.index("i2"), lower.index("f")
     x_cols = [j for j in range(len(header)) if j not in (c1, c2, cf)]
-    ids = sorted({row[c1].strip() for row in rows} |
-                 {row[c2].strip() for row in rows})
+    s1 = list(map(str.strip, columns[c1]))
+    s2 = list(map(str.strip, columns[c2]))
+    ids = sorted(set(s1) | set(s2))
     index = {sid: k for k, sid in enumerate(ids)}
-    n = len(ids)
-    i1 = np.empty(len(rows), dtype=np.int64)
-    i2 = np.empty(len(rows), dtype=np.int64)
-    f = np.empty(len(rows))
-    x = np.empty((len(rows), len(x_cols)))
-    seen = set()
-    for k, row in enumerate(rows):
-        a, b = index[row[c1].strip()], index[row[c2].strip()]
-        if a == b:
-            raise InputError(f"{path}: row {k + 2}: pair of a subject with itself")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise InputError(f"{path}: row {k + 2}: duplicate pair "
-                             f"({row[c1].strip()}, {row[c2].strip()})")
-        seen.add(key)
-        i1[k], i2[k] = key
-        f[k] = _parse_float(row[cf], path, k + 2, header[cf])
+    n, n_rows = len(ids), len(s1)
+    a = np.fromiter(map(index.__getitem__, s1), np.int64, count=n_rows)
+    b = np.fromiter(map(index.__getitem__, s2), np.int64, count=n_rows)
+    i1, i2 = np.minimum(a, b), np.maximum(a, b)
+    key = np.sort(i1 * np.int64(n) + i2)
+    try:
+        f = np.fromiter(map(float, columns[cf]), float, count=n_rows)
+        x = np.empty((n_rows, len(x_cols)))
         for jx, j in enumerate(x_cols):
-            x[k, jx] = _parse_float(row[j], path, k + 2, header[j])
+            x[:, jx] = np.fromiter(map(float, columns[j]), float, count=n_rows)
+    except ValueError:
+        faulty = True
+    else:
+        faulty = not (np.isfinite(f).all() and np.isfinite(x).all())
+    if faulty or np.any(a == b) or np.any(key[1:] == key[:-1]):
+        _first_pair_fault(path, header, columns, s1, s2, [cf] + x_cols)
     try:
         return PairData(n=n, i1=i1, i2=i2, x=x, f=f, subject_ids=tuple(ids))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _first_pair_fault(path, header, columns, s1, s2, cells) -> None:
+    """Raise the InputError of the first row of a pairs file at fault: a
+    pair of a subject with itself, a pair seen before (in either
+    orientation), then a cell that is not a finite number, taken in the
+    column order ``cells`` (f, then the covariates in header order)."""
+    seen = set()
+    for k, (a, b) in enumerate(zip(s1, s2)):
+        if a == b:
+            raise InputError(f"{path}: row {k + 2}: pair of a subject with itself")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise InputError(f"{path}: row {k + 2}: duplicate pair ({a}, {b})")
+        seen.add(key)
+        for j in cells:
+            _parse_float(columns[j][k], path, k + 2, header[j])
 
 
 def load_dataset(path, layout: str):

@@ -13,12 +13,15 @@ Available kinds
               rank (Mann-Whitney-type) regressions.  Phi is evaluated with
               ``scipy.special.ndtr`` (Cephes erfc-based implementation,
               absolute error well below 1e-13).
+
+``expit`` and ``probitc`` import ``scipy.special`` on first use, not at
+module level, so a process that fits only the other links never pays its
+start-up time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .errors import EvaluationError, InputError
 
@@ -65,10 +68,14 @@ def link_mean_deriv(kind: str, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         h = np.exp(eta)
         return h, h
     if kind == "expit":
+        from scipy.special import expit
+
         h = expit(eta)
         # 1 - h from eta: 1 - h rounds to 0 for eta >= 37
         return h, h * expit(-eta)
     if kind == "probitc":
+        from scipy.special import ndtr
+
         h = ndtr(-eta)
         dh = -_INV_SQRT_2PI * np.exp(-0.5 * eta * eta)
         return h, dh
@@ -85,7 +92,11 @@ def link_complement(kind: str, eta: np.ndarray, h: np.ndarray) -> np.ndarray:
     a mean outside (0, 1) gives a nonpositive complement.
     """
     if kind == "expit":
+        from scipy.special import expit
+
         return expit(-eta)
     if kind == "probitc":
+        from scipy.special import ndtr
+
         return ndtr(eta)
     return 1.0 - h

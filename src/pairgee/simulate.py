@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .fit import NB_TAU_MAX, FitConfig, PairData, adaptive_fit, fit_icc
@@ -209,6 +208,8 @@ def _nb_loglik(f: np.ndarray, mu: np.ndarray, tau: float,
     """Count log-likelihood summed over pairs; ``log_f_fact`` is gammaln(f + 1)."""
     if np.isinf(tau):  # variance-equals-mean limit
         return float(np.sum(f * np.log(mu) - mu - log_f_fact))
+    from scipy.special import gammaln
+
     p = 1.0 / (1.0 + mu / tau)
     return float(np.sum(gammaln(f + tau) - gammaln(tau) - log_f_fact
                         + tau * np.log(p) + f * np.log1p(-p)))
@@ -244,6 +245,8 @@ def _nb_profile_score(log_tau: float, f: np.ndarray, mu: np.ndarray,
         return known[log_tau]
     tau = np.exp(log_tau)
     if tau < 1e3:
+        from scipy.special import digamma
+
         return float(weights @ (digamma(counts + tau) - digamma(tau))
                      + np.sum((mu - f) / (tau + mu) - np.log1p(mu / tau)))
     # with ia = 1/tau and ib = 1/(f + tau), ia - ib = f ia ib and the excess
@@ -313,6 +316,10 @@ def nb_working_mle(data: PairData) -> MleResult:
     held fixed), a benchmark convention.  ``converged`` is false when beta
     still moves by 1e-9 or log tau by 1e-6 after ``MLE_MAX_ROUNDS`` rounds.
     """
+    # scipy.special is imported in the functions that use it, as
+    # scipy.optimize is: its import costs about 0.35 s of start-up
+    from scipy.special import gammaln
+
     f = data.f
     if np.any(f < 0):
         raise InputError("count likelihood needs nonnegative responses")

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import pairgee
-from pairgee import (FitConfig, FrmModel, WorkingVariance, adaptive_fit,
-                     aitchison_distance, apply_pseudocount, gen_nb_scenario)
+from pairgee import (FitConfig, FrmModel, Kernel, WorkingVariance, adaptive_fit,
+                     aitchison_distance, apply_pseudocount, gen_nb_scenario,
+                     make_rng, pairwise_responses)
 from pairgee.cli import _SCENARIO_PARAMS, _build_parser, main
 from pairgee.io import LAYOUTS
 from pairgee.links import LINK_KINDS
@@ -32,18 +34,60 @@ def _write_nb_pairs_csv(tmp_path, n=60, seed=17):
     return _write(tmp_path, "nb_pairs.csv", "\n".join(lines) + "\n"), data
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is loaded by the working MLE alone: importing it would
-    # add its start-up time to every pairgee process
+def _run_fresh(code: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports pairgee
+    from this source tree."""
     src = str(Path(pairgee.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, pairgee.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_import_and_scipy_free_commands_leave_scipy_unloaded(tmp_path):
+    # scipy is loaded by the expit and probitc links and the working MLE
+    # alone: importing it would add its start-up time to every pairgee
+    # process, also to the exp-link fit and distance runs that never use it
+    pairs_csv, _ = _write_nb_pairs_csv(tmp_path, n=20)
+    abundance = _write(tmp_path, "ab.csv", "id,t1,t2\na,1,3\nb,2,0\nc,5,1\n")
+    fit = ["fit", "--data", pairs_csv, "--layout", "pairs", "--link", "exp",
+           "--working-variance", "nb", "--out", str(tmp_path / "fit.json")]
+    distance = ["distance", "--data", abundance, "--out", str(tmp_path / "d.csv")]
+    out = _run_fresh(
+        "import sys\n"
+        "def scipy():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "from pairgee.cli import main\n"
+        "print(scipy())\n"
+        f"assert main({fit!r}) == 0\n"
+        "print(scipy())\n"
+        f"assert main({distance!r}) == 0\n"
+        "print(scipy())\n")
+    assert out.splitlines() == ["[]", "[]", "[]"]
+    assert json.loads((tmp_path / "fit.json").read_text())["converged"] is True
+
+
+def test_scipy_links_and_working_mle_load_scipy_special_on_first_use():
+    code = ("import sys\n"
+            "from pairgee import (FrmModel, WorkingVariance, adaptive_fit,\n"
+            "    gen_mww_probit, gen_nb_scenario, mww_pair_data, nb_working_mle)\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "data = mww_pair_data(gen_mww_probit(30, 3))\n"
+            "betas = [adaptive_fit(FrmModel(link, WorkingVariance('bernoulli'),\n"
+            "                               intercept=False), data).beta.tolist()\n"
+            "         for link in ('expit', 'probitc')]\n"
+            "betas.append(nb_working_mle(gen_nb_scenario(30, 3)).beta.tolist())\n"
+            "print(repr((before, 'scipy.special' in sys.modules, betas)))\n")
+    before, after, betas = ast.literal_eval(_run_fresh(code))
+    assert (before, after) == (False, True)
+    data = pairgee.mww_pair_data(pairgee.gen_mww_probit(30, 3))
+    expected = [adaptive_fit(FrmModel(link, WorkingVariance("bernoulli"),
+                                      intercept=False), data).beta.tolist()
+                for link in ("expit", "probitc")]
+    expected.append(pairgee.nb_working_mle(gen_nb_scenario(30, 3)).beta.tolist())
+    assert betas == expected
 
 
 def test_fit_identity_on_subjects(tmp_path):
@@ -205,6 +249,33 @@ def test_distance_full_matrix(tmp_path):
                     for line in lines[1:]])
     assert np.allclose(mat, mat.T)
     assert np.all(np.diag(mat) == 0.0)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["triangular", "full"])
+def test_distance_cells_are_the_repr_of_each_distance(tmp_path, monkeypatch, full):
+    # a chunk size that splits both layouts into at least 3 chunks
+    monkeypatch.setattr(pairgee.cli, "CHUNK_PAIRS", 5)
+    counts = make_rng(5).poisson(3.0, size=(7, 4)) + np.eye(7, 4, dtype=int)
+    ids = [f"s{k}" for k in range(7)]
+    path = _write(tmp_path, "ab.csv", "id,t1,t2,t3,t4\n" + "".join(
+        f"{sid}," + ",".join(map(str, row)) + "\n" for sid, row in zip(ids, counts)))
+    out = tmp_path / "dist.csv"
+    assert main(["distance", "--data", path, "--out", str(out)]
+                + ["--full"] * full) == 0
+    comps = np.vstack([apply_pseudocount(row, "half-min").values
+                       for row in counts.astype(float)])
+    if full:
+        i1, i2 = np.repeat(np.arange(7), 7), np.tile(np.arange(7), 7)
+        lines = [",".join(["id"] + ids)] + [
+            ",".join([ids[a]] + [repr(v) for v in row]) for a, row in enumerate(
+                pairwise_responses(Kernel.aitchison(), comps, i1, i2)
+                .reshape(7, 7).tolist())]
+    else:
+        i1, i2 = np.triu_indices(7, k=1)
+        lines = ["i1,i2,distance"] + [
+            f"{ids[a]},{ids[b]},{d!r}" for a, b, d in zip(
+                i1, i2, pairwise_responses(Kernel.aitchison(), comps, i1, i2).tolist())]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_simulate_writes_reproducible_reports(tmp_path):

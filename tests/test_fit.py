@@ -741,3 +741,16 @@ def test_nonfinite_init_beta_is_an_input_error():
     with pytest.raises(InputError, match="finite"):
         fit_icc(gen_icc_ratings(20, 3, 5).ratings,
                 FitConfig(init_beta=np.array([np.nan, 0.5])))
+
+
+def test_fit_result_wald_z_and_p():
+    res = pairgee.fit.FitResult(
+        beta=np.array([1.0, 2.0, -3.0, 30.0]), cov_beta=np.diag([4.0, 0.0, 1.0, 1.0]),
+        b_matrix=np.eye(4), sigma_u=np.eye(4), eq_norm=0.0, iterations=1,
+        converged=True, n_subjects=3, n_pairs=3, param_names=("a", "b", "c", "d"))
+    assert res.z[[0, 2, 3]].tolist() == [0.5, -3.0, 30.0]
+    assert np.isnan(res.z[1]) and np.isnan(res.p[1])
+    # two-sided: erfc(|z| / sqrt 2) = 2 Phi(-|z|), also far in the tail
+    assert res.p[[0, 2, 3]] == pytest.approx(
+        [0.6170750774519738, 0.0026997960632601866, 9.813427854295816e-198],
+        rel=1e-12, abs=0.0)

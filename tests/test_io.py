@@ -1,8 +1,12 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pairgee import InputError, PairData
-from pairgee.io import load_dataset
+from pairgee import InputError, PairData, enumerate_pairs
+from pairgee.io import load_dataset, load_pairs
 
 
 def _write(tmp_path, name, text):
@@ -110,3 +114,110 @@ def test_unknown_layout_and_missing_file(tmp_path):
         load_dataset(tmp_path / "x.csv", "wide")
     with pytest.raises(InputError, match="cannot read"):
         load_dataset(tmp_path / "missing.csv", "subjects")
+
+
+# The pairs reader's error contract: each message, with its row number,
+# exactly as a user sees it.  A file with several faults reports the one in
+# the earliest row; within a row, a self-pair comes first, then a duplicate
+# pair, then the f cell, then the remaining columns in header order.
+
+def _load_error(tmp_path, text, layout="pairs"):
+    path = _write(tmp_path, "bad.csv", text)
+    with pytest.raises(InputError) as info:
+        load_dataset(path, layout)
+    return str(info.value).removeprefix(f"{path}: ")
+
+
+def test_load_pairs_ragged_row(tmp_path):
+    assert _load_error(tmp_path, "i1,i2,f,x1\na,b,1.0,0.1\nc,a,2.0\n"
+                                 "b,c,3.0,0.3\n") == "row 3 has 3 cells, expected 4"
+
+
+def test_load_pairs_ragged_row_comes_before_a_missing_column(tmp_path):
+    assert _load_error(tmp_path, "i1,f\na,1\nb,2,3\n") == \
+        "row 3 has 3 cells, expected 2"
+
+
+def test_load_pairs_unparseable_x_cell(tmp_path):
+    assert _load_error(tmp_path, "i1,i2,f,x1\na,b,1.0,0.1\nc,a,2.0,oops\n"
+                                 "b,c,3.0,0.3\n") == \
+        "row 3, column 'x1': cannot parse 'oops' as a number"
+
+
+def test_load_pairs_missing_i2_column(tmp_path):
+    assert _load_error(tmp_path, "i1,f,x1\na,1.0,0.1\n") == \
+        "pairs layout needs column 'i2'"
+
+
+def test_load_pairs_header_only(tmp_path):
+    assert _load_error(tmp_path, "i1,i2,f\n") == "need at least 2 subjects"
+
+
+def test_load_pairs_strips_padded_ids(tmp_path):
+    path = _write(tmp_path, "padded.csv",
+                  "i1,i2,f\n a ,b,1.0\nc, a,2.0\n b , c ,3.0\n")
+    data = load_dataset(path, "pairs")
+    assert data.subject_ids == ("a", "b", "c")
+    assert data.i1.tolist() == [0, 0, 1] and data.i2.tolist() == [1, 2, 2]
+    assert data.f.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("text,message", [
+    # two rows at fault: the earlier one is reported
+    ("i1,i2,f,x1\na,b,1.0,0.1\nc,a,nan,0.2\nb,b,3.0,0.3\n",
+     "row 3, column 'f': non-finite value"),
+    ("i1,i2,f,x1\na,b,1.0,0.1\nc,a,2.0,0.2\nb,a,3.0,x\n",
+     "row 4: duplicate pair (b, a)"),
+    ("i1,i2,f,x1\na,b,1.0,zz\nc,c,2.0,0.2\n",
+     "row 2, column 'x1': cannot parse 'zz' as a number"),
+    # one row at fault twice: self-pair, duplicate, f, then header order
+    ("i1,i2,f\na,b,1\nc,c,zz\n", "row 3: pair of a subject with itself"),
+    ("i1,i2,f\na,b,1\nb , a,zz\n", "row 3: duplicate pair (b, a)"),
+    ("i1,i2,f,x1,x2\na,b,1,1,1\nb,c,inf,zz,1\n",
+     "row 3, column 'f': non-finite value"),
+    ("i1,i2,f,x1\na,b,1,1\nb,c,q,inf\n",
+     "row 3, column 'f': cannot parse 'q' as a number"),
+    ("x2,i1,i2,f,x1\n1,a,b,1,1\nyy,b,c,1,zz\n",
+     "row 3, column 'x2': cannot parse 'yy' as a number"),
+    ("x2,i1,i2,f,x1\n1,a,b,1,1\n1,b,c,1,-inf\n",
+     "row 3, column 'x1': non-finite value"),
+])
+def test_load_pairs_reports_the_first_fault(tmp_path, text, message):
+    assert _load_error(tmp_path, text) == message
+
+
+@st.composite
+def _pair_files(draw):
+    """A PairData and the text of a pairs file holding it, written with
+    ``repr`` floats, its rows shuffled and some pairs in (i2, i1) order."""
+    n = draw(st.integers(2, 7))
+    p = draw(st.integers(0, 2))
+    ids = sorted(draw(st.lists(st.text(string.ascii_letters + string.digits,
+                                       min_size=1, max_size=3),
+                               min_size=n, max_size=n, unique=True)))
+    pairs = enumerate_pairs(n)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    f = draw(st.lists(finite, min_size=len(pairs), max_size=len(pairs)))
+    x = draw(st.lists(st.lists(finite, min_size=p, max_size=p),
+                      min_size=len(pairs), max_size=len(pairs)))
+    swap = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    lines = [",".join(["i1", "i2", "f"] + [f"x{j + 1}" for j in range(p)])]
+    for k in draw(st.permutations(range(len(pairs)))):
+        a, b = pairs[k][::-1] if swap[k] else pairs[k]
+        lines.append(",".join([ids[a], ids[b]] + [repr(v) for v in [f[k]] + x[k]]))
+    data = PairData(n=n, i1=pairs[:, 0], i2=pairs[:, 1],
+                    x=np.array(x, dtype=float).reshape(len(pairs), p),
+                    f=np.array(f), subject_ids=tuple(ids))
+    return data, "\n".join(lines) + "\n"
+
+
+@given(_pair_files())
+def test_load_pairs_round_trips_a_shuffled_repr_file(tmp_path_factory, case):
+    data, text = case
+    path = tmp_path_factory.mktemp("roundtrip") / "pairs.csv"
+    path.write_text(text, encoding="utf-8")
+    got = load_pairs(path)
+    assert got.subject_ids == data.subject_ids
+    for name in ("i1", "i2", "x", "f"):
+        assert getattr(got, name).tobytes() == getattr(data, name).tobytes(), name
+        assert getattr(got, name).shape == getattr(data, name).shape, name
