@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, simulate
 from .errors import InputError, NonConvergence
-from .fit import FitConfig, PairData, adaptive_fit, build_pairs, fit_icc
+from .fit import FitConfig, adaptive_fit, build_pairs, fit_icc
 from .io import LAYOUTS, load_dataset
 from .kernels import (KERNEL_KINDS, Kernel, apply_pseudocount,
                       pairwise_responses)
@@ -128,7 +128,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         _, Y, _ = stack_subjects(dataset)
         result = fit_icc(Y, _fit_config(args))
     else:
-        if isinstance(dataset, PairData):
+        if args.layout == "pairs":
             data = dataset
         else:
             if args.kernel is None:
@@ -181,26 +181,23 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _write_distances(fh, ids, comps: np.ndarray, full: bool) -> None:
-    """Write the distances about ``CHUNK_PAIRS`` pairs at a time, so that no
-    array over all pairs and taxa is ever built."""
-    kernel = Kernel.aitchison()
+    """Write the n(n-1)/2 distances, each evaluated once, as ``i1,i2,distance``
+    rows ``CHUNK_PAIRS`` at a time, or with ``full`` as the rows of the
+    symmetric n x n matrix with a zero diagonal filled from them."""
     n = len(ids)
+    i1, i2 = enumerate_pairs(n).T
+    dist = pairwise_responses(Kernel.aitchison(), comps, i1, i2)
     if full:
+        matrix = np.zeros((n, n))
+        matrix[i1, i2] = matrix[i2, i1] = dist
         fh.write("id," + ",".join(str(s) for s in ids) + "\n")
-        for rows in chunk_slices(n, max(1, CHUNK_PAIRS // n)):
-            block = np.arange(rows.start, rows.stop)
-            dist = pairwise_responses(kernel, comps, np.repeat(block, n),
-                                      np.tile(np.arange(n), len(block)))
-            for a, row in zip(block.tolist(), dist.reshape(len(block), n).tolist()):
-                fh.write(f"{ids[a]}," + ",".join(map(repr, row)) + "\n")
+        for sid, row in zip(ids, matrix):
+            fh.write(f"{sid}," + ",".join(map(repr, row.tolist())) + "\n")
         return
     fh.write("i1,i2,distance\n")
-    pairs = enumerate_pairs(n)
-    for sl in chunk_slices(len(pairs), CHUNK_PAIRS):
-        i1, i2 = pairs[sl, 0], pairs[sl, 1]
-        dist = pairwise_responses(kernel, comps, i1, i2)
+    for sl in chunk_slices(len(dist), CHUNK_PAIRS):
         fh.write("".join(f"{ids[a]},{ids[b]},{d!r}\n" for a, b, d
-                         in zip(i1.tolist(), i2.tolist(), dist.tolist())))
+                         in zip(i1[sl].tolist(), i2[sl].tolist(), dist[sl].tolist())))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

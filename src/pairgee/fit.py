@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
-from .kernels import Kernel, pairwise_responses
+from .kernels import Kernel, apply_pseudocount, pairwise_responses
 from .links import link_complement, link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
@@ -114,19 +114,21 @@ def build_pairs(subjects, kernel: Kernel, pair_covariate=None,
     each outcome row to a composition first; required when compositional
     outcomes contain zeros.
     """
-    from .kernels import apply_pseudocount
-
     ids, Y, X = stack_subjects(subjects)
     if pseudocount is not None:
         Y = np.vstack([apply_pseudocount(row, pseudocount, eps).values for row in Y])
-    pairs = enumerate_pairs(len(ids))
-    i1, i2 = pairs[:, 0], pairs[:, 1]
+    return _subject_pairs(kernel, Y, X, pair_covariate, tuple(ids))
+
+
+def _subject_pairs(kernel: Kernel, Y: np.ndarray, X=None, pair_covariate=None,
+                   subject_ids: tuple | None = None) -> PairData:
+    """The complete PairData of the subjects in the rows of ``Y``: ``kernel``
+    responses and, unless it is None, the ``pair_covariate`` of ``X``."""
+    i1, i2 = enumerate_pairs(len(Y)).T
     f = pairwise_responses(kernel, Y, i1, i2)
-    if pair_covariate is not None:
-        x = pair_covariate_matrix(pair_covariate, X, i1, i2)
-    else:
-        x = np.empty((len(i1), 0))
-    return PairData(n=len(ids), i1=i1, i2=i2, x=x, f=f, subject_ids=tuple(ids))
+    x = (np.empty((len(i1), 0)) if pair_covariate is None
+         else pair_covariate_matrix(pair_covariate, X, i1, i2))
+    return PairData(n=len(Y), i1=i1, i2=i2, x=x, f=f, subject_ids=subject_ids)
 
 
 # --------------------------------------------------------------------------- #
@@ -200,14 +202,15 @@ class FitResult:
 # Assembly of the estimating equations
 # --------------------------------------------------------------------------- #
 
-def _check_variances(V: np.ndarray, data: PairData, sl: slice) -> None:
-    bad = ~(np.isfinite(V) & (V > 0))
-    if np.any(bad):
-        k = int(np.argmax(bad)) + (sl.start or 0)
-        raise EvaluationError(
-            f"nonpositive working variance on pair "
-            f"({int(data.i1[k])}, {int(data.i2[k])})",
-            pair=(int(data.i1[k]), int(data.i2[k])))
+def _check_pairs(ok: np.ndarray, data: PairData, sl: slice, what: str,
+                 eta: np.ndarray | None = None) -> None:
+    """EvaluationError "<what> on pair (i1, i2)" naming the first pair of
+    chunk ``sl`` where ``ok`` is false, with the largest ``eta`` if given."""
+    if not np.all(ok):
+        k = int(np.argmax(~ok)) + (sl.start or 0)
+        pair = (int(data.i1[k]), int(data.i2[k]))
+        raise EvaluationError(f"{what} on pair {pair}", pair=pair,
+                              eta=None if eta is None else float(eta.max()))
 
 
 # Every working-variance form V(h) makes the estimating function the exact
@@ -244,11 +247,7 @@ def _chunk_mean(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
     xt = augment(data.x[sl], model.intercept)
     eta = beta @ xt
     h, g = link_mean_deriv(model.link, eta)
-    if not np.all(np.isfinite(h)):
-        k = int(np.argmax(~np.isfinite(h))) + (sl.start or 0)
-        raise EvaluationError(
-            f"non-finite mean on pair ({int(data.i1[k])}, {int(data.i2[k])})",
-            pair=(int(data.i1[k]), int(data.i2[k])), eta=float(eta.max()))
+    _check_pairs(np.isfinite(h), data, sl, "non-finite mean", eta)
     return xt, eta, h, g
 
 
@@ -260,7 +259,7 @@ def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
     wv = model.working_variance
     comp = link_complement(model.link, eta, h) if wv.kind == "bernoulli" else None
     V = variance_eval(wv, h, rows=sl, complement=comp)
-    _check_variances(V, data, sl)
+    _check_pairs(np.isfinite(V) & (V > 0), data, sl, "nonpositive working variance")
     f = data.f[sl]
     r = f - h
     s = xt * (g * r / V)
@@ -381,12 +380,11 @@ def _collinearity_check(x: np.ndarray, intercept: bool) -> None:
             f"with the intercept")
 
 
-def _checked_solve(J: np.ndarray, U: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(J)
+def _check_conditioning(M: np.ndarray, what: str) -> None:
+    cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularInformation(
-            f"scoring matrix is numerically singular (cond={cond:.3g})", cond=cond)
-    return np.linalg.solve(J, U)
+            f"{what} is numerically singular (cond={cond:.3g})", cond=cond)
 
 
 def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig):
@@ -411,7 +409,8 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig):
         if eq_norm <= config.tol_eq:
             converged = True
             break
-        step = _checked_solve(J, U)
+        _check_conditioning(J, "scoring matrix")
+        step = np.linalg.solve(J, U)
         lam = 1.0
         accepted = None
         last_err = None
@@ -522,10 +521,7 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
     _, _, B_sum, acc, Z2 = _pair_pass(terms, data, beta, sandwich=True)
 
     B = B_sum / N
-    cond = np.linalg.cond(B)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularInformation(
-            f"bread matrix is numerically singular (cond={cond:.3g})", cond=cond)
+    _check_conditioning(B, "bread matrix")
 
     vtil = acc * (2.0 / (n - 1))
     sigma_u = projection_variance(vtil)
@@ -660,10 +656,7 @@ def icc_pair_data(ratings: np.ndarray) -> PairData:
     ratings = np.asarray(ratings, dtype=float)
     if ratings.ndim != 2 or ratings.shape[1] < 2:
         raise InputError("ratings must be an (n, K>=2) matrix")
-    pairs = enumerate_pairs(ratings.shape[0])
-    f = pairwise_responses(Kernel.icc(), ratings, pairs[:, 0], pairs[:, 1])
-    return PairData(n=ratings.shape[0], i1=pairs[:, 0], i2=pairs[:, 1],
-                    x=np.empty((len(pairs), 0)), f=f)
+    return _subject_pairs(Kernel.icc(), ratings)
 
 
 def fit_icc(ratings: np.ndarray, config: FitConfig | None = None) -> FitResult:

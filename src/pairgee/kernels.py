@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, InputError
+from .ustat import CHUNK_PAIRS
 
 KERNEL_KINDS = ("aitchison", "mww", "sqhalfdiff", "icc", "custom")
 
@@ -209,9 +210,12 @@ def pairwise_responses(kernel: Kernel, Y: np.ndarray,
     """Evaluate a kernel over an index array of pairs.
 
     Returns shape (n_pairs,) for scalar kernels and (n_pairs, d) otherwise.
-    Built-in kernels are vectorised; custom kernels run per pair and wrap
-    failures with the offending pair index.  The ``mww`` and ``sqhalfdiff``
-    kernels take one outcome column.
+    A built-in kernel computes its per-call transform once (``clr`` for
+    aitchison, the row means for icc) and fills one preallocated output
+    ``CHUNK_PAIRS`` pairs at a time, so its temporaries are O(chunk x
+    outcome length) for any pair count.  Custom kernels run per pair and
+    wrap failures with the offending pair index.  The ``mww`` and
+    ``sqhalfdiff`` kernels take one outcome column.
     """
     Y = np.asarray(Y, dtype=float)
     if kernel.kind in ("mww", "sqhalfdiff") and Y.shape[1] != 1:
@@ -224,36 +228,49 @@ def pairwise_responses(kernel: Kernel, Y: np.ndarray,
             raise InputError("compositional distance needs strictly positive outcomes; "
                              "apply a pseudocount policy first")
         C = clr(Y)
-        diff = C[i1] - C[i2]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if kernel.kind == "mww":
+
+        def part(a, b):
+            diff = C[a] - C[b]
+            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    elif kernel.kind == "mww":
         y = Y[:, 0]
-        if kernel.ties == "midrank":
-            return np.where(y[i1] < y[i2], 1.0, np.where(y[i1] == y[i2], 0.5, 0.0))
-        return (y[i1] <= y[i2]).astype(float)
-    if kernel.kind == "sqhalfdiff":
+
+        def part(a, b):
+            if kernel.ties == "midrank":
+                return np.where(y[a] < y[b], 1.0, np.where(y[a] == y[b], 0.5, 0.0))
+            return y[a] <= y[b]
+    elif kernel.kind == "sqhalfdiff":
         y = Y[:, 0]
-        d = y[i1] - y[i2]
-        return 0.5 * d * d
-    if kernel.kind == "icc":
+
+        def part(a, b):
+            d = y[a] - y[b]
+            return 0.5 * d * d
+    elif kernel.kind == "icc":
         if Y.shape[1] < 2:
             raise InputError("agreement kernel needs at least 2 raters")
         m1 = Y.mean(axis=1)
-        f1 = 0.5 * (m1[i1] - m1[i2]) ** 2
-        f2 = 0.5 * np.mean((Y[i1] - Y[i2]) ** 2, axis=1)
-        return np.column_stack([f1, f2])
-    out = np.empty((len(i1), kernel.output_dim))
-    for k in range(len(i1)):
-        a, b = int(i1[k]), int(i2[k])
-        try:
-            val = kernel.func(Y[a], Y[b])
-        except Exception as exc:  # noqa: BLE001 - propagate with pair context
-            raise EvaluationError(f"custom kernel failed on pair ({a}, {b}): {exc}",
-                                  pair=(a, b)) from exc
-        out[k] = val
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmax(~np.isfinite(out.reshape(len(i1), -1)).all(axis=1)))
-        raise EvaluationError(
-            f"custom kernel returned a non-finite value on pair "
-            f"({int(i1[bad])}, {int(i2[bad])})", pair=(int(i1[bad]), int(i2[bad])))
-    return out[:, 0] if kernel.output_dim == 1 else out
+
+        def part(a, b):
+            return np.column_stack([0.5 * (m1[a] - m1[b]) ** 2,
+                                    0.5 * np.mean((Y[a] - Y[b]) ** 2, axis=1)])
+    else:
+        out = np.empty((len(i1), kernel.output_dim))
+        for k in range(len(i1)):
+            a, b = int(i1[k]), int(i2[k])
+            try:
+                val = kernel.func(Y[a], Y[b])
+            except Exception as exc:  # noqa: BLE001 - propagate with pair context
+                raise EvaluationError(f"custom kernel failed on pair ({a}, {b}): "
+                                      f"{exc}", pair=(a, b)) from exc
+            out[k] = val
+        if not np.all(np.isfinite(out)):
+            bad = int(np.argmax(~np.isfinite(out).all(axis=1)))
+            raise EvaluationError(
+                f"custom kernel returned a non-finite value on pair "
+                f"({int(i1[bad])}, {int(i2[bad])})", pair=(int(i1[bad]), int(i2[bad])))
+        return out[:, 0] if kernel.output_dim == 1 else out
+    out = np.empty((len(i1), 2) if kernel.kind == "icc" else len(i1))
+    for lo in range(0, len(i1), CHUNK_PAIRS):
+        sl = slice(lo, lo + CHUNK_PAIRS)
+        out[sl] = part(i1[sl], i2[sl])
+    return out

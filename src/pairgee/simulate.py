@@ -33,8 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
-from .fit import NB_TAU_MAX, FitConfig, PairData, adaptive_fit, fit_icc
-from .kernels import Kernel, pairwise_responses
+from .fit import (NB_TAU_MAX, FitConfig, PairData, _subject_pairs, adaptive_fit,
+                  fit_icc)
+from .kernels import Kernel
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     pair_covariate_matrix)
 from .ustat import enumerate_pairs
@@ -177,11 +178,7 @@ def gen_mww_probit(n: int, seed_or_rng, beta=1.0) -> MwwData:
 
 
 def mww_pair_data(d: MwwData) -> PairData:
-    pairs = enumerate_pairs(len(d.y))
-    i1, i2 = pairs[:, 0], pairs[:, 1]
-    f = pairwise_responses(Kernel.mww(), d.y[:, None], i1, i2)
-    x = pair_covariate_matrix(PairCovariate("difference"), d.x, i1, i2)
-    return PairData(n=len(d.y), i1=i1, i2=i2, x=x, f=f)
+    return _subject_pairs(Kernel.mww(), d.y[:, None], d.x, PairCovariate("difference"))
 
 
 # --------------------------------------------------------------------------- #

@@ -38,7 +38,7 @@ def enumerate_pairs(n: int) -> np.ndarray:
     if n < 2:
         raise InputError(f"need at least 2 subjects to form pairs, got {n}")
     i1, i2 = np.triu_indices(n, k=1)
-    return np.column_stack([i1, i2]).astype(np.int64)
+    return np.column_stack([i1, i2]).astype(np.int64, copy=False)
 
 
 def pair_count(n: int) -> int:
@@ -139,27 +139,20 @@ def ustatistic_mean(kernel, data) -> float | np.ndarray:
     """Average of a pairwise kernel over all subject pairs.
 
     ``data`` is a sequence of SubjectRecord or a 2-d outcome array with one
-    subject per row.  Summation runs in deterministic chunk order.  Returns
-    a float for scalar kernels, else a vector.
+    subject per row.  One ``pairwise_responses`` call evaluates all pairs,
+    summed over ``CHUNK_PAIRS``-pair slices in chunk order.  Returns a
+    float for scalar kernels, else a vector.
     """
     from .kernels import pairwise_responses
     from .model import SubjectRecord, stack_subjects
 
-    if len(data) and isinstance(data[0], SubjectRecord):
-        _, Y, _ = stack_subjects(data)
-    else:
-        Y = np.atleast_2d(np.asarray(data, dtype=float))
-        if Y.shape[0] == 1 and np.asarray(data).ndim == 1:
-            Y = Y.T
-    n = Y.shape[0]
-    pairs = enumerate_pairs(n)
-    i1, i2 = pairs[:, 0], pairs[:, 1]
-
-    def part(sl: slice):
-        vals = pairwise_responses(kernel, Y, i1[sl], i2[sl])
-        return (np.sum(np.atleast_2d(vals.T).T, axis=0),)
-
-    (total,) = chunked_reduce(part, len(pairs), chunk=CHUNK_PAIRS)
+    Y = (stack_subjects(data)[1] if len(data) and isinstance(data[0], SubjectRecord)
+         else np.asarray(data, dtype=float))
+    Y = Y[:, None] if Y.ndim == 1 else Y
+    pairs = enumerate_pairs(Y.shape[0])
+    vals = pairwise_responses(kernel, Y, pairs[:, 0], pairs[:, 1]).reshape(len(pairs), -1)
+    (total,) = chunked_reduce(lambda sl: (np.sum(vals[sl], axis=0),), len(pairs),
+                              chunk=CHUNK_PAIRS)
     mean = total / len(pairs)
     return float(mean[0]) if kernel.output_dim == 1 else mean
 

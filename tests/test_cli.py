@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import pairgee
+import pairgee.kernels
 from pairgee import (FitConfig, FrmModel, Kernel, WorkingVariance, adaptive_fit,
                      aitchison_distance, apply_pseudocount, gen_nb_scenario,
                      make_rng, pairwise_responses)
@@ -251,10 +253,24 @@ def test_distance_full_matrix(tmp_path):
     assert np.all(np.diag(mat) == 0.0)
 
 
-@pytest.mark.parametrize("full", [False, True], ids=["triangular", "full"])
-def test_distance_cells_are_the_repr_of_each_distance(tmp_path, monkeypatch, full):
-    # a chunk size that splits both layouts into at least 3 chunks
+@pytest.mark.parametrize("full,kernel_chunk", [(False, None), (True, None),
+                                               (False, 4), (True, 4)],
+                         ids=["triangular", "full", "triangular-kernel-chunks",
+                              "full-kernel-chunks"])
+def test_distance_cells_are_the_repr_of_each_distance(tmp_path, monkeypatch, full,
+                                                      kernel_chunk):
+    # a chunk size that splits both layouts into at least 3 chunks, and
+    # one that splits the kernel evaluation of the 21 pairs into 6
     monkeypatch.setattr(pairgee.cli, "CHUNK_PAIRS", 5)
+    if kernel_chunk is not None:
+        monkeypatch.setattr(pairgee.kernels, "CHUNK_PAIRS", kernel_chunk)
+    evaluated = []
+
+    def counting(kernel, Y, i1, i2):
+        evaluated.extend(zip(np.asarray(i1).tolist(), np.asarray(i2).tolist()))
+        return pairwise_responses(kernel, Y, i1, i2)
+
+    monkeypatch.setattr(pairgee.cli, "pairwise_responses", counting)
     counts = make_rng(5).poisson(3.0, size=(7, 4)) + np.eye(7, 4, dtype=int)
     ids = [f"s{k}" for k in range(7)]
     path = _write(tmp_path, "ab.csv", "id,t1,t2,t3,t4\n" + "".join(
@@ -276,6 +292,18 @@ def test_distance_cells_are_the_repr_of_each_distance(tmp_path, monkeypatch, ful
             f"{ids[a]},{ids[b]},{d!r}" for a, b, d in zip(
                 i1, i2, pairwise_responses(Kernel.aitchison(), comps, i1, i2).tolist())]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    # each of the n(n-1)/2 distances is computed once, also for --full
+    assert sorted(evaluated) == list(zip(*np.triu_indices(7, k=1)))
+
+
+@pytest.mark.parametrize("module", ["pairgee"] + sorted(
+    "pairgee." + m.name for m in pkgutil.iter_modules(pairgee.__path__)))
+def test_each_module_imports_alone_without_scipy(module):
+    # a fresh interpreter per module, so an import cycle or a module-level
+    # scipy import cannot hide behind a module some other test imported
+    out = _run_fresh(f"import sys, {module}\n"
+                     "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    assert out.strip() == "[]"
 
 
 def test_simulate_writes_reproducible_reports(tmp_path):

@@ -16,6 +16,7 @@ from pairgee import (EvaluationError, FitConfig, FrmModel, IccModel, InputError,
                      solve_ugee)
 
 import pairgee.fit
+import pairgee.kernels
 from pairgee.fit import _bind, _chunk_mean, _pair_pass
 
 from oracles import (brute_hajek, brute_pair_pass, brute_projection_variance,
@@ -83,6 +84,29 @@ def test_build_pairs_matches_manual_construction():
     pairs = enumerate_pairs(5)
     assert np.allclose(data.f, 0.5 * (ys[pairs[:, 0]] - ys[pairs[:, 1]]) ** 2)
     assert np.allclose(data.x[:, 0], xs[pairs[:, 0]] - xs[pairs[:, 1]])
+
+
+def test_build_pairs_memory_is_pair_arrays_plus_one_kernel_chunk(monkeypatch):
+    # aitchison on 200 subjects x 100 taxa, evaluated 512 pairs at a time:
+    # beyond the subject arrays, the peak holds pair-length index and
+    # response arrays (enumeration, canonical ordering, PairData's copies)
+    # and a chunk's rows of clr differences, never a pair x taxa array
+    import tracemalloc
+    n, taxa, chunk = 200, 100, 512
+    monkeypatch.setattr(pairgee.kernels, "CHUNK_PAIRS", chunk)
+    counts = make_rng(21, 0).poisson(3.0, size=(n, taxa)).astype(float)
+    subjects = [SubjectRecord(k, y=counts[k]) for k in range(n)]
+    n_pairs = n * (n - 1) // 2
+    bound = 8 * (16 * n_pairs + 4 * chunk * taxa + 4 * n * taxa)   # 4.8 MB
+    tracemalloc.start()
+    try:
+        data = build_pairs(subjects, Kernel.aitchison(), pseudocount="half-min")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n_pairs == n_pairs
+    # one all-pairs array of clr differences alone would be 15.9 MB
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------- assembly
@@ -754,3 +778,137 @@ def test_fit_result_wald_z_and_p():
     assert res.p[[0, 2, 3]] == pytest.approx(
         [0.6170750774519738, 0.0026997960632601866, 9.813427854295816e-198],
         rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------- scoring-loop branches
+
+def _exp_constant_case(f_of_x, x=None, seed=1):
+    """An exp-link, constant-variance (c = 1) model without intercept on 12
+    subjects, with one covariate in [0.4, 0.6] (or ``x``) per pair and the
+    response ``f_of_x(x)``.  The scoring loop starts at beta = 0."""
+    rng = make_rng(seed, 0)
+    i1, i2 = enumerate_pairs(12).T
+    x = rng.uniform(0.4, 0.6, size=(len(i1), 1)) if x is None else x
+    f = f_of_x(x[:, 0], rng)
+    return _model("exp", "constant", value=1.0), PairData(n=12, i1=i1, i2=i2, x=x, f=f)
+
+
+def _overshooting_case():
+    # the first full step puts eta near 1600: an exp-link overflow, then a
+    # non-finite quasi-objective, before a halved step improves it
+    return _exp_constant_case(lambda x, rng: 500.0 * np.exp(2.0 * x))
+
+
+def test_solver_halves_past_evaluation_errors(monkeypatch):
+    model, data = _overshooting_case()
+    seen = []
+    chunk_terms = pairgee.fit._chunk_terms
+
+    def recording(model, data, beta, sl):
+        try:
+            out = chunk_terms(model, data, beta, sl)
+        except EvaluationError as exc:
+            seen.append(exc)
+            raise
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(pairgee.fit, "_chunk_terms", recording)
+    with np.errstate(over="ignore"):
+        res = solve_ugee(model, data)
+    assert res.converged and res.flagged_steps == 0
+    assert "exp-link overflow" in str(seen[1]) and seen[1].eta > 700
+    assert -np.inf in seen   # a finite candidate whose quasi-objective is not
+    near = solve_ugee(model, data, FitConfig(init_beta=np.array([13.0])))
+    assert res.beta == pytest.approx(near.beta, rel=1e-8)
+
+
+def test_evaluation_error_of_the_last_halving_is_raised(monkeypatch):
+    monkeypatch.setattr(pairgee.fit, "MAX_HALVINGS", 0)
+    model, data = _overshooting_case()
+    with pytest.raises(EvaluationError, match="exp-link overflow") as err:
+        solve_ugee(model, data)
+    assert err.value.eta > 700
+
+
+def test_a_step_that_lowers_the_quasi_objective_is_flagged(monkeypatch):
+    # the full first step lands at eta near 9 for responses near 10, a
+    # worse fit than the start; without halvings it is taken and counted
+    model, data = _exp_constant_case(lambda x, rng: 10.0 * np.exp(0.1 * rng.normal(size=len(x))))
+    reference = solve_ugee(model, data)
+    monkeypatch.setattr(pairgee.fit, "MAX_HALVINGS", 0)
+    res = solve_ugee(model, data)
+    assert reference.flagged_steps == 0 and res.flagged_steps == 1
+    assert res.converged and res.iterations > reference.iterations
+    assert res.beta == pytest.approx(reference.beta, rel=1e-8)
+
+
+def test_a_non_finite_step_fails_halving(monkeypatch):
+    # scores overflowing to inf give a step without a finite candidate
+    model, data = _overshooting_case()
+    chunk_terms = pairgee.fit._chunk_terms
+    calls = []
+
+    def infinite_scores(model, data, beta, sl):
+        calls.append(beta)
+        merit, s, J = chunk_terms(model, data, beta, sl)
+        return merit, np.full_like(s, np.inf), J
+
+    monkeypatch.setattr(pairgee.fit, "_chunk_terms", infinite_scores)
+    with pytest.raises(EvaluationError, match="step halving failed"):
+        solve_ugee(model, data)
+    assert len(calls) == 1   # the start; no candidate was evaluated
+
+
+def test_a_non_finite_quasi_objective_at_the_start_is_an_evaluation_error():
+    # finite residuals of 1e200 whose squares overflow
+    _, data = _exp_constant_case(lambda x, rng: np.full(len(x), 1e200))
+    with pytest.raises(EvaluationError, match="quasi-objective is not finite"), \
+            np.errstate(over="ignore"):
+        solve_ugee(_model("identity", "constant", value=1.0), data)
+
+
+def _vanishing_gradient_case():
+    # one constant covariate and f near -400: the first step goes to
+    # eta = -401, where h' = exp(-401) squares to 0, so J and the bread
+    # there are exactly zero although the start is well conditioned
+    return _exp_constant_case(lambda x, rng: -400.0 + 0.01 * rng.normal(size=len(x)),
+                              x=np.ones((66, 1)))
+
+
+def test_a_singular_scoring_matrix_stops_the_solver():
+    model, data = _vanishing_gradient_case()
+    with pytest.raises(SingularInformation, match="scoring matrix") as err:
+        solve_ugee(model, data, FitConfig(max_iter=2, tol_eq=1e-300))
+    assert err.value.cond == np.inf
+
+
+def test_a_singular_bread_matrix_stops_the_sandwich():
+    model, data = _vanishing_gradient_case()
+    with pytest.raises(SingularInformation, match="bread matrix") as err:
+        sandwich_variance(model, data, np.array([-401.0]))
+    assert err.value.cond == np.inf
+
+
+def test_nonconvergence_without_a_sandwich_carries_no_result():
+    model, data = _vanishing_gradient_case()
+    with pytest.raises(NonConvergence) as err:
+        solve_ugee(model, data, FitConfig(max_iter=1, tol_eq=1e-300))
+    assert err.value.result is None
+    assert 0 < err.value.eq_norm < 1e-100
+
+
+def test_adaptive_nb_loop_that_does_not_settle_raises(monkeypatch):
+    monkeypatch.setattr(pairgee.fit, "ADAPTIVE_MAX_ROUNDS", 1)
+    data = gen_nb_scenario(40, 34)
+    model = _model("exp", "nb", intercept=True)
+    with pytest.raises(NonConvergence, match="did not settle in 1 rounds") as err:
+        adaptive_fit(model, data)
+    start, tau = err.value.trace
+    assert start == np.inf and np.isfinite(tau)
+    # the result is the second solve, warm-started at the first, with its sandwich
+    first = solve_ugee(_model("exp", "nb", True, np.inf), data)
+    again = solve_ugee(_model("exp", "nb", True, tau), data, FitConfig(init_beta=first.beta))
+    res = err.value.result
+    assert np.array_equal(res.beta, again.beta)
+    assert np.array_equal(res.cov_beta, again.cov_beta)

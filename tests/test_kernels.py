@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import pairgee.kernels
 from pairgee import (Composition, EvaluationError, InputError, Kernel,
                      aitchison_distance, apply_pseudocount, icc_pair_kernel,
                      mww_indicator, pairwise_responses, sq_half_diff,
@@ -148,6 +151,54 @@ def test_pairwise_responses_match_scalar_functions():
     for k in range(len(i1)):
         assert vals[k] == pytest.approx(icc_pair_kernel(ratings[i1[k]],
                                                         ratings[i2[k]]))
+
+
+def _evaluator_cases():
+    """(kernel, Y, one-pair function) for every kind, on 9 subjects."""
+    rng = np.random.default_rng(12)
+    comps = rng.dirichlet(np.ones(5), size=9)
+    tied = rng.integers(0, 4, size=(9, 1)).astype(float)
+    ratings = rng.normal(size=(9, 3))
+    custom = Kernel.custom(lambda a, b: (a[0] * b[1] - b[0], a[1] - b[1]), output_dim=2)
+    return {
+        "aitchison": (Kernel.aitchison(), comps, aitchison_distance),
+        "mww-le": (Kernel.mww(), tied, lambda a, b: mww_indicator(a[0], b[0])),
+        "mww-midrank": (Kernel.mww("midrank"), tied,
+                        lambda a, b: mww_indicator(a[0], b[0], "midrank")),
+        "sqhalfdiff": (Kernel.sqhalfdiff(), tied, lambda a, b: sq_half_diff(a[0], b[0])),
+        "icc": (Kernel.icc(), ratings, icc_pair_kernel),
+        "custom": (custom, ratings, custom.func),
+    }
+
+
+EVALUATOR_CASES = _evaluator_cases()
+# all 36 unordered pairs of 9 subjects, every other one reversed, shuffled
+_I1, _I2 = np.triu_indices(9, k=1)
+_SWAP = np.arange(36) % 2 == 1
+_I1, _I2 = np.where(_SWAP, _I2, _I1), np.where(_SWAP, _I1, _I2)
+_ORDER = np.random.default_rng(13).permutation(36)
+_I1, _I2 = _I1[_ORDER], _I2[_ORDER]
+
+
+def _check_evaluator(name, chunk):
+    kernel, Y, one_pair = EVALUATOR_CASES[name]
+    want = np.array([one_pair(Y[a], Y[b]) for a, b in zip(_I1, _I2)], dtype=float)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pairgee.kernels, "CHUNK_PAIRS", chunk)
+        got = pairwise_responses(kernel, Y, _I1, _I2)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 36])
+@pytest.mark.parametrize("name", sorted(EVALUATOR_CASES))
+def test_pairwise_responses_are_the_one_pair_values_at_any_chunking(name, chunk):
+    _check_evaluator(name, chunk)
+
+
+@given(name=st.sampled_from(sorted(EVALUATOR_CASES)), chunk=st.integers(1, 50))
+def test_pairwise_responses_are_the_one_pair_values_at_drawn_chunk_sizes(name, chunk):
+    _check_evaluator(name, chunk)
 
 
 @pytest.mark.parametrize("kind", ["mww", "sqhalfdiff"])
