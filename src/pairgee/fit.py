@@ -421,7 +421,11 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig):
                 lam *= 0.5
                 continue
             try:
-                m2, U2, J2 = point(cand)
+                # a trial step may overflow the residuals' squares and
+                # products; the non-finite quasi-objective it gives is
+                # caught by ``point`` and halved, so numpy need not warn
+                with np.errstate(over="ignore", invalid="ignore"):
+                    m2, U2, J2 = point(cand)
             except EvaluationError as exc:
                 last_err = exc
                 lam *= 0.5

@@ -24,10 +24,16 @@ Scenarios
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import inspect
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -542,22 +548,92 @@ def _one_replicate(config: McConfig, rep: int):
     return record, fits
 
 
-def run_monte_carlo(config: McConfig) -> McReport:
+def _replicate_fits(config: McConfig, rep: int) -> dict:
+    """Replicate ``rep``'s fits without its record: what a pool worker returns."""
+    return _one_replicate(config, rep)[1]
+
+
+@functools.cache
+def _openblas():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None
+    when numpy carries no such library."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its
+    count.  A multithreaded BLAS splits a product's sums by thread, so the
+    last bits of a fit would depend on the host's thread setting; without
+    a bundled OpenBLAS this does nothing."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _later_fits(config: McConfig, workers: int) -> list:
+    """The fits of replicates 1 .. M-1 in replicate order, from a pool of
+    ``workers`` forked processes, or in this process with one worker or
+    where ``fork`` is not available.
+
+    The workers are forked, not spawned: they inherit the modules that
+    replicate 0 loaded in this process (scipy's among them) and the BLAS
+    thread count set by ``_one_blas_thread``.  Leaving the pool joins every
+    worker, also when a replicate raised.
+    """
+    # imported here, not at module level: a process pool's modules cost
+    # about 30 ms of start-up that a CLI fit would pay
+    import multiprocessing
+
+    reps = range(1, config.replicates)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_replicate_fits(config, rep) for rep in reps]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) \
+            as pool:
+        return list(pool.map(_replicate_fits, repeat(config), reps))
+
+
+def run_monte_carlo(config: McConfig, workers: int | None = None) -> McReport:
     """Run the study and aggregate Est / Asy / Emp per method and parameter.
 
     Replicate r uses the independent stream (seed, r), so results do not
-    depend on execution order.  Replicates where a method fails to
-    evaluate, converge or invert its information are excluded from that
-    method's aggregates and counted; any other exception propagates.  The
-    report is flagged invalid when any method loses more than 10% of
-    replicates.
+    depend on execution order.  Replicate 0 runs in this process; the others
+    run on ``workers`` processes (default: the usable CPUs), never more than
+    the usable CPUs or M - 1, and come back in replicate order.  All of them
+    run with numpy's BLAS on one thread, so the report's bytes depend
+    neither on the worker count nor on the host's BLAS thread setting.
+    Replicates where a method fails to evaluate, converge or invert its
+    information are excluded from that method's aggregates and counted;
+    any other exception propagates.  The report is flagged invalid when
+    any method loses more than 10% of replicates.
     """
-    results = []
-    for rep in range(config.replicates):
-        record, fits = _one_replicate(config, rep)
-        results.append(fits)
-        if rep == 0:
-            truth = record
+    if workers is not None and workers < 1:
+        raise InputError(f"need at least one worker; got {workers}")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus if workers is None else workers, cpus, config.replicates - 1)
+    with _one_blas_thread():
+        truth, first = _one_replicate(config, 0)
+        results = [first] + _later_fits(config, workers)
 
     rows: list[McRow] = []
     invalid = False

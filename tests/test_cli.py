@@ -365,6 +365,29 @@ def test_simulate_method_or_parameter_outside_scenario_exits_2(tmp_path, capsys,
     assert not (tmp_path / "bad.json").exists()
 
 
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_simulate_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys,
+                                                            scenario):
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        code = main(["simulate", "--scenario", scenario, "--n", "20", "--m", "4",
+                     "--seed", "3", "--workers", workers, "--out", str(out)])
+        outputs.append((code, capsys.readouterr().out,
+                        out.with_suffix(".csv").read_bytes(),
+                        out.with_suffix(".json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_fewer_than_one_worker_exits_2(tmp_path, capsys, workers):
+    code = main(["simulate", "--n", "20", "--m", "3", "--workers", workers,
+                 "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert "at least one worker" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
+
+
 def _subparser(name):
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -821,6 +822,19 @@ def test_solver_halves_past_evaluation_errors(monkeypatch):
     assert -np.inf in seen   # a finite candidate whose quasi-objective is not
     near = solve_ugee(model, data, FitConfig(init_beta=np.array([13.0])))
     assert res.beta == pytest.approx(near.beta, rel=1e-8)
+
+
+def test_an_overflowing_trial_step_emits_no_warning():
+    # the same overshooting start, now with warnings as errors and no
+    # errstate: the solver evaluates trial steps with overflow silenced
+    model, data = _overshooting_case()
+    with np.errstate(all="ignore"):
+        expected = solve_ugee(model, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve_ugee(model, data)
+    assert res.converged
+    assert res.beta.tobytes() == expected.beta.tobytes()
 
 
 def test_evaluation_error_of_the_last_halving_is_raised(monkeypatch):

@@ -1,15 +1,16 @@
 import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 import pairgee.simulate
-from pairgee import (InputError, McConfig, gen_icc_ratings,
-                     gen_linear_exogenous, gen_mww_probit, gen_nb_scenario,
-                     linear_pair_data, make_rng, mww_pair_data, nb_working_mle,
-                     run_monte_carlo)
+from pairgee import (EvaluationError, InputError, McConfig, NonConvergence,
+                     gen_icc_ratings, gen_linear_exogenous, gen_mww_probit,
+                     gen_nb_scenario, linear_pair_data, make_rng, mww_pair_data,
+                     nb_working_mle, run_monte_carlo)
 
 from oracles import nb_working_mle_bounded
 
@@ -304,3 +305,86 @@ def test_run_monte_carlo_icc_true_rho_is_the_generators():
                                       seed=6, params=params))
     expected = gen_icc_ratings(20, seed_or_rng=make_rng(6, 0), **params).true_rho
     assert report.extras == {"true_rho": expected}
+
+
+# ------------------------------------------------------ replicates on a pool
+
+@pytest.mark.parametrize("scenario", sorted(pairgee.simulate.SCENARIOS))
+def test_run_monte_carlo_reports_do_not_depend_on_the_worker_count(tmp_path,
+                                                                   scenario):
+    config = McConfig(scenario=scenario, n=20, replicates=5, seed=8)
+    files = []
+    for workers in (1, 2):
+        report = run_monte_carlo(config, workers=workers)
+        report.to_json(tmp_path / f"w{workers}.json")
+        report.to_csv(tmp_path / f"w{workers}.csv")
+        files.append([(tmp_path / f"w{workers}.{ext}").read_bytes()
+                      for ext in ("json", "csv")])
+    assert files[0] == files[1]
+    assert multiprocessing.active_children() == []
+
+
+def _failing_in(monkeypatch, config, rep, error_of_method):
+    """Patch ``_fit_method`` to raise ``error_of_method[method]`` on replicate
+    ``rep``'s data (told apart by its responses) and fit as usual elsewhere."""
+    target = pairgee.simulate._scenario_dataset(config, rep).f
+    fit_method = pairgee.simulate._fit_method
+
+    def failing(method, data, row):
+        if method in error_of_method and np.array_equal(data.f, target):
+            raise error_of_method[method]
+        return fit_method(method, data, row)
+
+    monkeypatch.setattr(pairgee.simulate, "_fit_method", failing)
+
+
+def test_run_monte_carlo_raises_a_workers_programming_error_as_is(monkeypatch):
+    config = McConfig(scenario="nb", n=20, replicates=6, seed=1,
+                      methods=("ugee:poisson",))
+    _failing_in(monkeypatch, config, 3, {"ugee:poisson": TypeError("bug in a fit")})
+    with pytest.raises(TypeError, match="bug in a fit"):
+        run_monte_carlo(config, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_monte_carlo_counts_a_workers_fit_failures(monkeypatch):
+    config = McConfig(scenario="nb", n=20, replicates=6, seed=1,
+                      methods=("ugee:poisson", "ugee:nb", "ugee:const"))
+    reference = run_monte_carlo(config, workers=1)
+    _failing_in(monkeypatch, config, 4, {
+        "ugee:poisson": EvaluationError("overflow"),
+        "ugee:nb": NonConvergence("budget exhausted")})
+    report = run_monte_carlo(config, workers=2)
+    failures = {row.method: row.failures for row in report.rows}
+    assert failures == {"ugee:poisson": 1, "ugee:nb": 1, "ugee:const": 0}
+    assert report.details[4]["ugee:poisson"] is None
+    assert report.details[4]["ugee:nb"] is None
+    assert [row for row in report.rows if row.method == "ugee:const"] == \
+        [row for row in reference.rows if row.method == "ugee:const"]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_monte_carlo_runs_on_one_blas_thread_and_restores_the_count(
+        monkeypatch):
+    blas = pairgee.simulate._openblas()
+    if blas is None:
+        pytest.skip("numpy carries no bundled OpenBLAS")
+    get, set_ = blas
+    seen = []
+    fit_method = pairgee.simulate._fit_method
+
+    def recording(method, data, row):
+        seen.append(get())
+        return fit_method(method, data, row)
+
+    monkeypatch.setattr(pairgee.simulate, "_fit_method", recording)
+    before = get()
+    set_(2)
+    try:
+        run_monte_carlo(McConfig(scenario="nb", n=20, replicates=3, seed=2,
+                                 methods=("ugee:poisson",)), workers=2)
+        assert get() == 2
+    finally:
+        set_(before)
+    # replicate 0 runs in this process
+    assert seen and set(seen) == {1}
