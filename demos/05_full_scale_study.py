@@ -4,10 +4,10 @@ Runs the overdispersed-count scenario at the published scale (M = 1000
 replicates; n = 100, 300, 500) for the likelihood benchmark and the three
 working variances, writing one CSV/JSON report per sample size.  This is
 deliberately not part of the test suite: the n = 500 block alone fits
-4 x 1000 models on 124,750 pairs each.  The replicates run on --workers
-processes (default: the usable CPUs), and the reports are the same bytes
-for any worker count.  On a 2-CPU host the default run takes about 4
-minutes; use --m and --sizes for a cheaper pass.  The reports of
+4 x 1000 models on 124,750 pairs each.  The replicates run on one process
+per usable CPU, and the reports are the same bytes for any number of
+CPUs.  On a 2-CPU host the default run takes about 4 minutes; use --m and
+--sizes for a cheaper pass.  The reports of
 ``--out-prefix results/full_study`` are committed under ``results/``.
 """
 
@@ -21,7 +21,6 @@ parser.add_argument("--m", type=int, default=1000)
 parser.add_argument("--sizes", type=int, nargs="+", default=[100, 300, 500])
 parser.add_argument("--seed", type=int, default=11000)
 parser.add_argument("--out-prefix", default="full_study")
-parser.add_argument("--workers", type=int)
 args = parser.parse_args()
 
 for n in args.sizes:
@@ -30,7 +29,7 @@ for n in args.sizes:
         methods=("mle:nb", "ugee:nb", "ugee:poisson", "ugee:const"),
         params={"tau": 10.0, "beta0": 3.0, "beta1": 3.0, "a": 0.0, "b": 1.0})
     start = time.perf_counter()
-    report = run_monte_carlo(config, workers=args.workers)
+    report = run_monte_carlo(config)
     elapsed = time.perf_counter() - start
     print(f"\n===== n={n} ({elapsed:.0f}s) =====")
     print(report.summary())

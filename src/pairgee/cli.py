@@ -207,7 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               if getattr(args, name) is not None}
     config = McConfig(scenario=args.scenario, n=args.n, replicates=args.m,
                       seed=args.seed, methods=methods, params=params)
-    report = run_monte_carlo(config, workers=args.workers)
+    report = run_monte_carlo(config)
     print(report.summary())
     if args.out:
         report.to_csv(args.out + ".csv")
@@ -267,9 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--methods", help="comma-separated method list")
     for name, cast in _SCENARIO_PARAMS:
         sim.add_argument("--" + name.replace("_", "-"), type=cast)
-    sim.add_argument("--workers", type=int,
-                     help="processes running replicates (default: the usable "
-                          "CPUs, at most M - 1); reports do not depend on it")
     sim.add_argument("--out")
     return parser
 

@@ -588,10 +588,10 @@ def _one_blas_thread():
         set_(before)
 
 
-def _later_fits(config: McConfig, workers: int) -> list:
+def _later_fits(config: McConfig) -> list:
     """The fits of replicates 1 .. M-1 in replicate order, from a pool of
-    ``workers`` forked processes, or in this process with one worker or
-    where ``fork`` is not available.
+    forked processes, one per usable CPU but at most M - 1, or in this
+    process with one such CPU or where ``fork`` is not available.
 
     The workers are forked, not spawned: they inherit the modules that
     replicate 0 loaded in this process (scipy's among them) and the BLAS
@@ -602,6 +602,9 @@ def _later_fits(config: McConfig, workers: int) -> list:
     # about 30 ms of start-up that a CLI fit would pay
     import multiprocessing
 
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, config.replicates - 1)
     reps = range(1, config.replicates)
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [_replicate_fits(config, rep) for rep in reps]
@@ -612,28 +615,23 @@ def _later_fits(config: McConfig, workers: int) -> list:
         return list(pool.map(_replicate_fits, repeat(config), reps))
 
 
-def run_monte_carlo(config: McConfig, workers: int | None = None) -> McReport:
+def run_monte_carlo(config: McConfig) -> McReport:
     """Run the study and aggregate Est / Asy / Emp per method and parameter.
 
     Replicate r uses the independent stream (seed, r), so results do not
     depend on execution order.  Replicate 0 runs in this process; the others
-    run on ``workers`` processes (default: the usable CPUs), never more than
-    the usable CPUs or M - 1, and come back in replicate order.  All of them
-    run with numpy's BLAS on one thread, so the report's bytes depend
-    neither on the worker count nor on the host's BLAS thread setting.
-    Replicates where a method fails to evaluate, converge or invert its
-    information are excluded from that method's aggregates and counted;
-    any other exception propagates.  The report is flagged invalid when
-    any method loses more than 10% of replicates.
+    run on one process per usable CPU (at most M - 1) and come back in
+    replicate order.  All of them run with numpy's BLAS on one thread, so
+    the report's bytes depend neither on the number of CPUs nor on the
+    host's BLAS thread setting.  Replicates where a method fails to
+    evaluate, converge or invert its information are excluded from that
+    method's aggregates and counted; any other exception propagates.  The
+    report is flagged invalid when any method loses more than 10% of
+    replicates.
     """
-    if workers is not None and workers < 1:
-        raise InputError(f"need at least one worker; got {workers}")
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(cpus if workers is None else workers, cpus, config.replicates - 1)
     with _one_blas_thread():
         truth, first = _one_replicate(config, 0)
-        results = [first] + _later_fits(config, workers)
+        results = [first] + _later_fits(config)
 
     rows: list[McRow] = []
     invalid = False

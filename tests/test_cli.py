@@ -366,26 +366,18 @@ def test_simulate_method_or_parameter_outside_scenario_exits_2(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_simulate_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys,
-                                                            scenario):
+def test_simulate_outputs_do_not_depend_on_the_cpu_count(tmp_path, capsys,
+                                                         limit_cpus, scenario):
     outputs = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
+    for cpus in (1, 2):
+        limit_cpus(cpus)
+        out = tmp_path / f"c{cpus}"
         code = main(["simulate", "--scenario", scenario, "--n", "20", "--m", "4",
-                     "--seed", "3", "--workers", workers, "--out", str(out)])
+                     "--seed", "3", "--out", str(out)])
         outputs.append((code, capsys.readouterr().out,
                         out.with_suffix(".csv").read_bytes(),
                         out.with_suffix(".json").read_bytes()))
     assert outputs[0] == outputs[1]
-
-
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_simulate_fewer_than_one_worker_exits_2(tmp_path, capsys, workers):
-    code = main(["simulate", "--n", "20", "--m", "3", "--workers", workers,
-                 "--out", str(tmp_path / "bad")])
-    assert code == 2
-    assert "at least one worker" in capsys.readouterr().err
-    assert not (tmp_path / "bad.json").exists()
 
 
 def _subparser(name):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -310,15 +311,17 @@ def test_run_monte_carlo_icc_true_rho_is_the_generators():
 # ------------------------------------------------------ replicates on a pool
 
 @pytest.mark.parametrize("scenario", sorted(pairgee.simulate.SCENARIOS))
-def test_run_monte_carlo_reports_do_not_depend_on_the_worker_count(tmp_path,
-                                                                   scenario):
+def test_run_monte_carlo_reports_do_not_depend_on_the_cpu_count(tmp_path,
+                                                                limit_cpus,
+                                                                scenario):
     config = McConfig(scenario=scenario, n=20, replicates=5, seed=8)
     files = []
-    for workers in (1, 2):
-        report = run_monte_carlo(config, workers=workers)
-        report.to_json(tmp_path / f"w{workers}.json")
-        report.to_csv(tmp_path / f"w{workers}.csv")
-        files.append([(tmp_path / f"w{workers}.{ext}").read_bytes()
+    for cpus in (1, 2):
+        limit_cpus(cpus)
+        report = run_monte_carlo(config)
+        report.to_json(tmp_path / f"c{cpus}.json")
+        report.to_csv(tmp_path / f"c{cpus}.csv")
+        files.append([(tmp_path / f"c{cpus}.{ext}").read_bytes()
                       for ext in ("json", "csv")])
     assert files[0] == files[1]
     assert multiprocessing.active_children() == []
@@ -338,23 +341,27 @@ def _failing_in(monkeypatch, config, rep, error_of_method):
     monkeypatch.setattr(pairgee.simulate, "_fit_method", failing)
 
 
-def test_run_monte_carlo_raises_a_workers_programming_error_as_is(monkeypatch):
+def test_run_monte_carlo_raises_a_workers_programming_error_as_is(monkeypatch,
+                                                                  limit_cpus):
+    limit_cpus(2)
     config = McConfig(scenario="nb", n=20, replicates=6, seed=1,
                       methods=("ugee:poisson",))
     _failing_in(monkeypatch, config, 3, {"ugee:poisson": TypeError("bug in a fit")})
     with pytest.raises(TypeError, match="bug in a fit"):
-        run_monte_carlo(config, workers=2)
+        run_monte_carlo(config)
     assert multiprocessing.active_children() == []
 
 
-def test_run_monte_carlo_counts_a_workers_fit_failures(monkeypatch):
+def test_run_monte_carlo_counts_a_workers_fit_failures(monkeypatch, limit_cpus):
     config = McConfig(scenario="nb", n=20, replicates=6, seed=1,
                       methods=("ugee:poisson", "ugee:nb", "ugee:const"))
-    reference = run_monte_carlo(config, workers=1)
+    limit_cpus(1)
+    reference = run_monte_carlo(config)
+    limit_cpus(2)
     _failing_in(monkeypatch, config, 4, {
         "ugee:poisson": EvaluationError("overflow"),
         "ugee:nb": NonConvergence("budget exhausted")})
-    report = run_monte_carlo(config, workers=2)
+    report = run_monte_carlo(config)
     failures = {row.method: row.failures for row in report.rows}
     assert failures == {"ugee:poisson": 1, "ugee:nb": 1, "ugee:const": 0}
     assert report.details[4]["ugee:poisson"] is None
@@ -364,27 +371,32 @@ def test_run_monte_carlo_counts_a_workers_fit_failures(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_run_monte_carlo_runs_on_one_blas_thread_and_restores_the_count(
-        monkeypatch):
+def test_run_monte_carlo_runs_every_replicate_on_one_blas_thread(monkeypatch,
+                                                                 limit_cpus):
     blas = pairgee.simulate._openblas()
     if blas is None:
         pytest.skip("numpy carries no bundled OpenBLAS")
     get, set_ = blas
-    seen = []
-    fit_method = pairgee.simulate._fit_method
 
-    def recording(method, data, row):
-        seen.append(get())
-        return fit_method(method, data, row)
+    def reporting(method, data, row):
+        # the thread count and process id come back as the "estimates",
+        # from whichever process ran the replicate
+        return ("threads", "pid"), np.array([get(), os.getpid()], float), \
+            np.ones(2)
 
-    monkeypatch.setattr(pairgee.simulate, "_fit_method", recording)
+    monkeypatch.setattr(pairgee.simulate, "_fit_method", reporting)
+    limit_cpus(2)
     before = get()
     set_(2)
     try:
-        run_monte_carlo(McConfig(scenario="nb", n=20, replicates=3, seed=2,
-                                 methods=("ugee:poisson",)), workers=2)
+        report = run_monte_carlo(McConfig(scenario="nb", n=20, replicates=5,
+                                          seed=2, methods=("ugee:poisson",)))
         assert get() == 2
     finally:
         set_(before)
-    # replicate 0 runs in this process
-    assert seen and set(seen) == {1}
+    threads, pids = zip(*(fits["ugee:poisson"][0] for fits in report.details))
+    assert threads == (1.0,) * 5
+    assert pids[0] == os.getpid()
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert os.getpid() not in pids[1:]
+    assert multiprocessing.active_children() == []
