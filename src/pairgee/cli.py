@@ -35,7 +35,7 @@ from .links import LINK_KINDS
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     stack_subjects)
 from .simulate import SCENARIOS, McConfig, run_monte_carlo
-from .ustat import CHUNK_PAIRS, chunk_slices, enumerate_pairs
+from .ustat import CHUNK_PAIRS, pair_chunks
 
 _PAIR_FLAGS = {"diff": "difference", "sum": "sum", "concat": "concatenate"}
 
@@ -182,22 +182,25 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def _write_distances(fh, ids, comps: np.ndarray, full: bool) -> None:
     """Write the n(n-1)/2 distances, each evaluated once, as ``i1,i2,distance``
-    rows ``CHUNK_PAIRS`` at a time, or with ``full`` as the rows of the
-    symmetric n x n matrix with a zero diagonal filled from them."""
+    rows, one ``CHUNK_PAIRS``-pair chunk evaluated and written at a time,
+    or with ``full`` as the rows of the symmetric n x n matrix with a zero
+    diagonal filled from them."""
     n = len(ids)
-    i1, i2 = enumerate_pairs(n).T
-    dist = pairwise_responses(Kernel.aitchison(), comps, i1, i2)
+    chunks = pair_chunks(n, CHUNK_PAIRS)
     if full:
         matrix = np.zeros((n, n))
-        matrix[i1, i2] = matrix[i2, i1] = dist
+        for _, i1, i2 in chunks:
+            matrix[i1, i2] = matrix[i2, i1] = pairwise_responses(
+                Kernel.aitchison(), comps, i1, i2)
         fh.write("id," + ",".join(str(s) for s in ids) + "\n")
         for sid, row in zip(ids, matrix):
             fh.write(f"{sid}," + ",".join(map(repr, row.tolist())) + "\n")
         return
     fh.write("i1,i2,distance\n")
-    for sl in chunk_slices(len(dist), CHUNK_PAIRS):
+    for _, i1, i2 in chunks:
+        dist = pairwise_responses(Kernel.aitchison(), comps, i1, i2)
         fh.write("".join(f"{ids[a]},{ids[b]},{d!r}\n" for a, b, d
-                         in zip(i1[sl].tolist(), i2[sl].tolist(), dist[sl].tolist())))
+                         in zip(i1.tolist(), i2.tolist(), dist.tolist())))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

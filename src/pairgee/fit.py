@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +49,8 @@ from .links import link_complement, link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
 from .ustat import (CHUNK_PAIRS, canonical_order, chunked_reduce,
-                    enumerate_pairs, interleaved_accumulate,
-                    projection_variance)
+                    interleaved_accumulate, is_canonical, pair_chunks,
+                    pair_count, pair_indices, projection_variance)
 
 COND_LIMIT = 1e12
 NB_TAU_MAX = 1e8
@@ -66,44 +67,81 @@ ADAPTIVE_TOL = 1e-6
 # Regression-ready pair data
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairData:
     """A complete pairwise dataset: responses and covariates for all pairs.
 
-    Rows are canonicalised to the lexicographic pair order of
-    ``enumerate_pairs(n)`` on construction; order-dependent responses are
+    The rows follow the lexicographic pair order of ``enumerate_pairs(n)``.
+    n alone determines that order, so no index arrays are stored: ``i1``
+    and ``i2`` are decoded from n on first access.  The constructor takes
+    the pair of each row as ``i1`` and ``i2``: rows already in canonical
+    order are kept as given, without a sort or a copy, and others are
+    permuted into it.  Without ``i1`` and ``i2`` the rows are taken to be
+    in canonical order, as ``dataclasses.replace`` passes them.  ``x``,
+    ``f``, ``i1`` and ``i2`` are read-only.  Order-dependent responses are
     understood as evaluated on the ordered pair (i1 < i2).
     """
 
     n: int
-    i1: np.ndarray
-    i2: np.ndarray
     x: np.ndarray
     f: np.ndarray
     subject_ids: tuple | None = None
 
-    def __post_init__(self):
-        i1 = np.asarray(self.i1, dtype=np.int64)
-        i2 = np.asarray(self.i2, dtype=np.int64)
+    def __init__(self, n: int, i1=None, i2=None, *, x, f, subject_ids=None):
+        for name, value in (("n", n), ("x", x), ("f", f), ("subject_ids", subject_ids)):
+            object.__setattr__(self, name, value)
+        # validation stays in __post_init__, where a generated dataclass
+        # __init__ puts it, so it can be timed apart (bench/spans.py does)
+        self.__post_init__(i1, i2)
+
+    def __post_init__(self, i1, i2):
+        indexed = i1 is not None or i2 is not None
+        if indexed and (i1 is None or i2 is None):
+            raise InputError("give both i1 and i2, or neither")
+        if indexed:
+            i1 = np.asarray(i1, dtype=np.int64)
+            i2 = np.asarray(i2, dtype=np.int64)
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         f = np.asarray(self.f, dtype=float)
-        if x.shape[0] != len(i1) and x.size == 0:
-            x = np.empty((len(i1), 0))
-        if len(i1) != len(i2) or x.shape[0] != len(i1) or f.shape[0] != len(i1):
+        m = len(i1) if indexed else len(f)
+        if x.shape[0] != m and x.size == 0:
+            x = np.empty((m, 0))
+        if (indexed and len(i1) != len(i2)) or x.shape[0] != m or f.shape[0] != m:
             raise InputError("pair arrays have inconsistent lengths")
         if self.n < 2:
             raise InputError("need at least 2 subjects")
-        order = canonical_order(self.n, i1, i2, "dataset")
-        object.__setattr__(self, "i1", i1[order])
-        object.__setattr__(self, "i2", i2[order])
-        object.__setattr__(self, "x", x[order])
-        object.__setattr__(self, "f", f[order])
-        if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.f)):
+        if indexed and not is_canonical(self.n, i1, i2):
+            order = canonical_order(self.n, i1, i2, "dataset")
+            x, f = x[order], f[order]
+        elif m != pair_count(self.n):
+            raise InputError(f"incomplete dataset: {m} of {pair_count(self.n)} "
+                             f"pairs for n={self.n}")
+        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(f)):
             raise InputError("pair data must be finite")
+        x, f = x.view(), f.view()
+        x.flags.writeable = f.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "f", f)
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        i1, i2 = pair_indices(self.n, 0, self.n_pairs)
+        i1.flags.writeable = i2.flags.writeable = False
+        return i1, i2
+
+    @property
+    def i1(self) -> np.ndarray:
+        """First subject of each row, decoded on first access."""
+        return self._pairs[0]
+
+    @property
+    def i2(self) -> np.ndarray:
+        """Second subject of each row, decoded on first access."""
+        return self._pairs[1]
 
     @property
     def n_pairs(self) -> int:
-        return len(self.i1)
+        return len(self.f)
 
 
 def build_pairs(subjects, kernel: Kernel, pair_covariate=None,
@@ -123,12 +161,17 @@ def build_pairs(subjects, kernel: Kernel, pair_covariate=None,
 def _subject_pairs(kernel: Kernel, Y: np.ndarray, X=None, pair_covariate=None,
                    subject_ids: tuple | None = None) -> PairData:
     """The complete PairData of the subjects in the rows of ``Y``: ``kernel``
-    responses and, unless it is None, the ``pair_covariate`` of ``X``."""
-    i1, i2 = enumerate_pairs(len(Y)).T
-    f = pairwise_responses(kernel, Y, i1, i2)
-    x = (np.empty((len(i1), 0)) if pair_covariate is None
-         else pair_covariate_matrix(pair_covariate, X, i1, i2))
-    return PairData(n=len(Y), i1=i1, i2=i2, x=x, f=f, subject_ids=subject_ids)
+    responses and, unless it is None, the ``pair_covariate`` of ``X``,
+    evaluated one ``CHUNK_PAIRS``-pair chunk at a time into the rows."""
+    N = pair_count(len(Y))
+    f = np.empty(N if kernel.output_dim == 1 else (N, kernel.output_dim))
+    x = np.empty((N, 0 if pair_covariate is None
+                  else pair_covariate.output_dim(X.shape[1])))
+    for sl, i1, i2 in pair_chunks(len(Y), CHUNK_PAIRS):
+        f[sl] = pairwise_responses(kernel, Y, i1, i2)
+        if pair_covariate is not None:
+            x[sl] = pair_covariate_matrix(pair_covariate, X, i1, i2)
+    return PairData(n=len(Y), x=x, f=f, subject_ids=subject_ids)
 
 
 # --------------------------------------------------------------------------- #
@@ -208,7 +251,7 @@ def _check_pairs(ok: np.ndarray, data: PairData, sl: slice, what: str,
     chunk ``sl`` where ``ok`` is false, with the largest ``eta`` if given."""
     if not np.all(ok):
         k = int(np.argmax(~ok)) + (sl.start or 0)
-        pair = (int(data.i1[k]), int(data.i2[k]))
+        pair = tuple(int(i[0]) for i in pair_indices(data.n, k, k + 1))
         raise EvaluationError(f"{what} on pair {pair}", pair=pair,
                               eta=None if eta is None else float(eta.max()))
 
@@ -322,7 +365,8 @@ def _pair_pass(terms, data: PairData, beta: np.ndarray, sandwich: bool = False):
     """One pass over the pair chunks at ``beta``: the quasi-objective, U and J.
 
     With ``sandwich`` the pass also returns the (n, q) per-subject sums of
-    the pair scores and Z2 = sum of the scores' outer products.  ``terms``
+    the pair scores, each chunk's pairs decoded by ``pair_indices``, and
+    Z2 = sum of the scores' outer products.  ``terms``
     gives each chunk's scores as a (q, chunk) array, so U and Z2 reduce
     contiguous rows.  The chunk size is this module's ``CHUNK_PAIRS``, read
     when the pass runs.
@@ -331,7 +375,8 @@ def _pair_pass(terms, data: PairData, beta: np.ndarray, sandwich: bool = False):
         merit, s, J = terms(beta, sl)
         if not sandwich:
             return merit, s.sum(axis=1), J
-        acc = interleaved_accumulate(data.n, data.i1[sl], data.i2[sl], s.T)
+        i1, i2 = pair_indices(data.n, sl.start, sl.stop)
+        acc = interleaved_accumulate(data.n, i1, i2, s.T)
         return merit, s.sum(axis=1), J, acc, s @ s.T
 
     return chunked_reduce(part, data.n_pairs, chunk=CHUNK_PAIRS)

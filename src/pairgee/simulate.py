@@ -44,7 +44,7 @@ from .fit import (NB_TAU_MAX, FitConfig, PairData, _subject_pairs, adaptive_fit,
 from .kernels import Kernel
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     pair_covariate_matrix)
-from .ustat import enumerate_pairs
+from .ustat import CHUNK_PAIRS, chunk_slices, pair_chunks, pair_count
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -80,11 +80,18 @@ def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
         raise InputError("need tau > 0 and b > a")
     rng = _rng(seed_or_rng)
     xs = rng.uniform(a, b, size=n)
-    pairs = enumerate_pairs(n)
-    xp = xs[pairs[:, 0]] + xs[pairs[:, 1]]
-    mu = np.exp(beta0 + beta1 * xp)
-    f = rng.poisson(rng.gamma(shape=tau, scale=mu / tau)).astype(float)
-    return PairData(n=n, i1=pairs[:, 0], i2=pairs[:, 1], x=xp[:, None], f=f)
+    x = np.empty((pair_count(n), 1))
+    for sl, i1, i2 in pair_chunks(n, CHUNK_PAIRS):
+        x[sl, 0] = xs[i1] + xs[i2]
+    # all N rates, then all N counts, drawn a chunk at a time into f: the
+    # same stream as one gamma and one poisson draw over all pairs
+    f = np.empty(len(x))
+    slices = chunk_slices(len(x), CHUNK_PAIRS)
+    for sl in slices:
+        f[sl] = rng.gamma(shape=tau, scale=np.exp(beta0 + beta1 * x[sl, 0]) / tau)
+    for sl in slices:
+        f[sl] = rng.poisson(f[sl])
+    return PairData(n=n, x=x, f=f)
 
 
 class LinearData(NamedTuple):
@@ -112,11 +119,13 @@ def gen_linear_exogenous(n: int, seed_or_rng, beta: float = 1.0,
 
 
 def linear_pair_data(d: LinearData) -> PairData:
-    pairs = enumerate_pairs(len(d.x))
-    i1, i2 = pairs[:, 0], pairs[:, 1]
-    diff = pair_covariate_matrix(PairCovariate("difference"),
-                                 np.column_stack([d.x, d.y]), i1, i2)
-    return PairData(n=len(d.x), i1=i1, i2=i2, x=diff[:, :1], f=diff[:, 1])
+    n = len(d.x)
+    xy = np.column_stack([d.x, d.y])
+    x, f = np.empty((pair_count(n), 1)), np.empty(pair_count(n))
+    for sl, i1, i2 in pair_chunks(n, CHUNK_PAIRS):
+        diff = pair_covariate_matrix(PairCovariate("difference"), xy, i1, i2)
+        x[sl, 0], f[sl] = diff[:, 0], diff[:, 1]
+    return PairData(n=n, x=x, f=f)
 
 
 class IccData(NamedTuple):

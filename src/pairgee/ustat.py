@@ -8,6 +8,9 @@ asymptotics of pair-based estimators.
 
 Pair indices are 0-based with i1 < i2, enumerated lexicographically;
 this ordering is fixed project-wide and shared with the binary dump format.
+It is determined by n alone, so no pass needs index arrays over all pairs:
+``pair_indices`` decodes the pairs of any linear range [lo, hi) in
+O(hi - lo), and ``pair_chunks`` decodes them one chunk at a time.
 
 Determinism
 -----------
@@ -18,6 +21,7 @@ result depends on the chunk size but on nothing else.
 
 from __future__ import annotations
 
+import math
 # Not used here: the benchmark tracer (bench/spans.py) counts thread pools
 # by replacing this module attribute.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -43,6 +47,63 @@ def enumerate_pairs(n: int) -> np.ndarray:
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def _row_start(n: int, a):
+    """Linear index of pair (a, a + 1), the first pair whose i1 is a."""
+    return a * (2 * n - a - 1) // 2
+
+
+def _row_of(n: int, k: int) -> int:
+    """i1 of the k-th pair: the largest a with _row_start(n, a) <= k.
+
+    That a is the floor of the smaller root of a^2 - (2n - 1) a + 2k = 0;
+    the integer square root can put the estimate one row too far.
+    """
+    b = 2 * n - 1
+    a = (b - math.isqrt(b * b - 8 * k)) // 2
+    while _row_start(n, a) > k:
+        a -= 1
+    return a
+
+
+def pair_indices(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i1, i2) of the pairs lo..hi-1 of ``enumerate_pairs(n)``, in O(hi - lo).
+
+    The range meets the rows (runs of equal i1) from that of pair lo to
+    that of pair hi - 1, each found in closed form; i1 repeats each row's
+    index over its pairs in the range, and i2 counts up from the row start.
+    """
+    if not 0 <= lo <= hi <= pair_count(n):
+        raise InputError(f"pair range [{lo}, {hi}) is outside the "
+                         f"{pair_count(n)} pairs of n={n}")
+    if lo == hi:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    rows = np.arange(_row_of(n, lo), _row_of(n, hi - 1) + 1, dtype=np.int64)
+    starts = _row_start(n, rows)
+    counts = np.minimum(starts + (n - 1 - rows), hi) - np.maximum(starts, lo)
+    i1 = np.repeat(rows, counts)
+    i2 = np.arange(lo, hi, dtype=np.int64) - np.repeat(starts - rows - 1, counts)
+    return i1, i2
+
+
+def pair_chunks(n: int, chunk: int):
+    """An iterator of (slice, i1, i2) over the ``chunk``-pair slices of
+    ``enumerate_pairs(n)`` in order, decoding one slice at a time.  Fewer
+    than 2 subjects is an InputError at the call."""
+    if n < 2:
+        raise InputError(f"need at least 2 subjects to form pairs, got {n}")
+    return ((sl, *pair_indices(n, sl.start, sl.stop))
+            for sl in chunk_slices(pair_count(n), chunk))
+
+
+def is_canonical(n: int, i1: np.ndarray, i2: np.ndarray) -> bool:
+    """Whether the pairs (i1, i2) are ``enumerate_pairs(n)`` row for row,
+    compared one ``CHUNK_PAIRS``-pair slice at a time."""
+    if len(i1) != pair_count(n) or len(i2) != len(i1):
+        return False
+    return all(np.array_equal(i1[sl], a) and np.array_equal(i2[sl], b)
+               for sl, a, b in pair_chunks(n, CHUNK_PAIRS))
 
 
 def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray, what: str) -> np.ndarray:
@@ -139,9 +200,9 @@ def ustatistic_mean(kernel, data) -> float | np.ndarray:
     """Average of a pairwise kernel over all subject pairs.
 
     ``data`` is a sequence of SubjectRecord or a 2-d outcome array with one
-    subject per row.  One ``pairwise_responses`` call evaluates all pairs,
-    summed over ``CHUNK_PAIRS``-pair slices in chunk order.  Returns a
-    float for scalar kernels, else a vector.
+    subject per row.  Each ``CHUNK_PAIRS``-pair slice is evaluated by one
+    ``pairwise_responses`` call and summed, and the sums are added in
+    chunk order.  Returns a float for scalar kernels, else a vector.
     """
     from .kernels import pairwise_responses
     from .model import SubjectRecord, stack_subjects
@@ -149,11 +210,11 @@ def ustatistic_mean(kernel, data) -> float | np.ndarray:
     Y = (stack_subjects(data)[1] if len(data) and isinstance(data[0], SubjectRecord)
          else np.asarray(data, dtype=float))
     Y = Y[:, None] if Y.ndim == 1 else Y
-    pairs = enumerate_pairs(Y.shape[0])
-    vals = pairwise_responses(kernel, Y, pairs[:, 0], pairs[:, 1]).reshape(len(pairs), -1)
-    (total,) = chunked_reduce(lambda sl: (np.sum(vals[sl], axis=0),), len(pairs),
-                              chunk=CHUNK_PAIRS)
-    mean = total / len(pairs)
+    total = None
+    for _, i1, i2 in pair_chunks(Y.shape[0], CHUNK_PAIRS):
+        part = np.sum(pairwise_responses(kernel, Y, i1, i2).reshape(len(i1), -1), axis=0)
+        total = part if total is None else total + part
+    mean = total / pair_count(Y.shape[0])
     return float(mean[0]) if kernel.output_dim == 1 else mean
 
 
@@ -189,8 +250,8 @@ def hajek_scores(table: PairScoreTable) -> np.ndarray:
     to 2/(n-1) times twice the grand score total.  Returns shape (n, q).
     """
     n = table.n
-    pairs = enumerate_pairs(n)
-    acc = interleaved_accumulate(n, pairs[:, 0], pairs[:, 1], table.scores)
+    i1, i2 = pair_indices(n, 0, pair_count(n))
+    acc = interleaved_accumulate(n, i1, i2, table.scores)
     return acc * (2.0 / (n - 1))
 
 
@@ -198,22 +259,17 @@ def projection_variance(hajek: np.ndarray) -> np.ndarray:
     """Empirical covariance of per-subject projected scores, centered at their mean.
 
     Returns the (q, q) matrix sum_j (v_j - vbar)(v_j - vbar)' / n; symmetric
-    positive semidefinite by construction.  Accumulation runs subject by
-    subject in index order so the result is reproducible bit for bit.
+    positive semidefinite by construction.  Both sums accumulate subject by
+    subject in index order (``np.cumsum`` adds sequentially), so the result
+    equals a plain loop over subjects bit for bit.
     """
     v = np.atleast_2d(np.asarray(hajek, dtype=float))
     if v.ndim != 2 or v.shape[0] < 2:
         raise InputError("need projected scores for at least 2 subjects")
-    n, q = v.shape
-    vbar = np.zeros(q)
-    for j in range(n):
-        vbar += v[j]
-    vbar /= n
-    out = np.zeros((q, q))
-    for j in range(n):
-        d = v[j] - vbar
-        out += np.outer(d, d)
-    return out / n
+    n = v.shape[0]
+    vbar = np.cumsum(v, axis=0)[-1] / n
+    d = v - vbar
+    return np.cumsum(d[:, :, None] * d[:, None, :], axis=0)[-1] / n
 
 
 # --------------------------------------------------------------------------- #
@@ -226,10 +282,8 @@ def _row_dtype(q: int) -> np.dtype:
 
 def dump_pair_scores(table: PairScoreTable, path) -> None:
     """Write a pair score table as packed little-endian rows: i1, i2, q doubles."""
-    pairs = enumerate_pairs(table.n)
-    rows = np.empty(len(pairs), dtype=_row_dtype(table.q))
-    rows["i1"] = pairs[:, 0]
-    rows["i2"] = pairs[:, 1]
+    rows = np.empty(len(table.scores), dtype=_row_dtype(table.q))
+    rows["i1"], rows["i2"] = pair_indices(table.n, 0, len(table.scores))
     rows["score"] = table.scores
     rows.tofile(path)
 

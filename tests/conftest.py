@@ -28,3 +28,21 @@ def limit_cpus(monkeypatch):
                             lambda pid: set(usable[:k]))
 
     return limit
+
+
+@pytest.fixture
+def chunk_pairs(monkeypatch):
+    """``chunk_pairs(k)`` sets ``CHUNK_PAIRS`` to k in every pairgee module
+    that reads it when it runs."""
+    import pairgee.cli
+    import pairgee.fit
+    import pairgee.kernels
+    import pairgee.simulate
+    import pairgee.ustat
+
+    def set_chunk(k):
+        for module in (pairgee.cli, pairgee.fit, pairgee.kernels,
+                       pairgee.simulate, pairgee.ustat):
+            monkeypatch.setattr(module, "CHUNK_PAIRS", k)
+
+    return set_chunk

@@ -244,3 +244,44 @@ def aitchison_by_hand(y1, y2):
     c1 = clr_by_hand(y1)
     c2 = clr_by_hand(y2)
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(c1, c2)))
+
+
+# --------------------------------------------------------------------------- #
+# Pair data over all pairs at once
+# --------------------------------------------------------------------------- #
+# The builders evaluate one chunk of pairs at a time and store no index
+# arrays.  These rebuild the same datasets the way the library first did:
+# every array over all n(n-1)/2 pairs at once, from the full index arrays
+# of ``np.triu_indices``.  The chunked builders must match them byte for
+# byte.
+
+def full_array_subject_pairs(kernel, Y, X=None, pair_covariate=None):
+    """(x, f) of the complete dataset of the subjects in the rows of Y."""
+    from pairgee.kernels import pairwise_responses
+    from pairgee.model import pair_covariate_matrix
+
+    i1, i2 = np.triu_indices(len(Y), k=1)
+    f = pairwise_responses(kernel, Y, i1, i2)
+    x = (np.empty((len(i1), 0)) if pair_covariate is None
+         else pair_covariate_matrix(pair_covariate, X, i1, i2))
+    return x, f
+
+
+def full_array_nb_scenario(n, seed, tau=10.0, beta0=3.0, beta1=3.0, a=0.0, b=1.0):
+    """(x, f) of ``gen_nb_scenario``: n uniforms, then N gamma rates and N
+    Poisson counts, each drawn over all N pairs in one call."""
+    from pairgee import make_rng
+
+    rng = make_rng(seed)
+    xs = rng.uniform(a, b, size=n)
+    i1, i2 = np.triu_indices(n, k=1)
+    xp = xs[i1] + xs[i2]
+    mu = np.exp(beta0 + beta1 * xp)
+    f = rng.poisson(rng.gamma(shape=tau, scale=mu / tau)).astype(float)
+    return xp[:, None], f
+
+
+def full_array_linear_pair_data(d):
+    """(x, f) of ``linear_pair_data``: the pairwise differences of x and y."""
+    i1, i2 = np.triu_indices(len(d.x), k=1)
+    return (d.x[i1] - d.x[i2])[:, None], d.y[i1] - d.y[i2]

@@ -264,10 +264,11 @@ def test_distance_cells_are_the_repr_of_each_distance(tmp_path, monkeypatch, ful
     monkeypatch.setattr(pairgee.cli, "CHUNK_PAIRS", 5)
     if kernel_chunk is not None:
         monkeypatch.setattr(pairgee.kernels, "CHUNK_PAIRS", kernel_chunk)
-    evaluated = []
+    evaluated, sizes = [], []
 
     def counting(kernel, Y, i1, i2):
         evaluated.extend(zip(np.asarray(i1).tolist(), np.asarray(i2).tolist()))
+        sizes.append(len(i1))
         return pairwise_responses(kernel, Y, i1, i2)
 
     monkeypatch.setattr(pairgee.cli, "pairwise_responses", counting)
@@ -292,8 +293,10 @@ def test_distance_cells_are_the_repr_of_each_distance(tmp_path, monkeypatch, ful
             f"{ids[a]},{ids[b]},{d!r}" for a, b, d in zip(
                 i1, i2, pairwise_responses(Kernel.aitchison(), comps, i1, i2).tolist())]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
-    # each of the n(n-1)/2 distances is computed once, also for --full
+    # each of the n(n-1)/2 distances is computed once, also for --full, one
+    # chunk of pairs per kernel call
     assert sorted(evaluated) == list(zip(*np.triu_indices(7, k=1)))
+    assert sizes == [5, 5, 5, 5, 1]
 
 
 @pytest.mark.parametrize("module", ["pairgee"] + sorted(

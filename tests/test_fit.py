@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import re
 import warnings
 
 import numpy as np
@@ -16,12 +18,18 @@ from pairgee import (EvaluationError, FitConfig, FrmModel, IccModel, InputError,
                      mean_and_gradient, projection_variance, sandwich_variance,
                      solve_ugee)
 
+import pairgee
+import pairgee.cli
 import pairgee.fit
 import pairgee.kernels
+import pairgee.model
+import pairgee.simulate
+import pairgee.ustat
 from pairgee.fit import _bind, _chunk_mean, _pair_pass
 
 from oracles import (brute_hajek, brute_pair_pass, brute_projection_variance,
-                     nb_tau_quadratic, pairwise_least_squares)
+                     full_array_subject_pairs, nb_tau_quadratic,
+                     pairwise_least_squares)
 
 
 def _model(link="identity", wv="constant", intercept=False, value=None):
@@ -89,9 +97,9 @@ def test_build_pairs_matches_manual_construction():
 
 def test_build_pairs_memory_is_pair_arrays_plus_one_kernel_chunk(monkeypatch):
     # aitchison on 200 subjects x 100 taxa, evaluated 512 pairs at a time:
-    # beyond the subject arrays, the peak holds pair-length index and
-    # response arrays (enumeration, canonical ordering, PairData's copies)
-    # and a chunk's rows of clr differences, never a pair x taxa array
+    # beyond the subject arrays, the peak holds pair-length arrays (the
+    # responses) and a chunk's rows of clr differences, never a pair x
+    # taxa array
     import tracemalloc
     n, taxa, chunk = 200, 100, 512
     monkeypatch.setattr(pairgee.kernels, "CHUNK_PAIRS", chunk)
@@ -108,6 +116,198 @@ def test_build_pairs_memory_is_pair_arrays_plus_one_kernel_chunk(monkeypatch):
     assert data.n_pairs == n_pairs
     # one all-pairs array of clr differences alone would be 15.9 MB
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+_KERNELS = {"aitchison": Kernel.aitchison(), "mww": Kernel.mww(),
+            "mww-midrank": Kernel.mww("midrank"), "sqhalfdiff": Kernel.sqhalfdiff(),
+            "icc": Kernel.icc()}
+_PAIR_COVARIATES = {"none": None, "difference": PairCovariate("difference"),
+                    "sum": PairCovariate("sum"),
+                    "concatenate": PairCovariate("concatenate"),
+                    "onehot": PairCovariate("onehot", levels=3)}
+
+
+def _same_bytes(data, x, f):
+    return (data.x.shape == x.shape and data.f.shape == f.shape
+            and data.x.tobytes() == x.tobytes() and data.f.tobytes() == f.tobytes())
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "default"])
+@pytest.mark.parametrize("covariate", list(_PAIR_COVARIATES))
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_build_pairs_matches_the_full_array_oracle(kernel, covariate, chunk,
+                                                  chunk_pairs):
+    if chunk is not None:
+        chunk_pairs(chunk)
+    rng = make_rng(61)
+    n = 23
+    Y = (rng.uniform(0.5, 2.0, size=(n, 4)) if kernel == "aitchison"
+         else rng.normal(size=(n, 3)) if kernel == "icc"
+         else rng.integers(0, 6, size=(n, 1)).astype(float))   # with ties
+    X = (rng.integers(1, 4, size=(n, 1)).astype(float) if covariate == "onehot"
+         else rng.normal(size=(n, 2)))
+    subjects = [SubjectRecord(k, y=Y[k], x=X[k]) for k in range(n)]
+    data = build_pairs(subjects, _KERNELS[kernel], _PAIR_COVARIATES[covariate])
+    assert _same_bytes(data, *full_array_subject_pairs(
+        _KERNELS[kernel], Y, X, _PAIR_COVARIATES[covariate]))
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "default"])
+def test_icc_pair_data_matches_the_full_array_oracle(chunk, chunk_pairs):
+    if chunk is not None:
+        chunk_pairs(chunk)
+    ratings = gen_icc_ratings(190, 4, 8).ratings   # 17,955 pairs: 2 default chunks
+    assert _same_bytes(icc_pair_data(ratings),
+                       *full_array_subject_pairs(Kernel.icc(), ratings))
+
+
+@pytest.mark.parametrize("i1,i2,message", [
+    ([0, 0], [1, 2], "incomplete dataset: 2 of 3 pairs for n=3"),
+    ([0, 0, 1, 1], [1, 2, 2, 2], "incomplete dataset: 4 of 3 pairs for n=3"),
+    ([0, 1, 0], [1, 2, 1], "duplicate pair in dataset"),
+    ([1, 0, 1], [0, 2, 2], "pair indices must satisfy 0 <= i1 < i2 < n"),
+    ([0, 0, 1], [1, 1, 2], "duplicate pair in dataset"),
+    ([0, 0, 2], [1, 2, 2], "pair indices must satisfy 0 <= i1 < i2 < n"),
+    ([0, 0, 1], [1, 3, 2], "pair indices must satisfy 0 <= i1 < i2 < n"),
+    ([-1, 0, 1], [1, 2, 2], "pair indices must satisfy 0 <= i1 < i2 < n"),
+    ([0, 0], [1, 5], "pair indices must satisfy 0 <= i1 < i2 < n"),   # range first
+    ([0, 0, 1], [1, 2], "pair arrays have inconsistent lengths"),
+], ids=["incomplete", "too-many", "duplicate", "i1>i2", "duplicate-first-row",
+        "i1==i2", "i2>=n", "i1<0", "range-before-count", "lengths"])
+def test_pair_data_rejects_index_faults_with_their_message(i1, i2, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        PairData(n=3, i1=i1, i2=i2, x=np.zeros((len(i1), 1)), f=np.ones(len(i1)))
+
+
+def test_pair_data_checks_in_order_and_without_indices():
+    def error(**kw):
+        with pytest.raises(InputError) as err:
+            PairData(**kw)
+        return str(err.value)
+
+    # lengths before the subject count, the subject count before the pairs
+    assert error(n=1, i1=[0], i2=[1, 2], x=np.zeros((1, 1)), f=[1.0]) == \
+        "pair arrays have inconsistent lengths"
+    assert error(n=1, i1=[0], i2=[1], x=np.zeros((1, 1)), f=[1.0]) == \
+        "need at least 2 subjects"
+    assert error(n=3, i1=[0, 0, 1], i2=[1, 2, 2], x=np.zeros((3, 1)),
+                 f=[1.0, np.inf, 0.0]) == "pair data must be finite"
+    # without i1 and i2 the rows are the canonical pairs, so only a count
+    # can be wrong
+    assert error(n=3, x=np.zeros((2, 1)), f=[1.0, 2.0]) == \
+        "incomplete dataset: 2 of 3 pairs for n=3"
+    assert error(n=3, x=np.zeros((3, 1)), f=[1.0, 2.0]) == \
+        "pair arrays have inconsistent lengths"
+    assert error(n=3, i1=[0, 0, 1], x=np.zeros((3, 1)), f=np.ones(3)) == \
+        "give both i1 and i2, or neither"
+
+
+def test_pair_data_keeps_canonical_rows_and_permutes_others():
+    rng = make_rng(62)
+    n = 40   # 780 pairs: 112 comparison chunks of 7
+    pairs = enumerate_pairs(n)
+    x, f = rng.normal(size=(len(pairs), 2)), rng.normal(size=len(pairs))
+    canonical = PairData(n=n, i1=pairs[:, 0], i2=pairs[:, 1], x=x, f=f)
+    assert np.shares_memory(canonical.x, x) and np.shares_memory(canonical.f, f)
+    bare = PairData(n=n, x=x, f=f)
+    assert np.shares_memory(bare.x, x) and np.shares_memory(bare.f, f)
+    # one swapped pair of rows in the last chunk is found and undone
+    perm = np.arange(len(pairs))
+    perm[[-1, -3]] = perm[[-3, -1]]
+    swapped = PairData(n=n, i1=pairs[perm, 0], i2=pairs[perm, 1], x=x[perm], f=f[perm])
+    assert np.array_equal(swapped.x, x) and np.array_equal(swapped.f, f)
+    for data in (canonical, bare, swapped):
+        assert np.array_equal(data.i1, pairs[:, 0])
+        assert np.array_equal(data.i2, pairs[:, 1])
+        assert data.n_pairs == len(pairs)
+    assert [fld.name for fld in dataclasses.fields(PairData)] == \
+        ["n", "x", "f", "subject_ids"]
+
+
+def test_pair_data_arrays_cannot_be_written_through():
+    data = gen_nb_scenario(12, 3)
+    given = PairData(n=data.n, i1=data.i1, i2=data.i2, x=data.x.copy(),
+                     f=data.f.copy())
+    for d in (data, given, dataclasses.replace(data, f=data.f + 1.0),
+              build_pairs([SubjectRecord(k, y=[float(k % 3)], x=[float(k)])
+                           for k in range(6)], Kernel.mww(),
+                          PairCovariate("difference"))):
+        for name in ("x", "f", "i1", "i2"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(d, name)[0] = 0
+    assert np.array_equal(dataclasses.replace(data, f=data.f + 1.0).i2, data.i2)
+
+
+@pytest.mark.parametrize("k", [6, 7, 13, 14, 21, 189])
+def test_check_pairs_names_the_canonical_pair_across_chunks(k, chunk_pairs):
+    # pair k of 190 is the only one whose identity-link mean overflows;
+    # with 7-pair chunks the pairs 6/7, 13/14 and 20/21 sit on chunk
+    # boundaries and 18/19 on a row boundary of n = 20
+    chunk_pairs(7)
+    data = gen_nb_scenario(20, 5)
+    x = data.x.copy()
+    x[k, 0] = 1e300
+    wide = PairData(n=data.n, x=x, f=data.f)
+    with pytest.raises(EvaluationError, match="non-finite mean") as err, \
+            np.errstate(over="ignore"):
+        estimate_nuisance(_model(wv="propmean"), wide, np.array([1e10]))
+    assert err.value.pair == tuple(enumerate_pairs(20)[k].tolist())
+
+
+def test_no_pass_or_builder_enumerates_all_pairs(monkeypatch, tmp_path):
+    # the pair order is decoded from n chunk by chunk; a call to the
+    # all-pairs index array anywhere in these paths fails the test
+    def refuse(n):
+        raise AssertionError("enumerate_pairs called")
+
+    for module in (pairgee, pairgee.cli, pairgee.fit, pairgee.kernels,
+                   pairgee.model, pairgee.simulate, pairgee.ustat):
+        if hasattr(module, "enumerate_pairs"):
+            monkeypatch.setattr(module, "enumerate_pairs", refuse)
+    nb = gen_nb_scenario(30, 2)
+    adaptive_fit(FrmModel(link="exp", working_variance=WorkingVariance("nb"),
+                          intercept=True), nb)
+    fit_icc(gen_icc_ratings(20, 3, 2).ratings)
+    mww = gen_mww_probit(25, 3)
+    build_pairs([SubjectRecord(k, y=[mww.y[k]], x=mww.x[k]) for k in range(25)],
+                Kernel.mww(), PairCovariate("difference"))
+    pairgee.simulate.mww_pair_data(mww)
+    pairgee.simulate.linear_pair_data(pairgee.simulate.gen_linear_exogenous(20, 4))
+    hajek_scores(PairScoreTable(9, np.ones(36)))
+    pairgee.ustatistic_mean(Kernel.sqhalfdiff(), np.arange(9.0))
+    path = tmp_path / "ab.csv"
+    path.write_text("id,t1,t2\na,1,3\nb,2,2\nc,5,1\n")
+    for full in ([], ["--full"]):
+        assert pairgee.cli.main(["distance", "--data", str(path),
+                                 "--out", str(tmp_path / "d.csv")] + full) == 0
+
+
+def test_pair_builders_hold_little_beyond_their_result():
+    # tracemalloc peak of each builder against the bytes of its x and f:
+    # with the rows filled one chunk at a time and no index arrays kept,
+    # a builder holds its result plus O(chunk) temporaries (1.07-1.13 x at
+    # n = 1500), where sorting and copying full index and row arrays took
+    # 4.6-5.1 x
+    import tracemalloc
+    n = 1500
+    mww = gen_mww_probit(n, 3)
+    subjects = [SubjectRecord(k, y=[mww.y[k]], x=mww.x[k]) for k in range(n)]
+    ratings = gen_icc_ratings(n, 4, 3).ratings
+    builders = {
+        "build_pairs": lambda: build_pairs(subjects, Kernel.mww(),
+                                           PairCovariate("difference")),
+        "icc_pair_data": lambda: icc_pair_data(ratings),
+        "gen_nb_scenario": lambda: gen_nb_scenario(n, 11),
+    }
+    for name, build in builders.items():
+        tracemalloc.start()
+        try:
+            data = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / (data.x.nbytes + data.f.nbytes)
+        assert ratio < 1.25, f"{name}: peak {ratio:.2f} x its x and f"
 
 
 # ---------------------------------------------------------------- assembly

@@ -8,12 +8,14 @@ import pytest
 from scipy.special import ndtr
 
 import pairgee.simulate
-from pairgee import (EvaluationError, InputError, McConfig, NonConvergence,
-                     gen_icc_ratings, gen_linear_exogenous, gen_mww_probit,
-                     gen_nb_scenario, linear_pair_data, make_rng, mww_pair_data,
-                     nb_working_mle, run_monte_carlo)
+from pairgee import (EvaluationError, InputError, Kernel, McConfig,
+                     NonConvergence, PairCovariate, gen_icc_ratings,
+                     gen_linear_exogenous, gen_mww_probit, gen_nb_scenario,
+                     linear_pair_data, make_rng, mww_pair_data, nb_working_mle,
+                     run_monte_carlo)
 
-from oracles import nb_working_mle_bounded
+from oracles import (full_array_linear_pair_data, full_array_nb_scenario,
+                     full_array_subject_pairs, nb_working_mle_bounded)
 
 
 # ----------------------------------------------------------------- streams
@@ -133,6 +135,40 @@ def test_mww_pair_data_equal_covariates_probability_half():
     d = gen_mww_probit(100, 9, beta=1.0)
     # with x1 == x2 the indicator mean is exactly Phi(0) = 1/2
     assert float(ndtr(0.0)) == 0.5
+
+
+# ------------------------------------------------- pair data chunk by chunk
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "default"])
+def test_pair_data_generators_match_the_full_array_oracle(chunk, chunk_pairs):
+    # the rows are filled a chunk at a time, the nb draws included: the
+    # bytes and the random stream equal drawing over all pairs at once
+    if chunk is not None:
+        chunk_pairs(chunk)
+
+    def same(data, x, f):
+        return (data.x.shape == x.shape and data.f.shape == f.shape
+                and data.x.tobytes() == x.tobytes()
+                and data.f.tobytes() == f.tobytes())
+
+    # n = 190: 17,955 pairs, two default chunks
+    assert same(gen_nb_scenario(190, 5, tau=3.0), *full_array_nb_scenario(190, 5, tau=3.0))
+    assert same(gen_nb_scenario(41, 6, beta0=1.0, beta1=-2.0, a=-1.0),
+                *full_array_nb_scenario(41, 6, beta0=1.0, beta1=-2.0, a=-1.0))
+    d = gen_linear_exogenous(190, 7)
+    assert same(linear_pair_data(d), *full_array_linear_pair_data(d))
+    m = gen_mww_probit(190, 8, beta=[1.0, -0.5])
+    assert same(mww_pair_data(m), *full_array_subject_pairs(
+        Kernel.mww(), m.y[:, None], m.x, PairCovariate("difference")))
+
+
+def test_pair_data_generators_need_two_subjects():
+    for build in (lambda: gen_nb_scenario(1, 3),
+                  lambda: linear_pair_data(gen_linear_exogenous(1, 3)),
+                  lambda: mww_pair_data(gen_mww_probit(1, 3))):
+        with pytest.raises(InputError, match="need at least 2 subjects to form "
+                                             "pairs, got 1"):
+            build()
 
 
 # ----------------------------------------------------------- working MLE

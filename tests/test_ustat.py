@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairgee import (InputError, Kernel, PairScoreTable, dump_pair_scores,
                      enumerate_pairs, hajek_scores, load_pair_scores,
-                     pair_count, projection_variance, ustatistic_mean)
-from pairgee.ustat import chunked_reduce
+                     make_rng, pair_count, projection_variance,
+                     ustatistic_mean)
+from pairgee.ustat import chunked_reduce, pair_chunks, pair_indices
 
 from oracles import (brute_hajek, brute_pairs, brute_projection_variance,
                      brute_ustat_mean)
@@ -32,6 +35,55 @@ def test_enumerate_pairs_rejects_single_subject():
 
 
 # ------------------------------------------------------------ u-statistics
+
+@st.composite
+def _pair_range(draw):
+    n = draw(st.integers(2, 400))
+    lo = draw(st.integers(0, pair_count(n)))
+    return n, lo, draw(st.integers(lo, pair_count(n)))
+
+
+@settings(max_examples=200)
+@given(_pair_range())
+def test_pair_indices_decode_a_range_of_enumerate_pairs(case):
+    n, lo, hi = case
+    i1, i2 = pair_indices(n, lo, hi)
+    assert i1.dtype == i2.dtype == np.int64
+    assert np.array_equal(np.column_stack([i1, i2]), enumerate_pairs(n)[lo:hi])
+
+
+@pytest.mark.parametrize("n", [50_000, 1_000_000])
+def test_pair_indices_at_row_boundaries_of_large_n(n):
+    # row a (the pairs with i1 = a) starts at pair a (2n - a - 1) / 2; the
+    # two pairs before a row start close row a - 1, the two after open row a
+    for a in (1, 2, n // 3, n // 2, n - 3):
+        start = a * (2 * n - a - 1) // 2
+        i1, i2 = pair_indices(n, start - 2, start + 2)
+        assert i1.tolist() == [a - 1, a - 1, a, a]
+        assert i2.tolist() == [n - 2, n - 1, a + 1, a + 2]
+    i1, i2 = pair_indices(n, 0, 2)
+    assert i1.tolist() == [0, 0] and i2.tolist() == [1, 2]
+    i1, i2 = pair_indices(n, pair_count(n) - 3, pair_count(n))
+    assert i1.tolist() == [n - 3, n - 3, n - 2]
+    assert i2.tolist() == [n - 2, n - 1, n - 1]
+
+
+def test_pair_indices_and_chunks_reject_what_has_no_pairs():
+    with pytest.raises(InputError, match=r"pair range \[0, 4\) is outside the 3 pairs"):
+        pair_indices(3, 0, 4)
+    with pytest.raises(InputError, match=r"pair range \[2, 1\)"):
+        pair_indices(3, 2, 1)
+    with pytest.raises(InputError, match="need at least 2 subjects to form pairs, got 1"):
+        pair_chunks(1, 7)
+
+
+def test_pair_chunks_cover_the_pairs_in_order():
+    chunks = list(pair_chunks(9, 7))
+    assert [sl for sl, _, _ in chunks] == [slice(0, 7), slice(7, 14), slice(14, 21),
+                                           slice(21, 28), slice(28, 35), slice(35, 36)]
+    assert np.array_equal(np.concatenate([np.column_stack([a, b]) for _, a, b in chunks]),
+                          enumerate_pairs(9))
+
 
 def test_ustat_constant_kernel():
     y = np.arange(7.0)
@@ -161,6 +213,14 @@ def test_projection_variance_matches_brute_force(n):
     assert np.allclose(fast, brute, rtol=1e-13, atol=1e-15)
     eig = np.linalg.eigvalsh(fast)
     assert eig.min() >= -1e-12 * max(1.0, np.trace(fast))
+
+
+@given(st.integers(2, 300), st.integers(1, 5), st.integers(-5, 5))
+def test_projection_variance_is_the_subject_loop_bit_for_bit(n, q, scale):
+    # criterion 6 compares projected scores exactly; the covariance of
+    # those scores must equal the sequential loop of the definition too
+    v = make_rng(n, q, scale + 5).normal(size=(n, q)) * 10.0 ** scale
+    assert np.array_equal(projection_variance(v), brute_projection_variance(v))
 
 
 def test_degenerate_kernel_projection_shrinks():
