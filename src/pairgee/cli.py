@@ -35,7 +35,7 @@ from .links import LINK_KINDS
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     stack_subjects)
 from .simulate import SCENARIOS, McConfig, run_monte_carlo
-from .ustat import CHUNK_PAIRS, pair_chunks
+from .ustat import pair_chunks
 
 _PAIR_FLAGS = {"diff": "difference", "sum": "sum", "concat": "concatenate"}
 
@@ -182,11 +182,11 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def _write_distances(fh, ids, comps: np.ndarray, full: bool) -> None:
     """Write the n(n-1)/2 distances, each evaluated once, as ``i1,i2,distance``
-    rows, one ``CHUNK_PAIRS``-pair chunk evaluated and written at a time,
+    rows, one ``ustat.CHUNK_PAIRS``-pair chunk evaluated and written at a time,
     or with ``full`` as the rows of the symmetric n x n matrix with a zero
     diagonal filled from them."""
     n = len(ids)
-    chunks = pair_chunks(n, CHUNK_PAIRS)
+    chunks = pair_chunks(n)
     if full:
         matrix = np.zeros((n, n))
         for _, i1, i2 in chunks:

@@ -48,9 +48,9 @@ from .kernels import Kernel, apply_pseudocount, pairwise_responses
 from .links import link_complement, link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
-from .ustat import (CHUNK_PAIRS, canonical_order, chunked_reduce,
-                    interleaved_accumulate, is_canonical, pair_chunks,
-                    pair_count, pair_indices, projection_variance)
+from .ustat import (canonical_order, chunked_reduce, interleaved_accumulate,
+                    is_canonical, pair_chunks, pair_count, pair_indices,
+                    projection_variance)
 
 COND_LIMIT = 1e12
 NB_TAU_MAX = 1e8
@@ -162,12 +162,12 @@ def _subject_pairs(kernel: Kernel, Y: np.ndarray, X=None, pair_covariate=None,
                    subject_ids: tuple | None = None) -> PairData:
     """The complete PairData of the subjects in the rows of ``Y``: ``kernel``
     responses and, unless it is None, the ``pair_covariate`` of ``X``,
-    evaluated one ``CHUNK_PAIRS``-pair chunk at a time into the rows."""
+    evaluated one ``ustat.CHUNK_PAIRS``-pair chunk at a time into the rows."""
     N = pair_count(len(Y))
     f = np.empty(N if kernel.output_dim == 1 else (N, kernel.output_dim))
     x = np.empty((N, 0 if pair_covariate is None
                   else pair_covariate.output_dim(X.shape[1])))
-    for sl, i1, i2 in pair_chunks(len(Y), CHUNK_PAIRS):
+    for sl, i1, i2 in pair_chunks(len(Y)):
         f[sl] = pairwise_responses(kernel, Y, i1, i2)
         if pair_covariate is not None:
             x[sl] = pair_covariate_matrix(pair_covariate, X, i1, i2)
@@ -368,8 +368,7 @@ def _pair_pass(terms, data: PairData, beta: np.ndarray, sandwich: bool = False):
     the pair scores, each chunk's pairs decoded by ``pair_indices``, and
     Z2 = sum of the scores' outer products.  ``terms``
     gives each chunk's scores as a (q, chunk) array, so U and Z2 reduce
-    contiguous rows.  The chunk size is this module's ``CHUNK_PAIRS``, read
-    when the pass runs.
+    contiguous rows.
     """
     def part(sl: slice):
         merit, s, J = terms(beta, sl)
@@ -379,7 +378,7 @@ def _pair_pass(terms, data: PairData, beta: np.ndarray, sandwich: bool = False):
         acc = interleaved_accumulate(data.n, i1, i2, s.T)
         return merit, s.sum(axis=1), J, acc, s @ s.T
 
-    return chunked_reduce(part, data.n_pairs, chunk=CHUNK_PAIRS)
+    return chunked_reduce(part, data.n_pairs)
 
 
 def assemble_ugee(model, data: PairData, beta: np.ndarray):
@@ -387,7 +386,7 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray):
     (U, J).
 
     U = sum_i D_i' V_i^-1 (f_i - h_i)   and   J = sum_i D_i' V_i^-1 D_i,
-    accumulated over ``CHUNK_PAIRS``-pair chunks in index order.
+    accumulated over ``ustat.CHUNK_PAIRS``-pair chunks in index order.
     """
     terms, _, beta = _bind(model, data, beta)
     _, U, J = _pair_pass(terms, data, beta)
@@ -555,8 +554,7 @@ def _psd_floor(M: np.ndarray) -> np.ndarray:
 
 def sandwich_variance(model, data: PairData, beta: np.ndarray,
                       corrected: bool = True):
-    """Sandwich covariance of the estimate at ``beta``, from one pass over
-    the ``CHUNK_PAIRS``-pair chunks.
+    """Sandwich covariance of the estimate at ``beta``, from one pair pass.
 
     Returns (cov_beta, b_matrix, sigma_u):
       b_matrix  per-pair mean of D'V^-1 D
@@ -592,7 +590,7 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
 
 def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
     """Estimate the working-variance nuisance of ``model`` at ``beta``, from
-    sums accumulated over the ``CHUNK_PAIRS``-pair chunks in index order.
+    sums accumulated over the ``ustat.CHUNK_PAIRS``-pair chunks in index order.
 
     constant   sample variance of the pairwise responses
     propmean   least-squares tau2 = sum(r^2 h) / sum(h^2)
@@ -625,7 +623,7 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
             h *= h
         return r2 @ h, h @ h
 
-    num, denom = chunked_reduce(part, data.n_pairs, chunk=CHUNK_PAIRS)
+    num, denom = chunked_reduce(part, data.n_pairs)
     if denom <= 0:
         raise EvaluationError(f"cannot estimate the {kind} nuisance: "
                               f"fitted means are all zero")

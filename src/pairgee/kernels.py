@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import ustat
 from .errors import EvaluationError, InputError
-from .ustat import CHUNK_PAIRS
 
 KERNEL_KINDS = ("aitchison", "mww", "sqhalfdiff", "icc", "custom")
 
@@ -212,7 +212,7 @@ def pairwise_responses(kernel: Kernel, Y: np.ndarray,
     Returns shape (n_pairs,) for scalar kernels and (n_pairs, d) otherwise.
     A built-in kernel computes its per-call transform once (``clr`` for
     aitchison, the row means for icc) and fills one preallocated output
-    ``CHUNK_PAIRS`` pairs at a time, so its temporaries are O(chunk x
+    ``ustat.CHUNK_PAIRS`` pairs at a time, so its temporaries are O(chunk x
     outcome length) for any pair count.  Custom kernels run per pair and
     wrap failures with the offending pair index.  The ``mww`` and
     ``sqhalfdiff`` kernels take one outcome column.
@@ -270,7 +270,7 @@ def pairwise_responses(kernel: Kernel, Y: np.ndarray,
                 f"({int(i1[bad])}, {int(i2[bad])})", pair=(int(i1[bad]), int(i2[bad])))
         return out[:, 0] if kernel.output_dim == 1 else out
     out = np.empty((len(i1), 2) if kernel.kind == "icc" else len(i1))
-    for lo in range(0, len(i1), CHUNK_PAIRS):
-        sl = slice(lo, lo + CHUNK_PAIRS)
+    for lo in range(0, len(i1), ustat.CHUNK_PAIRS):
+        sl = slice(lo, lo + ustat.CHUNK_PAIRS)
         out[sl] = part(i1[sl], i2[sl])
     return out

@@ -44,7 +44,7 @@ from .fit import (NB_TAU_MAX, FitConfig, PairData, _subject_pairs, adaptive_fit,
 from .kernels import Kernel
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     pair_covariate_matrix)
-from .ustat import CHUNK_PAIRS, chunk_slices, pair_chunks, pair_count
+from .ustat import chunk_slices, pair_chunks, pair_count
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -81,12 +81,12 @@ def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
     rng = _rng(seed_or_rng)
     xs = rng.uniform(a, b, size=n)
     x = np.empty((pair_count(n), 1))
-    for sl, i1, i2 in pair_chunks(n, CHUNK_PAIRS):
+    for sl, i1, i2 in pair_chunks(n):
         x[sl, 0] = xs[i1] + xs[i2]
     # all N rates, then all N counts, drawn a chunk at a time into f: the
     # same stream as one gamma and one poisson draw over all pairs
     f = np.empty(len(x))
-    slices = chunk_slices(len(x), CHUNK_PAIRS)
+    slices = chunk_slices(len(x))
     for sl in slices:
         f[sl] = rng.gamma(shape=tau, scale=np.exp(beta0 + beta1 * x[sl, 0]) / tau)
     for sl in slices:
@@ -122,7 +122,7 @@ def linear_pair_data(d: LinearData) -> PairData:
     n = len(d.x)
     xy = np.column_stack([d.x, d.y])
     x, f = np.empty((pair_count(n), 1)), np.empty(pair_count(n))
-    for sl, i1, i2 in pair_chunks(n, CHUNK_PAIRS):
+    for sl, i1, i2 in pair_chunks(n):
         diff = pair_covariate_matrix(PairCovariate("difference"), xy, i1, i2)
         x[sl, 0], f[sl] = diff[:, 0], diff[:, 1]
     return PairData(n=n, x=x, f=f)

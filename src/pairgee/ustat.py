@@ -87,14 +87,14 @@ def pair_indices(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return i1, i2
 
 
-def pair_chunks(n: int, chunk: int):
-    """An iterator of (slice, i1, i2) over the ``chunk``-pair slices of
+def pair_chunks(n: int):
+    """An iterator of (slice, i1, i2) over the ``chunk_slices`` of
     ``enumerate_pairs(n)`` in order, decoding one slice at a time.  Fewer
     than 2 subjects is an InputError at the call."""
     if n < 2:
         raise InputError(f"need at least 2 subjects to form pairs, got {n}")
     return ((sl, *pair_indices(n, sl.start, sl.stop))
-            for sl in chunk_slices(pair_count(n), chunk))
+            for sl in chunk_slices(pair_count(n)))
 
 
 def is_canonical(n: int, i1: np.ndarray, i2: np.ndarray) -> bool:
@@ -103,7 +103,7 @@ def is_canonical(n: int, i1: np.ndarray, i2: np.ndarray) -> bool:
     if len(i1) != pair_count(n) or len(i2) != len(i1):
         return False
     return all(np.array_equal(i1[sl], a) and np.array_equal(i2[sl], b)
-               for sl, a, b in pair_chunks(n, CHUNK_PAIRS))
+               for sl, a, b in pair_chunks(n))
 
 
 def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray, what: str) -> np.ndarray:
@@ -126,13 +126,14 @@ def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray, what: str) -> np.nda
     return order
 
 
-def chunk_slices(n_items: int, chunk: int) -> list[slice]:
-    """Fixed partition of range(n_items) into consecutive chunks."""
-    return [slice(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
+def chunk_slices(n_items: int) -> list[slice]:
+    """Fixed partition of range(n_items) into ``CHUNK_PAIRS``-item chunks."""
+    return [slice(lo, min(lo + CHUNK_PAIRS, n_items))
+            for lo in range(0, n_items, CHUNK_PAIRS)]
 
 
-def chunked_reduce(fn, n_items: int, *, chunk: int):
-    """Sum ``fn(slice)`` over a fixed chunking of ``range(n_items)``.
+def chunked_reduce(fn, n_items: int):
+    """Sum ``fn(slice)`` over the ``chunk_slices`` of ``range(n_items)``.
 
     ``fn`` returns a tuple of arrays (or scalars); each chunk's result is
     added to a running total in chunk-index order.
@@ -140,7 +141,7 @@ def chunked_reduce(fn, n_items: int, *, chunk: int):
     if n_items == 0:
         raise InputError("nothing to reduce over")
     total = None
-    for sl in chunk_slices(n_items, chunk):
+    for sl in chunk_slices(n_items):
         part = fn(sl)
         total = part if total is None else tuple(t + p for t, p in zip(total, part))
     return tuple(total)
@@ -211,7 +212,7 @@ def ustatistic_mean(kernel, data) -> float | np.ndarray:
          else np.asarray(data, dtype=float))
     Y = Y[:, None] if Y.ndim == 1 else Y
     total = None
-    for _, i1, i2 in pair_chunks(Y.shape[0], CHUNK_PAIRS):
+    for _, i1, i2 in pair_chunks(Y.shape[0]):
         part = np.sum(pairwise_responses(kernel, Y, i1, i2).reshape(len(i1), -1), axis=0)
         total = part if total is None else total + part
     mean = total / pair_count(Y.shape[0])

@@ -32,17 +32,11 @@ def limit_cpus(monkeypatch):
 
 @pytest.fixture
 def chunk_pairs(monkeypatch):
-    """``chunk_pairs(k)`` sets ``CHUNK_PAIRS`` to k in every pairgee module
-    that reads it when it runs."""
-    import pairgee.cli
-    import pairgee.fit
-    import pairgee.kernels
-    import pairgee.simulate
+    """``chunk_pairs(k)`` sets ``ustat.CHUNK_PAIRS``, the one pair chunk size
+    that every pairgee pass reads when it runs, to k."""
     import pairgee.ustat
 
     def set_chunk(k):
-        for module in (pairgee.cli, pairgee.fit, pairgee.kernels,
-                       pairgee.simulate, pairgee.ustat):
-            monkeypatch.setattr(module, "CHUNK_PAIRS", k)
+        monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", k)
 
     return set_chunk

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import pairgee
-import pairgee.kernels
 from pairgee import (FitConfig, FrmModel, Kernel, WorkingVariance, adaptive_fit,
                      aitchison_distance, apply_pseudocount, gen_nb_scenario,
                      make_rng, pairwise_responses)
@@ -253,17 +252,11 @@ def test_distance_full_matrix(tmp_path):
     assert np.all(np.diag(mat) == 0.0)
 
 
-@pytest.mark.parametrize("full,kernel_chunk", [(False, None), (True, None),
-                                               (False, 4), (True, 4)],
-                         ids=["triangular", "full", "triangular-kernel-chunks",
-                              "full-kernel-chunks"])
+@pytest.mark.parametrize("full", [False, True], ids=["triangular", "full"])
 def test_distance_cells_are_the_repr_of_each_distance(tmp_path, monkeypatch, full,
-                                                      kernel_chunk):
-    # a chunk size that splits both layouts into at least 3 chunks, and
-    # one that splits the kernel evaluation of the 21 pairs into 6
-    monkeypatch.setattr(pairgee.cli, "CHUNK_PAIRS", 5)
-    if kernel_chunk is not None:
-        monkeypatch.setattr(pairgee.kernels, "CHUNK_PAIRS", kernel_chunk)
+                                                      chunk_pairs):
+    # a chunk size that splits both layouts into at least 3 chunks
+    chunk_pairs(5)
     evaluated, sizes = [], []
 
     def counting(kernel, Y, i1, i2):

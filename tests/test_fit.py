@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import importlib
+import pkgutil
 import re
 import warnings
 
@@ -102,7 +104,7 @@ def test_build_pairs_memory_is_pair_arrays_plus_one_kernel_chunk(monkeypatch):
     # taxa array
     import tracemalloc
     n, taxa, chunk = 200, 100, 512
-    monkeypatch.setattr(pairgee.kernels, "CHUNK_PAIRS", chunk)
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", chunk)
     counts = make_rng(21, 0).poisson(3.0, size=(n, taxa)).astype(float)
     subjects = [SubjectRecord(k, y=counts[k]) for k in range(n)]
     n_pairs = n * (n - 1) // 2
@@ -282,6 +284,66 @@ def test_no_pass_or_builder_enumerates_all_pairs(monkeypatch, tmp_path):
                                  "--out", str(tmp_path / "d.csv")] + full) == 0
 
 
+def test_ustat_chunk_size_alone_sets_every_pass_over_pairs(monkeypatch, tmp_path):
+    # with only ustat.CHUNK_PAIRS patched, the per-chunk work of each pass
+    # (means, kernel and covariate rows, count draws) gets at most 7 pairs
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 7)
+    sizes = []
+
+    def recording(fn, pairs_of):
+        def wrapper(*args, **kwargs):
+            sizes.append(pairs_of(*args, **kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+            self.uniform = self.rng.uniform
+            self.gamma = recording(self.rng.gamma, lambda shape, scale: len(scale))
+            self.poisson = recording(self.rng.poisson, len)
+
+    for owner, name, pairs_of in [
+            (pairgee.fit, "link_mean_deriv", lambda kind, eta: len(eta)),
+            (pairgee.fit, "pairwise_responses", lambda k, Y, i1, i2: len(i1)),
+            (pairgee.fit, "pair_covariate_matrix", lambda s, X, i1, i2: len(i1)),
+            (pairgee.kernels, "pairwise_responses", lambda k, Y, i1, i2: len(i1)),
+            (pairgee.cli, "pairwise_responses", lambda k, Y, i1, i2: len(i1))]:
+        monkeypatch.setattr(owner, name, recording(getattr(owner, name), pairs_of))
+    nb = gen_nb_scenario(30, 2)
+    model = FrmModel(link="exp", working_variance=WorkingVariance("nb", 4.0),
+                     intercept=True)
+    terms, _, beta = _bind(model, nb, np.array([3.0, 3.0]))
+    mww = gen_mww_probit(25, 3)
+    monkeypatch.setattr(pairgee.simulate, "_rng", RecordingRng)
+    path = tmp_path / "ab.csv"
+    path.write_text("id,t1,t2\n" + "".join(f"s{k},{k + 1},{9 - k}\n" for k in range(8)))
+    passes = {
+        "gen_nb_scenario": lambda: gen_nb_scenario(30, 2),
+        "build_pairs": lambda: build_pairs(
+            [SubjectRecord(k, y=[mww.y[k]], x=mww.x[k]) for k in range(25)],
+            Kernel.mww(), PairCovariate("difference")),
+        "_pair_pass": lambda: _pair_pass(terms, nb, beta, sandwich=True),
+        "estimate_nuisance": lambda: estimate_nuisance(model, nb, beta),
+        "ustatistic_mean": lambda: pairgee.ustatistic_mean(Kernel.sqhalfdiff(),
+                                                           np.arange(9.0)),
+        "distance": lambda: pairgee.cli.main(["distance", "--data", str(path),
+                                              "--out", str(tmp_path / "d.csv")]),
+    }
+    largest = {}
+    for name, run in passes.items():
+        sizes.clear()
+        run()
+        largest[name] = max(sizes, default=0)
+    assert largest == dict.fromkeys(passes, 7)
+
+
+def test_only_ustat_holds_the_chunk_size():
+    modules = [importlib.import_module(f"pairgee.{m.name}")
+               for m in pkgutil.iter_modules(pairgee.__path__)]
+    assert [m.__name__ for m in modules if "CHUNK_PAIRS" in vars(m)] == ["pairgee.ustat"]
+
+
 def test_pair_builders_hold_little_beyond_their_result():
     # tracemalloc peak of each builder against the bytes of its x and f:
     # with the rows filled one chunk at a time and no index arrays kept,
@@ -346,9 +408,9 @@ def test_assemble_chunking_matches_one_chunk(monkeypatch):
     rng = np.random.default_rng(8)
     data = _random_pairs(rng, 60)  # 1770 pairs: crosses a chunk boundary
     beta = np.array([0.7])
-    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", 1024)
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 1024)
     U1, J1 = assemble_ugee(_model(), data, beta)
-    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", data.n_pairs)
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", data.n_pairs)
     U0, J0 = assemble_ugee(_model(), data, beta)
     assert np.allclose(U0, U1, rtol=1e-10)
     assert np.allclose(J0, J1, rtol=1e-10)
@@ -374,7 +436,7 @@ def test_merit_gradient_equals_estimating_equations(link, wv, value, monkeypatch
     model = FrmModel(link=link, working_variance=WorkingVariance(
         wv, value, per_pair=per_pair), intercept=True)
     terms, _, _ = _bind(model, data)
-    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", 128)  # several chunks
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 128)  # several chunks
     _, U, _ = _pair_pass(terms, data, beta)
     step = 1e-6
     grad = [(_pair_pass(terms, data, beta + step * e)[0]
@@ -431,14 +493,14 @@ def _check_pass_against_oracle(name):
 @pytest.mark.parametrize("chunk", [1, 7, 1024, 1225])
 @pytest.mark.parametrize("name", PASS_CASES)
 def test_pair_pass_matches_the_per_pair_loop(name, chunk, monkeypatch):
-    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", chunk)
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", chunk)
     _check_pass_against_oracle(name)
 
 
 @given(name=st.sampled_from(PASS_CASES), chunk=st.integers(1, 1500))
 def test_pair_pass_matches_the_per_pair_loop_at_any_chunk_size(name, chunk):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pairgee.fit, "CHUNK_PAIRS", chunk)
+        patch.setattr(pairgee.ustat, "CHUNK_PAIRS", chunk)
         _check_pass_against_oracle(name)
 
 
@@ -568,7 +630,7 @@ def test_sandwich_streaming_matches_brute_force_across_chunks(monkeypatch):
     rng = np.random.default_rng(14)
     data = _random_pairs(rng, 70)  # 2415 pairs: several chunks
     model = _model()
-    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", 1024)
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 1024)
     res = solve_ugee(model, data)
     table = _score_table(model, data, res.beta)
     brute = brute_projection_variance(brute_hajek(data.n, table.scores))
@@ -756,7 +818,7 @@ def test_pair_passes_see_one_chunk_at_a_time(monkeypatch):
     models = {wv: FrmModel(link="exp", working_variance=WorkingVariance(wv),
                            intercept=True) for wv in ("propmean", "nb")}
     beta = np.array([3.0, 3.0])
-    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", data.n_pairs)
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", data.n_pairs)
     one_chunk = {wv: estimate_nuisance(m, data, beta) for wv, m in models.items()}
     rows = []
 
@@ -769,7 +831,7 @@ def test_pair_passes_see_one_chunk_at_a_time(monkeypatch):
     monkeypatch.setattr(pairgee.fit, "augment", recording(pairgee.fit.augment, 0))
     monkeypatch.setattr(pairgee.fit, "link_mean_deriv",
                         recording(pairgee.fit.link_mean_deriv, 1))
-    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", 1024)
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 1024)
     adaptive_fit(models["nb"], data)
     for wv, model in models.items():
         assert estimate_nuisance(model, data, beta) == pytest.approx(
@@ -896,7 +958,7 @@ def test_fit_icc_invariant_to_rater_effects():
 def test_fit_icc_chunked_matches_one_chunk(monkeypatch):
     ratings = gen_icc_ratings(40, 4, 9).ratings  # 780 pairs: 112 chunks of 7
     one = fit_icc(ratings)
-    monkeypatch.setattr(pairgee.fit, "CHUNK_PAIRS", 7)
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 7)
     chunked = fit_icc(ratings)
     assert np.allclose(chunked.beta, one.beta, rtol=1e-12, atol=0.0)
     assert np.allclose(chunked.cov_beta, one.cov_beta, rtol=1e-12, atol=0.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import pairgee.kernels
+import pairgee.ustat
 from pairgee import (Composition, EvaluationError, InputError, Kernel,
                      aitchison_distance, apply_pseudocount, icc_pair_kernel,
                      mww_indicator, pairwise_responses, sq_half_diff,
@@ -184,7 +184,7 @@ def _check_evaluator(name, chunk):
     kernel, Y, one_pair = EVALUATOR_CASES[name]
     want = np.array([one_pair(Y[a], Y[b]) for a, b in zip(_I1, _I2)], dtype=float)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pairgee.kernels, "CHUNK_PAIRS", chunk)
+        patch.setattr(pairgee.ustat, "CHUNK_PAIRS", chunk)
         got = pairwise_responses(kernel, Y, _I1, _I2)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()

@@ -74,11 +74,12 @@ def test_pair_indices_and_chunks_reject_what_has_no_pairs():
     with pytest.raises(InputError, match=r"pair range \[2, 1\)"):
         pair_indices(3, 2, 1)
     with pytest.raises(InputError, match="need at least 2 subjects to form pairs, got 1"):
-        pair_chunks(1, 7)
+        pair_chunks(1)
 
 
-def test_pair_chunks_cover_the_pairs_in_order():
-    chunks = list(pair_chunks(9, 7))
+def test_pair_chunks_cover_the_pairs_in_order(chunk_pairs):
+    chunk_pairs(7)
+    chunks = list(pair_chunks(9))
     assert [sl for sl, _, _ in chunks] == [slice(0, 7), slice(7, 14), slice(14, 21),
                                            slice(21, 28), slice(28, 35), slice(35, 36)]
     assert np.array_equal(np.concatenate([np.column_stack([a, b]) for _, a, b in chunks]),
@@ -237,15 +238,17 @@ def test_degenerate_kernel_projection_shrinks():
 
 # ----------------------------------------------------- chunking and dumps
 
-def test_chunked_reduce_matches_plain_sum():
+def test_chunked_reduce_matches_plain_sum(chunk_pairs):
     rng = np.random.default_rng(31)
     vals = rng.normal(size=5000)
 
     def part(sl):
         return (vals[sl].sum(), (vals[sl] ** 2).sum())
 
-    chunked = chunked_reduce(part, len(vals), chunk=1024)
-    whole = chunked_reduce(part, len(vals), chunk=len(vals))
+    chunk_pairs(1024)
+    chunked = chunked_reduce(part, len(vals))
+    chunk_pairs(len(vals))
+    whole = chunked_reduce(part, len(vals))
     assert chunked[0] == pytest.approx(whole[0], rel=1e-10)
     assert chunked[1] == pytest.approx(whole[1], rel=1e-10)
 
