@@ -7,13 +7,14 @@ the scenario generators' keywords with numeric defaults; each applies only
 to scenarios whose generator takes it, any other one is an input error, as
 is a method that does not apply to the scenario.
 
-Exit codes: 0 success, 1 non-convergence or invalid simulation report,
-2 input error.  Settings come from the arguments alone.  Numbers in result
-files are serialised with ``repr``, which round-trips float64 exactly.  A
-fit result's ``z`` and ``p`` are ``FitResult.z`` and ``FitResult.p``, the
-Wald statistic and its two-sided normal p-value erfc(|z| / sqrt 2), so
-this module loads no scipy: an ``exp``-link fit and ``distance`` run
-without it.
+Exit codes: 0 success, 1 non-convergence, a fit that cannot be evaluated
+(a singular scoring matrix, a non-finite mean, degenerate responses) or an
+invalid simulation report, 2 input error.  Settings come from the
+arguments alone.  Numbers in result files are serialised with ``repr``,
+which round-trips float64 exactly.  A fit result's ``z`` and ``p`` are
+``FitResult.z`` and ``FitResult.p``, the Wald statistic and its two-sided
+normal p-value erfc(|z| / sqrt 2), so this module loads no scipy: an
+``exp``-link fit and ``distance`` run without it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__, simulate
-from .errors import InputError, NonConvergence
+from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .fit import FitConfig, adaptive_fit, build_pairs, fit_icc
 from .io import LAYOUTS, load_dataset
 from .kernels import (KERNEL_KINDS, Kernel, apply_pseudocount,
@@ -283,6 +284,9 @@ def main(argv=None) -> int:
         return 2
     except NonConvergence as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
+        return 1
+    except (EvaluationError, SingularInformation) as exc:
+        print(f"cannot evaluate the fit: {exc}", file=sys.stderr)
         return 1
 
 

@@ -340,10 +340,7 @@ def _bind(model, data: PairData, beta=None):
         beta = _default_init(model, data, q) if beta is None else beta
     else:
         R = model.responses(data.f)
-        V = R.var(axis=0, ddof=1)
-        if np.any(~np.isfinite(V) | (V <= 0)):
-            raise EvaluationError("degenerate pairwise responses: a component has "
-                                  "zero empirical variance")
+        V = _response_variance(R, "the moment model")
         names = model.param_names
 
         def terms(theta, sl):
@@ -359,6 +356,20 @@ def _bind(model, data: PairData, beta=None):
         raise InputError(f"beta must hold {len(names)} finite values, one per "
                          f"model parameter; got {beta.tolist()}")
     return terms, names, beta
+
+
+def _response_variance(R: np.ndarray, what: str):
+    """Sample variance of the pairwise responses ``R`` along the pairs, which
+    ``what`` needs; an EvaluationError names the cause when it is undefined
+    (one pair) or not positive in a component."""
+    if len(R) < 2:
+        raise EvaluationError(f"degenerate pairwise responses: {what} needs their "
+                              f"sample variance, undefined for one pair")
+    V = R.var(axis=0, ddof=1)
+    if np.any(~np.isfinite(V) | (V <= 0)):
+        raise EvaluationError(f"degenerate pairwise responses: {what} needs their "
+                              f"sample variance, which is zero")
+    return V
 
 
 def _pair_pass(terms, data: PairData, beta: np.ndarray, sandwich: bool = False):
@@ -612,7 +623,7 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
     _, _, beta = _bind(model, data, beta)
     kind = wv.kind
     if kind == "constant":
-        return float(np.var(data.f, ddof=1))
+        return float(_response_variance(data.f, "the constant working variance"))
 
     def part(sl: slice):
         _, _, h, _ = _chunk_mean(model, data, beta, sl)
@@ -665,7 +676,8 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
         return solve_ugee(model, data, config)
 
     # c of constant is var(f) at every beta; nb starts at variance-equals-mean
-    value = (float(np.var(data.f, ddof=1)) if wv.kind == "constant"
+    value = (float(_response_variance(data.f, "the constant working variance"))
+             if wv.kind == "constant"
              else 1.0 if wv.kind == "propmean" else float("inf"))
     trace = [value]
     result = _solve(_with_nuisance(model, value), data, config)

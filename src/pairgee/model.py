@@ -225,11 +225,13 @@ class WorkingVariance:
             if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
                 raise InputError("userfixed variances must be finite and positive")
             object.__setattr__(self, "per_pair", vals)
+        # not > 0 rather than <= 0, so nan is rejected as well
         if self.value is not None and self.kind in ("constant", "propmean") \
-                and self.value <= 0:
-            raise InputError(f"{self.kind} variance parameter must be positive")
-        if self.value is not None and self.kind == "nb" and self.value <= 0:
-            raise InputError("nb dispersion must be positive")
+                and not self.value > 0:
+            raise InputError(f"{self.kind} variance parameter must be positive, "
+                             f"got {self.value!r}")
+        if self.value is not None and self.kind == "nb" and not self.value > 0:
+            raise InputError(f"nb dispersion must be positive, got {self.value!r}")
 
     @property
     def has_nuisance(self) -> bool:

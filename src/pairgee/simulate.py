@@ -327,6 +327,8 @@ def nb_working_mle(data: PairData) -> MleResult:
     observed information for the coefficients at the optimum (dispersion
     held fixed), a benchmark convention.  ``converged`` is false when beta
     still moves by 1e-9 or log tau by 1e-6 after ``MLE_MAX_ROUNDS`` rounds.
+    All-zero counts, whose likelihood grows without bound as the intercept
+    falls, are an EvaluationError.
     """
     # scipy.special is imported in the functions that use it, as
     # scipy.optimize is: its import costs about 0.35 s of start-up
@@ -335,6 +337,8 @@ def nb_working_mle(data: PairData) -> MleResult:
     f = data.f
     if np.any(f < 0):
         raise InputError("count likelihood needs nonnegative responses")
+    if not np.any(f > 0):
+        raise EvaluationError("count likelihood has no maximum: every count is zero")
     X = np.column_stack([np.ones(data.n_pairs), data.x])
     q = X.shape[1]
     beta = np.zeros(q)

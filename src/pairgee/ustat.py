@@ -16,7 +16,11 @@ Determinism
 -----------
 Reductions over pairs run in fixed-size chunks (``CHUNK_PAIRS`` pairs)
 whose partial sums are added to a running total in chunk order, so a
-result depends on the chunk size but on nothing else.
+result depends on the chunk size but on nothing else.  ``CHUNK_PAIRS`` is
+the package's one chunk size: ``chunk_slices``, ``pair_chunks`` and
+``chunked_reduce`` take no size argument and read it when they are called,
+as does the bounded loop of ``kernels.pairwise_responses``, so patching it
+here alone sets the chunks of every pass over pairs.
 """
 
 from __future__ import annotations

@@ -147,6 +147,24 @@ def test_fit_nonconvergence_exits_1_with_result_file(tmp_path):
     assert payload["converged"] is False
 
 
+@pytest.mark.parametrize("x1,y1,message", [
+    # a constant x1 has a zero difference, collinear with the intercept
+    ((1, 1, 1, 1, 1), (0.5, 1.7, 2.2, 0.1, 3.0), "covariate column 0 is constant"),
+    # a constant y1 has zero responses, so the constant working variance is 0
+    ((0.3, 1.2, 0.8, 2.5, 1.9), (2, 2, 2, 2, 2), "degenerate pairwise responses")],
+    ids=["singular", "degenerate"])
+def test_fit_that_cannot_be_evaluated_exits_1_with_one_line(tmp_path, capsys, x1, y1,
+                                                            message):
+    path = _write(tmp_path, "subjects.csv", "id,x1,y1\n" + "".join(
+        f"s{k},{x},{y}\n" for k, (x, y) in enumerate(zip(x1, y1))))
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", path, "--kernel", "sqhalfdiff", "--pair", "diff",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot evaluate the fit: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
+
+
 def test_fit_kernel_layout_mismatch_exits_2(tmp_path):
     path = _write(tmp_path, "subj.csv", "id,x1,y1\na,1,2\nb,3,4\nc,5,6\n")
     code = main(["fit", "--data", path, "--layout", "subjects",

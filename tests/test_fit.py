@@ -753,6 +753,32 @@ def test_estimate_nuisance_constant_is_sample_variance():
         np.var(data.f, ddof=1), rel=1e-14)
 
 
+def _one_pair():
+    return PairData(n=2, i1=[0], i2=[1], x=np.empty((1, 0)), f=[1.5])
+
+
+def _equal_responses():
+    data = gen_nb_scenario(20, 5)
+    return dataclasses.replace(data, f=np.full(data.n_pairs, 2.0))
+
+
+@pytest.mark.parametrize("data,cause", [
+    (_equal_responses, "which is zero"), (_one_pair, "undefined for one pair")],
+    ids=["equal-responses", "one-pair"])
+def test_constant_nuisance_of_degenerate_responses_names_its_cause(data, cause):
+    # c = var(f) is zero for equal responses and undefined for one pair;
+    # neither is a user-set parameter nor a per-pair variance failure
+    data = data()
+    model = _model(wv="constant", intercept=True)
+    message = ("degenerate pairwise responses: the constant working variance "
+               "needs their sample variance, " + cause)
+    with pytest.raises(EvaluationError, match=message):
+        adaptive_fit(model, data)
+    beta = np.zeros(1 + data.x.shape[1])
+    with pytest.raises(EvaluationError, match=message):
+        estimate_nuisance(model, data, beta)
+
+
 def test_estimate_nuisance_rejects_kinds_without_nuisance():
     data = gen_nb_scenario(20, 5)
     with pytest.raises(InputError):
@@ -980,6 +1006,8 @@ def test_moment_model_rejects_degenerate_responses():
                     x=np.empty((len(pairs), 0)), f=np.full(len(pairs), 2.0))
     with pytest.raises(EvaluationError):
         solve_ugee(MeanVarianceModel(), data)
+    with pytest.raises(EvaluationError, match="undefined for one pair"):
+        fit_mean_variance(_one_pair())
 
 
 def test_solver_expit_link_with_binary_working_variance():

@@ -329,3 +329,6 @@ def test_working_variance_validation():
         WorkingVariance("userfixed", per_pair=np.array([1.0, 0.0]))
     assert WorkingVariance("userfixed", per_pair=np.array([1.0, 2.0])).has_nuisance \
         is False
+    for kind in ("constant", "propmean", "nb"):   # nan <= 0 is false
+        with pytest.raises(InputError, match="must be positive, got nan"):
+            WorkingVariance(kind, value=float("nan"))

@@ -243,6 +243,25 @@ def test_nb_working_mle_rejects_negative_counts():
         nb_working_mle(bad)
 
 
+def test_nb_working_mle_on_all_zero_counts_is_an_evaluation_error():
+    # exp(-30) means draw no count at n = 10: the likelihood grows without
+    # bound as beta0 falls, so there is no estimate to iterate towards
+    data = gen_nb_scenario(10, make_rng(0, 0), beta0=-30.0, beta1=0.0)
+    assert not data.f.any()
+    with pytest.raises(EvaluationError, match="every count is zero"):
+        nb_working_mle(data)
+
+
+def test_run_monte_carlo_counts_all_zero_replicates_as_failures():
+    config = McConfig(scenario="nb", n=10, replicates=3, seed=0,
+                      methods=("mle:nb", "ugee:const"),
+                      params={"beta0": -30.0, "beta1": 0.0})
+    report = run_monte_carlo(config)
+    assert report.invalid
+    assert {row.method: row.failures for row in report.rows} == {
+        "mle:nb": 3, "ugee:const": 3}
+
+
 # ------------------------------------------------------------- monte carlo
 
 def test_run_monte_carlo_reproducible():
