@@ -32,6 +32,17 @@ the estimate agrees with the plain formula; when responses are
 pair-independent the floor alone survives, which is the correct limit.
 ``sandwich_variance(..., corrected=False)`` returns the plain
 uncorrected form.
+
+Moment models
+-------------
+The two-dimensional moment models (``IccModel``, ``MeanVarianceModel``)
+have the same mean h and gradient D for every pair, so their pair sums
+factor through four sufficient statistics of the (N, 2) responses R: N,
+the mean, the centred cross-products and the (n, 2) per-subject sums.
+One pass over the pair chunks gathers them (``_moment_stats``); every
+scoring iterate and the sandwich are then O(n) closed forms
+(``_moment_bind``).  ``fit_icc`` feeds that pass from the rating matrix
+directly, without a ``PairData``.
 """
 
 from __future__ import annotations
@@ -39,7 +50,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -310,79 +322,136 @@ def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
     return _quasi_objective(wv, f, h, r, V, comp), s, J
 
 
-def _bind(model, data: PairData, beta=None):
-    """The model-specific side of a fit on ``data`` at ``beta``.
+class _Bound(NamedTuple):
+    """A model bound to its data: what the solver and the sandwich read."""
 
-    Returns (terms, names, beta): ``terms(theta, sl)`` gives the
-    quasi-objective, the (q, chunk) pair scores and the (q, q) scoring
-    matrix of the pair chunk ``sl``; ``names`` names the q parameters;
-    ``beta`` is the given value as a float array, or the model's default
-    start when None.  A ``beta`` other than q finite values is an
-    InputError.  This is the
-    only code that tells the scalar model from the two-dimensional moment
-    models, whose mean h and gradient D are the same for every pair.
+    evaluate: Callable   # evaluate(theta, sandwich=False), as ``_pair_pass``
+    names: tuple         # the q parameter names
+    beta: np.ndarray     # the start: the given beta, or the model's default
+    n: int               # subjects
+    n_pairs: int         # pairs
+
+
+def _bind(model, data: PairData, beta=None) -> _Bound:
+    """The model-specific side of a fit on ``data``, with start ``beta``.
+
+    ``evaluate(theta)`` returns the quasi-objective, U and J at theta, and
+    ``evaluate(theta, sandwich=True)`` adds the (n, q) per-subject sums of
+    the pair scores and Z2 = sum of their outer products.  For the scalar
+    model it is ``_pair_pass``, one pass over the pair chunks per call.
+    The two-dimensional moment models, whose mean h and gradient D are the
+    same for every pair, read ``data`` once here, in ``_moment_bind``, and
+    evaluate in closed form.  A ``beta`` of None is the model's default
+    start; one other than q finite values is an InputError.  This is the
+    only code that tells the two kinds of model apart.
     """
-    if isinstance(model, FrmModel):
-        q = data.x.shape[1] + int(model.intercept)
-        if q == 0:
-            raise InputError("model has no parameters: no covariates and no intercept")
-        wv = model.working_variance
-        if wv.kind == "userfixed" and wv.per_pair.shape != (data.n_pairs,):
-            raise InputError(f"userfixed working variance has {wv.per_pair.size} "
-                             f"per-pair values for {data.n_pairs} pairs")
-        _collinearity_check(data.x, model.intercept)
-        slopes = [f"beta{k + 1}" for k in range(data.x.shape[1])]
-        names = tuple((["beta0"] if model.intercept else []) + slopes)
+    if not isinstance(model, FrmModel):
+        chunks = ((i1, i2, model.responses(data.f[sl]))
+                  for sl, i1, i2 in pair_chunks(data.n))
+        return _moment_bind(model, data.n, chunks, beta)
+    q = data.x.shape[1] + int(model.intercept)
+    if q == 0:
+        raise InputError("model has no parameters: no covariates and no intercept")
+    wv = model.working_variance
+    if wv.kind == "userfixed" and wv.per_pair.shape != (data.n_pairs,):
+        raise InputError(f"userfixed working variance has {wv.per_pair.size} "
+                         f"per-pair values for {data.n_pairs} pairs")
+    _collinearity_check(data.x, model.intercept)
+    slopes = [f"beta{k + 1}" for k in range(data.x.shape[1])]
+    names = tuple((["beta0"] if model.intercept else []) + slopes)
+    beta = _default_init(model, data, q) if beta is None else beta
+    return _Bound(partial(_pair_pass, model, data), names,
+                  _start(beta, names), data.n, data.n_pairs)
 
-        def terms(beta, sl):
-            return _chunk_terms(model, data, beta, sl)
 
-        beta = _default_init(model, data, q) if beta is None else beta
-    else:
-        R = model.responses(data.f)
-        V = _response_variance(R, "the moment model")
-        names = model.param_names
-
-        def terms(theta, sl):
-            h, D = model.mean_map(theta)
-            resid = R[sl].T - h[:, None]      # (2, chunk)
-            merit = float(np.sum(-0.5 * resid * resid / V[:, None]))
-            return (merit, D.T @ (resid / V[:, None]),
-                    resid.shape[1] * D.T @ (D / V[:, None]))
-
-        beta = model.init_theta(R) if beta is None else beta
+def _start(beta, names: tuple) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (len(names),) or not np.all(np.isfinite(beta)):
         raise InputError(f"beta must hold {len(names)} finite values, one per "
                          f"model parameter; got {beta.tolist()}")
-    return terms, names, beta
+    return beta
 
 
-def _response_variance(R: np.ndarray, what: str):
-    """Sample variance of the pairwise responses ``R`` along the pairs, which
+def _response_variance(N: int, variance, what: str):
+    """``variance()``, the sample variance of N pairwise responses that
     ``what`` needs; an EvaluationError names the cause when it is undefined
     (one pair) or not positive in a component."""
-    if len(R) < 2:
+    if N < 2:
         raise EvaluationError(f"degenerate pairwise responses: {what} needs their "
                               f"sample variance, undefined for one pair")
-    V = R.var(axis=0, ddof=1)
+    V = variance()
     if np.any(~np.isfinite(V) | (V <= 0)):
         raise EvaluationError(f"degenerate pairwise responses: {what} needs their "
                               f"sample variance, which is zero")
     return V
 
 
-def _pair_pass(terms, data: PairData, beta: np.ndarray, sandwich: bool = False):
+def _moment_stats(n: int, chunks):
+    """Sufficient statistics of the (N, 2) responses R of a moment model,
+    from one pass over ``chunks``, an iterable of (i1, i2, R rows).
+
+    Returns (N, Rbar, C, T): the pair count, the mean response, the
+    centred cross-products sum (R - Rbar)'(R - Rbar), and the (n, 2)
+    per-subject sums of R over own pairs.  Each chunk's mean and centred
+    cross-products are merged into the running ones as in Chan, Golub and
+    LeVeque (1979), so no array beyond a chunk's rows is made.
+    """
+    N, Rbar, C, T = 0, 0.0, 0.0, 0.0    # the first chunk's merge sets them
+    for i1, i2, R in chunks:
+        m = len(R)
+        mean = R.sum(axis=0) / m
+        dev = R - mean
+        delta = mean - Rbar
+        Rbar = Rbar + delta * (m / (N + m))
+        C = C + dev.T @ dev + np.outer(delta, delta) * (N * m / (N + m))
+        T = T + interleaved_accumulate(n, i1, i2, R)
+        N += m
+    return N, Rbar, C, T
+
+
+def _moment_bind(model, n: int, chunks, beta=None) -> _Bound:
+    """``_bind`` of a moment model whose responses arrive as ``chunks``
+    (see ``_moment_stats``).
+
+    With V = diag(C) / (N - 1), the working variance of each component,
+    and W = D' V^-1, every pair quantity sums in closed form:
+
+        merit = -1/2 [sum_c C_cc / V_c + N sum_c (Rbar_c - h_c)^2 / V_c]
+        U = N W (Rbar - h),   J = N W D,
+        per-subject score sums (T - (n - 1) h) W',
+        Z2 = W [C + N (Rbar - h)(Rbar - h)'] W'.
+    """
+    N, Rbar, C, T = _moment_stats(n, chunks)
+    V = _response_variance(N, lambda: np.diag(C) / (N - 1), "the moment model")
+    names = model.param_names
+    beta = model.init_theta(Rbar) if beta is None else beta
+
+    def evaluate(theta, sandwich: bool = False):
+        h, D = model.mean_map(theta)
+        W = D.T / V                    # (q, 2)
+        d = Rbar - h
+        merit = -0.5 * float(np.sum(np.diag(C) / V) + N * np.sum(d * d / V))
+        U, J = N * (W @ d), N * (W @ D)
+        if not sandwich:
+            return merit, U, J
+        return (merit, U, J, (T - (n - 1) * h) @ W.T,
+                W @ (C + N * np.outer(d, d)) @ W.T)
+
+    return _Bound(evaluate, names, _start(beta, names), n, N)
+
+
+def _pair_pass(model: FrmModel, data: PairData, beta: np.ndarray,
+               sandwich: bool = False):
     """One pass over the pair chunks at ``beta``: the quasi-objective, U and J.
 
     With ``sandwich`` the pass also returns the (n, q) per-subject sums of
     the pair scores, each chunk's pairs decoded by ``pair_indices``, and
-    Z2 = sum of the scores' outer products.  ``terms``
-    gives each chunk's scores as a (q, chunk) array, so U and Z2 reduce
-    contiguous rows.
+    Z2 = sum of the scores' outer products.  ``_chunk_terms`` gives each
+    chunk's scores as a (q, chunk) array, so U and Z2 reduce contiguous
+    rows.
     """
     def part(sl: slice):
-        merit, s, J = terms(beta, sl)
+        merit, s, J = _chunk_terms(model, data, beta, sl)
         if not sandwich:
             return merit, s.sum(axis=1), J
         i1, i2 = pair_indices(data.n, sl.start, sl.stop)
@@ -399,8 +468,8 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray):
     U = sum_i D_i' V_i^-1 (f_i - h_i)   and   J = sum_i D_i' V_i^-1 D_i,
     accumulated over ``ustat.CHUNK_PAIRS``-pair chunks in index order.
     """
-    terms, _, beta = _bind(model, data, beta)
-    _, U, J = _pair_pass(terms, data, beta)
+    bound = _bind(model, data, beta)
+    _, U, J = bound.evaluate(bound.beta)
     return U, J
 
 
@@ -511,32 +580,34 @@ def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitRes
     degenerates.
     """
     config = config or FitConfig()
-    return _with_sandwich(model, data, _solve(model, data, config))
+    return _fit(_bind(model, data, config.init_beta), config)
 
 
-def _solve(model, data: PairData, config: FitConfig) -> FitResult:
-    """``solve_ugee`` up to the sandwich: a converged result comes back with
-    ``cov_beta``, ``b_matrix`` and ``sigma_u`` left None for the caller to
-    fill; NonConvergence still carries a result with its sandwich."""
-    terms, names, theta0 = _bind(model, data, config.init_beta)
-    q = len(names)
-    if data.n < q + 1:
+def _fit(bound: _Bound, config: FitConfig) -> FitResult:
+    """``_solve`` and the sandwich, both from the one binding ``bound``."""
+    return _with_sandwich(bound, _solve(bound, config))
+
+
+def _solve(bound: _Bound, config: FitConfig) -> FitResult:
+    """``solve_ugee`` from the start ``bound.beta`` up to the sandwich: a
+    converged result comes back with ``cov_beta``, ``b_matrix`` and
+    ``sigma_u`` left None for the caller to fill; NonConvergence still
+    carries a result with its sandwich.  Of ``config`` only the tolerance
+    and the iteration budget are read."""
+    q = len(bound.names)
+    if bound.n < q + 1:
         raise InputError(f"need at least {q + 1} subjects to fit {q} parameters")
-
-    def evaluate(theta):
-        return _pair_pass(terms, data, theta)
-
     beta, eq_norm, iterations, converged, flagged = _newton(
-        evaluate, theta0, data.n_pairs, config)
+        bound.evaluate, bound.beta, bound.n_pairs, config)
     result = FitResult(
         beta=beta, cov_beta=None, b_matrix=None, sigma_u=None, eq_norm=eq_norm,
-        iterations=iterations, converged=converged, n_subjects=data.n,
-        n_pairs=data.n_pairs, flagged_steps=flagged, param_names=names)
+        iterations=iterations, converged=converged, n_subjects=bound.n,
+        n_pairs=bound.n_pairs, flagged_steps=flagged, param_names=bound.names)
 
     if converged:
         return result
     try:
-        result = _with_sandwich(model, data, result)
+        result = _with_sandwich(bound, result)
     except (EvaluationError, SingularInformation):
         result = None
     raise NonConvergence(
@@ -549,8 +620,8 @@ def _solve(model, data: PairData, config: FitConfig) -> FitResult:
 # Sandwich covariance
 # --------------------------------------------------------------------------- #
 
-def _with_sandwich(model, data: PairData, result: FitResult) -> FitResult:
-    cov, B, Su = sandwich_variance(model, data, result.beta)
+def _with_sandwich(bound: _Bound, result: FitResult) -> FitResult:
+    cov, B, Su = _sandwich(bound, result.beta)
     return dataclasses.replace(result, cov_beta=cov, b_matrix=B, sigma_u=Su)
 
 
@@ -565,7 +636,7 @@ def _psd_floor(M: np.ndarray) -> np.ndarray:
 
 def sandwich_variance(model, data: PairData, beta: np.ndarray,
                       corrected: bool = True):
-    """Sandwich covariance of the estimate at ``beta``, from one pair pass.
+    """Sandwich covariance of the estimate at ``beta``.
 
     Returns (cov_beta, b_matrix, sigma_u):
       b_matrix  per-pair mean of D'V^-1 D
@@ -573,10 +644,19 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
       cov_beta  the two-component estimate described in the module
                 docstring (or B^-1 sigma_u B^-1 / n when ``corrected``
                 is false)
+
+    The scalar model takes one pass over the pair chunks; a moment model
+    reads ``data`` once for its sufficient statistics and then needs O(n)
+    work (see ``_bind``).
     """
-    n, N = data.n, data.n_pairs
-    terms, _, beta = _bind(model, data, beta)
-    _, _, B_sum, acc, Z2 = _pair_pass(terms, data, beta, sandwich=True)
+    bound = _bind(model, data, beta)
+    return _sandwich(bound, bound.beta, corrected)
+
+
+def _sandwich(bound: _Bound, beta: np.ndarray, corrected: bool = True):
+    """``sandwich_variance`` of a bound model at ``beta``."""
+    n, N = bound.n, bound.n_pairs
+    _, _, B_sum, acc, Z2 = bound.evaluate(beta, sandwich=True)
 
     B = B_sum / N
     _check_conditioning(B, "bread matrix")
@@ -620,10 +700,10 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
     if wv is None or not wv.has_nuisance:
         raise InputError(f"{wv.kind if wv else type(model).__name__} has no "
                          f"working-variance nuisance")
-    _, _, beta = _bind(model, data, beta)
+    beta = _bind(model, data, beta).beta
     kind = wv.kind
     if kind == "constant":
-        return float(_response_variance(data.f, "the constant working variance"))
+        return _constant_nuisance(data)
 
     def part(sl: slice):
         _, _, h, _ = _chunk_mean(model, data, beta, sl)
@@ -644,6 +724,12 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
     if ratio <= 1.0 / (0.99 * NB_TAU_MAX):
         return float("inf")
     return max(1.0 / ratio, NB_TAU_MIN)
+
+
+def _constant_nuisance(data: PairData) -> float:
+    """c of the ``constant`` working variance: the sample variance of f."""
+    return float(_response_variance(data.n_pairs, lambda: data.f.var(ddof=1),
+                                    "the constant working variance"))
 
 
 def _nuisance_close(new: float, old: float) -> bool:
@@ -675,12 +761,14 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     if wv is None or not wv.has_nuisance:
         return solve_ugee(model, data, config)
 
+    def bind(value, beta):   # each round's model differs in its nuisance
+        return _bind(_with_nuisance(model, value), data, beta)
+
     # c of constant is var(f) at every beta; nb starts at variance-equals-mean
-    value = (float(_response_variance(data.f, "the constant working variance"))
-             if wv.kind == "constant"
+    value = (_constant_nuisance(data) if wv.kind == "constant"
              else 1.0 if wv.kind == "propmean" else float("inf"))
     trace = [value]
-    result = _solve(_with_nuisance(model, value), data, config)
+    result = _solve(bind(value, config.init_beta), config)
     iterations = result.iterations
     rounds, done = 1, True
     if wv.kind == "propmean":
@@ -691,14 +779,13 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
             trace.append(new)
             done = _nuisance_close(new, value)
             value = new
-            warm = dataclasses.replace(config, init_beta=result.beta)
-            result = _solve(_with_nuisance(model, value), data, warm)
+            result = _solve(bind(value, result.beta), config)
             iterations += result.iterations
             if done:
                 break
-    result = dataclasses.replace(
-        _with_sandwich(_with_nuisance(model, value), data, result),
-        iterations=iterations)
+    cov, B, Su = sandwich_variance(_with_nuisance(model, value), data, result.beta)
+    result = dataclasses.replace(result, cov_beta=cov, b_matrix=B, sigma_u=Su,
+                                 iterations=iterations)
     if not done:
         raise NonConvergence(
             f"adaptive working-variance loop did not settle in "
@@ -710,19 +797,38 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
 # Convenience fits for the two-dimensional models
 # --------------------------------------------------------------------------- #
 
-def icc_pair_data(ratings: np.ndarray) -> PairData:
-    """Pairwise two-component agreement responses from an (n, K) rating matrix."""
+def _rating_matrix(ratings) -> np.ndarray:
     ratings = np.asarray(ratings, dtype=float)
     if ratings.ndim != 2 or ratings.shape[1] < 2:
         raise InputError("ratings must be an (n, K>=2) matrix")
-    return _subject_pairs(Kernel.icc(), ratings)
+    return ratings
+
+
+def icc_pair_data(ratings: np.ndarray) -> PairData:
+    """Pairwise two-component agreement responses from an (n, K) rating matrix."""
+    return _subject_pairs(Kernel.icc(), _rating_matrix(ratings))
 
 
 def fit_icc(ratings: np.ndarray, config: FitConfig | None = None) -> FitResult:
-    """Agreement fit: returns (tau2, rho) with sandwich covariance."""
-    ratings = np.asarray(ratings, dtype=float)
-    data = icc_pair_data(ratings)
-    return solve_ugee(IccModel(raters=ratings.shape[1]), data, config)
+    """Agreement fit: returns (tau2, rho) with sandwich covariance.
+
+    The result equals ``solve_ugee(IccModel(K), icc_pair_data(ratings))``
+    bit for bit, but the agreement responses are evaluated one pair chunk
+    at a time into the model's sufficient statistics, so no ``PairData``
+    is built and the fit holds O(n + ``ustat.CHUNK_PAIRS``) values.
+    """
+    ratings = _rating_matrix(ratings)
+    model, kernel = IccModel(raters=ratings.shape[1]), Kernel.icc()
+    config = config or FitConfig()
+
+    def chunks():
+        for _, i1, i2 in pair_chunks(len(ratings)):
+            f = pairwise_responses(kernel, ratings, i1, i2)
+            if not np.all(np.isfinite(f)):
+                raise InputError("pair data must be finite")
+            yield i1, i2, model.responses(f)
+
+    return _fit(_moment_bind(model, len(ratings), chunks(), config.init_beta), config)
 
 
 def fit_mean_variance(data: PairData, config: FitConfig | None = None) -> FitResult:

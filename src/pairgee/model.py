@@ -375,8 +375,9 @@ class IccModel:
             raise InputError("rater-agreement model needs two-component responses")
         return f
 
-    def init_theta(self, R: np.ndarray) -> np.ndarray:
-        tau2 = float(max(np.mean(R[:, 1]), 1e-12))
+    def init_theta(self, r_mean: np.ndarray) -> np.ndarray:
+        """The default start, from the mean of the two response components."""
+        tau2 = float(max(r_mean[1], 1e-12))
         return np.array([tau2, 0.0])
 
 
@@ -394,7 +395,8 @@ class MeanVarianceModel:
         f = f if f.ndim == 1 else f[:, 0]
         return np.column_stack([f, f * f])
 
-    def init_theta(self, R: np.ndarray) -> np.ndarray:
-        mu = float(np.mean(R[:, 0]))
-        sigma2 = float(max(np.mean(R[:, 1]) - mu * mu, 1e-12))
+    def init_theta(self, r_mean: np.ndarray) -> np.ndarray:
+        """The default start, from the mean of the two response components."""
+        mu = float(r_mean[0])
+        sigma2 = float(max(r_mean[1] - mu * mu, 1e-12))
         return np.array([mu, sigma2])

@@ -307,6 +307,16 @@ def _nb_profile_tau(f: np.ndarray, mu: np.ndarray, tau_prev: float,
     return tau
 
 
+def _information_solve(info: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """info^-1 rhs, or info^-1 when ``rhs`` is None; a singular ``info`` is
+    an EvaluationError."""
+    try:
+        return np.linalg.inv(info) if rhs is None else np.linalg.solve(info, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationError("count likelihood has no maximum in reach: its "
+                              "information matrix is singular") from exc
+
+
 def nb_working_mle(data: PairData) -> MleResult:
     """Maximise the overdispersed-count likelihood treating pairs as independent.
 
@@ -328,7 +338,9 @@ def nb_working_mle(data: PairData) -> MleResult:
     held fixed), a benchmark convention.  ``converged`` is false when beta
     still moves by 1e-9 or log tau by 1e-6 after ``MLE_MAX_ROUNDS`` rounds.
     All-zero counts, whose likelihood grows without bound as the intercept
-    falls, are an EvaluationError.
+    falls, are an EvaluationError, as is an information matrix that turns
+    singular on the way to a maximum that does not exist (a count whose
+    covariate separates it from all others sends the slope to infinity).
     """
     # scipy.special is imported in the functions that use it, as
     # scipy.optimize is: its import costs about 0.35 s of start-up
@@ -362,7 +374,7 @@ def nb_working_mle(data: PairData) -> MleResult:
             p = 1.0 / (1.0 + mu / tau)
             score = X.T @ ((f - mu) * p)
             info = (X * (mu * p)[:, None]).T @ X
-            step = np.linalg.solve(info, score)
+            step = _information_solve(info, score)
             beta = beta + step
             if np.max(np.abs(step)) < MLE_STEP_TOL:
                 break
@@ -380,7 +392,7 @@ def nb_working_mle(data: PairData) -> MleResult:
     curvature = mu * p * (1.0 + np.where(np.isinf(tau), 0.0,
                                          (f - mu) / (tau + mu)))
     obs_info = (X * curvature[:, None]).T @ X
-    cov = np.linalg.inv(obs_info)
+    cov = _information_solve(obs_info)
     names = tuple(f"beta{k}" for k in range(q))
     return MleResult(beta=beta, cov_beta=cov, tau=tau,
                      loglik=_nb_loglik(f, mu, tau, log_f_fact), iterations=it,

@@ -27,7 +27,7 @@ import pairgee.kernels
 import pairgee.model
 import pairgee.simulate
 import pairgee.ustat
-from pairgee.fit import _bind, _chunk_mean, _pair_pass
+from pairgee.fit import _bind, _chunk_mean, _chunk_terms
 
 from oracles import (brute_hajek, brute_pair_pass, brute_projection_variance,
                      full_array_subject_pairs, nb_tau_quadratic,
@@ -51,8 +51,8 @@ def _random_pairs(rng, n, p=1, beta=None, link="identity", noise=1.0):
 
 
 def _score_table(model, data, beta):
-    """The per-pair scores at ``beta``, evaluated as one chunk."""
-    return PairScoreTable(data.n, _bind(model, data)[0](beta, slice(0, data.n_pairs))[1].T)
+    """The per-pair scores of a scalar model at ``beta``, evaluated as one chunk."""
+    return PairScoreTable(data.n, _chunk_terms(model, data, beta, slice(0, data.n_pairs))[1].T)
 
 
 # ------------------------------------------------------------- pair data
@@ -313,8 +313,9 @@ def test_ustat_chunk_size_alone_sets_every_pass_over_pairs(monkeypatch, tmp_path
     nb = gen_nb_scenario(30, 2)
     model = FrmModel(link="exp", working_variance=WorkingVariance("nb", 4.0),
                      intercept=True)
-    terms, _, beta = _bind(model, nb, np.array([3.0, 3.0]))
+    bound = _bind(model, nb, np.array([3.0, 3.0]))
     mww = gen_mww_probit(25, 3)
+    ratings = gen_icc_ratings(20, 3, 2).ratings
     monkeypatch.setattr(pairgee.simulate, "_rng", RecordingRng)
     path = tmp_path / "ab.csv"
     path.write_text("id,t1,t2\n" + "".join(f"s{k},{k + 1},{9 - k}\n" for k in range(8)))
@@ -323,8 +324,9 @@ def test_ustat_chunk_size_alone_sets_every_pass_over_pairs(monkeypatch, tmp_path
         "build_pairs": lambda: build_pairs(
             [SubjectRecord(k, y=[mww.y[k]], x=mww.x[k]) for k in range(25)],
             Kernel.mww(), PairCovariate("difference")),
-        "_pair_pass": lambda: _pair_pass(terms, nb, beta, sandwich=True),
-        "estimate_nuisance": lambda: estimate_nuisance(model, nb, beta),
+        "evaluate": lambda: bound.evaluate(bound.beta, sandwich=True),
+        "fit_icc": lambda: fit_icc(ratings),
+        "estimate_nuisance": lambda: estimate_nuisance(model, nb, bound.beta),
         "ustatistic_mean": lambda: pairgee.ustatistic_mean(Kernel.sqhalfdiff(),
                                                            np.arange(9.0)),
         "distance": lambda: pairgee.cli.main(["distance", "--data", str(path),
@@ -435,14 +437,29 @@ def test_merit_gradient_equals_estimating_equations(link, wv, value, monkeypatch
     per_pair = rng.uniform(0.5, 2.0, len(pairs)) if wv == "userfixed" else None
     model = FrmModel(link=link, working_variance=WorkingVariance(
         wv, value, per_pair=per_pair), intercept=True)
-    terms, _, _ = _bind(model, data)
     monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 128)  # several chunks
-    _, U, _ = _pair_pass(terms, data, beta)
+    _check_merit_gradient(_bind(model, data).evaluate, beta)
+
+
+def _check_merit_gradient(evaluate, beta):
+    _, U, _ = evaluate(beta)
     step = 1e-6
-    grad = [(_pair_pass(terms, data, beta + step * e)[0]
-             - _pair_pass(terms, data, beta - step * e)[0]) / (2 * step)
-            for e in np.eye(2)]
+    grad = [(evaluate(beta + step * e)[0] - evaluate(beta - step * e)[0]) / (2 * step)
+            for e in np.eye(len(beta))]
     assert np.allclose(grad, U, rtol=1e-6, atol=1e-6 * np.max(np.abs(U)))
+
+
+@pytest.mark.parametrize("name", ["icc", "mean-variance"])
+def test_moment_merit_gradient_equals_estimating_equations(name, monkeypatch):
+    # the closed-form merit of a moment model is the quasi-likelihood whose
+    # gradient is its closed-form U
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 128)  # several chunks
+    if name == "icc":
+        model, data = IccModel(raters=4), icc_pair_data(gen_icc_ratings(30, 4, 20).ratings)
+        beta = np.array([1.2, 0.4])
+    else:
+        model, data, beta = MeanVarianceModel(), gen_nb_scenario(30, 20), np.array([9.0, 40.0])
+    _check_merit_gradient(_bind(model, data).evaluate, beta)
 
 
 def _pass_case(name):
@@ -482,8 +499,8 @@ def _pass_oracle(name):
 
 def _check_pass_against_oracle(name):
     model, data, beta, want = _pass_oracle(name)
-    terms, _, beta = _bind(model, data, beta)
-    got = _pair_pass(terms, data, beta, sandwich=True)
+    bound = _bind(model, data, beta)
+    got = bound.evaluate(bound.beta, sandwich=True)
     for g, w in zip(got, want):
         g, w = np.asarray(g), np.asarray(w)
         assert g.shape == w.shape
@@ -518,7 +535,7 @@ def test_one_pair_mean_and_gradient_is_a_row_of_the_chunk_pass():
     beta = np.array([3.1])
     everything = slice(0, data.n_pairs)
     _, _, h, _ = _chunk_mean(model, data, beta, everything)
-    scores = _bind(model, data)[0](beta, everything)[1]
+    scores = _chunk_terms(model, data, beta, everything)[1]
     assert scores.shape == (1, data.n_pairs)
     for k in (0, 7, data.n_pairs - 1):
         hk, D = mean_and_gradient(model, data.x[k], beta)
@@ -979,6 +996,78 @@ def test_fit_icc_invariant_to_rater_effects():
     gamma = np.array([1.0, -2.0, 1.0])
     res2 = fit_icc(base.ratings + gamma[None, :])
     assert np.allclose(res1.beta, res2.beta, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_fit_icc_equals_the_pair_data_fit_bit_for_bit(chunk, monkeypatch):
+    # the streamed fit and the fit on icc_pair_data feed the same chunks
+    # to the same sufficient statistics
+    if chunk is not None:
+        monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", chunk)
+    ratings = gen_icc_ratings(30, 4, 12).ratings
+    streamed = fit_icc(ratings)
+    stored = solve_ugee(IccModel(raters=4), icc_pair_data(ratings))
+    for field in ("beta", "cov_beta", "sigma_u", "b_matrix"):
+        assert getattr(streamed, field).tobytes() == getattr(stored, field).tobytes()
+    assert (streamed.iterations, streamed.n_pairs) == (stored.iterations, stored.n_pairs)
+
+
+def test_fit_icc_holds_no_pair_arrays():
+    # n = 1500 has 1,124,250 pairs: the (N, 2) responses alone would take
+    # 18 MB, while the fit holds O(n) statistics and one chunk's rows
+    import tracemalloc
+    ratings = gen_icc_ratings(1500, 4, make_rng(11, 1)).ratings
+    tracemalloc.start()
+    try:
+        res = fit_icc(ratings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+_RATINGS = gen_icc_ratings(6, 3, 1).ratings
+_NAN_RATINGS = _RATINGS.copy()
+_NAN_RATINGS[2, 1] = np.nan
+
+
+@pytest.mark.parametrize("ratings,error,message", [
+    (_NAN_RATINGS, InputError, "pair data must be finite"),
+    (_RATINGS[:, 0], InputError, "ratings must be an (n, K>=2) matrix"),
+    (_RATINGS[:, :1], InputError, "ratings must be an (n, K>=2) matrix"),
+    (_RATINGS[:2], EvaluationError, "degenerate pairwise responses: the moment "
+     "model needs their sample variance, undefined for one pair"),
+    (np.ones((6, 3)), EvaluationError, "degenerate pairwise responses: the moment "
+     "model needs their sample variance, which is zero"),
+    (_RATINGS[:1], InputError, "need at least 2 subjects to form pairs, got 1"),
+], ids=["nan", "1-d", "one-rater", "n=2", "constant", "n=1"])
+def test_fit_icc_rejects_what_the_pair_data_fit_rejects(ratings, error, message):
+    # q = 2, so n < q + 1 subjects leave at most one pair
+    with pytest.raises(error) as err:
+        fit_icc(ratings)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", ["icc", "mean-variance"])
+def test_a_moment_fit_reads_its_responses_once(name, monkeypatch):
+    # the solve and the sandwich share one pass of sufficient statistics
+    monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 7)
+    if name == "icc":
+        model, data = IccModel(raters=3), icc_pair_data(gen_icc_ratings(20, 3, 4).ratings)
+    else:
+        model, data = MeanVarianceModel(), gen_nb_scenario(20, 4)
+    chunks = []
+    responses = type(model).responses
+
+    def recording(self, f):
+        chunks.append(len(f))
+        return responses(self, f)
+
+    monkeypatch.setattr(type(model), "responses", recording)
+    res = solve_ugee(model, data, FitConfig(init_beta=np.array([1.0, 0.5])))
+    assert res.converged and res.iterations > 1
+    assert sum(chunks) == data.n_pairs and max(chunks) == 7
 
 
 def test_fit_icc_chunked_matches_one_chunk(monkeypatch):

@@ -252,6 +252,16 @@ def test_nb_working_mle_on_all_zero_counts_is_an_evaluation_error():
         nb_working_mle(data)
 
 
+def test_nb_working_mle_on_a_separated_count_is_an_evaluation_error():
+    # one count, on the pair with the largest covariate: the likelihood
+    # rises as the slope grows, until the information matrix is singular
+    data = gen_nb_scenario(10, make_rng(0, 0), beta0=-30.0, beta1=0.0)
+    f = np.zeros(data.n_pairs)
+    f[np.argmax(data.x[:, 0])] = 1.0
+    with pytest.raises(EvaluationError, match="information matrix is singular"):
+        nb_working_mle(dataclasses.replace(data, f=f))
+
+
 def test_run_monte_carlo_counts_all_zero_replicates_as_failures():
     config = McConfig(scenario="nb", n=10, replicates=3, seed=0,
                       methods=("mle:nb", "ugee:const"),
