@@ -13,13 +13,11 @@ from .fit import (FitConfig, FitResult, PairData, adaptive_fit, assemble_ugee,
                   build_pairs, estimate_nuisance, fit_icc, fit_mean_variance,
                   icc_pair_data, sandwich_variance, solve_ugee)
 from .kernels import (Composition, Kernel, aitchison_distance,
-                      apply_pseudocount, clr, icc_pair_kernel, mww_indicator,
-                      pairwise_responses, sq_half_diff)
+                      apply_pseudocount, clr, pairwise_responses)
 from .links import link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, PairCovariate,
-                    SubjectRecord, WorkingVariance, encode_pair_onehot,
-                    icc_mean_map, mean_and_gradient, meanvar_mean_map,
-                    onehot_pair_labels, pair_covariate_eval, stack_subjects)
+                    SubjectRecord, WorkingVariance, icc_mean_map,
+                    meanvar_mean_map, onehot_pair_labels, stack_subjects)
 from .simulate import (McConfig, McReport, MleResult, gen_icc_ratings,
                        gen_linear_exogenous, gen_mww_probit, gen_nb_scenario,
                        linear_pair_data, make_rng, mww_pair_data,
@@ -35,15 +33,14 @@ __all__ = [
     "IccModel", "InputError", "Kernel", "McConfig", "McReport",
     "MeanVarianceModel", "MleResult", "NonConvergence", "PairCovariate",
     "PairData", "PairScoreTable", "SingularInformation", "SubjectRecord",
-    "WorkingVariance", "adaptive_fit", "aitchison_distance", "apply_pseudocount",
-    "assemble_ugee", "build_pairs", "clr", "dump_pair_scores",
-    "encode_pair_onehot", "enumerate_pairs", "estimate_nuisance", "fit_icc",
+    "WorkingVariance", "adaptive_fit", "aitchison_distance",
+    "apply_pseudocount", "assemble_ugee", "build_pairs", "clr",
+    "dump_pair_scores", "enumerate_pairs", "estimate_nuisance", "fit_icc",
     "fit_mean_variance", "gen_icc_ratings", "gen_linear_exogenous",
     "gen_mww_probit", "gen_nb_scenario", "hajek_scores", "icc_mean_map",
-    "icc_pair_data", "icc_pair_kernel", "linear_pair_data", "link_mean_deriv",
-    "load_pair_scores", "make_rng", "mean_and_gradient", "meanvar_mean_map",
-    "mww_indicator", "mww_pair_data", "nb_working_mle", "onehot_pair_labels",
-    "pair_count", "pair_covariate_eval", "pairwise_responses",
+    "icc_pair_data", "linear_pair_data", "link_mean_deriv", "load_pair_scores",
+    "make_rng", "meanvar_mean_map", "mww_pair_data", "nb_working_mle",
+    "onehot_pair_labels", "pair_count", "pairwise_responses",
     "projection_variance", "run_monte_carlo", "sandwich_variance", "solve_ugee",
-    "sq_half_diff", "stack_subjects", "ustatistic_mean",
+    "stack_subjects", "ustatistic_mean",
 ]

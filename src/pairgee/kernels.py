@@ -111,44 +111,6 @@ def aitchison_distance(y1, y2) -> float:
                                     np.array([0]), np.array([1]))[0])
 
 
-def mww_indicator(y1: float, y2: float, ties: str = "le") -> float:
-    """Rank indicator I(y1 <= y2) for one pair of scalar outcomes.
-
-    Ties score 1 under the default ``ties="le"`` convention; pass
-    ``ties="midrank"`` to score ties 1/2 instead.
-    """
-    if ties not in ("le", "midrank"):
-        raise InputError(f"unknown tie convention {ties!r}")
-    if y1 == y2:
-        return 0.5 if ties == "midrank" else 1.0
-    return 1.0 if y1 < y2 else 0.0
-
-
-def sq_half_diff(y1: float, y2: float) -> float:
-    """Half squared difference (y1 - y2)^2 / 2; its mean over pairs is a variance."""
-    d = float(y1) - float(y2)
-    return 0.5 * d * d
-
-
-def icc_pair_kernel(r1: np.ndarray, r2: np.ndarray) -> tuple[float, float]:
-    """Two-component agreement kernel for one pair of rating vectors.
-
-    f1 = (mean(r1) - mean(r2))^2 / 2            between-subject part
-    f2 = mean over raters of (r1k - r2k)^2 / 2  total part
-
-    Symmetric in its arguments.
-    """
-    r1 = np.atleast_1d(np.asarray(r1, dtype=float))
-    r2 = np.atleast_1d(np.asarray(r2, dtype=float))
-    if r1.size != r2.size:
-        raise InputError(f"rating lengths differ: {r1.size} vs {r2.size}")
-    if r1.size < 2:
-        raise InputError("agreement kernel needs at least 2 raters")
-    f1 = 0.5 * (r1.mean() - r2.mean()) ** 2
-    f2 = 0.5 * np.mean((r1 - r2) ** 2)
-    return float(f1), float(f2)
-
-
 @dataclass(frozen=True)
 class Kernel:
     """A pairwise response function and its output dimension.
@@ -215,9 +177,12 @@ def pairwise_responses(kernel: Kernel, Y: np.ndarray,
     ``ustat.CHUNK_PAIRS`` pairs at a time, so its temporaries are O(chunk x
     outcome length) for any pair count.  Custom kernels run per pair and
     wrap failures with the offending pair index.  The ``mww`` and
-    ``sqhalfdiff`` kernels take one outcome column.
+    ``sqhalfdiff`` kernels take one outcome column; a 1-d ``Y`` is read as
+    one.
     """
     Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
     if kernel.kind in ("mww", "sqhalfdiff") and Y.shape[1] != 1:
         raise InputError(f"{kernel.kind} kernel needs one outcome column, "
                          f"got {Y.shape[1]}")

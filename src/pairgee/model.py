@@ -2,10 +2,10 @@
 
 A model couples a mean function (link applied to a linear predictor of a
 between-subject covariate) with a working variance for the pairwise
-response.  This module holds the pure, per-pair pieces: subject records,
-covariate constructions for a pair, link evaluation with analytic
-gradients, and the dedicated mean maps of the two-dimensional models
-(rater-agreement and mean/variance-of-distance).
+response.  This module holds the model pieces: subject records, the pair
+covariate constructions evaluated over index arrays of pairs, working
+variances, the design of the scalar model, and the dedicated mean maps of
+the two-dimensional models (rater-agreement and mean/variance-of-distance).
 
 Everything here is value-semantics and side-effect free.
 """
@@ -18,7 +18,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import InputError
-from .links import LINK_KINDS, link_mean_deriv
+from .links import LINK_KINDS
 
 PAIR_TRANSFORMS = ("difference", "sum", "concatenate", "onehot")
 VARIANCE_KINDS = ("constant", "poisson", "propmean", "nb", "bernoulli", "userfixed")
@@ -90,33 +90,6 @@ def onehot_pair_labels(levels: int) -> list[tuple[int, int]]:
     return [(k1, k2) for k1 in range(1, levels + 1) for k2 in range(k1, levels + 1)]
 
 
-def _onehot_slot(lo, hi, levels: int):
-    # row-major over lo <= hi: slot = offset of row lo + (hi - lo); scalars
-    # or integer arrays
-    return (lo - 1) * levels - (lo - 1) * (lo - 2) // 2 + (hi - lo)
-
-
-def encode_pair_onehot(x1: int, x2: int, levels: int) -> np.ndarray:
-    """Indicator vector for the unordered level pair {x1, x2}.
-
-    With K = ``levels`` categories the output has length K + K(K-1)/2, one
-    slot per unordered pair, ordered (1,1), (1,2), ..., (1,K), (2,2), ...,
-    (K,K).  Exactly one entry is 1.  The encoding is symmetric in its two
-    arguments, so concordant and discordant pairs get distinct slots but
-    the subject order within a pair is irrelevant.
-    """
-    if levels < 1:
-        raise InputError("onehot encoding needs at least one level")
-    k1, k2 = int(x1), int(x2)
-    if k1 != x1 or k2 != x2:
-        raise InputError(f"categorical levels must be integers, got ({x1!r}, {x2!r})")
-    if not (1 <= k1 <= levels and 1 <= k2 <= levels):
-        raise InputError(f"level pair ({k1}, {k2}) outside 1..{levels}")
-    out = np.zeros(levels + levels * (levels - 1) // 2)
-    out[_onehot_slot(min(k1, k2), max(k1, k2), levels)] = 1.0
-    return out
-
-
 @dataclass(frozen=True)
 class PairCovariate:
     """Recipe turning two subjects' covariate vectors into one pair covariate.
@@ -146,26 +119,17 @@ class PairCovariate:
         return self.levels + self.levels * (self.levels - 1) // 2
 
 
-def pair_covariate_eval(spec: PairCovariate, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Apply a pair-covariate recipe to one pair of subject covariate vectors."""
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x1.shape != x2.shape:
-        raise InputError(f"covariate dims differ: {x1.shape} vs {x2.shape}")
-    if spec.transform == "difference":
-        return x1 - x2
-    if spec.transform == "sum":
-        return x1 + x2
-    if spec.transform == "concatenate":
-        return np.concatenate([x1, x2])
-    if x1.size != 1:
-        raise InputError("onehot transform needs a single categorical covariate")
-    return encode_pair_onehot(float(x1[0]), float(x2[0]), spec.levels)
-
-
 def pair_covariate_matrix(spec: PairCovariate, X: np.ndarray,
                           i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
-    """Vectorised ``pair_covariate_eval`` over an index array of pairs."""
+    """The pair covariates of the pairs (i1, i2) of the rows of ``X``.
+
+    Returns shape (n_pairs, ``spec.output_dim(p)``).  A ``onehot`` row has
+    one slot per unordered level pair, in the order of
+    ``onehot_pair_labels``: (1,1), (1,2), ..., (1,K), (2,2), ..., (K,K).
+    Exactly one entry is 1, the same for (i1, i2) as for (i2, i1), so
+    concordant and discordant pairs get distinct slots but the subject
+    order within a pair is irrelevant.
+    """
     X = np.asarray(X, dtype=float)
     if spec.transform == "difference":
         return X[i1] - X[i2]
@@ -176,13 +140,17 @@ def pair_covariate_matrix(spec: PairCovariate, X: np.ndarray,
     if X.shape[1] != 1:
         raise InputError("onehot transform needs a single categorical covariate")
     levels = spec.levels
-    ints = X[:, 0].astype(np.int64)
-    if np.any(ints != X[:, 0]):
+    col = X[:, 0]
+    if np.any(np.floor(col) != col):
         raise InputError("categorical covariate has non-integer levels")
-    if ints.min(initial=levels) < 1 or ints.max(initial=1) > levels:
+    # checked on the floats: a level beyond the int64 range has no cast
+    if col.min(initial=levels) < 1 or col.max(initial=1) > levels:
         raise InputError(f"categorical level outside 1..{levels}")
-    slots = _onehot_slot(np.minimum(ints[i1], ints[i2]),
-                         np.maximum(ints[i1], ints[i2]), levels)
+    ints = col.astype(np.int64)
+    lo = np.minimum(ints[i1], ints[i2])
+    hi = np.maximum(ints[i1], ints[i2])
+    # row-major over lo <= hi: the offset of row lo, plus hi - lo
+    slots = (lo - 1) * levels - (lo - 1) * (lo - 2) // 2 + (hi - lo)
     out = np.zeros((len(i1), spec.output_dim(1)))
     out[np.arange(len(i1)), slots] = 1.0
     return out
@@ -298,25 +266,6 @@ def augment(x: np.ndarray, intercept: bool) -> np.ndarray:
         xt[0] = 1.0
     xt[first:] = x.T
     return xt
-
-
-def mean_and_gradient(model: FrmModel, pair_x: np.ndarray,
-                      beta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean h and analytic beta-gradient D for one pair covariate vector.
-
-    h = link(eta), eta = beta' x_aug where x_aug is ``pair_x`` with a
-    leading 1 when the model has an intercept; D = link'(eta) * x_aug.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(beta)):
-        raise InputError("beta must be finite")
-    xt = augment(np.atleast_1d(pair_x), model.intercept)
-    if xt.shape[0] != beta.size:
-        raise InputError(f"beta length {beta.size} does not match covariate "
-                         f"dimension {xt.shape[0]}")
-    eta = beta @ xt
-    h, dh = link_mean_deriv(model.link, eta)
-    return float(h[0]), dh[0] * xt[:, 0]
 
 
 # --------------------------------------------------------------------------- #

@@ -45,8 +45,7 @@ def enumerate_pairs(n: int) -> np.ndarray:
     """
     if n < 2:
         raise InputError(f"need at least 2 subjects to form pairs, got {n}")
-    i1, i2 = np.triu_indices(n, k=1)
-    return np.column_stack([i1, i2]).astype(np.int64, copy=False)
+    return np.column_stack(pair_indices(n, 0, pair_count(n)))
 
 
 def pair_count(n: int) -> int:
@@ -204,8 +203,8 @@ class PairScoreTable:
 def ustatistic_mean(kernel, data) -> float | np.ndarray:
     """Average of a pairwise kernel over all subject pairs.
 
-    ``data`` is a sequence of SubjectRecord or a 2-d outcome array with one
-    subject per row.  Each ``CHUNK_PAIRS``-pair slice is evaluated by one
+    ``data`` is a sequence of SubjectRecord or an outcome array with one
+    subject per row (1-d: one outcome per subject).  Each ``CHUNK_PAIRS``-pair slice is evaluated by one
     ``pairwise_responses`` call and summed, and the sums are added in
     chunk order.  Returns a float for scalar kernels, else a vector.
     """
@@ -214,7 +213,6 @@ def ustatistic_mean(kernel, data) -> float | np.ndarray:
 
     Y = (stack_subjects(data)[1] if len(data) and isinstance(data[0], SubjectRecord)
          else np.asarray(data, dtype=float))
-    Y = Y[:, None] if Y.ndim == 1 else Y
     total = None
     for _, i1, i2 in pair_chunks(Y.shape[0]):
         part = np.sum(pairwise_responses(kernel, Y, i1, i2).reshape(len(i1), -1), axis=0)

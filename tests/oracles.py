@@ -68,18 +68,36 @@ def brute_projection_variance(vtil):
     return out / n
 
 
+def _link_by_hand(link, eta):
+    """Mean h, its derivative g and the complement 1 - h at one linear
+    predictor eta."""
+    if link == "identity":
+        return eta, 1.0, 1.0 - eta
+    if link == "exp":
+        h = math.exp(eta)
+        return h, h, 1.0 - h
+    if link == "expit":
+        h = 1.0 / (1.0 + math.exp(-eta))
+        return h, h * (1.0 - h), 1.0 - h
+    # probitc: h = Phi(-eta)
+    h = 0.5 * math.erfc(eta / math.sqrt(2.0))
+    g = -math.exp(-0.5 * eta * eta) / math.sqrt(2.0 * math.pi)
+    return h, g, 0.5 * math.erfc(-eta / math.sqrt(2.0))
+
+
+def mean_and_gradient_by_hand(link, intercept, x, beta):
+    """Mean h and beta-gradient D of one pair of the scalar model, whose
+    design is the covariate vector x after a leading 1 with an intercept."""
+    design = ([1.0] if intercept else []) + [float(v) for v in x]
+    eta = sum(float(b) * v for b, v in zip(beta, design))
+    h, g, _ = _link_by_hand(link, eta)
+    return h, [g * v for v in design]
+
+
 def _brute_scalar_pair(link, wv_kind, wv_value, eta, f):
     """Mean derivative g, residual r, working variance V and
     quasi-likelihood term of one pair of the scalar model."""
-    if link == "identity":
-        h, g, comp = eta, 1.0, 1.0 - eta
-    elif link == "exp":
-        h = math.exp(eta)
-        g, comp = h, 1.0 - h
-    else:  # probitc: h = Phi(-eta)
-        h = 0.5 * math.erfc(eta / math.sqrt(2.0))
-        g = -math.exp(-0.5 * eta * eta) / math.sqrt(2.0 * math.pi)
-        comp = 0.5 * math.erfc(-eta / math.sqrt(2.0))
+    h, g, comp = _link_by_hand(link, eta)
     r = f - h
     if wv_kind == "constant":
         V = 1.0 if wv_value is None else wv_value
@@ -244,6 +262,54 @@ def aitchison_by_hand(y1, y2):
     c1 = clr_by_hand(y1)
     c2 = clr_by_hand(y2)
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(c1, c2)))
+
+
+def mww_by_hand(y1, y2, ties="le"):
+    """The rank indicator I(y1 <= y2) of two scalar outcomes; a tie scores
+    1/2 under ``ties="midrank"``."""
+    if y1 < y2:
+        return 1.0
+    if y1 == y2:
+        return 0.5 if ties == "midrank" else 1.0
+    return 0.0
+
+
+def sq_half_diff_by_hand(y1, y2):
+    d = y1 - y2
+    return 0.5 * d * d
+
+
+def icc_pair_by_hand(r1, r2):
+    """(f1, f2) of two rating vectors: half the squared gap of the rater
+    means, and the mean over raters of half the squared per-rater gaps."""
+    raters = len(r1)
+    gap = sum(r1) / raters - sum(r2) / raters
+    total = 0.0
+    for a, b in zip(r1, r2):
+        total += (a - b) * (a - b)
+    return 0.5 * (gap * gap), 0.5 * (total / raters)
+
+
+def pair_covariate_by_hand(transform, x1, x2, levels=0):
+    """The pair covariate of one pair of covariate vectors.  A ``onehot``
+    slot is the position of the level pair (min, max) in the list of all
+    level pairs (k1, k2), k1 <= k2, enumerated row by row."""
+    x1 = [float(v) for v in x1]
+    x2 = [float(v) for v in x2]
+    if transform == "difference":
+        return [a - b for a, b in zip(x1, x2)]
+    if transform == "sum":
+        return [a + b for a, b in zip(x1, x2)]
+    if transform == "concatenate":
+        return x1 + x2
+    pairs = []
+    for k1 in range(1, levels + 1):
+        for k2 in range(k1, levels + 1):
+            pairs.append((k1, k2))
+    k1, k2 = int(x1[0]), int(x2[0])
+    out = [0.0] * len(pairs)
+    out[pairs.index((min(k1, k2), max(k1, k2)))] = 1.0
+    return out
 
 
 # --------------------------------------------------------------------------- #

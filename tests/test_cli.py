@@ -172,6 +172,13 @@ def test_fit_kernel_layout_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+def test_fit_onehot_level_beyond_int64_exits_2_naming_the_range(tmp_path, capsys):
+    path = _write(tmp_path, "s.csv", "id,x1,y1\na,1,1\nb,2,3\nc,1e30,2\nd,2,5\n")
+    assert main(["fit", "--data", path, "--kernel", "sqhalfdiff",
+                 "--pair", "onehot:2"]) == 2
+    assert capsys.readouterr().err == "input error: categorical level outside 1..2\n"
+
+
 @pytest.mark.parametrize("argv, unread", [
     (["--layout", "pairs", "--kernel", "mww", "--pair", "onehot:3", "--ties",
       "midrank", "--pseudocount", "additive"], "--kernel, --pair, --ties, --pseudocount"),
@@ -318,6 +325,15 @@ def test_each_module_imports_alone_without_scipy(module):
     out = _run_fresh(f"import sys, {module}\n"
                      "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
     assert out.strip() == "[]"
+
+
+def test_the_export_list_names_each_public_name_once():
+    names = pairgee.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(pairgee, name)] == []
+    star = {}
+    exec("from pairgee import *", star)
+    assert set(names) <= set(star)
 
 
 def test_simulate_writes_reproducible_reports(tmp_path):

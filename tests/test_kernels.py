@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import pairgee.ustat
 from pairgee import (Composition, EvaluationError, InputError, Kernel,
-                     aitchison_distance, apply_pseudocount, icc_pair_kernel,
-                     mww_indicator, pairwise_responses, sq_half_diff,
+                     aitchison_distance, apply_pseudocount, pairwise_responses,
                      ustatistic_mean)
 
-from oracles import aitchison_by_hand
+from oracles import (aitchison_by_hand, icc_pair_by_hand, mww_by_hand,
+                     sq_half_diff_by_hand)
 
 
 # ----------------------------------------------------------- compositions
@@ -101,27 +101,36 @@ def test_aitchison_input_validation():
 
 # ----------------------------------------------------------- other kernels
 
+def _one_pair_each(kernel, Y, pairs):
+    """The kernel's values on the given (i1, i2) pairs of the rows of Y."""
+    i1, i2 = np.array(pairs).T
+    return pairwise_responses(kernel, np.asarray(Y, dtype=float), i1, i2)
+
+
 def test_mww_indicator_convention():
-    assert mww_indicator(1.0, 2.0) == 1.0
-    assert mww_indicator(2.0, 1.0) == 0.0
+    y = [[1.0], [2.0], [3.0], [3.0]]
+    pairs = [(0, 1), (1, 0), (2, 3)]
     # ties count as 1 under the default "<=" convention
-    assert mww_indicator(3.0, 3.0) == 1.0
-    assert mww_indicator(3.0, 3.0, ties="midrank") == 0.5
+    assert np.array_equal(_one_pair_each(Kernel.mww(), y, pairs), [1.0, 0.0, 1.0])
+    assert np.array_equal(_one_pair_each(Kernel.mww("le"), y, pairs), [1.0, 0.0, 1.0])
+    assert np.array_equal(_one_pair_each(Kernel.mww("midrank"), y, pairs),
+                          [1.0, 0.0, 0.5])
 
 
 def test_sq_half_diff():
-    assert sq_half_diff(1.0, 2.0) == 0.5
-    assert sq_half_diff(2.0, 2.0) == 0.0
+    vals = _one_pair_each(Kernel.sqhalfdiff(), [[1.0], [2.0], [2.0]], [(0, 1), (1, 2)])
+    assert np.array_equal(vals, [0.5, 0.0])
 
 
 def test_icc_pair_kernel_values_and_symmetry():
-    assert icc_pair_kernel([1.0, 1.0], [1.0, 1.0]) == (0.0, 0.0)
-    f1, f2 = icc_pair_kernel([1.0, 3.0], [1.0, 1.0])
-    assert f1 == pytest.approx(0.5)
-    assert f2 == pytest.approx(1.0)
-    assert icc_pair_kernel([1.0, 1.0], [1.0, 3.0]) == (f1, f2)
-    with pytest.raises(InputError):
-        icc_pair_kernel([1.0, 2.0], [1.0, 2.0, 3.0])
+    ratings = [[1.0, 1.0], [1.0, 1.0], [1.0, 3.0]]
+    vals = _one_pair_each(Kernel.icc(), ratings, [(0, 1), (2, 0), (0, 2)])
+    assert vals.shape == (3, 2)
+    assert np.array_equal(vals[0], [0.0, 0.0])
+    assert vals[1] == pytest.approx([0.5, 1.0])
+    assert np.array_equal(vals[1], vals[2])
+    with pytest.raises(InputError, match="at least 2 raters"):
+        _one_pair_each(Kernel.icc(), [[1.0], [2.0]], [(0, 1)])
 
 
 # ---------------------------------------------------- vectorised evaluation
@@ -134,23 +143,23 @@ def test_pairwise_responses_match_scalar_functions():
     comps = rng.dirichlet(np.ones(4), size=n)
     vals = pairwise_responses(Kernel.aitchison(), comps, i1, i2)
     for k in range(len(i1)):
-        assert vals[k] == pytest.approx(aitchison_distance(comps[i1[k]], comps[i2[k]]),
+        assert vals[k] == pytest.approx(aitchison_by_hand(comps[i1[k]], comps[i2[k]]),
                                         rel=1e-12)
 
     y = rng.normal(size=(n, 1))
     vals = pairwise_responses(Kernel.mww(), y, i1, i2)
     for k in range(len(i1)):
-        assert vals[k] == mww_indicator(y[i1[k], 0], y[i2[k], 0])
+        assert vals[k] == mww_by_hand(y[i1[k], 0], y[i2[k], 0])
 
     vals = pairwise_responses(Kernel.sqhalfdiff(), y, i1, i2)
     for k in range(len(i1)):
-        assert vals[k] == pytest.approx(sq_half_diff(y[i1[k], 0], y[i2[k], 0]))
+        assert vals[k] == pytest.approx(sq_half_diff_by_hand(y[i1[k], 0], y[i2[k], 0]))
 
     ratings = rng.normal(size=(n, 3))
     vals = pairwise_responses(Kernel.icc(), ratings, i1, i2)
     for k in range(len(i1)):
-        assert vals[k] == pytest.approx(icc_pair_kernel(ratings[i1[k]],
-                                                        ratings[i2[k]]))
+        assert vals[k] == pytest.approx(icc_pair_by_hand(ratings[i1[k]],
+                                                         ratings[i2[k]]))
 
 
 def _evaluator_cases():
@@ -162,11 +171,12 @@ def _evaluator_cases():
     custom = Kernel.custom(lambda a, b: (a[0] * b[1] - b[0], a[1] - b[1]), output_dim=2)
     return {
         "aitchison": (Kernel.aitchison(), comps, aitchison_distance),
-        "mww-le": (Kernel.mww(), tied, lambda a, b: mww_indicator(a[0], b[0])),
+        "mww-le": (Kernel.mww(), tied, lambda a, b: mww_by_hand(a[0], b[0])),
         "mww-midrank": (Kernel.mww("midrank"), tied,
-                        lambda a, b: mww_indicator(a[0], b[0], "midrank")),
-        "sqhalfdiff": (Kernel.sqhalfdiff(), tied, lambda a, b: sq_half_diff(a[0], b[0])),
-        "icc": (Kernel.icc(), ratings, icc_pair_kernel),
+                        lambda a, b: mww_by_hand(a[0], b[0], "midrank")),
+        "sqhalfdiff": (Kernel.sqhalfdiff(), tied,
+                       lambda a, b: sq_half_diff_by_hand(a[0], b[0])),
+        "icc": (Kernel.icc(), ratings, icc_pair_by_hand),
         "custom": (custom, ratings, custom.func),
     }
 
@@ -206,6 +216,27 @@ def test_scalar_kernels_reject_several_outcome_columns(kind):
     Y = np.random.default_rng(6).normal(size=(6, 2))
     with pytest.raises(InputError, match="one outcome column"):
         ustatistic_mean(getattr(Kernel, kind)(), Y)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.mww(), Kernel.mww("midrank"),
+                                    Kernel.sqhalfdiff(),
+                                    Kernel.custom(lambda a, b: a[0] - 2.0 * b[0])],
+                         ids=["mww", "mww-midrank", "sqhalfdiff", "custom"])
+def test_a_1d_outcome_array_is_one_outcome_column(kernel):
+    y = np.array([1.0, 3.0, 3.0, -0.5])
+    i1, i2 = np.triu_indices(4, k=1)
+    want = pairwise_responses(kernel, y[:, None], i1, i2)
+    assert np.array_equal(pairwise_responses(kernel, y, i1, i2), want)
+    assert ustatistic_mean(kernel, y) == ustatistic_mean(kernel, y[:, None])
+
+
+@pytest.mark.parametrize("kernel,message", [
+    (Kernel.aitchison(), "outcome length >= 2"), (Kernel.icc(), "at least 2 raters")],
+    ids=["aitchison", "icc"])
+def test_a_1d_outcome_array_is_too_short_for_the_vector_kernels(kernel, message):
+    y = np.array([0.2, 0.5, 0.3])
+    with pytest.raises(InputError, match=message):
+        pairwise_responses(kernel, y, np.array([0, 1]), np.array([1, 2]))
 
 
 def test_mww_midrank_vectorised():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from pairgee import (EvaluationError, FrmModel, InputError, PairCovariate,
-                     SubjectRecord, WorkingVariance, encode_pair_onehot,
-                     icc_mean_map, link_mean_deriv, mean_and_gradient,
-                     meanvar_mean_map, onehot_pair_labels, pair_covariate_eval,
+                     PairData, SubjectRecord, WorkingVariance, icc_mean_map,
+                     link_mean_deriv, meanvar_mean_map, onehot_pair_labels,
                      stack_subjects)
+from pairgee.fit import _chunk_mean
 from pairgee.links import link_complement
 from pairgee.model import augment, pair_covariate_matrix, variance_eval
 
-from oracles import central_diff
+from oracles import central_diff, mean_and_gradient_by_hand, pair_covariate_by_hand
 
 
 # ------------------------------------------------------------------ links
@@ -86,33 +86,43 @@ def test_unknown_link_rejected():
 
 # ------------------------------------------------------------ onehot pairs
 
+def _onehot_rows(levels, X, i1, i2):
+    return pair_covariate_matrix(PairCovariate("onehot", levels=levels),
+                                 np.asarray(X, dtype=float)[:, None],
+                                 np.asarray(i1), np.asarray(i2))
+
+
 def test_onehot_binary_mixed_pair():
     # levels 1 and 2 of a binary covariate: slot order (11), (12), (22)
-    assert np.array_equal(encode_pair_onehot(1, 2, 2), [0.0, 1.0, 0.0])
-    assert np.array_equal(encode_pair_onehot(1, 1, 2), [1.0, 0.0, 0.0])
-    assert np.array_equal(encode_pair_onehot(2, 2, 2), [0.0, 0.0, 1.0])
+    rows = _onehot_rows(2, [1, 2], [0, 0, 1], [1, 0, 1])
+    assert np.array_equal(rows, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_onehot_three_levels():
-    vec = encode_pair_onehot(1, 1, 3)
-    assert vec.shape == (6,)
-    assert np.array_equal(vec, [1, 0, 0, 0, 0, 0])
+    rows = _onehot_rows(3, [1, 1], [0], [1])
+    assert rows.shape == (1, 6)
+    assert np.array_equal(rows[0], [1, 0, 0, 0, 0, 0])
 
 
 def test_onehot_unordered_and_length():
     for K in (2, 3, 5):
         assert len(onehot_pair_labels(K)) == K + K * (K - 1) // 2
-        for k1 in range(1, K + 1):
-            for k2 in range(1, K + 1):
-                assert np.array_equal(encode_pair_onehot(k1, k2, K),
-                                      encode_pair_onehot(k2, k1, K))
+        # every ordered pair of the levels 1..K, self-pairs included
+        i1, i2 = np.divmod(np.arange(K * K), K)
+        rows = _onehot_rows(K, np.arange(1, K + 1), i1, i2)
+        assert rows.shape == (K * K, len(onehot_pair_labels(K)))
+        assert np.array_equal(rows.sum(axis=1), np.ones(K * K))
+        assert np.array_equal(rows, _onehot_rows(K, np.arange(1, K + 1), i2, i1))
 
 
 def test_onehot_out_of_range():
-    with pytest.raises(InputError):
-        encode_pair_onehot(0, 1, 2)
-    with pytest.raises(InputError):
-        encode_pair_onehot(1, 3, 2)
+    # 1e30 and -1e30 are integer-valued floats outside the int64 range
+    for level in (0.0, 3.0, 1e30, -1e30, np.inf):
+        with pytest.raises(InputError, match=r"categorical level outside 1\.\.2"):
+            _onehot_rows(2, [1.0, level], [0], [1])
+    for level in (1.5, np.nan):
+        with pytest.raises(InputError, match="non-integer levels"):
+            _onehot_rows(2, [1.0, level], [0], [1])
 
 
 def test_onehot_slots_are_a_bijection_onto_level_pairs():
@@ -120,11 +130,11 @@ def test_onehot_slots_are_a_bijection_onto_level_pairs():
     rng = np.random.default_rng(3)
     K, n = 4, 40
     levels = rng.integers(1, K + 1, size=n)
-    counts = np.zeros(K + K * (K - 1) // 2)
+    i1, i2 = np.triu_indices(n, k=1)
+    counts = _onehot_rows(K, levels, i1, i2).sum(axis=0)
     direct = {}
     for a in range(n):
         for b in range(a + 1, n):
-            counts += encode_pair_onehot(levels[a], levels[b], K)
             key = (min(levels[a], levels[b]), max(levels[a], levels[b]))
             direct[key] = direct.get(key, 0) + 1
     labels = onehot_pair_labels(K)
@@ -136,44 +146,47 @@ def test_onehot_slots_are_a_bijection_onto_level_pairs():
 # ----------------------------------------------------- pair covariates
 
 def test_pair_covariate_sum_and_difference():
+    one = np.array([0]), np.array([1])
     spec = PairCovariate("sum")
-    assert pair_covariate_eval(spec, [0.2], [0.5]) == pytest.approx([0.7])
+    assert pair_covariate_matrix(spec, np.array([[0.2], [0.5]]), *one) \
+        == pytest.approx(np.array([[0.7]]))
     diff = PairCovariate("difference")
-    x = np.array([1.5, -2.0])
-    assert np.array_equal(pair_covariate_eval(diff, x, x), np.zeros(2))
-    assert np.array_equal(pair_covariate_eval(diff, x, np.zeros(2)), x)
+    X = np.array([[1.5, -2.0], [0.0, 0.0]])
+    rows = pair_covariate_matrix(diff, X, np.array([0, 0]), np.array([0, 1]))
+    assert np.array_equal(rows, [[0.0, 0.0], [1.5, -2.0]])
 
 
 def test_pair_covariate_concat_and_onehot():
     concat = PairCovariate("concatenate")
-    out = pair_covariate_eval(concat, [1.0, 2.0], [3.0, 4.0])
-    assert np.array_equal(out, [1, 2, 3, 4])
-    onehot = PairCovariate("onehot", levels=2)
-    assert np.array_equal(pair_covariate_eval(onehot, [2], [1]),
-                          pair_covariate_eval(onehot, [1], [2]))
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    out = pair_covariate_matrix(concat, X, np.array([0]), np.array([1]))
+    assert np.array_equal(out, [[1, 2, 3, 4]])
+    assert np.array_equal(_onehot_rows(2, [2, 1], [0], [1]),
+                          _onehot_rows(2, [2, 1], [1], [0]))
 
 
 def test_pair_covariate_dim_mismatch():
-    with pytest.raises(InputError):
-        pair_covariate_eval(PairCovariate("sum"), [1.0], [1.0, 2.0])
+    # onehot reads one categorical covariate: a second column is an error
+    X = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(InputError, match="single categorical covariate"):
+        pair_covariate_matrix(PairCovariate("onehot", levels=2), X,
+                              np.array([0]), np.array([1]))
 
 
 def test_pair_covariate_matrix_matches_per_pair():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(6, 3))
-    i1, i2 = np.array([0, 0, 2]), np.array([1, 3, 5])
+    i1, i2 = np.array([0, 0, 2, 5]), np.array([1, 3, 5, 2])
     for transform in ("difference", "sum", "concatenate"):
-        spec = PairCovariate(transform)
-        mat = pair_covariate_matrix(spec, X, i1, i2)
-        for k in range(3):
-            assert np.array_equal(mat[k],
-                                  pair_covariate_eval(spec, X[i1[k]], X[i2[k]]))
+        mat = pair_covariate_matrix(PairCovariate(transform), X, i1, i2)
+        for k in range(len(i1)):
+            assert np.array_equal(mat[k], pair_covariate_by_hand(
+                transform, X[i1[k]], X[i2[k]]))
     levels = rng.integers(1, 4, size=(6, 1)).astype(float)
-    spec = PairCovariate("onehot", levels=3)
-    mat = pair_covariate_matrix(spec, levels, i1, i2)
-    for k in range(3):
-        assert np.array_equal(mat[k],
-                              pair_covariate_eval(spec, levels[i1[k]], levels[i2[k]]))
+    mat = pair_covariate_matrix(PairCovariate("onehot", levels=3), levels, i1, i2)
+    for k in range(len(i1)):
+        assert np.array_equal(mat[k], pair_covariate_by_hand(
+            "onehot", levels[i1[k]], levels[i2[k]], levels=3))
 
 
 # ------------------------------------------------------ mean and gradient
@@ -192,8 +205,16 @@ def test_augment_returns_the_design_one_row_per_parameter():
     assert np.array_equal(augment(np.empty((3, 0)), True), np.ones((1, 3)))
 
 
+def _mean_and_gradient(model, x, beta):
+    """h and D of the one pair of a 2-subject dataset with covariate x, as
+    the chunk pass of a fit evaluates them."""
+    data = PairData(2, x=np.atleast_2d(x), f=np.zeros(1))
+    xt, _, h, g = _chunk_mean(model, data, np.asarray(beta, dtype=float), slice(0, 1))
+    return h[0], g[0] * xt[:, 0]
+
+
 def test_mean_and_gradient_exp_with_intercept():
-    h, D = mean_and_gradient(_model("exp"), np.array([1.0]), np.array([3.0, 3.0]))
+    h, D = _mean_and_gradient(_model("exp"), np.array([1.0]), np.array([3.0, 3.0]))
     assert h == pytest.approx(math.exp(6.0), rel=1e-12)
     assert h == pytest.approx(403.4288, abs=1e-4)
     assert np.allclose(D, math.exp(6.0) * np.array([1.0, 1.0]), rtol=1e-12)
@@ -201,24 +222,25 @@ def test_mean_and_gradient_exp_with_intercept():
 
 def test_mean_and_gradient_expit_at_zero():
     x = np.array([0.4, -1.0])
-    h, D = mean_and_gradient(_model("expit", intercept=False), x, np.zeros(2))
+    h, D = _mean_and_gradient(_model("expit", intercept=False), x, np.zeros(2))
     assert h == pytest.approx(0.5)
     assert np.allclose(D, 0.25 * x, rtol=1e-12)
 
 
 def test_mean_and_gradient_probitc_at_zero():
-    h, _ = mean_and_gradient(_model("probitc", intercept=False),
-                             np.array([1.0]), np.array([0.0]))
+    h, _ = _mean_and_gradient(_model("probitc", intercept=False),
+                              np.array([1.0]), np.array([0.0]))
     assert h == pytest.approx(0.5, abs=1e-15)
 
 
 def test_mean_and_gradient_is_pure():
     model = _model("expit")
     x, beta = np.array([0.3, 0.7]), np.array([0.1, -0.2, 0.5])
-    h1, D1 = mean_and_gradient(model, x, beta)
-    h2, D2 = mean_and_gradient(model, x, beta)
+    h1, D1 = _mean_and_gradient(model, x, beta)
+    h2, D2 = _mean_and_gradient(model, x, beta)
     assert h1 == h2
     assert np.array_equal(D1, D2)
+    assert np.array_equal(beta, [0.1, -0.2, 0.5])
 
 
 def test_mean_and_gradient_matches_finite_differences():
@@ -227,21 +249,17 @@ def test_mean_and_gradient_matches_finite_differences():
         model = _model(link)
         x = rng.normal(size=2) * 0.5
         beta = rng.normal(size=3) * 0.5
-        _, D = mean_and_gradient(model, x, beta)
+        h, D = _mean_and_gradient(model, x, beta)
+        want_h, want_D = mean_and_gradient_by_hand(link, True, x, beta)
+        assert h == pytest.approx(want_h, rel=1e-14)
+        assert D == pytest.approx(want_D, rel=1e-14)
         for j in range(3):
             def h_of(bj, j=j):
                 b = beta.copy()
                 b[j] = bj
-                return mean_and_gradient(model, x, b)[0]
+                return _mean_and_gradient(model, x, b)[0]
             fd = central_diff(h_of, beta[j])
             assert D[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-
-def test_mean_and_gradient_validates_dims():
-    with pytest.raises(InputError):
-        mean_and_gradient(_model(), np.array([1.0]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(InputError):
-        mean_and_gradient(_model(), np.array([1.0]), np.array([np.nan, 0.0]))
 
 
 # -------------------------------------------------------------- icc map
