@@ -701,9 +701,15 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
         raise InputError(f"{wv.kind if wv else type(model).__name__} has no "
                          f"working-variance nuisance")
     beta = _bind(model, data, beta).beta
-    kind = wv.kind
-    if kind == "constant":
+    if wv.kind == "constant":
         return _constant_nuisance(data)
+    return _nuisance(model, data, beta)
+
+
+def _nuisance(model: FrmModel, data: PairData, beta: np.ndarray) -> float:
+    """``estimate_nuisance`` of the propmean or nb ``model`` at ``beta``,
+    without its checks: one pass over the pair chunks."""
+    kind = model.working_variance.kind
 
     def part(sl: slice):
         _, _, h, _ = _chunk_mean(model, data, beta, sl)
@@ -761,31 +767,36 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     if wv is None or not wv.has_nuisance:
         return solve_ugee(model, data, config)
 
-    def bind(value, beta):   # each round's model differs in its nuisance
-        return _bind(_with_nuisance(model, value), data, beta)
-
     # c of constant is var(f) at every beta; nb starts at variance-equals-mean
     value = (_constant_nuisance(data) if wv.kind == "constant"
              else 1.0 if wv.kind == "propmean" else float("inf"))
+    # the checks of the model and the data run once; each round's binding
+    # differs from the first only in its nuisance and its start
+    bound = first = _bind(_with_nuisance(model, value), data, config.init_beta)
+
+    def rebind(value, beta):
+        return first._replace(evaluate=partial(
+            _pair_pass, _with_nuisance(model, value), data), beta=beta)
+
     trace = [value]
-    result = _solve(bind(value, config.init_beta), config)
+    result = _solve(bound, config)
     iterations = result.iterations
     rounds, done = 1, True
     if wv.kind == "propmean":
-        value = estimate_nuisance(model, data, result.beta)
+        value = _nuisance(model, data, result.beta)
+        bound = rebind(value, result.beta)
     elif wv.kind == "nb":
         for rounds in range(1, ADAPTIVE_MAX_ROUNDS + 1):
-            new = estimate_nuisance(model, data, result.beta)
+            new = _nuisance(model, data, result.beta)
             trace.append(new)
             done = _nuisance_close(new, value)
             value = new
-            result = _solve(bind(value, result.beta), config)
+            bound = rebind(value, result.beta)
+            result = _solve(bound, config)
             iterations += result.iterations
             if done:
                 break
-    cov, B, Su = sandwich_variance(_with_nuisance(model, value), data, result.beta)
-    result = dataclasses.replace(result, cov_beta=cov, b_matrix=B, sigma_u=Su,
-                                 iterations=iterations)
+    result = dataclasses.replace(_with_sandwich(bound, result), iterations=iterations)
     if not done:
         raise NonConvergence(
             f"adaptive working-variance loop did not settle in "

@@ -24,16 +24,11 @@ Scenarios
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import functools
 import inspect
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +39,8 @@ from .fit import (NB_TAU_MAX, FitConfig, PairData, _subject_pairs, adaptive_fit,
 from .kernels import Kernel
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     pair_covariate_matrix)
-from .ustat import chunk_slices, pair_chunks, pair_count
+from .ustat import (_one_blas_thread, _serial_reductions, _usable_cpus, chunk_slices,
+                    pair_chunks, pair_count)
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -578,41 +574,6 @@ def _replicate_fits(config: McConfig, rep: int) -> dict:
     return _one_replicate(config, rep)[1]
 
 
-@functools.cache
-def _openblas():
-    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None
-    when numpy carries no such library."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libdir.glob("libscipy_openblas*")):
-        lib = ctypes.CDLL(str(path))
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore its
-    count.  A multithreaded BLAS splits a product's sums by thread, so the
-    last bits of a fit would depend on the host's thread setting; without
-    a bundled OpenBLAS this does nothing."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def _later_fits(config: McConfig) -> list:
     """The fits of replicates 1 .. M-1 in replicate order, from a pool of
     forked processes, one per usable CPU but at most M - 1, or in this
@@ -620,23 +581,22 @@ def _later_fits(config: McConfig) -> list:
 
     The workers are forked, not spawned: they inherit the modules that
     replicate 0 loaded in this process (scipy's among them) and the BLAS
-    thread count set by ``_one_blas_thread``.  Leaving the pool joins every
-    worker, also when a replicate raised.
+    thread count set by ``_one_blas_thread``.  Their reductions stay in
+    them, since the pool already keeps every usable CPU busy.  Leaving the
+    pool joins every worker, also when a replicate raised.
     """
     # imported here, not at module level: a process pool's modules cost
     # about 30 ms of start-up that a CLI fit would pay
     import multiprocessing
 
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(cpus, config.replicates - 1)
+    workers = min(_usable_cpus(), config.replicates - 1)
     reps = range(1, config.replicates)
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [_replicate_fits(config, rep) for rep in reps]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) \
-            as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_serial_reductions) as pool:
         return list(pool.map(_replicate_fits, repeat(config), reps))
 
 

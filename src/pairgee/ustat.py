@@ -15,27 +15,45 @@ O(hi - lo), and ``pair_chunks`` decodes them one chunk at a time.
 Determinism
 -----------
 Reductions over pairs run in fixed-size chunks (``CHUNK_PAIRS`` pairs)
-whose partial sums are added to a running total in chunk order, so a
-result depends on the chunk size but on nothing else.  ``CHUNK_PAIRS`` is
-the package's one chunk size: ``chunk_slices``, ``pair_chunks`` and
-``chunked_reduce`` take no size argument and read it when they are called,
-as does the bounded loop of ``kernels.pairwise_responses``, so patching it
-here alone sets the chunks of every pass over pairs.
+whose partial sums are added to a running total in chunk order, with
+numpy's BLAS on one thread (a multithreaded BLAS splits a dot product's
+sum by thread).  A reduction over at least ``FORK_PAIRS`` pairs has its
+chunks evaluated on the usable CPUs, chunk k by worker k mod W, worker 0
+being the calling process and the others children forked for that call,
+but its parts are still added in chunk order.  So a result depends on the
+chunk size, and not on the number of CPUs or the host's BLAS threads.
+``CHUNK_PAIRS`` is the package's one chunk size: ``chunk_slices``,
+``pair_chunks`` and ``chunked_reduce`` take no size argument and read it
+when they are called, as does the bounded loop of
+``kernels.pairwise_responses``, so patching it here alone sets the chunks
+of every pass over pairs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import pickle
+import signal
+from contextlib import closing, contextmanager
 # Not used here: the benchmark tracer (bench/spans.py) counts thread pools
 # by replacing this module attribute.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
 
 CHUNK_PAIRS = 16384
+# pairs from which a reduction is split across the usable CPUs; a pass
+# over fewer costs less in one process than its forks and pipes
+FORK_PAIRS = 1 << 20
+# False in a process whose reductions stay in it (see ``_serial_reductions``)
+_may_fork = True
 
 
 def enumerate_pairs(n: int) -> np.ndarray:
@@ -139,15 +157,137 @@ def chunked_reduce(fn, n_items: int):
     """Sum ``fn(slice)`` over the ``chunk_slices`` of ``range(n_items)``.
 
     ``fn`` returns a tuple of arrays (or scalars); each chunk's result is
-    added to a running total in chunk-index order.
+    added to a running total in chunk-index order, with numpy's BLAS on
+    one thread.  From ``FORK_PAIRS`` items on, one process per usable CPU
+    evaluates the chunks (see ``_forked_parts``); the first exception in
+    chunk order is raised, as in the loop of one process.
     """
     if n_items == 0:
         raise InputError("nothing to reduce over")
+    slices = chunk_slices(n_items)
+    workers = (min(_usable_cpus(), len(slices))
+               if n_items >= FORK_PAIRS and _may_fork and hasattr(os, "fork") else 1)
+    with _one_blas_thread():
+        if workers <= 1:
+            return _add_in_order(map(fn, slices))
+        with closing(_forked_parts(fn, slices, workers)) as parts:
+            return _add_in_order(parts)
+
+
+def _add_in_order(parts):
     total = None
-    for sl in chunk_slices(n_items):
-        part = fn(sl)
+    for part in parts:
         total = part if total is None else tuple(t + p for t, p in zip(total, part))
     return tuple(total)
+
+
+def _forked_parts(fn, slices: list, workers: int):
+    """``fn(sl)`` of each slice, in order.  Slice k is evaluated by worker
+    k mod ``workers``: worker 0 is this process, each other one a child
+    forked here, so ``fn`` and its data are inherited, never pickled.  A
+    child pickles its parts, or the exception its slice raised, into a
+    pipe in slice order, and each is read when its turn comes, so a pipe
+    holds at most a few parts.  Every child is killed and reaped on the
+    way out, whether all the parts were read or not.
+    """
+    children = []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:   # the child never returns from here
+                code = 1
+                try:
+                    os.close(read)
+                    _send_parts(fn, slices[w::workers], write)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        for k, sl in enumerate(slices):
+            if k % workers == 0:
+                yield fn(sl)
+                continue
+            pid, pipe = children[k % workers - 1]
+            try:
+                ok, part = pickle.load(pipe)
+            except EOFError:
+                raise RuntimeError(f"reduction worker {pid} ended before sending "
+                                   f"the part of chunk {k}") from None
+            if not ok:
+                raise part
+            yield part
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _send_parts(fn, slices: list, fd: int) -> None:
+    """Write (True, ``fn(sl)``) for each slice to ``fd``, or (False, the
+    exception) for the first slice that raises, and stop there."""
+    with os.fdopen(fd, "wb") as out:
+        for sl in slices:
+            try:
+                message = True, fn(sl)
+            except Exception as exc:   # noqa: BLE001 - the parent raises it in turn
+                message = False, exc
+            pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+            out.flush()
+            if not message[0]:
+                return
+
+
+def _serial_reductions() -> None:
+    """Keep every later reduction of this process in it: the initializer of
+    a process pool that already runs one worker per usable CPU."""
+    global _may_fork
+    _may_fork = False
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None
+    when numpy carries no such library."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its
+    count.  A multithreaded BLAS splits a product's sums by thread, so the
+    last bits of a fit would depend on the host's thread setting, and its
+    idle threads spin against the processes of a forked reduction; without
+    a bundled OpenBLAS this does nothing.  A count already at one is left
+    alone: in a forked process, as a pool worker is, setting it starts a
+    BLAS thread that spins for about 0.1 s of CPU."""
+    blas = _openblas()
+    before = blas[0]() if blas else 1
+    if before == 1:
+        yield
+        return
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](before)
 
 
 # --------------------------------------------------------------------------- #

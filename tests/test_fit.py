@@ -936,16 +936,22 @@ def test_adaptive_fit_builds_the_sandwich_once(monkeypatch):
     data = gen_nb_scenario(40, 33)
     model = FrmModel(link="exp", working_variance=WorkingVariance("nb"),
                      intercept=True)
-    calls = []
-    original = fit_module.sandwich_variance
+    calls = {"_sandwich": 0, "_bind": 0, "_collinearity_check": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(fit_module, name)
 
-    monkeypatch.setattr(fit_module, "sandwich_variance", counting)
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(fit_module, name, counting(name))
     res = adaptive_fit(model, data)
-    assert res.nuisance_rounds >= 2 and len(calls) == 1
+    # the data checks of _bind run once for all rounds and the sandwich
+    assert res.nuisance_rounds >= 2
+    assert calls == {"_sandwich": 1, "_bind": 1, "_collinearity_check": 1}
     final = solve_ugee(fit_module._with_nuisance(model, res.nuisance), data,
                        FitConfig(init_beta=res.beta))
     assert np.array_equal(res.cov_beta, final.cov_beta)

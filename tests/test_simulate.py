@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 import pairgee.simulate
+import pairgee.ustat
 from pairgee import (EvaluationError, InputError, Kernel, McConfig,
                      NonConvergence, PairCovariate, gen_icc_ratings,
                      gen_linear_exogenous, gen_mww_probit, gen_nb_scenario,
@@ -438,7 +439,7 @@ def test_run_monte_carlo_counts_a_workers_fit_failures(monkeypatch, limit_cpus):
 
 def test_run_monte_carlo_runs_every_replicate_on_one_blas_thread(monkeypatch,
                                                                  limit_cpus):
-    blas = pairgee.simulate._openblas()
+    blas = pairgee.ustat._openblas()
     if blas is None:
         pytest.skip("numpy carries no bundled OpenBLAS")
     get, set_ = blas
@@ -464,4 +465,38 @@ def test_run_monte_carlo_runs_every_replicate_on_one_blas_thread(monkeypatch,
     assert pids[0] == os.getpid()
     if len(os.sched_getaffinity(0)) >= 2:
         assert os.getpid() not in pids[1:]
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_workers_keep_their_reductions_in_process(monkeypatch, limit_cpus,
+                                                       chunk_pairs, tmp_path):
+    # every reduction of more than one 16-pair chunk may fork, but only in
+    # this process (replicate 0): a pool worker forks no grandchild
+    config = McConfig(scenario="nb", n=20, replicates=5, seed=8)
+    chunk_pairs(16)
+    limit_cpus(1)
+    reference = run_monte_carlo(config)
+    reference.to_json(tmp_path / "serial.json")
+
+    parent, fork = os.getpid(), os.fork
+    forks, grandchildren = [], tmp_path / "grandchildren"
+
+    def recording():
+        if os.getpid() != parent:
+            with open(grandchildren, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        pid = fork()
+        if pid and os.getpid() == parent:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    monkeypatch.setattr(pairgee.ustat, "FORK_PAIRS", 2)
+    limit_cpus(2)
+    report = run_monte_carlo(config)
+    report.to_json(tmp_path / "forked.json")
+    assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+    assert not grandchildren.exists()
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert len(forks) > 2   # the pool's two workers and replicate 0's reductions
     assert multiprocessing.active_children() == []
