@@ -16,12 +16,14 @@ Determinism
 -----------
 Reductions over pairs run in fixed-size chunks (``CHUNK_PAIRS`` pairs)
 whose partial sums are added to a running total in chunk order, with
-numpy's BLAS on one thread (a multithreaded BLAS splits a dot product's
-sum by thread).  A reduction over at least ``FORK_PAIRS`` pairs has its
-chunks evaluated on the usable CPUs, chunk k by worker k mod W, worker 0
-being the calling process and the others children forked for that call,
-but its parts are still added in chunk order.  So a result depends on the
-chunk size, and not on the number of CPUs or the host's BLAS threads.
+numpy's bundled OpenBLAS on one thread (a multithreaded BLAS splits a dot
+product's sum by thread).  With that OpenBLAS, a reduction over at least
+``FORK_PAIRS`` pairs has its chunks evaluated on the usable CPUs, chunk k
+by worker k mod W, worker 0 being the calling process and the others
+children forked for that call, but its parts are still added in chunk
+order.  So a result depends on the chunk size, and not on the number of
+CPUs or the host's BLAS threads.  With another BLAS nothing is forked,
+and the last bits may follow that BLAS's own thread setting.
 ``CHUNK_PAIRS`` is the package's one chunk size: ``chunk_slices``,
 ``pair_chunks`` and ``chunked_reduce`` take no size argument and read it
 when they are called, as does the bounded loop of
@@ -50,7 +52,8 @@ from .errors import InputError
 
 CHUNK_PAIRS = 16384
 # pairs from which a reduction is split across the usable CPUs; a pass
-# over fewer costs less in one process than its forks and pipes
+# over fewer costs less in one process than its forks and pipes.  It was
+# measured for two workers, so each worker gets at least half of it.
 FORK_PAIRS = 1 << 20
 # False in a process whose reductions stay in it (see ``_serial_reductions``)
 _may_fork = True
@@ -157,16 +160,20 @@ def chunked_reduce(fn, n_items: int):
     """Sum ``fn(slice)`` over the ``chunk_slices`` of ``range(n_items)``.
 
     ``fn`` returns a tuple of arrays (or scalars); each chunk's result is
-    added to a running total in chunk-index order, with numpy's BLAS on
-    one thread.  From ``FORK_PAIRS`` items on, one process per usable CPU
-    evaluates the chunks (see ``_forked_parts``); the first exception in
-    chunk order is raised, as in the loop of one process.
+    added to a running total in chunk-index order, with numpy's bundled
+    OpenBLAS on one thread.  From ``FORK_PAIRS`` items on, the chunks are
+    evaluated by up to one process per usable CPU, each taking at least
+    ``FORK_PAIRS // 2`` items (see ``_forked_parts``); the first exception
+    in chunk order is raised, as in the loop of one process.  Without that
+    OpenBLAS nothing is forked: another BLAS keeps its own threads, which
+    may not survive a fork and would round the parent's parts differently
+    from the children's.
     """
     if n_items == 0:
         raise InputError("nothing to reduce over")
     slices = chunk_slices(n_items)
-    workers = (min(_usable_cpus(), len(slices))
-               if n_items >= FORK_PAIRS and _may_fork and hasattr(os, "fork") else 1)
+    workers = (min(_usable_cpus(), len(slices), n_items // (FORK_PAIRS // 2))
+               if _may_fork and hasattr(os, "fork") and _openblas() is not None else 1)
     with _one_blas_thread():
         if workers <= 1:
             return _add_in_order(map(fn, slices))
@@ -185,31 +192,23 @@ def _forked_parts(fn, slices: list, workers: int):
     """``fn(sl)`` of each slice, in order.  Slice k is evaluated by worker
     k mod ``workers``: worker 0 is this process, each other one a child
     forked here, so ``fn`` and its data are inherited, never pickled.  A
-    child pickles its parts, or the exception its slice raised, into a
-    pipe in slice order, and each is read when its turn comes, so a pipe
-    holds at most a few parts.  Every child is killed and reaped on the
-    way out, whether all the parts were read or not.
+    worker whose pipe or fork fails (no process to spare) is not started,
+    and this process evaluates its slices too.  Every child is killed and
+    reaped on the way out, whether all the parts were read or not.
     """
     children = []
     try:
         for w in range(1, workers):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:   # the child never returns from here
-                code = 1
-                try:
-                    os.close(read)
-                    _send_parts(fn, slices[w::workers], write)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
+            try:
+                children.append(_fork_worker(fn, slices[w::workers]))
+            except OSError:
+                break
         for k, sl in enumerate(slices):
-            if k % workers == 0:
+            w = k % workers
+            if w == 0 or w > len(children):
                 yield fn(sl)
                 continue
-            pid, pipe = children[k % workers - 1]
+            pid, pipe = children[w - 1]
             try:
                 ok, part = pickle.load(pipe)
             except EOFError:
@@ -223,6 +222,34 @@ def _forked_parts(fn, slices: list, workers: int):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
+
+
+def _fork_worker(fn, slices: list):
+    """Fork a child that sends the parts of ``slices`` through a pipe (see
+    ``_send_parts``) and exits; returns its pid and the pipe's read end.
+    A pipe or fork that fails raises OSError and leaves no descriptor open.
+
+    The child pickles each part, or the exception its slice raised, in
+    slice order, and the parent reads each when its turn comes, so a pipe
+    holds at most a few parts.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:   # the child never returns from here
+        code = 1
+        try:
+            os.close(read)
+            _send_parts(fn, slices, write)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
 
 
 def _send_parts(fn, slices: list, fd: int) -> None:

@@ -6,6 +6,7 @@ with the loop of one process at the same chunk size.  After each test no
 child process is left, not even an unreaped one.
 """
 
+import errno
 import os
 import subprocess
 import sys
@@ -207,23 +208,74 @@ def test_a_child_that_dies_is_an_error_not_a_hang(forking):
         chunked_reduce(part, 1000)
 
 
-def test_a_reduction_forks_one_child_per_further_usable_cpu(monkeypatch, chunk_pairs):
-    # the CPU helper is not patched: on one usable CPU nothing is forked
-    chunk_pairs(50)
-    monkeypatch.setattr(pairgee.ustat, "FORK_PAIRS", 2)
-    forks = []
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that ``os.fork`` makes while the test runs."""
+    made = []
     fork = os.fork
 
     def counting():
         pid = fork()
         if pid:
-            forks.append(pid)
+            made.append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", counting)
+    return made
+
+
+def test_a_reduction_forks_one_child_per_further_usable_cpu(monkeypatch, chunk_pairs,
+                                                            forks):
+    # the CPU helper is not patched: on one usable CPU nothing is forked
+    chunk_pairs(50)
+    monkeypatch.setattr(pairgee.ustat, "FORK_PAIRS", 2)
     total = chunked_reduce(lambda sl: (np.arange(sl.start, sl.stop).sum(),), 1000)
     assert total == (sum(range(1000)),)
     assert len(forks) == min(pairgee.ustat._usable_cpus(), 20) - 1
+
+
+def test_each_worker_takes_at_least_half_the_fork_threshold(monkeypatch, chunk_pairs,
+                                                            forks):
+    chunk_pairs(50)
+    monkeypatch.setattr(pairgee.ustat, "FORK_PAIRS", 200)
+    monkeypatch.setattr(pairgee.ustat, "_usable_cpus", lambda: 8)
+    for n_items, workers in [(199, 1), (200, 2), (450, 4), (5000, 8)]:
+        forks.clear()
+        total = chunked_reduce(lambda sl: (np.arange(sl.start, sl.stop).sum(),),
+                               n_items)
+        assert total == (sum(range(n_items)),)
+        assert len(forks) == workers - 1
+
+
+@pytest.mark.parametrize("every", [1, 2], ids=["no-child", "one-child"])
+def test_a_fork_that_fails_leaves_its_chunks_to_the_parent(forking, monkeypatch, every):
+    # with 3 workers, every=2 lets the first fork of each reduction through
+    # and fails the second
+    model, data = _fit_case("nb")
+    forking(None)
+    serial = _fit_bytes(model, data)
+    forking(3)
+    calls = []
+    fork = os.fork
+
+    def failing():
+        calls.append(None)
+        if len(calls) % every == 0:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert _fit_bytes(model, data) == serial
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert len(calls) >= 2
+
+
+def test_nothing_is_forked_without_the_bundled_openblas(forking, monkeypatch, forks):
+    forking(2)
+    monkeypatch.setattr(pairgee.ustat, "_openblas", lambda: None)
+    assert chunked_reduce(lambda sl: (1.0,), 1000) == (20.0,)
+    assert forks == []
 
 
 def test_a_blas_thread_count_of_one_is_left_alone(monkeypatch):
