@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
@@ -62,7 +63,7 @@ from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
 from .ustat import (canonical_order, chunked_reduce, interleaved_accumulate,
                     is_canonical, pair_chunks, pair_count, pair_indices,
-                    projection_variance)
+                    pass_workers, projection_variance)
 
 COND_LIMIT = 1e12
 NB_TAU_MAX = 1e8
@@ -332,13 +333,15 @@ class _Bound(NamedTuple):
     n_pairs: int         # pairs
 
 
-def _bind(model, data: PairData, beta=None) -> _Bound:
+def _bind(model, data: PairData, beta=None, reduce=None) -> _Bound:
     """The model-specific side of a fit on ``data``, with start ``beta``.
 
     ``evaluate(theta)`` returns the quasi-objective, U and J at theta, and
     ``evaluate(theta, sandwich=True)`` adds the (n, q) per-subject sums of
     the pair scores and Z2 = sum of their outer products.  For the scalar
-    model it is ``_pair_pass``, one pass over the pair chunks per call.
+    model it is ``_pair_pass``, one pass over the pair chunks per call,
+    run by ``reduce``: the fit's ``_workers``, or by default a
+    ``_one_pass`` each.
     The two-dimensional moment models, whose mean h and gradient D are the
     same for every pair, read ``data`` once here, in ``_moment_bind``, and
     evaluate in closed form.  A ``beta`` of None is the model's default
@@ -360,7 +363,8 @@ def _bind(model, data: PairData, beta=None) -> _Bound:
     slopes = [f"beta{k + 1}" for k in range(data.x.shape[1])]
     names = tuple((["beta0"] if model.intercept else []) + slopes)
     beta = _default_init(model, data, q) if beta is None else beta
-    return _Bound(partial(_pair_pass, model, data), names,
+    reduce = reduce or partial(_one_pass, model, data)
+    return _Bound(partial(_pair_pass, reduce, wv.value), names,
                   _start(beta, names), data.n, data.n_pairs)
 
 
@@ -440,25 +444,55 @@ def _moment_bind(model, n: int, chunks, beta=None) -> _Bound:
     return _Bound(evaluate, names, _start(beta, names), n, N)
 
 
-def _pair_pass(model: FrmModel, data: PairData, beta: np.ndarray,
-               sandwich: bool = False):
-    """One pass over the pair chunks at ``beta``: the quasi-objective, U and J.
+def _pair_pass(reduce, value, beta: np.ndarray, sandwich: bool = False):
+    """One pass over the pair chunks at ``beta``, with the working
+    variance's nuisance at ``value``: the quasi-objective, U and J, and
+    with ``sandwich`` the (n, q) per-subject sums of the pair scores and
+    Z2 = sum of their outer products (see ``_pass_chunks``)."""
+    return reduce("sandwich" if sandwich else "terms", beta, value)
 
-    With ``sandwich`` the pass also returns the (n, q) per-subject sums of
-    the pair scores, each chunk's pairs decoded by ``pair_indices``, and
-    Z2 = sum of the scores' outer products.  ``_chunk_terms`` gives each
-    chunk's scores as a (q, chunk) array, so U and Z2 reduce contiguous
-    rows.
+
+def _pass_chunks(model: FrmModel, data: PairData, kind: str, beta: np.ndarray,
+                 value):
+    """The chunk function of one pass of ``model`` on ``data`` at ``beta``,
+    with the working variance's nuisance at ``value``.
+
+    ``kind`` "terms" gives each chunk's quasi-objective, score sum and J;
+    "sandwich" adds the chunk's per-subject score sums, its pairs decoded
+    by ``pair_indices``, and its Z2; "nuisance" gives the two sums of
+    ``_nuisance``.  ``_chunk_terms`` gives each chunk's scores as a
+    (q, chunk) array, so U and Z2 reduce contiguous rows.  The workers of
+    a fit inherit ``model`` and ``data``, so a pass sends them only kind,
+    beta and value.
     """
-    def part(sl: slice):
-        merit, s, J = _chunk_terms(model, data, beta, sl)
-        if not sandwich:
-            return merit, s.sum(axis=1), J
-        i1, i2 = pair_indices(data.n, sl.start, sl.stop)
-        acc = interleaved_accumulate(data.n, i1, i2, s.T)
-        return merit, s.sum(axis=1), J, acc, s @ s.T
+    if value != model.working_variance.value:
+        model = _with_nuisance(model, value)
+    if kind == "nuisance":
+        return partial(_nuisance_part, model, data, beta)
+    return partial(_terms_part, model, data, beta, kind == "sandwich")
 
-    return chunked_reduce(part, data.n_pairs)
+
+def _terms_part(model: FrmModel, data: PairData, beta: np.ndarray, sandwich: bool,
+                sl: slice):
+    merit, s, J = _chunk_terms(model, data, beta, sl)
+    if not sandwich:
+        return merit, s.sum(axis=1), J
+    i1, i2 = pair_indices(data.n, sl.start, sl.stop)
+    acc = interleaved_accumulate(data.n, i1, i2, s.T)
+    return merit, s.sum(axis=1), J, acc, s @ s.T
+
+
+def _one_pass(model: FrmModel, data: PairData, *task):
+    """The pass ``task`` of ``_pass_chunks`` on its own one-reduction set."""
+    return chunked_reduce(_pass_chunks(model, data, *task), data.n_pairs)
+
+
+@contextmanager
+def _workers(model: FrmModel, data: PairData):
+    """The ``reduce`` of the worker set that serves every pass of one fit
+    of ``model`` on ``data``; its workers are killed when the block ends."""
+    with pass_workers(partial(_pass_chunks, model, data), data.n_pairs) as workers:
+        yield workers.reduce
 
 
 def assemble_ugee(model, data: PairData, beta: np.ndarray):
@@ -511,20 +545,22 @@ def _check_conditioning(M: np.ndarray, what: str) -> None:
             f"{what} is numerically singular (cond={cond:.3g})", cond=cond)
 
 
-def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig):
+def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
+            start=None):
     """Scoring loop; steps are halved while the quasi-objective decreases.
 
     ``evaluate(beta)`` returns (quasi-objective, U, J) from one pass, so
-    the accepted candidate's U and J are already at hand.
+    the accepted candidate's U and J are already at hand; ``start`` is
+    that triple at ``beta0`` when the caller has it already.
     """
-    def point(beta):
-        m, U, J = evaluate(beta)
+    def point(beta, sums=None):
+        m, U, J = evaluate(beta) if sums is None else sums
         if not np.isfinite(m):
             raise EvaluationError("quasi-objective is not finite")
         return m, U, J
 
     beta = beta0.copy()
-    m, U, J = point(beta)
+    m, U, J = point(beta, start)
     iterations = 0
     flagged = 0
     converged = False
@@ -577,10 +613,11 @@ def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitRes
     Raises NonConvergence (carrying the last iterate packaged as a
     ``FitResult`` with its sandwich) when the iteration budget is
     exhausted, and SingularInformation when the scoring matrix
-    degenerates.
+    degenerates.  One worker set serves all the passes.
     """
     config = config or FitConfig()
-    return _fit(_bind(model, data, config.init_beta), config)
+    with _workers(model, data) as reduce:
+        return _fit(_bind(model, data, config.init_beta, reduce), config)
 
 
 def _fit(bound: _Bound, config: FitConfig) -> FitResult:
@@ -588,17 +625,17 @@ def _fit(bound: _Bound, config: FitConfig) -> FitResult:
     return _with_sandwich(bound, _solve(bound, config))
 
 
-def _solve(bound: _Bound, config: FitConfig) -> FitResult:
+def _solve(bound: _Bound, config: FitConfig, start=None) -> FitResult:
     """``solve_ugee`` from the start ``bound.beta`` up to the sandwich: a
     converged result comes back with ``cov_beta``, ``b_matrix`` and
     ``sigma_u`` left None for the caller to fill; NonConvergence still
     carries a result with its sandwich.  Of ``config`` only the tolerance
-    and the iteration budget are read."""
+    and the iteration budget are read; ``start`` is as for ``_newton``."""
     q = len(bound.names)
     if bound.n < q + 1:
         raise InputError(f"need at least {q + 1} subjects to fit {q} parameters")
     beta, eq_norm, iterations, converged, flagged = _newton(
-        bound.evaluate, bound.beta, bound.n_pairs, config)
+        bound.evaluate, bound.beta, bound.n_pairs, config, start)
     result = FitResult(
         beta=beta, cov_beta=None, b_matrix=None, sigma_u=None, eq_norm=eq_norm,
         iterations=iterations, converged=converged, n_subjects=bound.n,
@@ -620,8 +657,8 @@ def _solve(bound: _Bound, config: FitConfig) -> FitResult:
 # Sandwich covariance
 # --------------------------------------------------------------------------- #
 
-def _with_sandwich(bound: _Bound, result: FitResult) -> FitResult:
-    cov, B, Su = _sandwich(bound, result.beta)
+def _with_sandwich(bound: _Bound, result: FitResult, sums=None) -> FitResult:
+    cov, B, Su = _sandwich(bound, result.beta, sums=sums)
     return dataclasses.replace(result, cov_beta=cov, b_matrix=B, sigma_u=Su)
 
 
@@ -653,10 +690,11 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
     return _sandwich(bound, bound.beta, corrected)
 
 
-def _sandwich(bound: _Bound, beta: np.ndarray, corrected: bool = True):
-    """``sandwich_variance`` of a bound model at ``beta``."""
+def _sandwich(bound: _Bound, beta: np.ndarray, corrected: bool = True, sums=None):
+    """``sandwich_variance`` of a bound model at ``beta``; ``sums`` is
+    ``bound.evaluate(beta, sandwich=True)`` when the caller has it already."""
     n, N = bound.n, bound.n_pairs
-    _, _, B_sum, acc, Z2 = bound.evaluate(beta, sandwich=True)
+    _, _, B_sum, acc, Z2 = sums or bound.evaluate(beta, sandwich=True)
 
     B = B_sum / N
     _check_conditioning(B, "bread matrix")
@@ -703,24 +741,14 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
     beta = _bind(model, data, beta).beta
     if wv.kind == "constant":
         return _constant_nuisance(data)
-    return _nuisance(model, data, beta)
+    return _nuisance(wv.kind, partial(_one_pass, model, data), beta, wv.value)
 
 
-def _nuisance(model: FrmModel, data: PairData, beta: np.ndarray) -> float:
-    """``estimate_nuisance`` of the propmean or nb ``model`` at ``beta``,
-    without its checks: one pass over the pair chunks."""
-    kind = model.working_variance.kind
-
-    def part(sl: slice):
-        _, _, h, _ = _chunk_mean(model, data, beta, sl)
-        r2 = data.f[sl] - h
-        r2 *= r2
-        if kind == "nb":
-            r2 -= h
-            h *= h
-        return r2 @ h, h @ h
-
-    num, denom = chunked_reduce(part, data.n_pairs)
+def _nuisance(kind: str, reduce, beta: np.ndarray, value) -> float:
+    """``estimate_nuisance`` of a propmean or nb model at ``beta``, without
+    its checks: one pass of ``reduce`` (see ``_bind``), with the model's
+    nuisance at ``value``."""
+    num, denom = reduce("nuisance", beta, value)
     if denom <= 0:
         raise EvaluationError(f"cannot estimate the {kind} nuisance: "
                               f"fitted means are all zero")
@@ -730,6 +758,17 @@ def _nuisance(model: FrmModel, data: PairData, beta: np.ndarray) -> float:
     if ratio <= 1.0 / (0.99 * NB_TAU_MAX):
         return float("inf")
     return max(1.0 / ratio, NB_TAU_MIN)
+
+
+def _nuisance_part(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
+    """The two sums of ``_nuisance`` over one pair chunk."""
+    _, _, h, _ = _chunk_mean(model, data, beta, sl)
+    r2 = data.f[sl] - h
+    r2 *= r2
+    if model.working_variance.kind == "nb":
+        r2 -= h
+        h *= h
+    return r2 @ h, h @ h
 
 
 def _constant_nuisance(data: PairData) -> float:
@@ -760,43 +799,56 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     the solution.  The ``nb`` dispersion changes the weights, so its
     estimation alternates with re-solving until it settles; NonConvergence
     carries the trace of its iterates if it does not.  ``iterations`` is
-    summed over all solves.
+    summed over all solves.  One worker set serves every pass, and the
+    last nb round's start, whose solve usually takes no step, is evaluated
+    with the sandwich sums, which are then reused.
     """
     config = config or FitConfig()
     wv = getattr(model, "working_variance", None)   # the moment models have none
     if wv is None or not wv.has_nuisance:
         return solve_ugee(model, data, config)
+    with _workers(model, data) as reduce:
+        return _adaptive(model, data, config, reduce)
 
+
+def _adaptive(model: FrmModel, data: PairData, config: FitConfig, reduce) -> FitResult:
+    """``adaptive_fit`` of a model with a nuisance, its passes run by
+    ``reduce``."""
+    kind = model.working_variance.kind
     # c of constant is var(f) at every beta; nb starts at variance-equals-mean
-    value = (_constant_nuisance(data) if wv.kind == "constant"
-             else 1.0 if wv.kind == "propmean" else float("inf"))
+    value = (_constant_nuisance(data) if kind == "constant"
+             else 1.0 if kind == "propmean" else float("inf"))
     # the checks of the model and the data run once; each round's binding
     # differs from the first only in its nuisance and its start
-    bound = first = _bind(_with_nuisance(model, value), data, config.init_beta)
+    bound = first = _bind(_with_nuisance(model, value), data, config.init_beta, reduce)
 
     def rebind(value, beta):
-        return first._replace(evaluate=partial(
-            _pair_pass, _with_nuisance(model, value), data), beta=beta)
+        return first._replace(evaluate=partial(_pair_pass, reduce, value), beta=beta)
 
     trace = [value]
     result = _solve(bound, config)
     iterations = result.iterations
-    rounds, done = 1, True
-    if wv.kind == "propmean":
-        value = _nuisance(model, data, result.beta)
+    rounds, done, sums = 1, True, None
+    if kind == "propmean":
+        value = _nuisance(kind, reduce, result.beta, value)
         bound = rebind(value, result.beta)
-    elif wv.kind == "nb":
+    elif kind == "nb":
         for rounds in range(1, ADAPTIVE_MAX_ROUNDS + 1):
-            new = _nuisance(model, data, result.beta)
+            new = _nuisance(kind, reduce, result.beta, value)
             trace.append(new)
             done = _nuisance_close(new, value)
             value = new
             bound = rebind(value, result.beta)
-            result = _solve(bound, config)
+            if done:
+                sums = bound.evaluate(bound.beta, sandwich=True)
+            result = _solve(bound, config, None if sums is None else sums[:3])
             iterations += result.iterations
             if done:
                 break
-    result = dataclasses.replace(_with_sandwich(bound, result), iterations=iterations)
+    if result.iterations:   # the sums are at the start, not at the solution
+        sums = None
+    result = dataclasses.replace(_with_sandwich(bound, result, sums),
+                                 iterations=iterations)
     if not done:
         raise NonConvergence(
             f"adaptive working-variance loop did not settle in "

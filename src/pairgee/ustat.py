@@ -17,13 +17,14 @@ Determinism
 Reductions over pairs run in fixed-size chunks (``CHUNK_PAIRS`` pairs)
 whose partial sums are added to a running total in chunk order, with
 numpy's bundled OpenBLAS on one thread (a multithreaded BLAS splits a dot
-product's sum by thread).  With that OpenBLAS, a reduction over at least
-``FORK_PAIRS`` pairs has its chunks evaluated on the usable CPUs, chunk k
-by worker k mod W, worker 0 being the calling process and the others
-children forked for that call, but its parts are still added in chunk
-order.  So a result depends on the chunk size, and not on the number of
-CPUs or the host's BLAS threads.  With another BLAS nothing is forked,
-and the last bits may follow that BLAS's own thread setting.
+product's sum by thread).  With that OpenBLAS, the passes of a fit over
+at least ``FORK_PAIRS`` pairs have their chunks evaluated on the usable
+CPUs, chunk k by worker k mod W, worker 0 being the calling process and
+the others children that the fit forks once, at its first pass, and that
+serve its every later pass (``pass_workers``); the parts are still added
+in chunk order.  So a result depends on the chunk size, and not on the
+number of CPUs or the host's BLAS threads.  With another BLAS nothing is
+forked, and the last bits may follow that BLAS's own thread setting.
 ``CHUNK_PAIRS`` is the package's one chunk size: ``chunk_slices``,
 ``pair_chunks`` and ``chunked_reduce`` take no size argument and read it
 when they are called, as does the bounded loop of
@@ -39,7 +40,7 @@ import math
 import os
 import pickle
 import signal
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 # Not used here: the benchmark tracer (bench/spans.py) counts thread pools
 # by replacing this module attribute.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -160,25 +161,44 @@ def chunked_reduce(fn, n_items: int):
     """Sum ``fn(slice)`` over the ``chunk_slices`` of ``range(n_items)``.
 
     ``fn`` returns a tuple of arrays (or scalars); each chunk's result is
-    added to a running total in chunk-index order, with numpy's bundled
-    OpenBLAS on one thread.  From ``FORK_PAIRS`` items on, the chunks are
-    evaluated by up to one process per usable CPU, each taking at least
-    ``FORK_PAIRS // 2`` items (see ``_forked_parts``); the first exception
-    in chunk order is raised, as in the loop of one process.  Without that
-    OpenBLAS nothing is forked: another BLAS keeps its own threads, which
-    may not survive a fork and would round the parent's parts differently
-    from the children's.
+    added to a running total in chunk-index order.  The reduction is the
+    one pass of a ``pass_workers`` set whose chunk function is ``fn``, so
+    from ``FORK_PAIRS`` items on its chunks are evaluated by up to one
+    process per usable CPU, and the first exception in chunk order is
+    raised, as in the loop of one process.
     """
-    if n_items == 0:
-        raise InputError("nothing to reduce over")
-    slices = chunk_slices(n_items)
-    workers = (min(_usable_cpus(), len(slices), n_items // (FORK_PAIRS // 2))
-               if _may_fork and hasattr(os, "fork") and _openblas() is not None else 1)
+    with pass_workers(lambda: fn, n_items) as workers:
+        return workers.reduce()
+
+
+@contextmanager
+def pass_workers(bind, n_items: int):
+    """A set of workers for the passes of one fit over ``n_items`` items.
+
+    ``bind(*task)`` returns the chunk function of a pass, ``fn(slice)``,
+    and the set's ``reduce(*task)`` sums ``fn`` over the ``chunk_slices``
+    of ``range(n_items)`` as ``chunked_reduce`` does.  The block runs with
+    numpy's bundled OpenBLAS on one thread.
+
+    At the first pass over at least ``FORK_PAIRS`` items, with that
+    OpenBLAS, the set forks up to one child per further usable CPU, each
+    taking at least ``FORK_PAIRS // 2`` items; slice k is evaluated by
+    worker k mod W, worker 0 being this process.  The children inherit
+    ``bind`` and its data at the fork and serve every later pass, so a
+    pass sends them only its ``task`` (which must pickle) and numpy's
+    error state.  A pass that raises ends the set, so no stale part can
+    reach a later pass; the next pass forks a fresh one.  On the way out
+    of the block every child is killed and reaped.  Without that OpenBLAS
+    nothing is forked: another BLAS keeps its own threads, which may not
+    survive a fork and would round the parent's parts differently from
+    the children's.
+    """
+    workers = _Workers(bind, n_items)
     with _one_blas_thread():
-        if workers <= 1:
-            return _add_in_order(map(fn, slices))
-        with closing(_forked_parts(fn, slices, workers)) as parts:
-            return _add_in_order(parts)
+        try:
+            yield workers
+        finally:
+            workers.close()
 
 
 def _add_in_order(parts):
@@ -188,83 +208,129 @@ def _add_in_order(parts):
     return tuple(total)
 
 
-def _forked_parts(fn, slices: list, workers: int):
-    """``fn(sl)`` of each slice, in order.  Slice k is evaluated by worker
-    k mod ``workers``: worker 0 is this process, each other one a child
-    forked here, so ``fn`` and its data are inherited, never pickled.  A
-    worker whose pipe or fork fails (no process to spare) is not started,
-    and this process evaluates its slices too.  Every child is killed and
-    reaped on the way out, whether all the parts were read or not.
-    """
-    children = []
-    try:
-        for w in range(1, workers):
+class _Workers:
+    """The running set of a ``pass_workers`` block: ``size`` is its W (0
+    before its first pass), and ``children`` holds (pid, task pipe, part
+    pipe) of workers 1, 2, ...  A worker whose pipe or fork fails (no
+    process to spare) and the ones after it are not started: this process
+    evaluates their slices too, and the next pass tries again."""
+
+    def __init__(self, bind, n_items: int):
+        self.bind, self.n_items = bind, n_items
+        self.size, self.children = 0, []
+
+    def reduce(self, *task):
+        if self.n_items == 0:
+            raise InputError("nothing to reduce over")
+        slices = chunk_slices(self.n_items)
+        self._start(slices)
+        try:
+            for _, tasks, _ in self.children:
+                try:
+                    _send(tasks, (task, np.geterr()))
+                except BrokenPipeError:
+                    pass   # an ended worker: reading its first part says so
+            return _add_in_order(self._parts(self.bind(*task), slices))
+        except BaseException:
+            self.close()
+            raise
+
+    def _start(self, slices: list) -> None:
+        """Size a new set, and fork the workers it lacks."""
+        if not self.size:
+            self.size = max(1, min(_usable_cpus(), len(slices),
+                                   self.n_items // (FORK_PAIRS // 2))
+                            if _may_fork and hasattr(os, "fork")
+                            and _openblas() is not None else 1)
+        for w in range(len(self.children) + 1, self.size):
             try:
-                children.append(_fork_worker(fn, slices[w::workers]))
+                self.children.append(self._fork(slices[w::self.size]))
             except OSError:
                 break
+
+    def _fork(self, slices: list):
+        """Fork worker ``len(children) + 1``, serving ``slices`` (see
+        ``_serve``); returns its pid, the write end of its task pipe and
+        the read end of its part pipe.  A pipe or fork that fails raises
+        OSError and leaves no descriptor open."""
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        task_read, task_write, part_read, part_write = fds
+        if pid == 0:   # the child never returns from here
+            code = 1
+            try:
+                os.close(task_write)
+                os.close(part_read)
+                _serve(self.bind, slices, task_read, part_write)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(task_read)
+        os.close(part_write)
+        # unbuffered, so a task sent to an ended worker leaves nothing to flush
+        return pid, os.fdopen(task_write, "wb", buffering=0), os.fdopen(part_read, "rb")
+
+    def _parts(self, fn, slices: list):
+        """The part of each slice, in order: ``fn(sl)`` for this process's
+        slices, the pickled ones from the pipes for the children's."""
         for k, sl in enumerate(slices):
-            w = k % workers
-            if w == 0 or w > len(children):
+            w = k % self.size
+            if w == 0 or w > len(self.children):
                 yield fn(sl)
                 continue
-            pid, pipe = children[w - 1]
+            pid, _, parts = self.children[w - 1]
             try:
-                ok, part = pickle.load(pipe)
+                ok, part = pickle.load(parts)
             except EOFError:
                 raise RuntimeError(f"reduction worker {pid} ended before sending "
                                    f"the part of chunk {k}") from None
             if not ok:
                 raise part
             yield part
-    finally:
-        for pid, pipe in children:
+
+    def close(self) -> None:
+        """Kill and reap every child and close its pipes."""
+        children, self.size, self.children = self.children, 0, []
+        for pid, tasks, parts in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pipe.close()
+            tasks.close()
+            parts.close()
 
 
-def _fork_worker(fn, slices: list):
-    """Fork a child that sends the parts of ``slices`` through a pipe (see
-    ``_send_parts``) and exits; returns its pid and the pipe's read end.
-    A pipe or fork that fails raises OSError and leaves no descriptor open.
-
-    The child pickles each part, or the exception its slice raised, in
-    slice order, and the parent reads each when its turn comes, so a pipe
-    holds at most a few parts.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:   # the child never returns from here
-        code = 1
-        try:
-            os.close(read)
-            _send_parts(fn, slices, write)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
-
-
-def _send_parts(fn, slices: list, fd: int) -> None:
-    """Write (True, ``fn(sl)``) for each slice to ``fd``, or (False, the
-    exception) for the first slice that raises, and stop there."""
-    with os.fdopen(fd, "wb") as out:
-        for sl in slices:
+def _serve(bind, slices: list, task_fd: int, part_fd: int) -> None:
+    """The loop of a forked worker: for each (task, numpy error state) read
+    from ``task_fd``, write (True, part) to ``part_fd`` for each slice, in
+    order, of the chunk function ``bind(*task)`` run under that error
+    state, or (False, the exception) for the first that raises, and stop
+    there.  Returns when the task pipe closes.  A pipe holds at most a few
+    parts, as the parent reads each when its turn comes."""
+    with os.fdopen(task_fd, "rb") as tasks, os.fdopen(part_fd, "wb") as parts:
+        while True:
             try:
-                message = True, fn(sl)
-            except Exception as exc:   # noqa: BLE001 - the parent raises it in turn
-                message = False, exc
-            pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
-            out.flush()
-            if not message[0]:
+                task, errstate = pickle.load(tasks)
+            except EOFError:
                 return
+            try:
+                with np.errstate(**errstate):
+                    fn = bind(*task)
+                    for sl in slices:
+                        _send(parts, (True, fn(sl)))
+            except Exception as exc:   # noqa: BLE001 - the parent raises it in turn
+                _send(parts, (False, exc))
+                return
+
+
+def _send(file, message) -> None:
+    pickle.dump(message, file, pickle.HIGHEST_PROTOCOL)
+    file.flush()
 
 
 def _serial_reductions() -> None:

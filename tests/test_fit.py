@@ -1311,3 +1311,45 @@ def test_adaptive_nb_loop_that_does_not_settle_raises(monkeypatch):
     res = err.value.result
     assert np.array_equal(res.beta, again.beta)
     assert np.array_equal(res.cov_beta, again.cov_beta)
+
+
+def test_the_last_nb_round_reuses_its_start_pass_for_the_sandwich(monkeypatch):
+    # the last round's solve takes no step, so the sandwich sums come from
+    # that round's one pass, evaluated with them, and equal a fresh sandwich
+    kinds = []
+    pass_chunks = pairgee.fit._pass_chunks
+
+    def recording(model, data, kind, beta, value):
+        kinds.append(kind)
+        return pass_chunks(model, data, kind, beta, value)
+
+    monkeypatch.setattr(pairgee.fit, "_pass_chunks", recording)
+    data = gen_nb_scenario(40, 7)
+    res = adaptive_fit(_model("exp", "nb", intercept=True), data)
+    # 4 nuisance passes, 17 solve passes and the sandwich, one of which is
+    # the last solve's start, where 23 passes were made before the reuse
+    assert len(kinds) == 22 and kinds.count("nuisance") == res.nuisance_rounds == 4
+    assert kinds[-2:] == ["nuisance", "sandwich"] and kinds.count("sandwich") == 1
+    fresh = sandwich_variance(_model("exp", "nb", True, res.nuisance), data, res.beta)
+    assert [a.tobytes() for a in fresh] == [
+        a.tobytes() for a in (res.cov_beta, res.b_matrix, res.sigma_u)]
+
+
+def test_a_last_nb_round_that_steps_takes_a_fresh_sandwich(monkeypatch):
+    # when the last solve moves beta, the start's sandwich sums are dropped
+    kinds = []
+    pass_chunks = pairgee.fit._pass_chunks
+    monkeypatch.setattr(pairgee.fit, "_nuisance_close", lambda new, old: True)
+
+    def recording(model, data, kind, beta, value):
+        kinds.append(kind)
+        return pass_chunks(model, data, kind, beta, value)
+
+    monkeypatch.setattr(pairgee.fit, "_pass_chunks", recording)
+    data = gen_nb_scenario(40, 7)
+    res = adaptive_fit(_model("exp", "nb", intercept=True), data)
+    assert res.nuisance_rounds == 1 and kinds.count("sandwich") == 2
+    assert kinds[-1] == "sandwich" and kinds[-2] != "nuisance"
+    fresh = sandwich_variance(_model("exp", "nb", True, res.nuisance), data, res.beta)
+    assert [a.tobytes() for a in fresh] == [
+        a.tobytes() for a in (res.cov_beta, res.b_matrix, res.sigma_u)]

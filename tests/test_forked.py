@@ -1,13 +1,16 @@
-"""Reductions split across forked processes (``ustat.chunked_reduce``).
+"""Reductions split across forked processes (``ustat.pass_workers``).
 
 Each test sets ``ustat.FORK_PAIRS`` low and a small chunk size, so that
-small datasets span many chunks and every reduction forks, and compares
-with the loop of one process at the same chunk size.  After each test no
-child process is left, not even an unreaped one.
+small datasets span many chunks and every fit or bare ``chunked_reduce``
+forks its worker set, and compares with the loop of one process at the
+same chunk size.  After each test no child process is left, not even an
+unreaped one.
 """
 
 import errno
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import warnings
@@ -17,9 +20,11 @@ import numpy as np
 import pytest
 
 import pairgee.ustat
-from pairgee import (EvaluationError, FrmModel, Kernel, PairCovariate, PairData,
-                     SubjectRecord, WorkingVariance, adaptive_fit, build_pairs,
-                     estimate_nuisance, gen_mww_probit, gen_nb_scenario, make_rng)
+from pairgee import (EvaluationError, FitConfig, FrmModel, Kernel, NonConvergence,
+                     PairCovariate, PairData, SingularInformation, SubjectRecord,
+                     WorkingVariance, adaptive_fit, build_pairs, enumerate_pairs,
+                     estimate_nuisance, gen_mww_probit, gen_nb_scenario, make_rng,
+                     solve_ugee)
 from pairgee.simulate import mww_pair_data
 from pairgee.ustat import chunked_reduce, pair_indices
 
@@ -288,3 +293,174 @@ def test_a_blas_thread_count_of_one_is_left_alone(monkeypatch):
                             lambda: (lambda: count, calls.append))
         assert chunked_reduce(lambda sl: (1.0,), 10) == (1.0,)
         assert calls == ([] if count == 1 else [1, 2])
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The kinds of the passes that fits make in this process, in order."""
+    kinds = []
+    pass_chunks = pairgee.fit._pass_chunks
+    parent = os.getpid()
+
+    def recording(model, data, kind, beta, value):
+        if os.getpid() == parent:
+            kinds.append(kind)
+        return pass_chunks(model, data, kind, beta, value)
+
+    monkeypatch.setattr(pairgee.fit, "_pass_chunks", recording)
+    return kinds
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def test_an_nb_fit_forks_its_workers_once(forking, forks, passes):
+    model, data = _fit_case("nb")
+    forking(None)
+    serial = _fit_bytes(model, data)
+    forking(3)
+    passes.clear()
+    assert _fit_bytes(model, data) == serial
+    assert len(forks) == 2 and len(passes) > 2 * len(forks)
+
+
+class Injected(Exception):
+    pass
+
+
+def _vanishing_gradient_case():
+    # f near -400 with a constant covariate: the first step goes to
+    # eta = -401, where h' = exp(-401) squares to 0 and J is exactly zero
+    rng = make_rng(1, 0)
+    i1, i2 = enumerate_pairs(12).T
+    f = -400.0 + 0.01 * rng.normal(size=len(i1))
+    data = PairData(n=12, i1=i1, i2=i2, x=np.ones((len(i1), 1)), f=f)
+    return FrmModel(link="exp", working_variance=WorkingVariance("constant", 1.0),
+                    intercept=False), data
+
+
+def _failing_fit(end, monkeypatch):
+    if end == "NonConvergence":
+        model, data = _fit_case("nb")
+        return lambda: adaptive_fit(model, data, FitConfig(max_iter=1, tol_eq=1e-300))
+    if end == "EvaluationError":   # at the start, on a child's chunk
+        model = FrmModel(link="identity", intercept=False,
+                         working_variance=WorkingVariance("propmean"))
+        data = _wide(170)
+        return lambda: adaptive_fit(model, data, FitConfig(init_beta=np.array([1e10])))
+    if end == "SingularInformation":
+        model, data = _vanishing_gradient_case()
+        return lambda: solve_ugee(model, data, FitConfig(max_iter=2, tol_eq=1e-300))
+
+    def injected(new, old):   # after the first nuisance pass
+        raise Injected
+
+    monkeypatch.setattr(pairgee.fit, "_nuisance_close", injected)
+    model, data = _fit_case("nb")
+    return lambda: adaptive_fit(model, data)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("end", [NonConvergence, EvaluationError, SingularInformation,
+                                 Injected], ids=lambda e: e.__name__)
+def test_a_fit_that_raises_leaves_no_child_and_no_descriptor(forking, forks, monkeypatch,
+                                                             end):
+    fit = _failing_fit(end.__name__, monkeypatch)
+    forking(2)
+    fds = _open_fds()
+    with pytest.raises(end):
+        fit()
+    assert forks   # a worker set was running
+    assert _open_fds() == fds
+    # the autouse fixture checks that every child was reaped
+
+
+def test_a_trial_step_that_raises_in_a_child_is_halved_as_in_one_process(forking, forks,
+                                                                         chunk_pairs):
+    # the first full step puts eta near 1600, past the exp link's range on
+    # every pair with a covariate; chunk 0 (pairs 0-9, the parent's) has
+    # none, so the first overflow in chunk order is raised in chunk 1, the
+    # child's
+    rng = make_rng(1, 0)
+    i1, i2 = enumerate_pairs(12).T
+    x = rng.uniform(0.4, 0.6, size=(len(i1), 1))
+    x[:10] = 0.0
+    data = PairData(n=12, i1=i1, i2=i2, x=x, f=500.0 * np.exp(2.0 * x[:, 0]))
+    model = FrmModel(link="exp", working_variance=WorkingVariance("constant", 1.0),
+                     intercept=False)
+    fits = []
+    for workers in (None, 2):
+        forking(workers)
+        chunk_pairs(10)
+        # with RuntimeWarning an error, as in this suite, a child that did
+        # not take the solver's silenced overflow from the pass would raise
+        fits.append(_fit_bytes(model, data))
+    assert fits[0] == fits[1]
+    # only a raising pass ends a set before the fit does, and chunk 0 cannot
+    # raise, so a child's chunk raised and the next trial step forked again
+    assert len(forks) >= 2
+
+
+def test_a_child_evaluates_a_trial_step_under_the_solvers_error_state(forking, forks,
+                                                                      chunk_pairs):
+    # the first full step puts eta near 500 on the pairs of chunks 1-6:
+    # within the exp link's range, but the residuals' squares overflow.  The
+    # solver silences that for trial steps, and the child, forked at the
+    # start pass, must take the silencing from the pass; RuntimeWarning is
+    # an error in this suite
+    rng = make_rng(1, 0)
+    i1, i2 = enumerate_pairs(12).T
+    x = rng.uniform(0.4, 0.6, size=(len(i1), 1))
+    x[:10] = 0.0
+    data = PairData(n=12, i1=i1, i2=i2, x=x, f=300.0 * (1.0 + x[:, 0]))
+    model = FrmModel(link="exp", working_variance=WorkingVariance("constant", 1.0),
+                     intercept=False)
+    fits = []
+    for workers in (None, 2):
+        forking(workers)
+        chunk_pairs(10)
+        fits.append(_fit_bytes(model, data))
+    assert fits[0] == fits[1] and len(forks) == 1
+
+
+def test_a_worker_killed_between_passes_is_an_error_not_a_hang(forking, forks,
+                                                              monkeypatch):
+    model, data = _fit_case("nb")
+    close = pairgee.fit._nuisance_close
+
+    def killing(new, old):
+        os.kill(forks[0], signal.SIGKILL)
+        return close(new, old)
+
+    monkeypatch.setattr(pairgee.fit, "_nuisance_close", killing)
+    forking(2)
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match="ended before sending the part of chunk 1$"):
+        adaptive_fit(model, data)
+    assert len(forks) == 1 and _open_fds() == fds
+
+
+def test_a_pass_sends_its_workers_a_task_whose_size_does_not_grow_with_the_pairs(
+        forking, monkeypatch):
+    # a userfixed variance holds one value per pair; no pass sends them
+    parent = os.getpid()
+    sizes = []
+    send = pairgee.ustat._send
+
+    def recording(file, message):
+        if os.getpid() == parent:
+            sizes.append(len(pickle.dumps(message, pickle.HIGHEST_PROTOCOL)))
+        send(file, message)
+
+    monkeypatch.setattr(pairgee.ustat, "_send", recording)
+    forking(2)
+    largest = []
+    for n in (40, 80):
+        data = gen_nb_scenario(n, 7)
+        sizes.clear()
+        adaptive_fit(_nb_model("userfixed", per_pair=np.linspace(0.5, 2.0, data.n_pairs)),
+                     data)
+        assert len(sizes) > 2
+        largest.append(max(sizes))
+    assert largest[0] == largest[1] < 1024
