@@ -61,9 +61,9 @@ from .kernels import Kernel, apply_pseudocount, pairwise_responses
 from .links import link_complement, link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
-from .ustat import (canonical_order, chunked_reduce, interleaved_accumulate,
-                    is_canonical, pair_chunks, pair_count, pair_indices,
-                    pass_workers, projection_variance)
+from .ustat import (canonical_order, interleaved_accumulate, is_canonical,
+                    pair_chunks, pair_count, pair_indices, pass_workers,
+                    projection_variance)
 
 COND_LIMIT = 1e12
 NB_TAU_MAX = 1e8
@@ -206,8 +206,8 @@ class FitConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.tol_eq <= 0:
-            raise InputError("tol_eq must be positive")
+        if not 0 < self.tol_eq < math.inf:   # inf stops at the start, nan never
+            raise InputError(f"tol_eq must be positive and finite, got {self.tol_eq}")
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")
 
@@ -331,17 +331,20 @@ class _Bound(NamedTuple):
     beta: np.ndarray     # the start: the given beta, or the model's default
     n: int               # subjects
     n_pairs: int         # pairs
+    reduce: Callable | None = None   # reduce(kind, beta, value): a scalar pass
 
 
-def _bind(model, data: PairData, beta=None, reduce=None) -> _Bound:
-    """The model-specific side of a fit on ``data``, with start ``beta``.
+@contextmanager
+def _bind(model, data: PairData, beta=None):
+    """The model-specific side of a fit on ``data``, with start ``beta``,
+    as a context whose block runs the fit's passes.
 
     ``evaluate(theta)`` returns the quasi-objective, U and J at theta, and
     ``evaluate(theta, sandwich=True)`` adds the (n, q) per-subject sums of
     the pair scores and Z2 = sum of their outer products.  For the scalar
     model it is ``_pair_pass``, one pass over the pair chunks per call,
-    run by ``reduce``: the fit's ``_workers``, or by default a
-    ``_one_pass`` each.
+    run by ``reduce``: the pass of the one ``pass_workers`` set that the
+    block opens, and the only route of a pass over pair chunks.
     The two-dimensional moment models, whose mean h and gradient D are the
     same for every pair, read ``data`` once here, in ``_moment_bind``, and
     evaluate in closed form.  A ``beta`` of None is the model's default
@@ -351,7 +354,8 @@ def _bind(model, data: PairData, beta=None, reduce=None) -> _Bound:
     if not isinstance(model, FrmModel):
         chunks = ((i1, i2, model.responses(data.f[sl]))
                   for sl, i1, i2 in pair_chunks(data.n))
-        return _moment_bind(model, data.n, chunks, beta)
+        yield _moment_bind(model, data.n, chunks, beta)
+        return
     q = data.x.shape[1] + int(model.intercept)
     if q == 0:
         raise InputError("model has no parameters: no covariates and no intercept")
@@ -362,10 +366,10 @@ def _bind(model, data: PairData, beta=None, reduce=None) -> _Bound:
     _collinearity_check(data.x, model.intercept)
     slopes = [f"beta{k + 1}" for k in range(data.x.shape[1])]
     names = tuple((["beta0"] if model.intercept else []) + slopes)
-    beta = _default_init(model, data, q) if beta is None else beta
-    reduce = reduce or partial(_one_pass, model, data)
-    return _Bound(partial(_pair_pass, reduce, wv.value), names,
-                  _start(beta, names), data.n, data.n_pairs)
+    beta = _start(_default_init(model, data, q) if beta is None else beta, names)
+    with pass_workers(partial(_pass_chunks, model, data), data.n_pairs) as workers:
+        yield _Bound(partial(_pair_pass, workers.reduce, wv.value), names, beta,
+                     data.n, data.n_pairs, workers.reduce)
 
 
 def _start(beta, names: tuple) -> np.ndarray:
@@ -482,19 +486,6 @@ def _terms_part(model: FrmModel, data: PairData, beta: np.ndarray, sandwich: boo
     return merit, s.sum(axis=1), J, acc, s @ s.T
 
 
-def _one_pass(model: FrmModel, data: PairData, *task):
-    """The pass ``task`` of ``_pass_chunks`` on its own one-reduction set."""
-    return chunked_reduce(_pass_chunks(model, data, *task), data.n_pairs)
-
-
-@contextmanager
-def _workers(model: FrmModel, data: PairData):
-    """The ``reduce`` of the worker set that serves every pass of one fit
-    of ``model`` on ``data``; its workers are killed when the block ends."""
-    with pass_workers(partial(_pass_chunks, model, data), data.n_pairs) as workers:
-        yield workers.reduce
-
-
 def assemble_ugee(model, data: PairData, beta: np.ndarray):
     """Estimating equations U(beta) and scoring matrix J(beta), returned as
     (U, J).
@@ -502,8 +493,8 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray):
     U = sum_i D_i' V_i^-1 (f_i - h_i)   and   J = sum_i D_i' V_i^-1 D_i,
     accumulated over ``ustat.CHUNK_PAIRS``-pair chunks in index order.
     """
-    bound = _bind(model, data, beta)
-    _, U, J = bound.evaluate(bound.beta)
+    with _bind(model, data, beta) as bound:
+        _, U, J = bound.evaluate(bound.beta)
     return U, J
 
 
@@ -616,8 +607,8 @@ def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitRes
     degenerates.  One worker set serves all the passes.
     """
     config = config or FitConfig()
-    with _workers(model, data) as reduce:
-        return _fit(_bind(model, data, config.init_beta, reduce), config)
+    with _bind(model, data, config.init_beta) as bound:
+        return _fit(bound, config)
 
 
 def _fit(bound: _Bound, config: FitConfig) -> FitResult:
@@ -686,8 +677,8 @@ def sandwich_variance(model, data: PairData, beta: np.ndarray,
     reads ``data`` once for its sufficient statistics and then needs O(n)
     work (see ``_bind``).
     """
-    bound = _bind(model, data, beta)
-    return _sandwich(bound, bound.beta, corrected)
+    with _bind(model, data, beta) as bound:
+        return _sandwich(bound, bound.beta, corrected)
 
 
 def _sandwich(bound: _Bound, beta: np.ndarray, corrected: bool = True, sums=None):
@@ -738,15 +729,15 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
     if wv is None or not wv.has_nuisance:
         raise InputError(f"{wv.kind if wv else type(model).__name__} has no "
                          f"working-variance nuisance")
-    beta = _bind(model, data, beta).beta
-    if wv.kind == "constant":
-        return _constant_nuisance(data)
-    return _nuisance(wv.kind, partial(_one_pass, model, data), beta, wv.value)
+    with _bind(model, data, beta) as bound:
+        if wv.kind == "constant":
+            return _constant_nuisance(data)
+        return _nuisance(wv.kind, bound.reduce, bound.beta, wv.value)
 
 
 def _nuisance(kind: str, reduce, beta: np.ndarray, value) -> float:
     """``estimate_nuisance`` of a propmean or nb model at ``beta``, without
-    its checks: one pass of ``reduce`` (see ``_bind``), with the model's
+    its checks: one pass of a binding's ``reduce``, with the model's
     nuisance at ``value``."""
     num, denom = reduce("nuisance", beta, value)
     if denom <= 0:
@@ -807,34 +798,31 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     wv = getattr(model, "working_variance", None)   # the moment models have none
     if wv is None or not wv.has_nuisance:
         return solve_ugee(model, data, config)
-    with _workers(model, data) as reduce:
-        return _adaptive(model, data, config, reduce)
-
-
-def _adaptive(model: FrmModel, data: PairData, config: FitConfig, reduce) -> FitResult:
-    """``adaptive_fit`` of a model with a nuisance, its passes run by
-    ``reduce``."""
-    kind = model.working_variance.kind
     # c of constant is var(f) at every beta; nb starts at variance-equals-mean
-    value = (_constant_nuisance(data) if kind == "constant"
-             else 1.0 if kind == "propmean" else float("inf"))
-    # the checks of the model and the data run once; each round's binding
-    # differs from the first only in its nuisance and its start
-    bound = first = _bind(_with_nuisance(model, value), data, config.init_beta, reduce)
+    value = (_constant_nuisance(data) if wv.kind == "constant"
+             else 1.0 if wv.kind == "propmean" else float("inf"))
+    with _bind(_with_nuisance(model, value), data, config.init_beta) as bound:
+        return _adaptive(bound, wv.kind, value, config)
 
+
+def _adaptive(bound: _Bound, kind: str, value: float, config: FitConfig) -> FitResult:
+    """``adaptive_fit`` of a model with a ``kind`` nuisance from ``value``
+    on, on ``bound``, whose checks ran once; each round's binding differs
+    from it only in its nuisance and its start."""
     def rebind(value, beta):
-        return first._replace(evaluate=partial(_pair_pass, reduce, value), beta=beta)
+        return bound._replace(evaluate=partial(_pair_pass, bound.reduce, value),
+                              beta=beta)
 
     trace = [value]
     result = _solve(bound, config)
     iterations = result.iterations
     rounds, done, sums = 1, True, None
     if kind == "propmean":
-        value = _nuisance(kind, reduce, result.beta, value)
+        value = _nuisance(kind, bound.reduce, result.beta, value)
         bound = rebind(value, result.beta)
     elif kind == "nb":
         for rounds in range(1, ADAPTIVE_MAX_ROUNDS + 1):
-            new = _nuisance(kind, reduce, result.beta, value)
+            new = _nuisance(kind, bound.reduce, result.beta, value)
             trace.append(new)
             done = _nuisance_close(new, value)
             value = new

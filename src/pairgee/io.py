@@ -18,6 +18,7 @@ Parse failures report the file row number and column name.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 
 import numpy as np
@@ -29,9 +30,11 @@ from .model import SubjectRecord
 LAYOUTS = ("subjects", "pairs", "abundance")
 
 
-def _read_columns(path) -> tuple[list[str], list[list[str]]]:
+def _read_columns(path, ids=()) -> tuple[list[str], list[list[str]]]:
     """Stripped header names and one list of cells per column.  Rows go
-    straight into the column lists, so no row list outlives its line."""
+    straight into the column lists, so no row list outlives its line.  The
+    cells of the ``ids`` columns (lower-case names), stripped, are shared
+    between equal cells: a pairs file names each subject in n - 1 rows."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -43,7 +46,8 @@ def _read_columns(path) -> tuple[list[str], list[list[str]]]:
             if len(set(header)) != len(header):
                 raise InputError(f"{path}: duplicate column names in header")
             columns = [[] for _ in header]
-            appends = [column.append for column in columns]
+            appends = [_stripping(column.append) if name.lower() in ids
+                       else column.append for name, column in zip(header, columns)]
             for k, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise InputError(f"{path}: row {k} has {len(row)} cells, "
@@ -53,6 +57,12 @@ def _read_columns(path) -> tuple[list[str], list[list[str]]]:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return header, columns
+
+
+def _stripping(append):
+    """``append`` of each cell stripped, the same object for equal cells."""
+    strip = functools.cache(str.strip)
+    return lambda cell: append(strip(cell))
 
 
 def _parse_float(cell: str, path, row: int, col: str) -> float:
@@ -138,15 +148,14 @@ def load_pairs(path) -> PairData:
     incomplete set of pairs.  The checks run on whole columns; only when
     one fails is the first faulty row looked up (``_first_pair_fault``).
     """
-    header, columns = _read_columns(path)
+    header, columns = _read_columns(path, ids=("i1", "i2"))
     lower = [h.lower() for h in header]
     for need in ("i1", "i2", "f"):
         if need not in lower:
             raise InputError(f"{path}: pairs layout needs column {need!r}")
     c1, c2, cf = lower.index("i1"), lower.index("i2"), lower.index("f")
     x_cols = [j for j in range(len(header)) if j not in (c1, c2, cf)]
-    s1 = list(map(str.strip, columns[c1]))
-    s2 = list(map(str.strip, columns[c2]))
+    s1, s2 = columns[c1], columns[c2]
     ids = sorted(set(s1) | set(s2))
     index = {sid: k for k, sid in enumerate(ids)}
     n, n_rows = len(ids), len(s1)

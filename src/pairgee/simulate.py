@@ -64,6 +64,14 @@ def _rng(seed_or_rng) -> np.random.Generator:
     return make_rng(seed_or_rng)
 
 
+def _check_finite(**params) -> None:
+    """InputError naming the first of the generator parameters ``params``
+    (numbers or arrays) that is not finite."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise InputError(f"{name} must be finite, got {value}")
+
+
 def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
                     beta1: float = 3.0, a: float = 0.0, b: float = 1.0) -> PairData:
     """Overdispersed pairwise counts with a log-linear mean in x1 + x2.
@@ -72,6 +80,7 @@ def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
     scale mean/tau), f ~ Poisson(rate), giving Var(f|x) = mean (1 + mean/tau).
     One independent draw per unordered pair.
     """
+    _check_finite(tau=tau, beta0=beta0, beta1=beta1, a=a, b=b)
     if tau <= 0 or b <= a:
         raise InputError("need tau > 0 and b > a")
     rng = _rng(seed_or_rng)
@@ -106,6 +115,7 @@ def gen_linear_exogenous(n: int, seed_or_rng, beta: float = 1.0,
     the reference variance for the slope estimate is sigma_eps^2 / sigma_x^2
     divided by the subject count.
     """
+    _check_finite(beta=beta, sigma_x=sigma_x, sigma_eps=sigma_eps)
     if sigma_x <= 0 or sigma_eps <= 0:
         raise InputError("scale parameters must be positive")
     rng = _rng(seed_or_rng)
@@ -144,6 +154,8 @@ def gen_icc_ratings(n: int, raters: int, seed_or_rng, mu: float = 0.0,
     The recorded agreement index is
         rho = (sigma_b2 - sigma_bg2 / (K - 1)) / (sigma_b2 + sigma_bg2 + sigma_e2).
     """
+    _check_finite(mu=mu, sigma_b2=sigma_b2, sigma_bg2=sigma_bg2, sigma_e2=sigma_e2,
+                  gamma=0.0 if gamma is None else gamma)
     if min(sigma_b2, sigma_bg2, sigma_e2) < 0:
         raise InputError("variance components must be nonnegative")
     K = int(raters)
@@ -181,6 +193,7 @@ def gen_mww_probit(n: int, seed_or_rng, beta=1.0) -> MwwData:
     of two noise terms is standard normal, so
     P(Y1 <= Y2 | X) = Phi(-beta'(x1 - x2)) exactly.
     """
+    _check_finite(beta=beta)
     rng = _rng(seed_or_rng)
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     x = rng.normal(0.0, 1.0, size=(n, beta.size))

@@ -17,16 +17,17 @@ Determinism
 Reductions over pairs run in fixed-size chunks (``CHUNK_PAIRS`` pairs)
 whose partial sums are added to a running total in chunk order, with
 numpy's bundled OpenBLAS on one thread (a multithreaded BLAS splits a dot
-product's sum by thread).  With that OpenBLAS, the passes of a fit over
-at least ``FORK_PAIRS`` pairs have their chunks evaluated on the usable
-CPUs, chunk k by worker k mod W, worker 0 being the calling process and
-the others children that the fit forks once, at its first pass, and that
-serve its every later pass (``pass_workers``); the parts are still added
-in chunk order.  So a result depends on the chunk size, and not on the
+product's sum by thread).  Each is a pass of a ``pass_workers`` set, the
+one that ``fit._bind`` opens for all the passes of a call.  With that
+OpenBLAS, the passes over at least ``FORK_PAIRS`` pairs have their chunks
+evaluated on the usable CPUs, chunk k by worker k mod W, worker 0 being
+the calling process and the others children that the set forks once, at
+its first pass, and that serve its every later pass; the parts are still
+added in chunk order.  So a result depends on the chunk size, and not on the
 number of CPUs or the host's BLAS threads.  With another BLAS nothing is
 forked, and the last bits may follow that BLAS's own thread setting.
 ``CHUNK_PAIRS`` is the package's one chunk size: ``chunk_slices``,
-``pair_chunks`` and ``chunked_reduce`` take no size argument and read it
+``pair_chunks`` and ``pass_workers`` take no size argument and read it
 when they are called, as does the bounded loop of
 ``kernels.pairwise_responses``, so patching it here alone sets the chunks
 of every pass over pairs.
@@ -157,28 +158,15 @@ def chunk_slices(n_items: int) -> list[slice]:
             for lo in range(0, n_items, CHUNK_PAIRS)]
 
 
-def chunked_reduce(fn, n_items: int):
-    """Sum ``fn(slice)`` over the ``chunk_slices`` of ``range(n_items)``.
-
-    ``fn`` returns a tuple of arrays (or scalars); each chunk's result is
-    added to a running total in chunk-index order.  The reduction is the
-    one pass of a ``pass_workers`` set whose chunk function is ``fn``, so
-    from ``FORK_PAIRS`` items on its chunks are evaluated by up to one
-    process per usable CPU, and the first exception in chunk order is
-    raised, as in the loop of one process.
-    """
-    with pass_workers(lambda: fn, n_items) as workers:
-        return workers.reduce()
-
-
 @contextmanager
 def pass_workers(bind, n_items: int):
     """A set of workers for the passes of one fit over ``n_items`` items.
 
     ``bind(*task)`` returns the chunk function of a pass, ``fn(slice)``,
-    and the set's ``reduce(*task)`` sums ``fn`` over the ``chunk_slices``
-    of ``range(n_items)`` as ``chunked_reduce`` does.  The block runs with
-    numpy's bundled OpenBLAS on one thread.
+    a tuple of arrays (or scalars); ``reduce(*task)`` adds those of the
+    ``chunk_slices`` of ``range(n_items)`` in chunk order and raises the
+    first exception in chunk order.  The block runs with numpy's bundled
+    OpenBLAS on one thread.
 
     At the first pass over at least ``FORK_PAIRS`` items, with that
     OpenBLAS, the set forks up to one child per further usable CPU, each

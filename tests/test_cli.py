@@ -239,6 +239,17 @@ def test_fit_zero_tolerance_exits_2(tmp_path, capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_fit_non_finite_tolerance_exits_2(tmp_path, capsys, tol):
+    path = _write(tmp_path, "subj.csv", "id,x1,y1\n" + "".join(
+        f"s{i},{0.1 * i},{0.2 * i}\n" for i in range(12)))
+    code = main(["fit", "--data", path, "--layout", "subjects",
+                 "--kernel", "sqhalfdiff", "--pair", "diff", "--tol", tol])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "tol_eq must be positive and finite" in err and len(err.splitlines()) == 1
+
+
 def test_fit_missing_file_exits_2(tmp_path):
     assert main(["fit", "--data", str(tmp_path / "none.csv")]) == 2
 
@@ -392,6 +403,21 @@ def test_simulate_method_or_parameter_outside_scenario_exits_2(tmp_path, capsys,
     code = main(["simulate", "--n", "20", "--m", "3", "--out", str(out)] + extra)
     assert code == 2
     assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
+
+
+@pytest.mark.parametrize("scenario,flag", [
+    ("nb", "--tau=nan"), ("nb", "--a=nan"), ("linear", "--sigma-x=inf"),
+    ("icc", "--sigma-b2=nan"), ("mww", "--beta=-inf")])
+def test_simulate_non_finite_parameter_exits_2_with_one_line(tmp_path, capsys,
+                                                             scenario, flag):
+    out = tmp_path / "bad"
+    code = main(["simulate", "--n", "20", "--m", "3", "--out", str(out),
+                 "--scenario", scenario, flag])
+    assert code == 2
+    name, value = flag[2:].split("=")
+    assert capsys.readouterr().err == (f"input error: {name.replace('-', '_')} must be "
+                                       f"finite, got {value}\n")
     assert not (tmp_path / "bad.json").exists()
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import importlib
+import math
 import pkgutil
 import re
 import warnings
@@ -312,7 +313,12 @@ def test_ustat_chunk_size_alone_sets_every_pass_over_pairs(monkeypatch, tmp_path
     nb = gen_nb_scenario(30, 2)
     model = FrmModel(link="exp", working_variance=WorkingVariance("nb", 4.0),
                      intercept=True)
-    bound = _bind(model, nb, np.array([3.0, 3.0]))
+    beta = np.array([3.0, 3.0])
+
+    def evaluate():
+        with _bind(model, nb, beta) as bound:
+            return bound.evaluate(bound.beta, sandwich=True)
+
     mww = gen_mww_probit(25, 3)
     ratings = gen_icc_ratings(20, 3, 2).ratings
     monkeypatch.setattr(pairgee.simulate, "_rng", RecordingRng)
@@ -323,9 +329,9 @@ def test_ustat_chunk_size_alone_sets_every_pass_over_pairs(monkeypatch, tmp_path
         "build_pairs": lambda: build_pairs(
             [SubjectRecord(k, y=[mww.y[k]], x=mww.x[k]) for k in range(25)],
             Kernel.mww(), PairCovariate("difference")),
-        "evaluate": lambda: bound.evaluate(bound.beta, sandwich=True),
+        "evaluate": evaluate,
         "fit_icc": lambda: fit_icc(ratings),
-        "estimate_nuisance": lambda: estimate_nuisance(model, nb, bound.beta),
+        "estimate_nuisance": lambda: estimate_nuisance(model, nb, beta),
         "ustatistic_mean": lambda: pairgee.ustatistic_mean(Kernel.sqhalfdiff(),
                                                            np.arange(9.0)),
         "distance": lambda: pairgee.cli.main(["distance", "--data", str(path),
@@ -437,7 +443,8 @@ def test_merit_gradient_equals_estimating_equations(link, wv, value, monkeypatch
     model = FrmModel(link=link, working_variance=WorkingVariance(
         wv, value, per_pair=per_pair), intercept=True)
     monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 128)  # several chunks
-    _check_merit_gradient(_bind(model, data).evaluate, beta)
+    with _bind(model, data) as bound:
+        _check_merit_gradient(bound.evaluate, beta)
 
 
 def _check_merit_gradient(evaluate, beta):
@@ -458,7 +465,8 @@ def test_moment_merit_gradient_equals_estimating_equations(name, monkeypatch):
         beta = np.array([1.2, 0.4])
     else:
         model, data, beta = MeanVarianceModel(), gen_nb_scenario(30, 20), np.array([9.0, 40.0])
-    _check_merit_gradient(_bind(model, data).evaluate, beta)
+    with _bind(model, data) as bound:
+        _check_merit_gradient(bound.evaluate, beta)
 
 
 def _pass_case(name):
@@ -498,8 +506,8 @@ def _pass_oracle(name):
 
 def _check_pass_against_oracle(name):
     model, data, beta, want = _pass_oracle(name)
-    bound = _bind(model, data, beta)
-    got = bound.evaluate(bound.beta, sandwich=True)
+    with _bind(model, data, beta) as bound:
+        got = bound.evaluate(bound.beta, sandwich=True)
     for g, w in zip(got, want):
         g, w = np.asarray(g), np.asarray(w)
         assert g.shape == w.shape
@@ -545,7 +553,10 @@ def test_one_pair_mean_and_gradient_is_a_row_of_the_chunk_pass():
 
 # ------------------------------------------------------------------ solver
 
-@pytest.mark.parametrize("field,value", [("tol_eq", 0.0), ("max_iter", 0)])
+# a tol_eq of inf took the start as converged after 0 iterations; nan
+# never converged
+@pytest.mark.parametrize("field,value", [("tol_eq", 0.0), ("max_iter", 0),
+                                         ("tol_eq", math.inf), ("tol_eq", math.nan)])
 def test_fit_config_rejects_a_setting_that_stops_nothing(field, value):
     with pytest.raises(InputError):
         FitConfig(**{field: value})

@@ -1,10 +1,10 @@
 """Reductions split across forked processes (``ustat.pass_workers``).
 
 Each test sets ``ustat.FORK_PAIRS`` low and a small chunk size, so that
-small datasets span many chunks and every fit or bare ``chunked_reduce``
-forks its worker set, and compares with the loop of one process at the
-same chunk size.  After each test no child process is left, not even an
-unreaped one.
+small datasets span many chunks and every fit or bare ``pass_workers``
+pass forks its worker set, and compares with the loop of one process at
+the same chunk size.  After each test no child process is left, not even
+an unreaped one.
 """
 
 import errno
@@ -22,11 +22,11 @@ import pytest
 import pairgee.ustat
 from pairgee import (EvaluationError, FitConfig, FrmModel, Kernel, NonConvergence,
                      PairCovariate, PairData, SingularInformation, SubjectRecord,
-                     WorkingVariance, adaptive_fit, build_pairs, enumerate_pairs,
-                     estimate_nuisance, gen_mww_probit, gen_nb_scenario, make_rng,
-                     solve_ugee)
+                     WorkingVariance, adaptive_fit, assemble_ugee, build_pairs,
+                     enumerate_pairs, estimate_nuisance, gen_mww_probit,
+                     gen_nb_scenario, make_rng, sandwich_variance, solve_ugee)
 from pairgee.simulate import mww_pair_data
-from pairgee.ustat import chunked_reduce, pair_indices
+from pairgee.ustat import pair_indices, pass_workers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -89,6 +89,12 @@ def _fit_case(case):
     return cases[case]
 
 
+def _reduce(fn, n_items):
+    """The one pass of a ``pass_workers`` set whose chunk function is ``fn``."""
+    with pass_workers(lambda: fn, n_items) as workers:
+        return workers.reduce()
+
+
 def _fit_bytes(model, data):
     res = adaptive_fit(model, data)
     return [a.tobytes() for a in (res.beta, res.cov_beta, res.sigma_u, res.b_matrix)]
@@ -104,6 +110,28 @@ def test_forked_fits_equal_the_serial_fit_byte_for_byte(forking, case, workers):
     serial = _fit_bytes(model, data)
     forking(workers)
     assert _fit_bytes(model, data) == serial
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_single_pass_functions_equal_the_serial_bytes(forking, forks, workers):
+    # each call binds the model once and forks its own set, ended on return
+    model, data = _nb_model("nb", value=4.0), gen_nb_scenario(40, 7)
+    beta = np.array([3.0, 3.0])
+    calls = {
+        "assemble_ugee": lambda: assemble_ugee(model, data, beta),
+        "sandwich_variance": lambda: sandwich_variance(model, data, beta),
+        "estimate_nuisance": lambda: (estimate_nuisance(model, data, beta),),
+    }
+
+    def run():
+        return {name: [np.asarray(a).tobytes() for a in call()]
+                for name, call in calls.items()}
+
+    forking(None)
+    serial = run()
+    forking(workers)
+    assert run() == serial
+    assert len(forks) == len(calls) * (workers - 1)
 
 
 _BLAS_SCRIPT = """
@@ -131,7 +159,8 @@ out = []
 for fork_pairs in (1 << 62, 2):
     ustat.FORK_PAIRS = fork_pairs
     ustat._usable_cpus = lambda: 2
-    dots = ustat.chunked_reduce(dot, len(a))
+    with ustat.pass_workers(lambda: dot, len(a)) as workers:
+        dots = workers.reduce()
     res = adaptive_fit(model, data)
     out.append(b"".join(np.asarray(v).tobytes() for v in (
         *dots, res.beta, res.cov_beta, res.sigma_u, res.b_matrix)))
@@ -186,7 +215,7 @@ def test_the_first_error_in_chunk_order_is_raised(forking):
     for workers in (None, 2):
         forking(workers)
         with pytest.raises(ValueError, match="chunk at 150$"):
-            chunked_reduce(part, 1000)
+            _reduce(part, 1000)
 
 
 def test_a_runtime_warning_in_a_child_is_raised_as_in_one_process(forking):
@@ -198,7 +227,7 @@ def test_a_runtime_warning_in_a_child_is_raised_as_in_one_process(forking):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeWarning, match="overflow"):
-                chunked_reduce(part, 1000)
+                _reduce(part, 1000)
 
 
 def test_a_child_that_dies_is_an_error_not_a_hang(forking):
@@ -210,7 +239,7 @@ def test_a_child_that_dies_is_an_error_not_a_hang(forking):
     parent = os.getpid()
     forking(2)
     with pytest.raises(RuntimeError, match="ended before sending the part of chunk 3"):
-        chunked_reduce(part, 1000)
+        _reduce(part, 1000)
 
 
 @pytest.fixture
@@ -234,7 +263,7 @@ def test_a_reduction_forks_one_child_per_further_usable_cpu(monkeypatch, chunk_p
     # the CPU helper is not patched: on one usable CPU nothing is forked
     chunk_pairs(50)
     monkeypatch.setattr(pairgee.ustat, "FORK_PAIRS", 2)
-    total = chunked_reduce(lambda sl: (np.arange(sl.start, sl.stop).sum(),), 1000)
+    total = _reduce(lambda sl: (np.arange(sl.start, sl.stop).sum(),), 1000)
     assert total == (sum(range(1000)),)
     assert len(forks) == min(pairgee.ustat._usable_cpus(), 20) - 1
 
@@ -246,8 +275,7 @@ def test_each_worker_takes_at_least_half_the_fork_threshold(monkeypatch, chunk_p
     monkeypatch.setattr(pairgee.ustat, "_usable_cpus", lambda: 8)
     for n_items, workers in [(199, 1), (200, 2), (450, 4), (5000, 8)]:
         forks.clear()
-        total = chunked_reduce(lambda sl: (np.arange(sl.start, sl.stop).sum(),),
-                               n_items)
+        total = _reduce(lambda sl: (np.arange(sl.start, sl.stop).sum(),), n_items)
         assert total == (sum(range(n_items)),)
         assert len(forks) == workers - 1
 
@@ -279,7 +307,7 @@ def test_a_fork_that_fails_leaves_its_chunks_to_the_parent(forking, monkeypatch,
 def test_nothing_is_forked_without_the_bundled_openblas(forking, monkeypatch, forks):
     forking(2)
     monkeypatch.setattr(pairgee.ustat, "_openblas", lambda: None)
-    assert chunked_reduce(lambda sl: (1.0,), 1000) == (20.0,)
+    assert _reduce(lambda sl: (1.0,), 1000) == (20.0,)
     assert forks == []
 
 
@@ -291,7 +319,7 @@ def test_a_blas_thread_count_of_one_is_left_alone(monkeypatch):
         calls.clear()
         monkeypatch.setattr(pairgee.ustat, "_openblas",
                             lambda: (lambda: count, calls.append))
-        assert chunked_reduce(lambda sl: (1.0,), 10) == (1.0,)
+        assert _reduce(lambda sl: (1.0,), 10) == (1.0,)
         assert calls == ([] if count == 1 else [1, 2])
 
 

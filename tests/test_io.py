@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pairgee import InputError, PairData, enumerate_pairs
-from pairgee.io import load_dataset, load_pairs
+from pairgee.io import _read_columns, load_dataset, load_pairs
 
 
 def _write(tmp_path, name, text):
@@ -160,6 +160,21 @@ def test_load_pairs_strips_padded_ids(tmp_path):
     assert data.subject_ids == ("a", "b", "c")
     assert data.i1.tolist() == [0, 0, 1] and data.i2.tolist() == [1, 2, 2]
     assert data.f.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_pairs_id_columns_hold_one_str_per_subject(tmp_path):
+    # each of n subjects is named in n - 1 rows; the reader keeps one object
+    # per distinct (padded or not) cell, stripped, and leaves other columns
+    # as read
+    n = 30
+    rows = [f"s{a}, s{b} ,{a + b}.0,x\n" for a, b in enumerate_pairs(n)]
+    path = _write(tmp_path, "ids.csv", "I1,i2,f,g\n" + "".join(rows))
+    header, (c1, c2, f, g) = _read_columns(path, ids=("i1", "i2"))
+    assert header == ["I1", "i2", "f", "g"] and len(c1) == len(g) == n * (n - 1) // 2
+    for column in (c1, c2):
+        assert len({id(cell) for cell in column}) == len(set(column)) == n - 1
+    assert set(c1 + c2) == {f"s{k}" for k in range(n)}
+    assert f[0] == "1.0" and g[0] == "x"
 
 
 @pytest.mark.parametrize("text,message", [

@@ -106,6 +106,23 @@ def test_gen_icc_pairwise_kernel_means_match_model_means():
     assert means[1] == pytest.approx(h[1], rel=0.10)
 
 
+@pytest.mark.parametrize("generator,args,params", [
+    (gen_nb_scenario, (20, 1), {"a": math.nan}),
+    (gen_nb_scenario, (20, 1), {"tau": math.nan}),
+    (gen_nb_scenario, (20, 1), {"beta1": math.inf}),
+    (gen_linear_exogenous, (20, 1), {"sigma_x": math.inf}),
+    (gen_linear_exogenous, (20, 1), {"beta": -math.inf}),
+    (gen_icc_ratings, (20, 3, 1), {"sigma_b2": math.nan}),
+    (gen_icc_ratings, (20, 3, 1), {"gamma": [math.nan, 0.0, 0.0]}),
+    (gen_mww_probit, (20, 1), {"beta": [1.0, math.inf]}),
+], ids=lambda v: "-".join(v) if isinstance(v, dict) else getattr(v, "__name__", ""))
+def test_generators_reject_non_finite_parameters(generator, args, params):
+    # they raised OverflowError or numpy's ValueError, or returned inf outcomes
+    name = next(iter(params))
+    with pytest.raises(InputError, match=f"^{name} must be finite, got "):
+        generator(*args, **params)
+
+
 def test_gen_icc_validates_inputs():
     with pytest.raises(InputError):
         gen_icc_ratings(10, 1, 0)

@@ -7,7 +7,7 @@ from pairgee import (InputError, Kernel, PairScoreTable, dump_pair_scores,
                      enumerate_pairs, hajek_scores, load_pair_scores,
                      make_rng, pair_count, projection_variance,
                      ustatistic_mean)
-from pairgee.ustat import chunked_reduce, pair_chunks, pair_indices
+from pairgee.ustat import pair_chunks, pair_indices, pass_workers
 
 from oracles import (brute_hajek, brute_pairs, brute_projection_variance,
                      brute_ustat_mean)
@@ -240,7 +240,7 @@ def test_degenerate_kernel_projection_shrinks():
 
 # ----------------------------------------------------- chunking and dumps
 
-def test_chunked_reduce_matches_plain_sum(chunk_pairs):
+def test_a_pass_matches_plain_sum(chunk_pairs):
     rng = np.random.default_rng(31)
     vals = rng.normal(size=5000)
 
@@ -248,9 +248,11 @@ def test_chunked_reduce_matches_plain_sum(chunk_pairs):
         return (vals[sl].sum(), (vals[sl] ** 2).sum())
 
     chunk_pairs(1024)
-    chunked = chunked_reduce(part, len(vals))
+    with pass_workers(lambda: part, len(vals)) as workers:
+        chunked = workers.reduce()
     chunk_pairs(len(vals))
-    whole = chunked_reduce(part, len(vals))
+    with pass_workers(lambda: part, len(vals)) as workers:
+        whole = workers.reduce()
     assert chunked[0] == pytest.approx(whole[0], rel=1e-10)
     assert chunked[1] == pytest.approx(whole[1], rel=1e-10)
 
