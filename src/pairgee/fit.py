@@ -62,8 +62,8 @@ from .links import link_complement, link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
 from .ustat import (canonical_order, interleaved_accumulate, is_canonical,
-                    pair_chunks, pair_count, pair_indices, pass_workers,
-                    projection_variance)
+                    pair_chunks, pair_count, pair_indices, pair_rows,
+                    pass_workers, projection_variance)
 
 COND_LIMIT = 1e12
 NB_TAU_MAX = 1e8
@@ -74,6 +74,15 @@ MAX_HALVINGS = 20
 # nb dispersion rounds of ``adaptive_fit`` and their scaled settling tolerance
 ADAPTIVE_MAX_ROUNDS = 25
 ADAPTIVE_TOL = 1e-6
+# an nb ``adaptive_fit`` over at least WARM_PAIRS pairs starts from the
+# settled rounds on the complete pairs of WARM_SUBJECTS of its subjects,
+# drawn by a generator seeded with WARM_SEED (see ``_warm_start``).  The
+# warm fit was faster from n = 900 (404,550 pairs) on, on a 2-CPU host,
+# and mixed at n = 800; it is not tied to ``ustat.FORK_PAIRS``, so a lower
+# fork threshold moves no small fit onto the warm path
+WARM_PAIRS = 400_000
+WARM_SUBJECTS = 500
+WARM_SEED = 0
 
 
 # --------------------------------------------------------------------------- #
@@ -219,7 +228,10 @@ class FitResult:
     ``cov_beta`` is the covariance of the estimate itself (the asymptotic
     sandwich divided by the subject count), ``b_matrix`` the per-pair mean
     of D'V^-1 D, and ``sigma_u`` the uncorrected projected-score
-    covariance.
+    covariance.  ``iterations`` counts the scoring iterations of all
+    solves and ``nuisance_rounds`` the nuisance estimates of an adaptive
+    fit; after a warm start (see ``adaptive_fit``) both count the solves
+    on the full data only, not those on the subsample.
     """
 
     beta: np.ndarray
@@ -793,6 +805,16 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     summed over all solves.  One worker set serves every pass, and the
     last nb round's start, whose solve usually takes no step, is evaluated
     with the sandwich sums, which are then reused.
+
+    An nb fit over at least ``WARM_PAIRS`` pairs without a given
+    ``init_beta`` starts warm: from the beta and tau at which the rounds
+    settle on ``_subsample(data)``, the complete pairs of ``WARM_SUBJECTS``
+    subjects that depend on n alone, instead of from the default start
+    and tau = inf.  The full data then take about half as many passes.
+    ``iterations``, ``nuisance_rounds`` and the NonConvergence trace count
+    the solves and rounds on the full data only, and the trace starts at
+    the subsample's tau.  When the subsample fit raises EvaluationError,
+    SingularInformation or NonConvergence, the fit starts cold.
     """
     config = config or FitConfig()
     wv = getattr(model, "working_variance", None)   # the moment models have none
@@ -801,14 +823,72 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     # c of constant is var(f) at every beta; nb starts at variance-equals-mean
     value = (_constant_nuisance(data) if wv.kind == "constant"
              else 1.0 if wv.kind == "propmean" else float("inf"))
-    with _bind(_with_nuisance(model, value), data, config.init_beta) as bound:
+    beta = config.init_beta
+    if wv.kind == "nb" and beta is None and data.n_pairs >= WARM_PAIRS:
+        value, beta = _warm_start(model, data, config)
+    with _bind(_with_nuisance(model, value), data, beta) as bound:
         return _adaptive(bound, wv.kind, value, config)
+
+
+def _subsample(data: PairData) -> PairData:
+    """The complete pairs of ``WARM_SUBJECTS`` subjects of ``data``, drawn
+    without replacement by a generator seeded with ``WARM_SEED``, so they
+    depend on n alone.  Their rows are gathered by linear pair index, in
+    the canonical order of the subsample."""
+    subjects = np.sort(np.random.default_rng(WARM_SEED).choice(
+        data.n, WARM_SUBJECTS, replace=False))
+    a, b = pair_indices(WARM_SUBJECTS, 0, pair_count(WARM_SUBJECTS))
+    rows = pair_rows(data.n, subjects[a], subjects[b])
+    return PairData(n=WARM_SUBJECTS, x=data.x[rows], f=data.f[rows])
+
+
+def _warm_start(model: FrmModel, data: PairData, config: FitConfig):
+    """(tau, beta) at which the nb rounds of ``adaptive_fit`` settle on
+    ``_subsample(data)``, without their sandwich; (inf, None), the cold
+    start, when they do not settle or the fit raises EvaluationError,
+    SingularInformation or NonConvergence."""
+    cold = float("inf")
+    try:
+        with _bind(_with_nuisance(model, cold), _subsample(data)) as bound:
+            settled = _settle(bound, "nb", cold, config, sandwich=False)
+    except (EvaluationError, SingularInformation, NonConvergence):
+        return cold, None
+    if not settled.done:
+        return cold, None
+    return settled.value, settled.result.beta
+
+
+class _Settled(NamedTuple):
+    """Where the rounds of ``_adaptive`` end, before the sandwich."""
+
+    bound: _Bound         # the last round's binding: its nuisance and start
+    result: FitResult     # the last solve, ``iterations`` summed over all
+    value: float          # the last nuisance
+    rounds: int
+    done: bool            # False when the nb dispersion did not settle
+    trace: list           # the nuisance iterates, the start first
+    sums: tuple | None    # the sandwich sums at ``result.beta``, if at hand
 
 
 def _adaptive(bound: _Bound, kind: str, value: float, config: FitConfig) -> FitResult:
     """``adaptive_fit`` of a model with a ``kind`` nuisance from ``value``
-    on, on ``bound``, whose checks ran once; each round's binding differs
-    from it only in its nuisance and its start."""
+    on, on ``bound``, whose checks ran once: ``_settle`` and the sandwich."""
+    settled = _settle(bound, kind, value, config)
+    result = _with_sandwich(settled.bound, settled.result, settled.sums)
+    if not settled.done:
+        raise NonConvergence(
+            f"adaptive working-variance loop did not settle in "
+            f"{ADAPTIVE_MAX_ROUNDS} rounds", trace=settled.trace, result=result)
+    return dataclasses.replace(result, nuisance=settled.value,
+                               nuisance_rounds=settled.rounds)
+
+
+def _settle(bound: _Bound, kind: str, value: float, config: FitConfig,
+            sandwich: bool = True) -> _Settled:
+    """The solves and nuisance rounds of ``_adaptive`` on ``bound``; each
+    round's binding differs from it only in its nuisance and its start.
+    With ``sandwich`` the last nb round's start is evaluated with the
+    sandwich sums; without, ``sums`` is None and no sandwich pass is made."""
     def rebind(value, beta):
         return bound._replace(evaluate=partial(_pair_pass, bound.reduce, value),
                               beta=beta)
@@ -827,7 +907,7 @@ def _adaptive(bound: _Bound, kind: str, value: float, config: FitConfig) -> FitR
             done = _nuisance_close(new, value)
             value = new
             bound = rebind(value, result.beta)
-            if done:
+            if done and sandwich:
                 sums = bound.evaluate(bound.beta, sandwich=True)
             result = _solve(bound, config, None if sums is None else sums[:3])
             iterations += result.iterations
@@ -835,13 +915,8 @@ def _adaptive(bound: _Bound, kind: str, value: float, config: FitConfig) -> FitR
                 break
     if result.iterations:   # the sums are at the start, not at the solution
         sums = None
-    result = dataclasses.replace(_with_sandwich(bound, result, sums),
-                                 iterations=iterations)
-    if not done:
-        raise NonConvergence(
-            f"adaptive working-variance loop did not settle in "
-            f"{ADAPTIVE_MAX_ROUNDS} rounds", trace=trace, result=result)
-    return dataclasses.replace(result, nuisance=value, nuisance_rounds=rounds)
+    return _Settled(bound, dataclasses.replace(result, iterations=iterations),
+                    value, rounds, done, trace, sums)
 
 
 # --------------------------------------------------------------------------- #

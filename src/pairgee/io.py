@@ -34,7 +34,9 @@ def _read_columns(path, ids=()) -> tuple[list[str], list[list[str]]]:
     """Stripped header names and one list of cells per column.  Rows go
     straight into the column lists, so no row list outlives its line.  The
     cells of the ``ids`` columns (lower-case names), stripped, are shared
-    between equal cells: a pairs file names each subject in n - 1 rows."""
+    between equal cells: a pairs file names each subject in n - 1 rows.
+    A row the csv module cannot read is an InputError naming it."""
+    k = 0   # the rows read, so a csv.Error is on row k + 1
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -42,6 +44,7 @@ def _read_columns(path, ids=()) -> tuple[list[str], list[list[str]]]:
                 header = next(reader)
             except StopIteration:
                 raise InputError(f"{path}: empty file, header row required") from None
+            k = 1
             header = [name.strip() for name in header]
             if len(set(header)) != len(header):
                 raise InputError(f"{path}: duplicate column names in header")
@@ -56,6 +59,8 @@ def _read_columns(path, ids=()) -> tuple[list[str], list[list[str]]]:
                     append(cell)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise InputError(f"{path}: row {k + 1}: {exc}") from None
     return header, columns
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -41,6 +42,11 @@ from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     pair_covariate_matrix)
 from .ustat import (_one_blas_thread, _serial_reductions, _usable_cpus, chunk_slices,
                     pair_chunks, pair_count)
+
+
+# the largest mean count that ``gen_nb_scenario`` draws: numpy's Poisson
+# draw refuses means above about 9.22e18
+NB_MEAN_MAX = 9.2e18
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -78,11 +84,19 @@ def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
 
     Counts are drawn through the gamma mixture: rate ~ Gamma(shape tau,
     scale mean/tau), f ~ Poisson(rate), giving Var(f|x) = mean (1 + mean/tau).
-    One independent draw per unordered pair.
+    One independent draw per unordered pair.  A mean above ``NB_MEAN_MAX``
+    on the covariate range [2a, 2b], or a rate drawn above what the
+    Poisson draw takes, is an InputError.
     """
     _check_finite(tau=tau, beta0=beta0, beta1=beta1, a=a, b=b)
     if tau <= 0 or b <= a:
         raise InputError("need tau > 0 and b > a")
+    top = beta0 + max(2 * a * beta1, 2 * b * beta1)   # the largest log mean
+    if top > math.log(NB_MEAN_MAX):
+        raise InputError(f"beta0={beta0:g} and beta1={beta1:g} put the mean count "
+                         f"exp(beta0 + beta1 x) at up to exp({top:g}) for x in "
+                         f"[{2 * a:g}, {2 * b:g}]; the count draw takes means up "
+                         f"to {NB_MEAN_MAX:g}")
     rng = _rng(seed_or_rng)
     xs = rng.uniform(a, b, size=n)
     x = np.empty((pair_count(n), 1))
@@ -95,7 +109,12 @@ def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
     for sl in slices:
         f[sl] = rng.gamma(shape=tau, scale=np.exp(beta0 + beta1 * x[sl, 0]) / tau)
     for sl in slices:
-        f[sl] = rng.poisson(f[sl])
+        try:
+            f[sl] = rng.poisson(f[sl])
+        except ValueError:   # a rate far out in the gamma tail of a small tau
+            raise InputError(f"a gamma rate drawn with tau={tau:g} is too large "
+                             f"for the count draw; raise tau or lower the mean "
+                             f"(beta0={beta0:g}, beta1={beta1:g})") from None
     return PairData(n=n, x=x, f=f)
 
 

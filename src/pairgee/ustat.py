@@ -113,6 +113,12 @@ def pair_indices(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return i1, i2
 
 
+def pair_rows(n: int, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+    """Linear index in ``enumerate_pairs(n)`` of each pair (i1, i2), i1 < i2:
+    the inverse of ``pair_indices``, in closed form."""
+    return _row_start(n, i1) + (i2 - i1 - 1)
+
+
 def pair_chunks(n: int):
     """An iterator of (slice, i1, i2) over the ``chunk_slices`` of
     ``enumerate_pairs(n)`` in order, decoding one slice at a time.  Fewer

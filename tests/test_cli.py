@@ -421,6 +421,26 @@ def test_simulate_non_finite_parameter_exits_2_with_one_line(tmp_path, capsys,
     assert not (tmp_path / "bad.json").exists()
 
 
+def test_simulate_nb_mean_beyond_the_count_draw_exits_2_with_one_line(tmp_path, capsys):
+    # exp(1006) overflowed numpy's Poisson draw: "lam value too large", exit 1
+    out = tmp_path / "bad"
+    assert main(["simulate", "--n", "20", "--m", "3", "--beta0", "1000",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: beta0=1000 and beta1=3 put the mean count")
+    assert err.count("\n") == 1 and not (tmp_path / "bad.json").exists()
+
+
+def test_fit_cell_beyond_the_csv_field_limit_exits_2_naming_the_row(tmp_path, capsys):
+    path = _write(tmp_path, "subjects.csv", "id,x1,y1\na,1,2\nb,2,5\n"
+                  f"c,{'1' * 200_000},3\nd,4,1\n")
+    assert main(["fit", "--data", path, "--layout", "subjects",
+                 "--kernel", "sqhalfdiff"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"input error: {path}: row 4: field larger than field limit "
+                   f"(131072)\n")
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_simulate_outputs_do_not_depend_on_the_cpu_count(tmp_path, capsys,
                                                          limit_cpus, scenario):

@@ -1364,3 +1364,144 @@ def test_a_last_nb_round_that_steps_takes_a_fresh_sandwich(monkeypatch):
     fresh = sandwich_variance(_model("exp", "nb", True, res.nuisance), data, res.beta)
     assert [a.tobytes() for a in fresh] == [
         a.tobytes() for a in (res.cov_beta, res.b_matrix, res.sigma_u)]
+
+
+# ------------------------------------------------------------- warm start
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The (kind, pair count) of every pass that fits make, in order."""
+    made = []
+    pass_chunks = pairgee.fit._pass_chunks
+
+    def recording(model, data, kind, beta, value):
+        made.append((kind, data.n_pairs))
+        return pass_chunks(model, data, kind, beta, value)
+
+    monkeypatch.setattr(pairgee.fit, "_pass_chunks", recording)
+    return made
+
+
+@pytest.fixture(scope="module")
+def nb_2000():
+    return gen_nb_scenario(2000, 11)
+
+
+def _nb_bytes(res):
+    return [a.tobytes() for a in (res.beta, res.cov_beta, res.sigma_u, res.b_matrix,
+                                  np.array([res.nuisance, res.eq_norm]))]
+
+
+def test_a_warm_nb_fit_makes_half_the_full_data_passes(nb_2000, passes, monkeypatch):
+    model = _model("exp", "nb", intercept=True)
+    assert nb_2000.n_pairs >= pairgee.fit.WARM_PAIRS
+    warm = adaptive_fit(model, nb_2000)
+    full = [kind for kind, n_pairs in passes if n_pairs == nb_2000.n_pairs]
+    sub = [kind for kind, n_pairs in passes if n_pairs != nb_2000.n_pairs]
+    assert full == ["terms"] * 3 + ["nuisance"] + ["terms"] * 2 + ["nuisance", "sandwich"]
+    # the subsample settles its rounds but takes no sandwich pass
+    assert sub and "sandwich" not in sub
+    assert {n_pairs for _, n_pairs in passes if n_pairs != nb_2000.n_pairs} == {
+        pairgee.ustat.pair_count(pairgee.fit.WARM_SUBJECTS)}
+    # the counts cover the full data only
+    assert (warm.iterations, warm.nuisance_rounds) == (3, 2) and warm.converged
+    passes.clear()
+    monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1 << 62)
+    cold = adaptive_fit(model, nb_2000)
+    assert len(passes) == 16 and all(n == nb_2000.n_pairs for _, n in passes)
+    assert cold.converged and (cold.iterations, cold.nuisance_rounds) == (9, 3)
+    np.testing.assert_allclose(warm.beta, cold.beta, rtol=1e-9)
+    np.testing.assert_allclose(warm.se, cold.se, rtol=1e-9)
+
+
+def test_two_warm_nb_fits_are_byte_identical(nb_2000):
+    model = _model("exp", "nb", intercept=True)
+    assert _nb_bytes(adaptive_fit(model, nb_2000)) == _nb_bytes(adaptive_fit(model, nb_2000))
+
+
+def test_the_warm_subsample_is_the_complete_design_of_its_subjects(monkeypatch):
+    monkeypatch.setattr(pairgee.fit, "WARM_SUBJECTS", 12)
+    data = gen_nb_scenario(30, 3)
+    sub = pairgee.fit._subsample(data)
+    subjects = np.sort(np.random.default_rng(pairgee.fit.WARM_SEED).choice(
+        30, 12, replace=False))
+    keep = np.isin(data.i1, subjects) & np.isin(data.i2, subjects)
+    assert sub.n == 12 and sub.n_pairs == 66
+    assert np.array_equal(sub.x, data.x[keep]) and np.array_equal(sub.f, data.f[keep])
+    # the subjects depend on n alone, not on the data
+    other = gen_nb_scenario(30, 4)
+    assert np.array_equal(pairgee.fit._subsample(other).f, other.f[keep])
+
+
+def _small_warm(monkeypatch):
+    """A 40-subject nb case whose fits start warm from 20 subjects."""
+    monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1)
+    monkeypatch.setattr(pairgee.fit, "WARM_SUBJECTS", 20)
+    return _model("exp", "nb", intercept=True), gen_nb_scenario(40, 7)
+
+
+@pytest.mark.parametrize("error", [EvaluationError, SingularInformation, NonConvergence])
+def test_a_failing_warm_subsample_gives_the_cold_fit(error, monkeypatch, passes):
+    model, data = _small_warm(monkeypatch)
+    adaptive_fit(model, data)
+    assert any(n_pairs == 190 for _, n_pairs in passes)   # it starts warm
+    monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1 << 62)
+    cold = _nb_bytes(adaptive_fit(model, data))
+    monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1)
+    pass_chunks = pairgee.fit._pass_chunks
+
+    def failing(model, sub, kind, beta, value):
+        if sub.n_pairs == 190:
+            raise error("subsample")
+        return pass_chunks(model, sub, kind, beta, value)
+
+    monkeypatch.setattr(pairgee.fit, "_pass_chunks", failing)
+    assert _nb_bytes(adaptive_fit(model, data)) == cold
+
+
+def test_a_warm_subsample_that_does_not_settle_gives_the_cold_fit(monkeypatch):
+    model, data = _small_warm(monkeypatch)
+    settle = pairgee.fit._settle
+
+    def unsettled(bound, *args, **kw):
+        settled = settle(bound, *args, **kw)
+        return settled._replace(done=bound.n == data.n and settled.done)
+
+    monkeypatch.setattr(pairgee.fit, "_settle", unsettled)
+    warm = _nb_bytes(adaptive_fit(model, data))
+    monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1 << 62)
+    assert warm == _nb_bytes(adaptive_fit(model, data))
+
+
+def test_a_given_init_beta_skips_the_warm_start(monkeypatch, passes):
+    model, data = _small_warm(monkeypatch)
+    config = FitConfig(init_beta=np.array([2.0, 1.0]))
+    given = _nb_bytes(adaptive_fit(model, data, config))
+    assert all(n_pairs == data.n_pairs for _, n_pairs in passes)
+    monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1 << 62)
+    assert _nb_bytes(adaptive_fit(model, data, config)) == given
+
+
+def test_a_warm_nb_fit_counts_and_traces_the_full_data_only(monkeypatch):
+    model, data = _small_warm(monkeypatch)
+    start = pairgee.fit._warm_start(model, data, FitConfig())
+    assert np.isfinite(start[0])
+    # a full fit from that start that does not settle in one round
+    monkeypatch.setattr(pairgee.fit, "_warm_start", lambda *args: start)
+    monkeypatch.setattr(pairgee.fit, "ADAPTIVE_MAX_ROUNDS", 1)
+    monkeypatch.setattr(pairgee.fit, "_nuisance_close", lambda new, old: False)
+    with pytest.raises(NonConvergence, match="did not settle") as err:
+        adaptive_fit(model, data)
+    assert len(err.value.trace) == 2 and err.value.trace[0] == start[0]
+
+
+def test_an_nb_fit_at_600_subjects_never_starts_warm_with_any_fork_threshold(monkeypatch, passes):
+    # the warm-start threshold is its own constant, so lowering FORK_PAIRS
+    # (as ``--fork-pairs 2`` does) moves no small nb fit onto the warm path
+    assert pairgee.ustat.pair_count(600) < pairgee.fit.WARM_PAIRS
+    monkeypatch.setattr(pairgee.ustat, "FORK_PAIRS", 2)
+    model, data = _model("exp", "nb", intercept=True), gen_nb_scenario(600, 5)
+    res = _nb_bytes(adaptive_fit(model, data))
+    assert all(n_pairs == data.n_pairs for _, n_pairs in passes)
+    monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1 << 62)
+    assert _nb_bytes(adaptive_fit(model, data)) == res

@@ -113,6 +113,20 @@ def test_forked_fits_equal_the_serial_fit_byte_for_byte(forking, case, workers):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
+def test_a_warm_nb_fit_on_forked_workers_equals_the_serial_fit(forking, forks, monkeypatch,
+                                                                workers):
+    # the subsample's binding and the full fit's each fork their own set
+    monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1)
+    monkeypatch.setattr(pairgee.fit, "WARM_SUBJECTS", 20)
+    model, data = _fit_case("nb")
+    forking(None)
+    serial = _fit_bytes(model, data)
+    forking(workers)
+    assert _fit_bytes(model, data) == serial
+    assert len(forks) == 2 * (workers - 1)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
 def test_single_pass_functions_equal_the_serial_bytes(forking, forks, workers):
     # each call binds the model once and forks its own set, ended on return
     model, data = _nb_model("nb", value=4.0), gen_nb_scenario(40, 7)

@@ -1,3 +1,4 @@
+import re
 import string
 
 import numpy as np
@@ -43,6 +44,19 @@ def test_load_subjects_errors(tmp_path):
                             "id,x1\na,1\nb,2\n"), "subjects")
     with pytest.raises(InputError, match="header"):
         load_dataset(_write(tmp_path, "empty.csv", ""), "subjects")
+
+
+@pytest.mark.parametrize("layout", ["subjects", "pairs", "abundance"])
+def test_a_cell_beyond_the_csv_field_limit_names_the_file_and_row(tmp_path, layout):
+    # the csv module's _csv.Error escaped as a traceback
+    big = "1" * 200_000
+    path = _write(tmp_path, "big.csv", f"id,x1,y1\na,1,2\nb,{big},3\n")
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: row 3: field larger "
+                                         r"than field limit \(131072\)$"):
+        load_dataset(path, layout)
+    path = _write(tmp_path, "head.csv", f"id,{big},y1\na,1,2\n")
+    with pytest.raises(InputError, match="row 1: field larger"):
+        load_dataset(path, layout)
 
 
 def test_load_abundance(tmp_path):

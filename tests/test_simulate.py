@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,33 @@ def test_generators_reject_non_finite_parameters(generator, args, params):
     name = next(iter(params))
     with pytest.raises(InputError, match=f"^{name} must be finite, got "):
         generator(*args, **params)
+
+
+@pytest.mark.parametrize("params,top", [
+    ({"beta0": 1000.0}, "exp(1006)"),
+    ({"beta0": 44.0, "beta1": 0.0}, "exp(44)"),
+    ({"beta1": -30.0, "a": -1.0}, "exp(63)")])
+def test_gen_nb_scenario_rejects_a_mean_beyond_the_count_draw(params, top):
+    # numpy's Poisson draw raised ValueError("lam value too large")
+    with pytest.raises(InputError, match=r"put the mean count exp\(beta0 \+ beta1 x\) "
+                                         rf"at up to {re.escape(top)} "):
+        gen_nb_scenario(20, 1, **params)
+
+
+def test_gen_nb_scenario_rejects_a_gamma_rate_beyond_the_count_draw():
+    # the mean is in range, but tau = 0.01 draws rates far above it
+    with pytest.raises(InputError, match="gamma rate drawn with tau=0.01 is too large"):
+        gen_nb_scenario(200, 1, tau=0.01, beta0=42.5, beta1=0.1)
+
+
+def test_gen_nb_scenario_keeps_its_stream_below_the_mean_limit():
+    # the check draws nothing: a large valid mean gives the unchecked draws
+    data = gen_nb_scenario(20, 3, beta0=40.0, beta1=1.0)
+    rng = make_rng(3)
+    xs = rng.uniform(0.0, 1.0, size=20)
+    rate = rng.gamma(shape=10.0, scale=np.exp(40.0 + data.x[:, 0]) / 10.0)
+    assert np.array_equal(data.f, rng.poisson(rate))
+    assert np.array_equal(data.x[:, 0], xs[data.i1] + xs[data.i2])
 
 
 def test_gen_icc_validates_inputs():

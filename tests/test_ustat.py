@@ -7,7 +7,7 @@ from pairgee import (InputError, Kernel, PairScoreTable, dump_pair_scores,
                      enumerate_pairs, hajek_scores, load_pair_scores,
                      make_rng, pair_count, projection_variance,
                      ustatistic_mean)
-from pairgee.ustat import pair_chunks, pair_indices, pass_workers
+from pairgee.ustat import pair_chunks, pair_indices, pair_rows, pass_workers
 
 from oracles import (brute_hajek, brute_pairs, brute_projection_variance,
                      brute_ustat_mean)
@@ -68,6 +68,14 @@ def test_pair_indices_at_row_boundaries_of_large_n(n):
     i1, i2 = pair_indices(n, pair_count(n) - 3, pair_count(n))
     assert i1.tolist() == [n - 3, n - 3, n - 2]
     assert i2.tolist() == [n - 2, n - 1, n - 1]
+
+
+@pytest.mark.parametrize("n", [2, 7, 50_000])
+def test_pair_rows_invert_pair_indices(n):
+    lo, hi = pair_count(n) // 3, min(pair_count(n), pair_count(n) // 3 + 500)
+    i1, i2 = pair_indices(n, lo, hi)
+    assert pair_rows(n, i1, i2).tolist() == list(range(lo, hi))
+    assert pair_rows(n, i1[::-3], i2[::-3]).tolist() == list(range(lo, hi))[::-3]
 
 
 def test_pair_indices_and_chunks_reject_what_has_no_pairs():
