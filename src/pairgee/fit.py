@@ -40,9 +40,9 @@ have the same mean h and gradient D for every pair, so their pair sums
 factor through four sufficient statistics of the (N, 2) responses R: N,
 the mean, the centred cross-products and the (n, 2) per-subject sums.
 One pass over the pair chunks gathers them (``_moment_stats``); every
-scoring iterate and the sandwich are then O(n) closed forms
-(``_moment_bind``).  ``fit_icc`` feeds that pass from the rating matrix
-directly, without a ``PairData``.
+pass of the binding, for a scoring iterate or the sandwich, is then an
+O(n) closed form (``_moment_bind``).  ``fit_icc`` feeds that pass from
+the rating matrix directly, without a ``PairData``.
 """
 
 from __future__ import annotations
@@ -336,14 +336,21 @@ def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
 
 
 class _Bound(NamedTuple):
-    """A model bound to its data: what the solver and the sandwich read."""
+    """A model bound to its data: the one state of a fit.  An adaptive
+    round replaces only its nuisance ``value`` and its start ``beta``."""
 
-    evaluate: Callable   # evaluate(theta, sandwich=False), as ``_pair_pass``
+    reduce: Callable     # reduce(kind, theta, value): one pass (see ``_bind``)
     names: tuple         # the q parameter names
     beta: np.ndarray     # the start: the given beta, or the model's default
     n: int               # subjects
     n_pairs: int         # pairs
-    reduce: Callable | None = None   # reduce(kind, beta, value): a scalar pass
+    value: float | None  # the working variance's nuisance; None for moment models
+
+    def evaluate(self, theta, sandwich: bool = False):
+        """The quasi-objective, U and J at ``theta``, and with ``sandwich``
+        the (n, q) per-subject sums of the pair scores and Z2 = sum of their
+        outer products: one pass with the nuisance at ``value``."""
+        return self.reduce("sandwich" if sandwich else "terms", theta, self.value)
 
 
 @contextmanager
@@ -351,23 +358,26 @@ def _bind(model, data: PairData, beta=None):
     """The model-specific side of a fit on ``data``, with start ``beta``,
     as a context whose block runs the fit's passes.
 
-    ``evaluate(theta)`` returns the quasi-objective, U and J at theta, and
-    ``evaluate(theta, sandwich=True)`` adds the (n, q) per-subject sums of
-    the pair scores and Z2 = sum of their outer products.  For the scalar
-    model it is ``_pair_pass``, one pass over the pair chunks per call,
-    run by ``reduce``: the pass of the one ``pass_workers`` set that the
-    block opens, and the only route of a pass over pair chunks.
-    The two-dimensional moment models, whose mean h and gradient D are the
-    same for every pair, read ``data`` once here, in ``_moment_bind``, and
-    evaluate in closed form.  A ``beta`` of None is the model's default
-    start; one other than q finite values is an InputError.  This is the
-    only code that tells the two kinds of model apart.
+    ``reduce(kind, theta, value)`` is one pass at theta with the working
+    variance's nuisance at ``value``, of a kind of ``_pass_chunks``.  For
+    the scalar model it is the pass of the one ``pass_workers`` set that
+    the block opens, the only route of a pass over pair chunks, and the
+    binding's ``value`` is the model's own.  The two-dimensional moment
+    models, whose mean h and gradient D are the same for every pair, read
+    ``data`` once here, in ``_moment_bind``, and answer "terms" and
+    "sandwich" in closed form, ignoring ``value``.  A ``beta`` of None is
+    the model's default start; one other than q finite values is an
+    InputError.  This is the only code that tells the two kinds of model
+    apart.
     """
     if not isinstance(model, FrmModel):
         chunks = ((i1, i2, model.responses(data.f[sl]))
                   for sl, i1, i2 in pair_chunks(data.n))
         yield _moment_bind(model, data.n, chunks, beta)
         return
+    if data.f.ndim != 1:
+        raise InputError(f"a scalar model needs one response per pair; the data "
+                         f"have {data.f.shape[1]} components")
     q = data.x.shape[1] + int(model.intercept)
     if q == 0:
         raise InputError("model has no parameters: no covariates and no intercept")
@@ -380,8 +390,7 @@ def _bind(model, data: PairData, beta=None):
     names = tuple((["beta0"] if model.intercept else []) + slopes)
     beta = _start(_default_init(model, data, q) if beta is None else beta, names)
     with pass_workers(partial(_pass_chunks, model, data), data.n_pairs) as workers:
-        yield _Bound(partial(_pair_pass, workers.reduce, wv.value), names, beta,
-                     data.n, data.n_pairs, workers.reduce)
+        yield _Bound(workers.reduce, names, beta, data.n, data.n_pairs, wv.value)
 
 
 def _start(beta, names: tuple) -> np.ndarray:
@@ -395,14 +404,17 @@ def _start(beta, names: tuple) -> np.ndarray:
 def _response_variance(N: int, variance, what: str):
     """``variance()``, the sample variance of N pairwise responses that
     ``what`` needs; an EvaluationError names the cause when it is undefined
-    (one pair) or not positive in a component."""
+    (one pair), not finite or zero in a component."""
     if N < 2:
         raise EvaluationError(f"degenerate pairwise responses: {what} needs their "
                               f"sample variance, undefined for one pair")
-    V = variance()
-    if np.any(~np.isfinite(V) | (V <= 0)):
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is raised below
+        V = variance()
+    finite = np.all(np.isfinite(V))
+    if not finite or np.any(V <= 0):
         raise EvaluationError(f"degenerate pairwise responses: {what} needs their "
-                              f"sample variance, which is zero")
+                              f"sample variance, which is "
+                              f"{'zero' if finite else 'not finite'}")
     return V
 
 
@@ -446,26 +458,18 @@ def _moment_bind(model, n: int, chunks, beta=None) -> _Bound:
     names = model.param_names
     beta = model.init_theta(Rbar) if beta is None else beta
 
-    def evaluate(theta, sandwich: bool = False):
+    def reduce(kind, theta, value):
         h, D = model.mean_map(theta)
         W = D.T / V                    # (q, 2)
         d = Rbar - h
         merit = -0.5 * float(np.sum(np.diag(C) / V) + N * np.sum(d * d / V))
         U, J = N * (W @ d), N * (W @ D)
-        if not sandwich:
+        if kind == "terms":
             return merit, U, J
         return (merit, U, J, (T - (n - 1) * h) @ W.T,
                 W @ (C + N * np.outer(d, d)) @ W.T)
 
-    return _Bound(evaluate, names, _start(beta, names), n, N)
-
-
-def _pair_pass(reduce, value, beta: np.ndarray, sandwich: bool = False):
-    """One pass over the pair chunks at ``beta``, with the working
-    variance's nuisance at ``value``: the quasi-objective, U and J, and
-    with ``sandwich`` the (n, q) per-subject sums of the pair scores and
-    Z2 = sum of their outer products (see ``_pass_chunks``)."""
-    return reduce("sandwich" if sandwich else "terms", beta, value)
+    return _Bound(reduce, names, _start(beta, names), n, N, None)
 
 
 def _pass_chunks(model: FrmModel, data: PairData, kind: str, beta: np.ndarray,
@@ -554,23 +558,27 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
 
     ``evaluate(beta)`` returns (quasi-objective, U, J) from one pass, so
     the accepted candidate's U and J are already at hand; ``start`` is
-    that triple at ``beta0`` when the caller has it already.
+    that triple at ``beta0`` when the caller has it already.  A point
+    whose quasi-objective or J is not finite is an EvaluationError; at a
+    trial step it is halved.
     """
     def point(beta, sums=None):
-        m, U, J = evaluate(beta) if sums is None else sums
+        # an overflow in the residuals' squares and products gives a
+        # non-finite quasi-objective or J, raised here, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, U, J = evaluate(beta) if sums is None else sums
         if not np.isfinite(m):
             raise EvaluationError("quasi-objective is not finite")
+        if not np.all(np.isfinite(J)):
+            raise EvaluationError("scoring matrix is not finite")
         return m, U, J
 
     beta = beta0.copy()
     m, U, J = point(beta, start)
-    iterations = 0
     flagged = 0
-    converged = False
-    for it in range(1, config.max_iter + 1):
+    for iterations in range(config.max_iter + 1):
         eq_norm = float(np.max(np.abs(U))) / n_pairs
-        if eq_norm <= config.tol_eq:
-            converged = True
+        if eq_norm <= config.tol_eq or iterations == config.max_iter:
             break
         _check_conditioning(J, "scoring matrix")
         step = np.linalg.solve(J, U)
@@ -584,11 +592,7 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
                 lam *= 0.5
                 continue
             try:
-                # a trial step may overflow the residuals' squares and
-                # products; the non-finite quasi-objective it gives is
-                # caught by ``point`` and halved, so numpy need not warn
-                with np.errstate(over="ignore", invalid="ignore"):
-                    m2, U2, J2 = point(cand)
+                m2, U2, J2 = point(cand)
             except EvaluationError as exc:
                 last_err = exc
                 lam *= 0.5
@@ -603,11 +607,7 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
             raise last_err if last_err is not None else EvaluationError(
                 "step halving failed to produce an evaluable iterate")
         beta, m, U, J = accepted
-        iterations = it
-    eq_norm = float(np.max(np.abs(U))) / n_pairs
-    if eq_norm <= config.tol_eq:
-        converged = True
-    return beta, eq_norm, iterations, converged, flagged
+    return beta, eq_norm, iterations, eq_norm <= config.tol_eq, flagged
 
 
 def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitResult:
@@ -744,14 +744,13 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
     with _bind(model, data, beta) as bound:
         if wv.kind == "constant":
             return _constant_nuisance(data)
-        return _nuisance(wv.kind, bound.reduce, bound.beta, wv.value)
+        return _nuisance(wv.kind, bound, bound.beta)
 
 
-def _nuisance(kind: str, reduce, beta: np.ndarray, value) -> float:
+def _nuisance(kind: str, bound: _Bound, beta: np.ndarray) -> float:
     """``estimate_nuisance`` of a propmean or nb model at ``beta``, without
-    its checks: one pass of a binding's ``reduce``, with the model's
-    nuisance at ``value``."""
-    num, denom = reduce("nuisance", beta, value)
+    its checks: one pass of ``bound``, with its nuisance at ``bound.value``."""
+    num, denom = bound.reduce("nuisance", beta, bound.value)
     if denom <= 0:
         raise EvaluationError(f"cannot estimate the {kind} nuisance: "
                               f"fitted means are all zero")
@@ -826,8 +825,8 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     beta = config.init_beta
     if wv.kind == "nb" and beta is None and data.n_pairs >= WARM_PAIRS:
         value, beta = _warm_start(model, data, config)
-    with _bind(_with_nuisance(model, value), data, beta) as bound:
-        return _adaptive(bound, wv.kind, value, config)
+    with _bind(model, data, beta) as bound:
+        return _adaptive(bound._replace(value=value), wv.kind, config)
 
 
 def _subsample(data: PairData) -> PairData:
@@ -845,68 +844,38 @@ def _subsample(data: PairData) -> PairData:
 def _warm_start(model: FrmModel, data: PairData, config: FitConfig):
     """(tau, beta) at which the nb rounds of ``adaptive_fit`` settle on
     ``_subsample(data)``, without their sandwich; (inf, None), the cold
-    start, when they do not settle or the fit raises EvaluationError,
-    SingularInformation or NonConvergence."""
+    start, when the fit raises EvaluationError, SingularInformation or
+    NonConvergence, as rounds that do not settle do."""
     cold = float("inf")
     try:
-        with _bind(_with_nuisance(model, cold), _subsample(data)) as bound:
-            settled = _settle(bound, "nb", cold, config, sandwich=False)
+        with _bind(model, _subsample(data)) as bound:
+            result = _adaptive(bound._replace(value=cold), "nb", config, sandwich=False)
     except (EvaluationError, SingularInformation, NonConvergence):
         return cold, None
-    if not settled.done:
-        return cold, None
-    return settled.value, settled.result.beta
+    return result.nuisance, result.beta
 
 
-class _Settled(NamedTuple):
-    """Where the rounds of ``_adaptive`` end, before the sandwich."""
-
-    bound: _Bound         # the last round's binding: its nuisance and start
-    result: FitResult     # the last solve, ``iterations`` summed over all
-    value: float          # the last nuisance
-    rounds: int
-    done: bool            # False when the nb dispersion did not settle
-    trace: list           # the nuisance iterates, the start first
-    sums: tuple | None    # the sandwich sums at ``result.beta``, if at hand
-
-
-def _adaptive(bound: _Bound, kind: str, value: float, config: FitConfig) -> FitResult:
-    """``adaptive_fit`` of a model with a ``kind`` nuisance from ``value``
-    on, on ``bound``, whose checks ran once: ``_settle`` and the sandwich."""
-    settled = _settle(bound, kind, value, config)
-    result = _with_sandwich(settled.bound, settled.result, settled.sums)
-    if not settled.done:
-        raise NonConvergence(
-            f"adaptive working-variance loop did not settle in "
-            f"{ADAPTIVE_MAX_ROUNDS} rounds", trace=settled.trace, result=result)
-    return dataclasses.replace(result, nuisance=settled.value,
-                               nuisance_rounds=settled.rounds)
-
-
-def _settle(bound: _Bound, kind: str, value: float, config: FitConfig,
-            sandwich: bool = True) -> _Settled:
-    """The solves and nuisance rounds of ``_adaptive`` on ``bound``; each
-    round's binding differs from it only in its nuisance and its start.
-    With ``sandwich`` the last nb round's start is evaluated with the
-    sandwich sums; without, ``sums`` is None and no sandwich pass is made."""
-    def rebind(value, beta):
-        return bound._replace(evaluate=partial(_pair_pass, bound.reduce, value),
-                              beta=beta)
-
-    trace = [value]
+def _adaptive(bound: _Bound, kind: str, config: FitConfig,
+              sandwich: bool = True) -> FitResult:
+    """``adaptive_fit`` of a model with a ``kind`` nuisance on ``bound``,
+    whose checks ran once, from the nuisance ``bound.value`` on.  Each
+    round is ``bound`` with the new nuisance and the last solution as its
+    start.  With ``sandwich`` the last nb round's start is evaluated with
+    the sandwich sums, which the sandwich reuses when that round takes no
+    step; without, no sandwich pass is made and the result (also that of
+    the NonConvergence of rounds that do not settle) has no sandwich."""
+    trace = [bound.value]
     result = _solve(bound, config)
     iterations = result.iterations
     rounds, done, sums = 1, True, None
     if kind == "propmean":
-        value = _nuisance(kind, bound.reduce, result.beta, value)
-        bound = rebind(value, result.beta)
+        bound = bound._replace(value=_nuisance(kind, bound, result.beta), beta=result.beta)
     elif kind == "nb":
         for rounds in range(1, ADAPTIVE_MAX_ROUNDS + 1):
-            new = _nuisance(kind, bound.reduce, result.beta, value)
+            new = _nuisance(kind, bound, result.beta)
             trace.append(new)
-            done = _nuisance_close(new, value)
-            value = new
-            bound = rebind(value, result.beta)
+            done = _nuisance_close(new, bound.value)
+            bound = bound._replace(value=new, beta=result.beta)
             if done and sandwich:
                 sums = bound.evaluate(bound.beta, sandwich=True)
             result = _solve(bound, config, None if sums is None else sums[:3])
@@ -915,8 +884,14 @@ def _settle(bound: _Bound, kind: str, value: float, config: FitConfig,
                 break
     if result.iterations:   # the sums are at the start, not at the solution
         sums = None
-    return _Settled(bound, dataclasses.replace(result, iterations=iterations),
-                    value, rounds, done, trace, sums)
+    result = dataclasses.replace(result, iterations=iterations)
+    if sandwich:
+        result = _with_sandwich(bound, result, sums)
+    if not done:
+        raise NonConvergence(
+            f"adaptive working-variance loop did not settle in "
+            f"{ADAPTIVE_MAX_ROUNDS} rounds", trace=trace, result=result)
+    return dataclasses.replace(result, nuisance=bound.value, nuisance_rounds=rounds)
 
 
 # --------------------------------------------------------------------------- #

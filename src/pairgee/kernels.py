@@ -68,8 +68,9 @@ def apply_pseudocount(raw_counts: np.ndarray, policy: str = "half-min",
     if policy == "half-min":
         out = np.where(raw > 0, raw, 0.5 * positive.min())
     elif policy == "additive":
-        if eps < 0:
-            raise InputError("additive pseudocount must be nonnegative")
+        if not 0 <= eps < np.inf:   # nan fails too
+            raise InputError(f"additive pseudocount eps must be finite and "
+                             f"nonnegative, got {eps}")
         out = raw + eps
         if np.any(out <= 0):
             raise InputError("additive pseudocount left nonpositive entries")

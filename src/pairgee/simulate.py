@@ -488,6 +488,8 @@ class McConfig:
             raise InputError("scenarios need n >= 10 subjects")
         if self.replicates < 1:
             raise InputError("need at least one replicate")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         row = SCENARIOS[self.scenario]
         taken = row.parameters()
         for name in self.params:

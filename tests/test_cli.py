@@ -1,6 +1,7 @@
 import argparse
 import ast
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -165,6 +166,21 @@ def test_fit_that_cannot_be_evaluated_exits_1_with_one_line(tmp_path, capsys, x1
     assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
 
 
+def test_fit_on_overflowing_responses_exits_1_with_one_line(tmp_path, capsys):
+    # responses up to exp(500) square past the float range in the scoring matrix
+    ids = [f"s{k}" for k in range(4)]
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    path = _write(tmp_path, "pairs.csv", "i1,i2,f,x\n" + "".join(
+        f"{ids[a]},{ids[b]},{math.exp(100.0 * k)!r},{float(k)!r}\n"
+        for k, (a, b) in enumerate(pairs)))
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", path, "--layout", "pairs", "--link", "exp",
+                 "--working-variance", "poisson", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "cannot evaluate the fit: scoring matrix is not finite\n")
+    assert not out.exists()
+
+
 def test_fit_kernel_layout_mismatch_exits_2(tmp_path):
     path = _write(tmp_path, "subj.csv", "id,x1,y1\na,1,2\nb,3,4\nc,5,6\n")
     code = main(["fit", "--data", path, "--layout", "subjects",
@@ -273,6 +289,18 @@ def test_distance_triangular_matches_library(tmp_path):
     comp_a = apply_pseudocount(np.array([5.0, 5.0, 10.0]), "half-min")
     comp_c = apply_pseudocount(np.array([9.0, 0.0, 1.0]), "half-min")
     assert rows[("a", "c")] == aitchison_distance(comp_a, comp_c)
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_distance_non_finite_additive_pseudocount_exits_2_naming_eps(tmp_path, capsys,
+                                                                     eps):
+    path = _write(tmp_path, "abund.csv", "id,t1,t2\na,1,3\nb,0,2\nc,5,1\n")
+    out = tmp_path / "dist.csv"
+    assert main(["distance", "--data", path, "--pseudocount", "additive",
+                 "--eps", eps, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"input error: additive pseudocount eps must "
+                                       f"be finite and nonnegative, got {eps}\n")
+    assert not out.exists()
 
 
 def test_distance_full_matrix(tmp_path):
@@ -418,6 +446,14 @@ def test_simulate_non_finite_parameter_exits_2_with_one_line(tmp_path, capsys,
     name, value = flag[2:].split("=")
     assert capsys.readouterr().err == (f"input error: {name.replace('-', '_')} must be "
                                        f"finite, got {value}\n")
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_simulate_negative_seed_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert main(["simulate", "--scenario", "linear", "--n", "10", "--m", "2",
+                 "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: seed must be >= 0, got -1\n"
     assert not (tmp_path / "bad.json").exists()
 
 

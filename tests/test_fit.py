@@ -1278,6 +1278,69 @@ def test_a_non_finite_quasi_objective_at_the_start_is_an_evaluation_error():
         solve_ugee(_model("identity", "constant", value=1.0), data)
 
 
+def _overflowing_responses():
+    # responses up to exp(500): the exp-link start's scoring matrix squares
+    # the mean past the float range
+    return PairData(4, x=np.arange(6.0)[:, None], f=np.exp(100.0 * np.arange(6.0)))
+
+
+@pytest.mark.parametrize("wv", ["poisson", "nb", "propmean"])
+def test_a_non_finite_scoring_matrix_at_the_start_is_an_evaluation_error(wv):
+    with pytest.raises(EvaluationError, match="^scoring matrix is not finite$"):
+        adaptive_fit(_model("exp", wv, intercept=True), _overflowing_responses())
+
+
+def test_a_constant_variance_that_overflows_is_not_finite_not_zero():
+    with pytest.raises(EvaluationError, match="sample variance, which is not finite$"):
+        adaptive_fit(_model("exp", "constant", intercept=True), _overflowing_responses())
+
+
+def test_a_trial_step_with_a_non_finite_scoring_matrix_is_halved(monkeypatch):
+    # the full step raises the quasi-objective, so only its J can reject it
+    model, data = _exp_constant_case(lambda x, rng: np.exp(0.5 * x))
+    chunk_terms = pairgee.fit._chunk_terms
+    calls = []
+
+    def infinite_first_trial(model, data, beta, sl):
+        calls.append(beta)
+        merit, s, J = chunk_terms(model, data, beta, sl)
+        return merit, s, J * np.inf if len(calls) == 2 else J
+
+    monkeypatch.setattr(pairgee.fit, "_chunk_terms", infinite_first_trial)
+    res = solve_ugee(model, data)
+    assert res.converged and res.flagged_steps == 0
+    start, full, half = calls[:3]
+    assert np.array_equal(half, start + 0.5 * (full - start))
+
+
+def test_n_equal_to_q_plus_one_fits_with_a_finite_psd_covariance():
+    # 3 subjects, 3 pairs, an intercept and one covariate: the fewest subjects
+    data = PairData(3, x=np.array([[0.1], [0.5], [0.9]]), f=np.array([1.0, 2.0, 2.5]))
+    res = adaptive_fit(_model("identity", "constant", intercept=True), data)
+    assert res.converged and res.n_subjects == 3 and res.n_pairs == 3
+    assert np.all(np.isfinite(res.cov_beta))
+    assert np.linalg.eigvalsh(res.cov_beta).min() >= 0.0
+
+
+def test_an_intercept_with_a_nearly_collinear_covariate_is_singular():
+    # the covariate's spread is not zero, so only the scoring matrix tells
+    rng = make_rng(4, 0)
+    i1, i2 = enumerate_pairs(12).T
+    x = 1.0 + 1e-13 * np.arange(len(i1), dtype=float)[:, None]
+    data = PairData(n=12, i1=i1, i2=i2, x=x, f=rng.normal(size=len(i1)))
+    with pytest.raises(SingularInformation, match="scoring matrix is numerically singular"):
+        solve_ugee(_model("identity", "constant", intercept=True, value=1.0), data)
+
+
+@pytest.mark.parametrize("entry", [solve_ugee, adaptive_fit, estimate_nuisance])
+def test_a_scalar_model_on_two_component_responses_is_an_input_error(entry):
+    data = icc_pair_data(gen_icc_ratings(6, 3, 1).ratings)
+    args = (np.zeros(1),) if entry is estimate_nuisance else ()
+    with pytest.raises(InputError, match="one response per pair; the data have 2 "
+                                         "components"):
+        entry(_model("identity", "constant", intercept=True, value=1.0), data, *args)
+
+
 def _vanishing_gradient_case():
     # one constant covariate and f near -400: the first step goes to
     # eta = -401, where h' = exp(-401) squares to 0, so J and the bread
@@ -1461,14 +1524,18 @@ def test_a_failing_warm_subsample_gives_the_cold_fit(error, monkeypatch, passes)
 
 def test_a_warm_subsample_that_does_not_settle_gives_the_cold_fit(monkeypatch):
     model, data = _small_warm(monkeypatch)
-    settle = pairgee.fit._settle
+    nuisance = pairgee.fit._nuisance
+    fresh = []   # the subsample's rounds, each with a tau that is not close
 
-    def unsettled(bound, *args, **kw):
-        settled = settle(bound, *args, **kw)
-        return settled._replace(done=bound.n == data.n and settled.done)
+    def unsettled(kind, bound, beta):
+        if bound.n == data.n:
+            return nuisance(kind, bound, beta)
+        fresh.append(float(len(fresh) + 1))
+        return fresh[-1]
 
-    monkeypatch.setattr(pairgee.fit, "_settle", unsettled)
+    monkeypatch.setattr(pairgee.fit, "_nuisance", unsettled)
     warm = _nb_bytes(adaptive_fit(model, data))
+    assert len(fresh) == pairgee.fit.ADAPTIVE_MAX_ROUNDS
     monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1 << 62)
     assert warm == _nb_bytes(adaptive_fit(model, data))
 
