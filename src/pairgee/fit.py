@@ -61,9 +61,8 @@ from .kernels import Kernel, apply_pseudocount, pairwise_responses
 from .links import link_complement, link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
-from .ustat import (canonical_order, interleaved_accumulate, is_canonical,
-                    pair_chunks, pair_count, pair_indices, pair_rows,
-                    pass_workers, projection_variance)
+from .ustat import (canonical_order, interleaved_accumulate, pair_chunks, pair_count,
+                    pair_indices, pair_rows, pass_workers, projection_variance)
 
 COND_LIMIT = 1e12
 NB_TAU_MAX = 1e8
@@ -132,9 +131,10 @@ class PairData:
             raise InputError("pair arrays have inconsistent lengths")
         if self.n < 2:
             raise InputError("need at least 2 subjects")
-        if indexed and not is_canonical(self.n, i1, i2):
+        if indexed:
             order = canonical_order(self.n, i1, i2, "dataset")
-            x, f = x[order], f[order]
+            if order is not None:
+                x, f = x[order], f[order]
         elif m != pair_count(self.n):
             raise InputError(f"incomplete dataset: {m} of {pair_count(self.n)} "
                              f"pairs for n={self.n}")
@@ -190,7 +190,8 @@ def _subject_pairs(kernel: Kernel, Y: np.ndarray, X=None, pair_covariate=None,
     x = np.empty((N, 0 if pair_covariate is None
                   else pair_covariate.output_dim(X.shape[1])))
     for sl, i1, i2 in pair_chunks(len(Y)):
-        f[sl] = pairwise_responses(kernel, Y, i1, i2)
+        with np.errstate(over="ignore", invalid="ignore"):   # PairData rejects it
+            f[sl] = pairwise_responses(kernel, Y, i1, i2)
         if pair_covariate is not None:
             x[sl] = pair_covariate_matrix(pair_covariate, X, i1, i2)
     return PairData(n=len(Y), x=x, f=f, subject_ids=subject_ids)
@@ -924,7 +925,8 @@ def fit_icc(ratings: np.ndarray, config: FitConfig | None = None) -> FitResult:
 
     def chunks():
         for _, i1, i2 in pair_chunks(len(ratings)):
-            f = pairwise_responses(kernel, ratings, i1, i2)
+            with np.errstate(over="ignore", invalid="ignore"):   # raised below
+                f = pairwise_responses(kernel, ratings, i1, i2)
             if not np.all(np.isfinite(f)):
                 raise InputError("pair data must be finite")
             yield i1, i2, model.responses(f)

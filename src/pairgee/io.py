@@ -150,8 +150,9 @@ def load_pairs(path) -> PairData:
 
     Subject ids are mapped to 0-based indices in sorted order.  A pair
     appearing twice (in either orientation) is an error, as is an
-    incomplete set of pairs.  The checks run on whole columns; only when
-    one fails is the first faulty row looked up (``_first_pair_fault``).
+    incomplete set of pairs.  The checks are ``PairData``'s, on whole
+    columns; only when one fails is the first faulty row looked up
+    (``_first_pair_fault``).
     """
     header, columns = _read_columns(path, ids=("i1", "i2"))
     lower = [h.lower() for h in header]
@@ -166,22 +167,15 @@ def load_pairs(path) -> PairData:
     n, n_rows = len(ids), len(s1)
     a = np.fromiter(map(index.__getitem__, s1), np.int64, count=n_rows)
     b = np.fromiter(map(index.__getitem__, s2), np.int64, count=n_rows)
-    i1, i2 = np.minimum(a, b), np.maximum(a, b)
-    key = np.sort(i1 * np.int64(n) + i2)
     try:
         f = np.fromiter(map(float, columns[cf]), float, count=n_rows)
         x = np.empty((n_rows, len(x_cols)))
         for jx, j in enumerate(x_cols):
             x[:, jx] = np.fromiter(map(float, columns[j]), float, count=n_rows)
-    except ValueError:
-        faulty = True
-    else:
-        faulty = not (np.isfinite(f).all() and np.isfinite(x).all())
-    if faulty or np.any(a == b) or np.any(key[1:] == key[:-1]):
+        return PairData(n=n, i1=np.minimum(a, b), i2=np.maximum(a, b), x=x, f=f,
+                        subject_ids=tuple(ids))
+    except ValueError as exc:
         _first_pair_fault(path, header, columns, s1, s2, [cf] + x_cols)
-    try:
-        return PairData(n=n, i1=i1, i2=i2, x=x, f=f, subject_ids=tuple(ids))
-    except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -193,10 +187,10 @@ def _first_pair_fault(path, header, columns, s1, s2, cells) -> None:
     seen = set()
     for k, (a, b) in enumerate(zip(s1, s2)):
         if a == b:
-            raise InputError(f"{path}: row {k + 2}: pair of a subject with itself")
+            raise InputError(f"{path}: row {k + 2}: pair of a subject with itself") from None
         key = (min(a, b), max(a, b))
         if key in seen:
-            raise InputError(f"{path}: row {k + 2}: duplicate pair ({a}, {b})")
+            raise InputError(f"{path}: row {k + 2}: duplicate pair ({a}, {b})") from None
         seen.add(key)
         for j in cells:
             _parse_float(columns[j][k], path, k + 2, header[j])

@@ -85,27 +85,16 @@ def clr(values: np.ndarray) -> np.ndarray:
     return logv - logv.mean(axis=-1, keepdims=True)
 
 
-def _composition_values(y) -> np.ndarray:
-    if isinstance(y, Composition):
-        return y.values
-    vals = np.atleast_1d(np.asarray(y, dtype=float))
-    if vals.size < 2:
-        raise InputError("compositional distance needs vectors of length >= 2")
-    if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
-        raise InputError("compositional distance needs strictly positive entries; "
-                         "apply a pseudocount policy first")
-    return vals
-
-
 def aitchison_distance(y1, y2) -> float:
     """Compositional (log-ratio) distance between two abundance vectors.
 
     d(y1, y2) = || clr(y1) - clr(y2) ||_2 with clr the centered log-ratio
     transform.  Symmetric, zero iff the closed compositions coincide, and
-    invariant to rescaling either argument before closure.
+    invariant to rescaling either argument before closure.  ``y1`` and
+    ``y2`` are Compositions or arrays, checked by ``pairwise_responses``.
     """
-    v1 = _composition_values(y1)
-    v2 = _composition_values(y2)
+    v1, v2 = (y.values if isinstance(y, Composition) else np.asarray(y, dtype=float)
+              for y in (y1, y2))
     if v1.size != v2.size:
         raise InputError(f"composition lengths differ: {v1.size} vs {v2.size}")
     return float(pairwise_responses(Kernel.aitchison(), np.vstack([v1, v2]),
@@ -118,11 +107,11 @@ class Kernel:
 
     A built-in kind fixes its ``output_dim`` (2 for ``icc``, else 1), and
     a custom one needs it at least 1; ``ties`` (``le`` or ``midrank``) is
-    read by ``mww`` alone.  ``func`` is only used for ``kind="custom"`` and
-    must be a pure function of two outcome vectors returning a float
-    (output_dim 1) or a sequence (output_dim > 1).  The kernel need not be
-    symmetric: the projection machinery adds each stored ordered score to
-    both members of the pair.
+    read by ``mww`` alone, and another kind takes only ``le``.  ``func`` is
+    taken by ``kind="custom"`` alone and must be a pure function of two
+    outcome vectors returning a float (output_dim 1) or a sequence
+    (output_dim > 1).  The kernel need not be symmetric: the projection
+    machinery adds each stored ordered score to both members of the pair.
     """
 
     kind: str
@@ -137,6 +126,10 @@ class Kernel:
             raise InputError(f"unknown tie convention {self.ties!r}")
         if self.kind == "custom" and self.func is None:
             raise InputError("custom kernel needs a function")
+        if self.func is not None and self.kind != "custom":
+            raise InputError(f"{self.kind} kernel takes no func")
+        if self.ties != "le" and self.kind != "mww":
+            raise InputError(f"{self.kind} kernel takes no ties")
         dim = 2 if self.kind == "icc" else 1
         if self.output_dim is None:
             object.__setattr__(self, "output_dim", dim)
@@ -190,9 +183,9 @@ def pairwise_responses(kernel: Kernel, Y: np.ndarray,
     if kernel.kind == "aitchison":
         if Y.shape[1] < 2:
             raise InputError("compositional distance needs outcome length >= 2")
-        if np.any(Y <= 0):
-            raise InputError("compositional distance needs strictly positive outcomes; "
-                             "apply a pseudocount policy first")
+        if not np.all((Y > 0) & (Y < np.inf)):   # nan fails both
+            raise InputError("compositional distance needs finite, strictly positive "
+                             "outcomes; apply a pseudocount policy first")
         C = clr(Y)
 
         def part(a, b):

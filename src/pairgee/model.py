@@ -110,6 +110,8 @@ class PairCovariate:
             raise InputError(f"unknown pair transform {self.transform!r}")
         if self.transform == "onehot" and self.levels < 1:
             raise InputError("onehot transform requires levels >= 1")
+        if self.transform != "onehot" and self.levels:
+            raise InputError(f"{self.transform} transform takes no levels")
 
     def output_dim(self, p: int) -> int:
         if self.transform in ("difference", "sum"):
@@ -176,7 +178,8 @@ class WorkingVariance:
                      (that of ``ustat.enumerate_pairs``)
 
     For kinds with a nuisance parameter, ``value=None`` means "not yet
-    estimated"; the adaptive fitting loop fills it in.
+    estimated"; the adaptive fitting loop fills it in.  Other kinds take
+    no ``value``, and only ``userfixed`` takes ``per_pair``.
     """
 
     kind: str
@@ -186,6 +189,10 @@ class WorkingVariance:
     def __post_init__(self):
         if self.kind not in VARIANCE_KINDS:
             raise InputError(f"unknown working-variance kind {self.kind!r}")
+        if self.value is not None and not self.has_nuisance:
+            raise InputError(f"{self.kind} working variance takes no value")
+        if self.per_pair is not None and self.kind != "userfixed":
+            raise InputError(f"{self.kind} working variance takes no per_pair")
         if self.kind == "userfixed":
             if self.per_pair is None:
                 raise InputError("userfixed working variance needs per-pair values")

@@ -129,31 +129,26 @@ def pair_chunks(n: int):
             for sl in chunk_slices(pair_count(n)))
 
 
-def is_canonical(n: int, i1: np.ndarray, i2: np.ndarray) -> bool:
-    """Whether the pairs (i1, i2) are ``enumerate_pairs(n)`` row for row,
-    compared one ``CHUNK_PAIRS``-pair slice at a time."""
-    if len(i1) != pair_count(n) or len(i2) != len(i1):
-        return False
-    return all(np.array_equal(i1[sl], a) and np.array_equal(i2[sl], b)
-               for sl, a, b in pair_chunks(n))
-
-
-def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray, what: str) -> np.ndarray:
+def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray,
+                    what: str) -> np.ndarray | None:
     """Stable permutation that puts the complete pair set (i1, i2) of n
-    subjects in lexicographic order.
+    subjects in lexicographic order, or None when it is in that order.
 
-    Raises InputError naming ``what`` when an index pair is out of range,
-    when the count is not n(n-1)/2, or when a pair occurs twice.
+    The pairs are numbered by ``pair_rows``.  Raises InputError naming
+    ``what`` when an index pair is out of range, when the count is not
+    n(n-1)/2, or when a pair occurs twice.
     """
     if np.any(i1 >= i2) or i1.min(initial=0) < 0 or i2.max(initial=0) >= n:
         raise InputError("pair indices must satisfy 0 <= i1 < i2 < n")
     if len(i1) != pair_count(n):
         raise InputError(f"incomplete {what}: {len(i1)} of {pair_count(n)} pairs "
                          f"for n={n}")
-    key = i1 * np.int64(n) + i2
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    if np.any(key[1:] == key[:-1]):
+    rows = pair_rows(n, i1, i2)
+    if np.all(rows[1:] > rows[:-1]):
+        return None
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    if np.any(rows[1:] == rows[:-1]):
         raise InputError(f"duplicate pair in {what}")
     return order
 
@@ -424,7 +419,7 @@ class PairScoreTable:
         if len(i1) != len(i2) or scores.shape[0] != len(i1):
             raise InputError("pair arrays have inconsistent lengths")
         order = canonical_order(n, i1, i2, "score table")
-        return PairScoreTable(n, scores[order])
+        return PairScoreTable(n, scores if order is None else scores[order])
 
 
 def ustatistic_mean(kernel, data) -> float | np.ndarray:

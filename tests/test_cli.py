@@ -181,6 +181,17 @@ def test_fit_on_overflowing_responses_exits_1_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_icc_on_ratings_whose_responses_overflow_exits_2_with_one_line(tmp_path,
+                                                                          capsys):
+    path = _write(tmp_path, "r.csv", "id,y1,y2,y3\n" + "".join(
+        f"s{i},{y[0]!r},{y[1]!r},{y[2]!r}\n" for i, y in
+        enumerate((np.random.default_rng(1).normal(size=(20, 3)) * 1e160).tolist())))
+    out = tmp_path / "icc.json"
+    assert main(["fit", "--data", path, "--kernel", "icc", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: pair data must be finite\n"
+    assert not out.exists()
+
+
 def test_fit_kernel_layout_mismatch_exits_2(tmp_path):
     path = _write(tmp_path, "subj.csv", "id,x1,y1\na,1,2\nb,3,4\nc,5,6\n")
     code = main(["fit", "--data", path, "--layout", "subjects",

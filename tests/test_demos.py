@@ -28,7 +28,9 @@ def test_demo_runs(script, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     args = [a.format(tmp=tmp_path) for a in DEMO_ARGS[script]]
-    done = subprocess.run([sys.executable, str(DEMOS / script)] + args,
+    # the suite's warning rule, which a subprocess does not inherit
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(DEMOS / script)] + args,
                           capture_output=True, text=True, env=env, cwd=tmp_path,
                           timeout=300)
     assert done.returncode == 0, done.stderr

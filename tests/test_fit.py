@@ -1066,6 +1066,20 @@ def test_fit_icc_rejects_what_the_pair_data_fit_rejects(ratings, error, message)
     assert str(err.value) == message
 
 
+_HUGE = np.random.default_rng(1).normal(size=(20, 3)) * 1e160
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fit_icc(_HUGE), lambda: icc_pair_data(_HUGE),
+    lambda: build_pairs([SubjectRecord(k, y=[v]) for k, v in enumerate(_HUGE[:, 0])],
+                        Kernel.sqhalfdiff())],
+    ids=["fit_icc", "icc_pair_data", "build_pairs"])
+def test_kernel_responses_that_overflow_are_non_finite_pair_data(call):
+    # numpy's overflow warning came first, an error under the suite's filter
+    with pytest.raises(InputError, match="^pair data must be finite$"):
+        call()
+
+
 @pytest.mark.parametrize("name", ["icc", "mean-variance"])
 def test_a_moment_fit_reads_its_responses_once(name, monkeypatch):
     # the solve and the sandwich share one pass of sufficient statistics

@@ -99,6 +99,18 @@ def test_aitchison_input_validation():
         aitchison_distance(np.array([0.2, 0.8]), np.array([0.2, 0.3, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_every_aitchison_entry_point_rejects_a_non_finite_composition(bad):
+    # pairwise_responses and ustatistic_mean gave nan for a nan or inf entry
+    Y = np.array([[0.2, 0.8], [bad, 1.0], [0.5, 0.5]])
+    i1, i2 = np.array([0, 0, 1]), np.array([1, 2, 2])
+    for call in (lambda: pairwise_responses(Kernel.aitchison(), Y, i1, i2),
+                 lambda: ustatistic_mean(Kernel.aitchison(), Y),
+                 lambda: aitchison_distance(Y[0], Y[1])):
+        with pytest.raises(InputError):
+            call()
+
+
 # ----------------------------------------------------------- other kernels
 
 def _one_pair_each(kernel, Y, pairs):
@@ -255,6 +267,15 @@ def test_mww_midrank_vectorised():
 def test_kernel_rejects_unknown_ties_and_a_wrong_output_dim(make):
     with pytest.raises(InputError):
         make()
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: Kernel("mww", func=lambda a, b: 1.0), "func"),
+    (lambda: Kernel("aitchison", ties="midrank"), "ties")], ids=["func", "ties"])
+def test_a_kernel_rejects_a_field_its_kind_does_not_read(make, field):
+    with pytest.raises(InputError, match=f"takes no {field}$"):
+        make()
+    assert Kernel("aitchison", ties="le") == Kernel.aitchison()
 
 
 def test_custom_kernel_failure_carries_pair():

@@ -350,3 +350,14 @@ def test_working_variance_validation():
     for kind in ("constant", "propmean", "nb"):   # nan <= 0 is false
         with pytest.raises(InputError, match="must be positive, got nan"):
             WorkingVariance(kind, value=float("nan"))
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: WorkingVariance("poisson", 3.0), "value"),
+    (lambda: WorkingVariance("bernoulli", per_pair=np.ones(3)), "per_pair"),
+    (lambda: PairCovariate("difference", levels=3), "levels")],
+    ids=["value", "per_pair", "levels"])
+def test_a_value_object_rejects_a_field_its_kind_does_not_read(make, field):
+    # each was accepted and the field silently ignored
+    with pytest.raises(InputError, match=f"takes no {field}$"):
+        make()

@@ -7,7 +7,8 @@ from pairgee import (InputError, Kernel, PairScoreTable, dump_pair_scores,
                      enumerate_pairs, hajek_scores, load_pair_scores,
                      make_rng, pair_count, projection_variance,
                      ustatistic_mean)
-from pairgee.ustat import pair_chunks, pair_indices, pair_rows, pass_workers
+from pairgee.ustat import (canonical_order, pair_chunks, pair_indices, pair_rows,
+                           pass_workers)
 
 from oracles import (brute_hajek, brute_pairs, brute_projection_variance,
                      brute_ustat_mean)
@@ -201,6 +202,25 @@ def test_table_from_unordered_pairs():
     table = PairScoreTable.from_pairs(n, pairs[perm, 0], pairs[perm, 1],
                                       scores[perm])
     assert np.array_equal(table.scores[:, 0], scores)
+
+
+def test_a_table_from_canonical_pairs_keeps_the_scores_as_given():
+    pairs = enumerate_pairs(6)
+    scores = np.random.default_rng(15).normal(size=(len(pairs), 2))
+    table = PairScoreTable.from_pairs(6, pairs[:, 0], pairs[:, 1], scores)
+    assert table.scores is scores
+
+
+@pytest.mark.parametrize("n", [3, 7, 40])
+def test_canonical_order_is_none_in_order_and_the_stable_sort_otherwise(n):
+    pairs = enumerate_pairs(n)
+    assert canonical_order(n, pairs[:, 0], pairs[:, 1], "set") is None
+    N = len(pairs)
+    rng = np.random.default_rng(n)
+    for perm in (np.arange(N)[::-1], np.roll(np.arange(N), 1), rng.permutation(N)):
+        i1, i2 = pairs[perm, 0], pairs[perm, 1]
+        assert np.array_equal(canonical_order(n, i1, i2, "set"),
+                              np.argsort(i1 * n + i2, kind="stable"))
 
 
 # ----------------------------------------------------- projection variance
