@@ -30,8 +30,7 @@ from . import __version__, simulate
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .fit import FitConfig, adaptive_fit, build_pairs, fit_icc
 from .io import LAYOUTS, load_dataset
-from .kernels import (KERNEL_KINDS, Kernel, apply_pseudocount,
-                      pairwise_responses)
+from .kernels import KERNEL_KINDS, Kernel, _close_counts, pairwise_responses
 from .links import LINK_KINDS
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     stack_subjects)
@@ -171,8 +170,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     """Write pairwise compositional distances for an abundance file."""
     records = load_dataset(args.data, "abundance")
     ids, Y, _ = stack_subjects(records)
-    comps = np.vstack([apply_pseudocount(row, args.pseudocount, args.eps).values
-                       for row in Y])
+    comps = _close_counts(Y, args.pseudocount, args.eps)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             _write_distances(fh, ids, comps, args.full)

@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
-from .kernels import Kernel, apply_pseudocount, pairwise_responses
+from .kernels import Kernel, _close_counts, pairwise_responses
 from .links import link_complement, link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
@@ -170,13 +170,17 @@ def build_pairs(subjects, kernel: Kernel, pair_covariate=None,
                 pseudocount: str | None = None, eps: float = 0.0) -> PairData:
     """Turn subject records into a complete pairwise dataset.
 
-    ``pseudocount`` (``"half-min"`` or ``"additive"`` with ``eps``) closes
-    each outcome row to a composition first; required when compositional
-    outcomes contain zeros.
+    ``pseudocount`` (``"half-min"``, or ``"additive"`` with ``eps``) closes
+    the outcome rows to compositions first, for the ``aitchison`` and
+    ``custom`` kernels; required when compositional outcomes contain zeros.
     """
+    if pseudocount is not None and kernel.kind not in ("aitchison", "custom"):
+        raise InputError(f"{kernel.kind} kernel takes no pseudocount")
+    if pseudocount is None and eps != 0:
+        raise InputError(f"eps={eps} needs pseudocount='additive'")
     ids, Y, X = stack_subjects(subjects)
     if pseudocount is not None:
-        Y = np.vstack([apply_pseudocount(row, pseudocount, eps).values for row in Y])
+        Y = _close_counts(Y, pseudocount, eps)
     return _subject_pairs(kernel, Y, X, pair_covariate, tuple(ids))
 
 
@@ -371,7 +375,7 @@ def _bind(model, data: PairData, beta=None):
     InputError.  This is the only code that tells the two kinds of model
     apart.
     """
-    if not isinstance(model, FrmModel):
+    if model.working_variance is None:   # a moment model
         chunks = ((i1, i2, model.responses(data.f[sl]))
                   for sl, i1, i2 in pair_chunks(data.n))
         yield _moment_bind(model, data.n, chunks, beta)
@@ -738,7 +742,7 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
     model, the data and ``beta`` pass the solver's checks, and a
     non-finite mean is an EvaluationError naming its pair.
     """
-    wv = getattr(model, "working_variance", None)   # the moment models have none
+    wv = model.working_variance
     if wv is None or not wv.has_nuisance:
         raise InputError(f"{wv.kind if wv else type(model).__name__} has no "
                          f"working-variance nuisance")
@@ -817,7 +821,7 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     SingularInformation or NonConvergence, the fit starts cold.
     """
     config = config or FitConfig()
-    wv = getattr(model, "working_variance", None)   # the moment models have none
+    wv = model.working_variance
     if wv is None or not wv.has_nuisance:
         return solve_ugee(model, data, config)
     # c of constant is var(f) at every beta; nb starts at variance-equals-mean

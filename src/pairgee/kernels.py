@@ -8,8 +8,8 @@ kernel.  Custom kernels are accepted as caller-supplied pure functions.
 Compositions
 ------------
 Compositional outcomes (relative abundances) must be strictly positive and
-sum to one.  Raw count vectors with zeros are repaired first with
-``apply_pseudocount`` and then closed (renormalised); the distance itself
+sum to one.  Raw counts with zeros are repaired first, a whole count
+matrix at once, and then closed (renormalised); the distance itself
 is the Euclidean distance between centered-log-ratio transforms, which
 makes it invariant to rescaling a composition before closure.
 """
@@ -50,23 +50,30 @@ class Composition:
 
 def apply_pseudocount(raw_counts: np.ndarray, policy: str = "half-min",
                       eps: float = 0.0) -> Composition:
-    """Replace zeros in a nonnegative count vector and close it to sum one.
-
-    policy:
-      ``half-min``   zeros become half the smallest positive entry
-      ``additive``   ``eps`` is added to every entry
-
-    Raises on an all-zero vector, and on an additive policy that leaves
-    nonpositive entries behind.
-    """
+    """Replace zeros in a nonnegative count vector and close it to sum one:
+    the one-row case of ``_close_counts``."""
     raw = np.atleast_1d(np.asarray(raw_counts, dtype=float))
+    return Composition(_close_counts(raw[None], policy, eps)[0],
+                       pseudocount_applied=bool(np.any(raw == 0) or eps > 0))
+
+
+@np.errstate(over="ignore", invalid="ignore")   # raised below as not finite
+def _close_counts(counts: np.ndarray, policy: str, eps: float) -> np.ndarray:
+    """The rows of an (n, m) count matrix with zeros replaced, each closed to
+    sum one.  ``half-min`` sets a row's zeros to half its least positive
+    entry; ``additive`` adds ``eps``, which no other policy reads.  Raises on
+    bad counts, an all-zero row, an ``eps`` other than 0 under ``half-min``,
+    fewer than 2 columns and closed entries not finite and positive."""
+    raw = np.asarray(counts, dtype=float)
     if np.any(~np.isfinite(raw)) or np.any(raw < 0):
         raise InputError("counts must be finite and nonnegative")
-    positive = raw[raw > 0]
-    if positive.size == 0:
+    if np.any(raw.max(axis=1, initial=0.0) == 0):
         raise InputError("all-zero count vector cannot be closed to a composition")
     if policy == "half-min":
-        out = np.where(raw > 0, raw, 0.5 * positive.min())
+        if eps != 0:
+            raise InputError(f"half-min pseudocount takes no eps, got {eps}")
+        out = np.where(raw > 0, raw, 0.5 * np.where(raw > 0, raw, np.inf).min(
+            axis=1, keepdims=True))
     elif policy == "additive":
         if not 0 <= eps < np.inf:   # nan fails too
             raise InputError(f"additive pseudocount eps must be finite and "
@@ -76,7 +83,12 @@ def apply_pseudocount(raw_counts: np.ndarray, policy: str = "half-min",
             raise InputError("additive pseudocount left nonpositive entries")
     else:
         raise InputError(f"unknown pseudocount policy {policy!r}")
-    return Composition(out / out.sum(), pseudocount_applied=bool(np.any(raw == 0) or eps > 0))
+    if raw.shape[1] < 2:
+        raise InputError("a composition needs at least 2 components")
+    closed = out / out.sum(axis=1, keepdims=True)
+    if not np.all((closed > 0) & (closed < np.inf)):   # nan fails both
+        raise InputError("composition entries must be finite and strictly positive")
+    return closed
 
 
 def clr(values: np.ndarray) -> np.ndarray:
@@ -172,11 +184,16 @@ def pairwise_responses(kernel: Kernel, Y: np.ndarray,
     outcome length) for any pair count.  Custom kernels run per pair and
     wrap failures with the offending pair index.  The ``mww`` and
     ``sqhalfdiff`` kernels take one outcome column; a 1-d ``Y`` is read as
-    one.
+    one.  An index outside the rows of ``Y`` is an InputError.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
+    lo = min(i1.min(initial=0), i2.min(initial=0))
+    hi = max(i1.max(initial=0), i2.max(initial=0))
+    if lo < 0 or hi >= len(Y):
+        raise InputError(f"pair index {lo if lo < 0 else hi} is outside the "
+                         f"{len(Y)} subjects")
     if kernel.kind in ("mww", "sqhalfdiff") and Y.shape[1] != 1:
         raise InputError(f"{kernel.kind} kernel needs one outcome column, "
                          f"got {Y.shape[1]}")

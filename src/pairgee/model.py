@@ -201,12 +201,13 @@ class WorkingVariance:
                 raise InputError("userfixed variances must be finite and positive")
             object.__setattr__(self, "per_pair", vals)
         # not > 0 rather than <= 0, so nan is rejected as well
-        if self.value is not None and self.kind in ("constant", "propmean") \
-                and not self.value > 0:
-            raise InputError(f"{self.kind} variance parameter must be positive, "
-                             f"got {self.value!r}")
-        if self.value is not None and self.kind == "nb" and not self.value > 0:
-            raise InputError(f"nb dispersion must be positive, got {self.value!r}")
+        if self.value is not None and not self.value > 0:
+            what = ("nb dispersion" if self.kind == "nb"
+                    else f"{self.kind} variance parameter")
+            raise InputError(f"{what} must be positive, got {self.value!r}")
+        # an infinite tau of nb means variance equals mean; a scale is finite
+        if self.value == np.inf and self.kind != "nb":
+            raise InputError(f"{self.kind} variance parameter must be finite, got inf")
 
     @property
     def has_nuisance(self) -> bool:
@@ -257,6 +258,9 @@ class FrmModel:
     def __post_init__(self):
         if self.link not in LINK_KINDS:
             raise InputError(f"unknown link kind {self.link!r}")
+        if not isinstance(self.working_variance, WorkingVariance):
+            raise InputError(f"working_variance must be a WorkingVariance, "
+                             f"got {self.working_variance!r}")
 
 
 def augment(x: np.ndarray, intercept: bool) -> np.ndarray:
@@ -321,6 +325,7 @@ class IccModel:
 
     raters: int
     param_names: ClassVar[tuple[str, str]] = ("tau2", "rho")
+    working_variance: ClassVar[None] = None   # a moment model has none
 
     def mean_map(self, theta):
         return icc_mean_map(theta, self.raters)
@@ -342,6 +347,7 @@ class MeanVarianceModel:
     """Two-dimensional model for the mean and variance of a pairwise response."""
 
     param_names: ClassVar[tuple[str, str]] = ("mu", "sigma2")
+    working_variance: ClassVar[None] = None   # a moment model has none
 
     def mean_map(self, theta):
         return meanvar_mean_map(theta)

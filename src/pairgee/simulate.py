@@ -101,7 +101,7 @@ def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
     xs = rng.uniform(a, b, size=n)
     x = np.empty((pair_count(n), 1))
     for sl, i1, i2 in pair_chunks(n):
-        x[sl, 0] = xs[i1] + xs[i2]
+        x[sl] = pair_covariate_matrix(PairCovariate("sum"), xs[:, None], i1, i2)
     # all N rates, then all N counts, drawn a chunk at a time into f: the
     # same stream as one gamma and one poisson draw over all pairs
     f = np.empty(len(x))
@@ -471,8 +471,9 @@ SCENARIOS = {
 
 @dataclass(frozen=True)
 class McConfig:
-    """One Monte Carlo study: scenario, size, seed, methods, and parameters,
-    which are passed to the scenario's generator unchanged."""
+    """One Monte Carlo study: scenario, size, seed, methods (each at most
+    once), and parameters, which are passed to the scenario's generator
+    unchanged."""
 
     scenario: str
     n: int
@@ -499,7 +500,9 @@ class McConfig:
                                  f"{', '.join(sorted(taken))}")
         if not self.methods:
             object.__setattr__(self, "methods", row.methods)
-        for method in self.methods:
+        for k, method in enumerate(self.methods):
+            if method in self.methods[:k]:
+                raise InputError(f"method {method!r} is given twice")
             if not row.applies(method):
                 raise InputError(f"method {method!r} does not apply to scenario "
                                  f"{self.scenario!r}")

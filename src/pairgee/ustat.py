@@ -514,7 +514,12 @@ def dump_pair_scores(table: PairScoreTable, path) -> None:
 
 
 def load_pair_scores(path, q: int = 1) -> PairScoreTable:
-    """Read a table written by ``dump_pair_scores`` (q must be known)."""
+    """Read a table written by ``dump_pair_scores`` (q must be known); a
+    file that is not a whole number of rows is an InputError."""
+    size, width = Path(path).stat().st_size, _row_dtype(q).itemsize
+    if size % width:
+        raise InputError(f"pair score dump {path} has {size} bytes, not a whole "
+                         f"number of {width}-byte rows of q={q}")
     rows = np.fromfile(path, dtype=_row_dtype(q))
     if rows.size == 0:
         raise InputError(f"empty pair score dump: {path}")

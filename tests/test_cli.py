@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import pairgee
-from pairgee import (FitConfig, FrmModel, Kernel, WorkingVariance, adaptive_fit,
-                     aitchison_distance, apply_pseudocount, gen_nb_scenario,
-                     make_rng, pairwise_responses)
+from pairgee import (FitConfig, FrmModel, IccModel, Kernel, WorkingVariance,
+                     adaptive_fit, aitchison_distance, apply_pseudocount,
+                     gen_nb_scenario, make_rng, pairwise_responses)
 from pairgee.cli import _SCENARIO_PARAMS, _build_parser, main
 from pairgee.io import LAYOUTS
 from pairgee.links import LINK_KINDS
@@ -233,6 +233,36 @@ def test_fit_flag_the_layout_and_kernel_do_not_read_exits_2(tmp_path, capsys,
     assert f"input error: {unread} not read with" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--kernel", "sqhalfdiff", "--pair", "onehot:two"],
+     "bad onehot levels in --pair 'onehot:two'"),
+    (["--kernel", "sqhalfdiff", "--pair", "product"],
+     "unknown pair transform 'product' (expected diff|sum|concat|onehot:K)"),
+    (["--layout", "abundance", "--kernel", "icc"], "icc kernel needs the subjects layout"),
+    (["--layout", "subjects"], "subject-level layouts need --kernel"),
+    (["--layout", "abundance", "--kernel", "aitchison", "--eps", "0.3"],
+     "half-min pseudocount takes no eps, got 0.3")],
+    ids=["onehot-levels", "pair", "icc-layout", "no-kernel", "half-min-eps"])
+def test_fit_input_error_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    # the half-min --eps case exited 0 with the beta of no --eps
+    data = _write(tmp_path, "ab.csv", "id,y1,y2\na,1,3\nb,2,2\nc,5,1\nd,0,4\n")
+    assert main(["fit", "--data", data] + argv) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_an_icc_fit_that_does_not_converge_exits_1_with_one_line(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a start away from the root, which one scoring step cannot reach
+    monkeypatch.setattr(IccModel, "init_theta", lambda self, r_mean: np.array(
+        [4.0 * r_mean[1], 0.9]))
+    ratings = _write(tmp_path, "r.csv", "id,y1,y2\n" + "".join(
+        f"s{i},{i % 3},{(i * 7) % 5}\n" for i in range(8)))
+    assert main(["fit", "--data", ratings, "--kernel", "icc", "--max-iter", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("did not converge: no convergence in 1 iterations")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag", [["--link", "exp"], ["--working-variance", "nb"],
                                   ["--intercept"], ["--no-intercept"]],
                          ids=["link", "working-variance", "intercept", "no-intercept"])
@@ -311,6 +341,16 @@ def test_distance_non_finite_additive_pseudocount_exits_2_naming_eps(tmp_path, c
                  "--eps", eps, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"input error: additive pseudocount eps must "
                                        f"be finite and nonnegative, got {eps}\n")
+    assert not out.exists()
+
+
+def test_distance_half_min_eps_exits_2_with_one_line(tmp_path, capsys):
+    # it exited 0 with the plain half-min distances
+    path = _write(tmp_path, "abund.csv", "id,t1,t2\na,1,3\nb,0,2\nc,5,1\n")
+    out = tmp_path / "dist.csv"
+    assert main(["distance", "--data", path, "--eps", "0.3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("input error: half-min pseudocount takes no "
+                                       "eps, got 0.3\n")
     assert not out.exists()
 
 
@@ -457,6 +497,15 @@ def test_simulate_non_finite_parameter_exits_2_with_one_line(tmp_path, capsys,
     name, value = flag[2:].split("=")
     assert capsys.readouterr().err == (f"input error: {name.replace('-', '_')} must be "
                                        f"finite, got {value}\n")
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_simulate_repeated_method_exits_2_with_one_line(tmp_path, capsys):
+    # the ugee:nb rows were printed twice
+    out = tmp_path / "bad"
+    assert main(["simulate", "--scenario", "nb", "--n", "20", "--m", "3",
+                 "--methods", "ugee:nb,ugee:nb", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: method 'ugee:nb' is given twice\n"
     assert not (tmp_path / "bad.json").exists()
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import importlib
+import inspect
 import math
 import pkgutil
 import re
@@ -15,7 +16,7 @@ from pairgee import (EvaluationError, FitConfig, FrmModel, IccModel, InputError,
                      Kernel, MeanVarianceModel, NonConvergence, PairCovariate,
                      PairData, PairScoreTable, SingularInformation, SubjectRecord,
                      WorkingVariance, adaptive_fit, assemble_ugee, build_pairs,
-                     enumerate_pairs, estimate_nuisance, fit_icc,
+                     apply_pseudocount, enumerate_pairs, estimate_nuisance, fit_icc,
                      fit_mean_variance, gen_icc_ratings, gen_mww_probit,
                      gen_nb_scenario, hajek_scores, icc_pair_data, make_rng,
                      projection_variance, sandwich_variance, solve_ugee)
@@ -83,6 +84,11 @@ def test_pair_data_validation():
         PairData(n=3, i1=[0, 1, 0], i2=[1, 2, 1], x=np.zeros((3, 1)), f=np.ones(3))
 
 
+def test_pair_data_without_covariates_takes_an_empty_x():
+    data = PairData(n=3, x=[], f=[1.0, 2.0, 3.0])
+    assert data.x.shape == (3, 0)
+
+
 def test_build_pairs_matches_manual_construction():
     rng = np.random.default_rng(3)
     subjects = [SubjectRecord(i, y=[float(v)], x=[float(u)])
@@ -95,6 +101,48 @@ def test_build_pairs_matches_manual_construction():
     pairs = enumerate_pairs(5)
     assert np.allclose(data.f, 0.5 * (ys[pairs[:, 0]] - ys[pairs[:, 1]]) ** 2)
     assert np.allclose(data.x[:, 0], xs[pairs[:, 0]] - xs[pairs[:, 1]])
+
+
+def _count_records(n=6, taxa=4, seed=2):
+    counts = np.random.default_rng(seed).poisson(2.0, size=(n, taxa)).astype(float)
+    counts[:, 0] += 1.0   # no all-zero row
+    return [SubjectRecord(k, y=row) for k, row in enumerate(counts)]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.mww(), Kernel.sqhalfdiff(), Kernel.icc()],
+                         ids=["mww", "sqhalfdiff", "icc"])
+def test_build_pairs_takes_a_pseudocount_only_for_compositional_kernels(kernel):
+    # icc closed each rater row and fitted the result
+    ratings = [SubjectRecord(k, y=[k + 1.0, 2.0 * k + 1.0]) for k in range(5)]
+    with pytest.raises(InputError, match=f"{kernel.kind} kernel takes no pseudocount"):
+        build_pairs(ratings, kernel, pseudocount="half-min")
+
+
+def test_build_pairs_rejects_a_pseudocount_on_one_outcome_column():
+    # a matrix closure without the 2-component check gave all ones here
+    records = [SubjectRecord(k, y=[k + 1.0]) for k in range(5)]
+    with pytest.raises(InputError):
+        build_pairs(records, Kernel.mww(), pseudocount="half-min")
+    with pytest.raises(InputError, match="a composition needs at least 2 components"):
+        build_pairs(records, Kernel.custom(lambda a, b: 0.0), pseudocount="half-min")
+
+
+@pytest.mark.parametrize("pseudocount,message", [
+    (None, "eps=0.5 needs pseudocount='additive'"),
+    ("half-min", "half-min pseudocount takes no eps, got 0.5")], ids=["none", "half-min"])
+def test_build_pairs_rejects_an_eps_that_no_policy_reads(pseudocount, message):
+    # each was accepted and the eps ignored
+    with pytest.raises(InputError, match=message):
+        build_pairs(_count_records(), Kernel.aitchison(), pseudocount=pseudocount, eps=0.5)
+
+
+def test_build_pairs_closes_counts_for_a_custom_kernel():
+    records = _count_records()
+    rows = np.vstack([apply_pseudocount(r.y, "additive", 0.5).values for r in records])
+    data = build_pairs(records, Kernel.custom(lambda a, b: float(a @ b)),
+                       pseudocount="additive", eps=0.5)
+    i1, i2 = data.i1, data.i2
+    assert np.array_equal(data.f, [float(rows[a] @ rows[b]) for a, b in zip(i1, i2)])
 
 
 def test_build_pairs_memory_is_pair_arrays_plus_one_kernel_chunk(monkeypatch):
@@ -619,6 +667,22 @@ def test_solver_nonconvergence_carries_result():
     assert err.value.eq_norm > 0
 
 
+def test_a_model_without_parameters_is_an_input_error():
+    data = PairData(n=3, x=np.empty((3, 0)), f=[1.0, 2.0, 3.0])
+    model = FrmModel("identity", WorkingVariance("constant"), intercept=False)
+    with pytest.raises(InputError, match="model has no parameters"):
+        solve_ugee(model, data)
+
+
+def test_an_exp_fit_on_onehot_slots_without_intercept_starts_at_the_log_mean():
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    data = PairData(n=3, x=x, f=[2.0, 3.0, 7.0])
+    model = FrmModel("exp", WorkingVariance("poisson"), intercept=False)
+    with _bind(model, data) as bound:
+        assert np.array_equal(bound.beta, np.log([4.0, 4.0]))
+    assert np.allclose(np.exp(solve_ugee(model, data).beta), [2.0, 5.0])
+
+
 def test_solver_exp_link_recovers_log_linear_mean():
     data = gen_nb_scenario(80, 42)
     model = FrmModel(link="exp", working_variance=WorkingVariance("poisson"),
@@ -844,6 +908,18 @@ def test_estimate_nuisance_rejects_the_moment_models():
     data = icc_pair_data(gen_icc_ratings(20, 4, 3).ratings)
     with pytest.raises(InputError, match="IccModel has no working-variance nuisance"):
         estimate_nuisance(IccModel(4), data, np.array([1.0, 0.3]))
+
+
+def test_only_the_binding_tells_the_model_kinds_apart():
+    # the moment models declare that they have no working variance, so no
+    # code of fit probes a model for one
+    assert IccModel(3).working_variance is None
+    assert MeanVarianceModel().working_variance is None
+    source = inspect.getsource(pairgee.fit)
+    assert not re.search(r"isinstance\(model|getattr\(model", source)
+    data = icc_pair_data(gen_icc_ratings(20, 4, 3).ratings)
+    assert adaptive_fit(IccModel(4), data).beta.tobytes() == \
+        solve_ugee(IccModel(4), data).beta.tobytes()
 
 
 def test_estimate_nuisance_runs_the_solver_model_checks():

@@ -75,6 +75,18 @@ def test_load_abundance_all_zero_row_names_the_row(tmp_path):
         load_dataset(path, "abundance")
 
 
+@pytest.mark.parametrize("layout,text,message", [
+    ("subjects", "id,y1,y1\na,1,2\n", "duplicate column names in header"),
+    ("subjects", "key,y1\na,1\n", "subjects layout needs an 'id' column"),
+    ("abundance", "id,t1,t2\n", "no data rows"),
+    ("abundance", "id,t1\na,1\n", "abundance layout needs at least 2 count columns"),
+    ("abundance", "id,t1,t2\na,1,2\nb,3,-1\n", "row 3: negative count")],
+    ids=["duplicate-column", "no-id", "no-rows", "one-count-column", "negative-count"])
+def test_a_malformed_subject_file_names_its_fault(tmp_path, layout, text, message):
+    with pytest.raises(InputError, match=message):
+        load_dataset(_write(tmp_path, "bad.csv", text), layout)
+
+
 def test_load_pairs_complete(tmp_path):
     path = _write(tmp_path, "pairs.csv",
                   "i1,i2,f,x1\n"

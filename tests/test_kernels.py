@@ -9,6 +9,7 @@ import pairgee.ustat
 from pairgee import (Composition, EvaluationError, InputError, Kernel,
                      aitchison_distance, apply_pseudocount, pairwise_responses,
                      ustatistic_mean)
+from pairgee.kernels import _close_counts
 
 from oracles import (aitchison_by_hand, icc_pair_by_hand, mww_by_hand,
                      sq_half_diff_by_hand)
@@ -47,6 +48,45 @@ def test_apply_pseudocount_rejects_bad_input():
         apply_pseudocount(np.array([-1.0, 1.0]), "half-min")
     with pytest.raises(InputError):
         apply_pseudocount(np.array([1.0, 1.0]), "replace-all")
+
+
+@pytest.mark.parametrize("policy,eps", [("half-min", 0.0), ("additive", 0.5),
+                                        ("additive", 1e-9)])
+def test_a_count_matrix_closes_to_its_rows_closed_one_at_a_time(policy, eps):
+    counts = np.random.default_rng(4).poisson(
+        np.random.default_rng(5).gamma(0.5, 20.0, size=(60, 12))).astype(float)
+    counts[counts.sum(axis=1) == 0, 0] = 1.0
+    rows = np.vstack([apply_pseudocount(row, policy, eps).values for row in counts])
+    assert np.any(counts == 0)
+    assert _close_counts(counts, policy, eps).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("bad,policy,eps,message", [
+    ([1.0, np.nan], "half-min", 0.0, "counts must be finite and nonnegative"),
+    ([0.0, 0.0], "additive", 0.0, "all-zero count vector"),
+    ([0.0, 3.0], "additive", np.nan, "eps must be finite and nonnegative"),
+    ([0.0, 3.0], "additive", 0.0, "left nonpositive entries"),
+    ([0.0, 3.0], "half-min", 0.5, "half-min pseudocount takes no eps, got 0.5"),
+    ([0.0, 3.0], "replace-all", 0.0, "unknown pseudocount policy"),
+    ([1e308, 1e308], "half-min", 0.0, "finite and strictly positive"),
+    ([1.7e308, 1.0], "additive", 1e308, "finite and strictly positive")],
+    ids=["non-finite", "all-zero", "eps-nan", "additive-zero", "half-min-eps",
+         "policy", "sum-overflow", "entry-overflow"])
+def test_closing_counts_raises_each_fault_in_turn(bad, policy, eps, message):
+    # the last row of a matrix and that row alone raise the same fault; the
+    # half-min eps was ignored, a row sum that overflowed gave zeros
+    counts = np.array([[1.0, 2.0], bad])
+    with pytest.raises(InputError, match=message):
+        _close_counts(counts, policy, eps)
+    with pytest.raises(InputError, match=message):
+        apply_pseudocount(counts[-1], policy, eps)
+
+
+def test_a_one_column_count_matrix_is_no_composition():
+    for call in (lambda: _close_counts(np.array([[1.0], [3.0]]), "half-min", 0.0),
+                 lambda: apply_pseudocount(np.array([3.0]), "additive", 0.5)):
+        with pytest.raises(InputError, match="a composition needs at least 2 components"):
+            call()
 
 
 # ------------------------------------------------------ aitchison distance
@@ -261,12 +301,24 @@ def test_mww_midrank_vectorised():
 @pytest.mark.parametrize("make", [lambda: Kernel.mww(ties="midrnak"),
                                   lambda: Kernel("mww", output_dim=2),
                                   lambda: Kernel.custom(lambda a, b: 1.0, output_dim=0),
-                                  lambda: Kernel.custom(lambda a, b: 1.0, output_dim=-1)],
+                                  lambda: Kernel.custom(lambda a, b: 1.0, output_dim=-1),
+                                  lambda: Kernel("gaussian"),
+                                  lambda: Kernel("custom")],
                          ids=["ties", "output_dim", "custom_output_dim_0",
-                              "custom_output_dim_-1"])
+                              "custom_output_dim_-1", "kind", "custom_without_func"])
 def test_kernel_rejects_unknown_ties_and_a_wrong_output_dim(make):
     with pytest.raises(InputError):
         make()
+
+
+@pytest.mark.parametrize("i1,i2,bad", [([-1], [0], -1), ([0], [3], 3)],
+                         ids=["negative", "past-n"])
+def test_pairwise_responses_rejects_a_pair_index_outside_the_subjects(i1, i2, bad):
+    # a negative index read a subject from the end, one past n was a bare IndexError
+    y = np.array([1.0, 2.0, 3.0])
+    for kernel in (Kernel.mww(), Kernel.custom(lambda a, b: 0.0)):
+        with pytest.raises(InputError, match=f"pair index {bad} is outside the 3 subjects"):
+            pairwise_responses(kernel, y, np.array(i1), np.array(i2))
 
 
 @pytest.mark.parametrize("make,field", [

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pairgee import (EvaluationError, FrmModel, InputError, PairCovariate,
-                     PairData, SubjectRecord, WorkingVariance, icc_mean_map,
-                     link_mean_deriv, meanvar_mean_map, onehot_pair_labels,
-                     stack_subjects)
+from pairgee import (EvaluationError, FrmModel, IccModel, InputError,
+                     PairCovariate, PairData, SubjectRecord, WorkingVariance,
+                     icc_mean_map, link_mean_deriv, meanvar_mean_map,
+                     onehot_pair_labels, stack_subjects)
 from pairgee.fit import _chunk_mean
 from pairgee.links import link_complement
 from pairgee.model import augment, pair_covariate_matrix, variance_eval
@@ -77,6 +77,12 @@ def test_exp_overflow_raises_with_eta():
     with pytest.raises(EvaluationError) as err:
         link_mean_deriv("exp", np.array([0.0, 701.0]))
     assert err.value.eta == pytest.approx(701.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_exp_link_rejects_a_non_finite_linear_predictor(bad):
+    with pytest.raises(EvaluationError, match="non-finite linear predictor"):
+        link_mean_deriv("exp", np.array([0.0, bad]))
 
 
 def test_unknown_link_rejected():
@@ -325,6 +331,24 @@ def test_stack_subjects_enforces_homogeneity_and_unique_ids():
         stack_subjects(recs + [SubjectRecord("a", [1.0, 1.0], [0.1])])
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: SubjectRecord("a", y=[]), "y must be a nonempty vector"),
+    (lambda: stack_subjects([]), "empty subject dataset"),
+    (lambda: PairCovariate("product"), "unknown pair transform 'product'"),
+    (lambda: PairCovariate("onehot"), "onehot transform requires levels >= 1"),
+    (lambda: WorkingVariance("userfixed"), "needs per-pair values"),
+    (lambda: FrmModel("logit", WorkingVariance("constant")), "unknown link kind 'logit'"),
+    (lambda: FrmModel("exp", None), "must be a WorkingVariance, got None"),
+    (lambda: FrmModel("exp", "nb"), "must be a WorkingVariance, got 'nb'"),
+    (lambda: icc_mean_map([1.0, 0.2], raters=1), "needs at least 2 raters"),
+    (lambda: IccModel(3).responses(np.ones(4)), "needs two-component responses")],
+    ids=["empty-y", "no-records", "transform", "levels", "per-pair", "link",
+         "no-working-variance", "working-variance-name", "raters", "responses"])
+def test_model_pieces_reject_a_malformed_value(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
+
+
 def test_working_variance_forms():
     h = np.array([0.2, 2.0, 5.0])
     assert np.allclose(variance_eval(WorkingVariance("poisson"), h), h)
@@ -336,6 +360,15 @@ def test_working_variance_forms():
     assert np.allclose(variance_eval(WorkingVariance("nb"), h), h)
     bern = variance_eval(WorkingVariance("bernoulli"), np.array([0.25]))
     assert bern[0] == pytest.approx(0.1875)
+
+
+@pytest.mark.parametrize("kind", ["constant", "propmean"])
+def test_a_scale_working_variance_rejects_an_infinite_value(kind):
+    # it was accepted, and the solver then named a nonpositive variance on a pair
+    with pytest.raises(InputError, match=f"{kind} variance parameter must be "
+                                         f"finite, got inf"):
+        WorkingVariance(kind, value=float("inf"))
+    assert WorkingVariance("nb", value=float("inf")).value == float("inf")
 
 
 def test_working_variance_validation():

@@ -151,11 +151,18 @@ def test_gen_nb_scenario_keeps_its_stream_below_the_mean_limit():
     assert np.array_equal(data.x[:, 0], xs[data.i1] + xs[data.i2])
 
 
+def test_gen_linear_rejects_a_nonpositive_scale():
+    with pytest.raises(InputError, match="scale parameters must be positive"):
+        gen_linear_exogenous(10, 0, sigma_x=0.0)
+
+
 def test_gen_icc_validates_inputs():
     with pytest.raises(InputError):
         gen_icc_ratings(10, 1, 0)
     with pytest.raises(InputError):
         gen_icc_ratings(10, 3, 0, gamma=[1.0, 0.0, 1.0])
+    with pytest.raises(InputError, match="variance components must be nonnegative"):
+        gen_icc_ratings(10, 3, 0, sigma_e2=-1.0)
 
 
 # --------------------------------------------------------------------- mww
@@ -308,6 +315,13 @@ def test_nb_working_mle_on_a_separated_count_is_an_evaluation_error():
         nb_working_mle(dataclasses.replace(data, f=f))
 
 
+def test_run_monte_carlo_counts_a_working_mle_that_does_not_converge(monkeypatch):
+    monkeypatch.setattr(pairgee.simulate, "MLE_MAX_ROUNDS", 1)
+    config = McConfig(scenario="nb", n=20, replicates=1, seed=0, methods=("mle:nb",))
+    report = run_monte_carlo(config)
+    assert report.invalid and [row.failures for row in report.rows] == [1]
+
+
 def test_run_monte_carlo_counts_all_zero_replicates_as_failures():
     config = McConfig(scenario="nb", n=10, replicates=3, seed=0,
                       methods=("mle:nb", "ugee:const"),
@@ -390,6 +404,13 @@ def test_mc_config_rejects_method_outside_its_scenario(scenario, method):
     with pytest.raises(InputError, match="does not apply"):
         McConfig(scenario=scenario, n=30, replicates=2, seed=0,
                  methods=(method,))
+
+
+def test_mc_config_rejects_a_repeated_method():
+    # its rows were reported twice
+    with pytest.raises(InputError, match="method 'ugee:nb' is given twice"):
+        McConfig(scenario="nb", n=20, replicates=3, seed=0,
+                 methods=("ugee:nb", "mle:nb", "ugee:nb"))
 
 
 @pytest.mark.parametrize("scenario,params", [

@@ -295,3 +295,37 @@ def test_dump_and_load_pair_scores_roundtrip(tmp_path):
     loaded = load_pair_scores(path, q=3)
     assert loaded.n == 7
     assert np.array_equal(loaded.scores, table.scores)
+
+
+def test_a_pair_score_dump_with_a_partial_row_is_rejected(tmp_path):
+    # the trailing bytes were ignored, so this file loaded as n = 5
+    path = tmp_path / "scores.bin"
+    dump_pair_scores(PairScoreTable(5, np.ones((pair_count(5), 2))), path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 5)
+    with pytest.raises(InputError, match="245 bytes, not a whole number of "
+                                         "24-byte rows of q=2"):
+        load_pair_scores(path, q=2)
+
+
+def test_an_empty_pair_score_dump_is_rejected(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    with pytest.raises(InputError, match="empty pair score dump"):
+        load_pair_scores(path)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: PairScoreTable(1, np.ones(0)), "needs n >= 2 subjects"),
+    (lambda: PairScoreTable(3, [1.0, np.nan, 2.0]), "pair scores must all be finite"),
+    (lambda: projection_variance(np.ones((1, 2))), "at least 2 subjects")],
+    ids=["one-subject", "non-finite", "one-projection"])
+def test_score_tables_and_projections_reject_a_degenerate_input(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
+
+
+def test_a_pass_over_no_items_is_an_input_error():
+    with pass_workers(lambda: (lambda sl: (0.0,)), 0) as workers:
+        with pytest.raises(InputError, match="nothing to reduce over"):
+            workers.reduce()
