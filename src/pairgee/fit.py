@@ -51,7 +51,7 @@ import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,6 +67,8 @@ from .ustat import (canonical_order, interleaved_accumulate, pair_chunks, pair_c
 COND_LIMIT = 1e12
 NB_TAU_MAX = 1e8
 NB_TAU_MIN = 1e-8
+# the dispersion from which the nb profile score takes its excess form
+NB_EXCESS_TAU = 1e3
 # step halvings per scoring iteration; the last candidate is accepted
 # (and counted as flagged) even when it lowers the quasi-objective
 MAX_HALVINGS = 20
@@ -305,8 +307,10 @@ def _quasi_objective(wv, f: np.ndarray, h: np.ndarray, r: np.ndarray,
         # precision where h rounds to 1
         return float(np.sum(f * np.log(h) + (1.0 - f) * np.log(comp)))
     if wv.kind == "nb" and wv.value is not None and np.isfinite(wv.value):
+        # f log(h) - (f + tau) log(tau + h) without two sums that cancel at large f
         tau = wv.value
-        return float(f @ np.log(h) - (f + tau) @ np.log(tau + h))
+        t = tau + h
+        return float(f @ np.log(h / t) - tau * np.sum(np.log(t)))
     # poisson, propmean, and nb in its variance-equals-mean limit
     scale = (wv.value or 1.0) if wv.kind == "propmean" else 1.0
     return float(np.sum(f * np.log(h) - h) / scale)
@@ -485,11 +489,14 @@ def _pass_chunks(model: FrmModel, data: PairData, kind: str, beta: np.ndarray,
     ``kind`` "terms" gives each chunk's quasi-objective, score sum and J;
     "sandwich" adds the chunk's per-subject score sums, its pairs decoded
     by ``pair_indices``, and its Z2; "nuisance" gives the two sums of
-    ``_nuisance``.  ``_chunk_terms`` gives each chunk's scores as a
-    (q, chunk) array, so U and Z2 reduce contiguous rows.  The workers of
-    a fit inherit ``model`` and ``data``, so a pass sends them only kind,
-    beta and value.
+    ``_nuisance``; "profile", "likelihood" and "information" give sums of
+    the count likelihood at tau = ``value`` (``_likelihood_part``).
+    ``_chunk_terms`` gives each chunk's scores as a (q, chunk) array, so U
+    and Z2 reduce contiguous rows.  The workers of a fit inherit ``model``
+    and ``data``, so a pass sends them only kind, beta and value.
     """
+    if kind in ("profile", "likelihood", "information"):
+        return partial(_likelihood_part, model, data, beta, value, kind)
     if value != model.working_variance.value:
         model = _with_nuisance(model, value)
     if kind == "nuisance":
@@ -505,6 +512,52 @@ def _terms_part(model: FrmModel, data: PairData, beta: np.ndarray, sandwich: boo
     i1, i2 = pair_indices(data.n, sl.start, sl.stop)
     acc = interleaved_accumulate(data.n, i1, i2, s.T)
     return merit, s.sum(axis=1), J, acc, s @ s.T
+
+
+def _likelihood_part(model: FrmModel, data: PairData, beta: np.ndarray, tau: float,
+                     kind: str, sl: slice):
+    """One chunk's sums of the count likelihood at means mu, dispersion
+    ``tau`` and p = 1 / (1 + mu / tau): "information", the observed
+    information x x' mu p (1 + (f - mu) / (tau + mu)) (tau = inf included);
+    "profile", the pair part of d loglik / d tau in ``_count_score``'s form
+    and its tau-derivative; "likelihood", the log-likelihood at tau and in
+    the Poisson limit, less their log f! terms."""
+    xt, _, mu, _ = _chunk_mean(model, data, beta, sl)
+    f = data.f[sl]
+    if kind == "profile":
+        if tau < NB_EXCESS_TAU:
+            d = tau + mu
+            return (np.sum((mu - f) / d - np.log1p(mu / tau)),
+                    np.sum(((f - mu) / d + mu / tau) / d))
+        z = (f - mu) / (tau + mu)
+        return np.sum(np.log1p(z) - z), np.sum(z * z / (tau + f))
+    p = 1.0 / (1.0 + mu / tau)
+    if kind == "information":
+        return ((xt * (mu * p * (1.0 + (f - mu) / (tau + mu)))) @ xt.T,)
+    from scipy.special import gammaln
+
+    return (np.sum(gammaln(f + tau) - gammaln(tau) + tau * np.log(p) + f * np.log1p(-p)),
+            np.sum(f * np.log(mu) - mu))
+
+
+def _count_score(counts: np.ndarray, weights: np.ndarray, tau: float) -> float:
+    """The count part of the profile score d loglik / d tau, psi(f + tau) -
+    psi(tau), over the distinct ``counts`` of f with their frequencies.
+    The score's O(1 / tau) terms cancel to O(1 / tau^2), rounding noise
+    near NB_TAU_MAX, so from NB_EXCESS_TAU on this part is psi(f + tau) -
+    psi(tau) - log1p(f / tau), the series psi(x) - log(x) = -1/(2x) -
+    1/(12x^2) + 1/(120x^4) - ... differenced term by term (the first
+    omitted term is below 1e-16 of it), and the pair part log1p(z) - z."""
+    if tau < NB_EXCESS_TAU:
+        from scipy.special import digamma
+
+        return float(weights @ (digamma(counts + tau) - digamma(tau)))
+    # with ia = 1/tau and ib = 1/(f + tau), ia - ib = f ia ib and the excess
+    # is (ia - ib)/2 + (ia^2 - ib^2)/12 - (ia^4 - ib^4)/120
+    ia = 1.0 / tau
+    ib = 1.0 / (counts + tau)
+    return float(weights @ (counts * ia * ib * (
+        0.5 + (ia + ib) * (1.0 - (ia * ia + ib * ib) / 10.0) / 12.0)))
 
 
 def assemble_ugee(model, data: PairData, beta: np.ndarray):
@@ -790,6 +843,8 @@ def _nuisance_close(new: float, old: float) -> bool:
     return abs(new - old) <= ADAPTIVE_TOL * (1.0 + abs(old))
 
 
+# the passes of a solve share the model with their nuisance, made once
+@lru_cache(maxsize=1)
 def _with_nuisance(model: FrmModel, value: float) -> FrmModel:
     return dataclasses.replace(model, working_variance=dataclasses.replace(
         model.working_variance, value=value))

@@ -9,7 +9,10 @@ variance of the estimates across replicates (emp).
 ``SCENARIOS`` defines each scenario in one row.  A study's parameters are
 its generator's keyword arguments.  Methods: ``ugee:<variance>`` (a key of
 ``VARIANCE_FLAGS``) for nb, linear and mww, ``mle:nb`` for nb, ``icc`` for
-icc; any other parameter or method is an input error.
+icc; any other parameter or method is an input error.  ``mle:nb`` is
+``nb_working_mle``: the ``ugee:nb`` equations with an intercept, solved on
+the fit's binding and worker set, alternated with a profile-likelihood
+step for the dispersion.
 
 Scenarios
 ---------
@@ -35,8 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
-from .fit import (NB_TAU_MAX, FitConfig, PairData, _subject_pairs, adaptive_fit,
-                  fit_icc)
+from .fit import (ADAPTIVE_MAX_ROUNDS, NB_TAU_MAX, FitConfig, PairData, _bind,
+                  _check_conditioning, _count_score, _nuisance, _solve,
+                  _subject_pairs, adaptive_fit, fit_icc)
 from .kernels import Kernel
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     pair_covariate_matrix)
@@ -145,7 +149,7 @@ def gen_linear_exogenous(n: int, seed_or_rng, beta: float = 1.0,
 
 def linear_pair_data(d: LinearData) -> PairData:
     n = len(d.x)
-    xy = np.column_stack([d.x, d.y])
+    xy = np.stack([d.x, d.y], axis=1)
     x, f = np.empty((pair_count(n), 1)), np.empty(pair_count(n))
     for sl, i1, i2 in pair_chunks(n):
         diff = pair_covariate_matrix(PairCovariate("difference"), xy, i1, i2)
@@ -243,188 +247,128 @@ class MleResult:
         return np.sqrt(np.clip(np.diag(self.cov_beta), 0.0, None))
 
 
-def _nb_loglik(f: np.ndarray, mu: np.ndarray, tau: float,
-               log_f_fact: np.ndarray) -> float:
-    """Count log-likelihood summed over pairs; ``log_f_fact`` is gammaln(f + 1)."""
-    if np.isinf(tau):  # variance-equals-mean limit
-        return float(np.sum(f * np.log(mu) - mu - log_f_fact))
-    from scipy.special import gammaln
-
-    p = 1.0 / (1.0 + mu / tau)
-    return float(np.sum(gammaln(f + tau) - gammaln(tau) - log_f_fact
-                        + tau * np.log(p) + f * np.log1p(-p)))
-
-
-# the dispersion search interval of the working MLE, in log tau
+# the working MLE's tau interval in log tau, the Newton step whose end is
+# the root, and its solves: to an equation norm of 1e-13 of J / N's largest
+# diagonal entry, as the norm's rounding floor grows with that information
+# (past 1e-12 from mean counts of about 1e4 near the Poisson limit), in up
+# to 400 steps (scoring on 66 pairs at tau = 0.14 converges at rate 0.85)
 _LOG_TAU_BOUNDS = (float(np.log(1e-3)), float(np.log(NB_TAU_MAX)))
-# rounds of the working MLE (scoring steps for beta, then a dispersion
-# step) and the step size that ends a round's scoring steps
-MLE_MAX_ROUNDS = 200
-MLE_STEP_TOL = 1e-10
+_LOG_TAU_TOL = 1e-5
+_MLE_REL_TOL = 1e-13
 
 
-def _nb_profile_score(log_tau: float, f: np.ndarray, mu: np.ndarray,
-                      counts: np.ndarray, weights: np.ndarray,
-                      known: dict | None = None) -> float:
-    """d loglik / d tau at tau = exp(``log_tau``), whose sign is that of
-    d loglik / d log tau; ``known`` maps log tau to scores already
-    evaluated.
-
-    Per pair the score is psi(f + tau) - psi(tau) + log(tau / (tau + mu))
-    + (mu - f) / (tau + mu); the digamma terms run over the distinct
-    ``counts`` of ``f``, weighted by their frequencies ``weights``.  Its
-    terms are O(1 / tau) and cancel to an O(1 / tau^2) sum, which near
-    NB_TAU_MAX is rounding noise.  So for tau >= 1e3 it is summed as
-    excess(f) + log1p(z) - z with z = (f - mu) / (tau + mu) and
-    excess(f) = psi(f + tau) - psi(tau) - log1p(f / tau), both O(1 / tau^2);
-    the excess differences the asymptotic series psi(x) - log(x) =
-    -1/(2x) - 1/(12x^2) + 1/(120x^4) - ... term by term (the first omitted
-    term is below 1e-16 of it there).
-    """
-    if known and log_tau in known:
-        return known[log_tau]
-    tau = np.exp(log_tau)
-    if tau < 1e3:
-        from scipy.special import digamma
-
-        return float(weights @ (digamma(counts + tau) - digamma(tau))
-                     + np.sum((mu - f) / (tau + mu) - np.log1p(mu / tau)))
-    # with ia = 1/tau and ib = 1/(f + tau), ia - ib = f ia ib and the excess
-    # is (ia - ib)/2 + (ia^2 - ib^2)/12 - (ia^4 - ib^4)/120
-    ia = 1.0 / tau
-    ib = 1.0 / (counts + tau)
-    excess = counts * ia * ib * (
-        0.5 + (ia + ib) * (1.0 - (ia * ia + ib * ib) / 10.0) / 12.0)
-    z = (f - mu) / (tau + mu)
-    return float(weights @ excess + np.sum(np.log1p(z) - z))
-
-
-def _nb_profile_tau(f: np.ndarray, mu: np.ndarray, tau_prev: float,
-                    log_f_fact: np.ndarray, counts: np.ndarray,
-                    weights: np.ndarray) -> float:
-    """The dispersion maximising the count likelihood at means ``mu``."""
-    # imported here, not at module level: scipy.optimize costs about 0.4 s
-    # of start-up that every other pairgee process would pay
-    from scipy.optimize import brentq
-
-    # the arrays go to brentq as args: it wraps the function it is given in
-    # a reference cycle, which would keep a closure's arrays alive until
-    # the next garbage collection
-    args = (f, mu, counts, weights)
+def _profile_root(score, u: float) -> float:
+    """The root in log tau of ``score(u)`` (the score and its Newton slope)
+    within ``_LOG_TAU_BOUNDS``, from ``u`` on: Newton steps inside the
+    interval known to hold it, the end of one below ``_LOG_TAU_TOL`` being
+    the root; other steps bisect that interval or, before the score changes
+    sign, move 0.1, 0.2, 0.4, ... towards it.  A score that keeps its sign
+    to the bound puts the root there."""
     lo, hi = _LOG_TAU_BOUNDS
-    a = float(np.clip(np.log(tau_prev), lo, hi))
-    s_a = _nb_profile_score(a, *args)
-    bound = hi if s_a > 0 else lo
-    root, width = a, 0.1
-    while s_a != 0 and a != bound:
-        b = float(np.clip(a + np.copysign(width, s_a), lo, hi))
-        s_b = _nb_profile_score(b, *args)
-        if (s_b > 0) != (s_a > 0) or s_b == 0:
-            # brentq starts by evaluating both ends of the bracket
-            root = brentq(_nb_profile_score, min(a, b), max(a, b),
-                          args=args + ({a: s_a, b: s_b},))
-            break
-        a, s_a, root, width = b, s_b, b, 2.0 * width
-    tau = float(np.exp(root))
-    # the sentinel compares log-likelihoods summed pair by pair: sums over
-    # hoisted or per-count terms reach 1e9 near NB_TAU_MAX, and their
-    # rounding swamps the 1e-3 margin
-    if _nb_loglik(f, mu, float("inf"), log_f_fact) \
-            >= _nb_loglik(f, mu, tau, log_f_fact) - 1e-3:
-        return float("inf")
-    return tau
+    u = float(np.clip(u, lo, hi))
+    below = above = None   # the points where the score was positive, negative
+    width = 0.1
+    for _ in range(100):
+        s, slope = score(u)
+        if s == 0 or u == (hi if s > 0 else lo):
+            return u
+        below, above = (u, above) if s > 0 else (below, u)
+        step = -s / slope if slope else math.inf
+        if (lo if below is None else below) < u + step < (hi if above is None else above):
+            if abs(step) <= _LOG_TAU_TOL:
+                return u + step
+        elif below is not None and above is not None:
+            step = 0.5 * (below + above) - u
+        else:
+            step = float(np.clip(u + np.copysign(width, s), lo, hi)) - u
+            width *= 2.0
+        u += step
+    return u
 
 
-def _information_solve(info: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
-    """info^-1 rhs, or info^-1 when ``rhs`` is None; a singular ``info`` is
-    an EvaluationError."""
-    try:
-        return np.linalg.inv(info) if rhs is None else np.linalg.solve(info, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError("count likelihood has no maximum in reach: its "
-                              "information matrix is singular") from exc
+def _nb_profile_tau(bound, beta: np.ndarray, tau_start: float, counts: np.ndarray,
+                    weights: np.ndarray) -> tuple[float, float]:
+    """The dispersion maximising the count likelihood at ``beta``, and the
+    log-likelihood there less its log f! terms: the root of d loglik / d
+    log tau = tau S, S the profile score, whose slope is tau (S + dS / d log
+    tau), from ``tau_start`` on, by passes of ``bound``."""
+    def score(u):   # the count part's slope in log tau is a difference quotient
+        tau = float(np.exp(u))
+        s, slope = bound.reduce("profile", beta, tau)
+        count = _count_score(counts, weights, tau)
+        s += count
+        ahead = _count_score(counts, weights, float(np.exp(u + 1e-6)))
+        return s, s + tau * slope + (ahead - count) / 1e-6
+
+    tau = float(np.exp(_profile_root(score, np.log(tau_start))))
+    # the sentinel sums pair by pair: sums of hoisted or per-count terms reach
+    # 1e9 near NB_TAU_MAX, and their rounding swamps the 1e-3 margin
+    at_tau, limit = bound.reduce("likelihood", beta, tau)
+    if limit >= at_tau - 1e-3:
+        return float("inf"), limit
+    return tau, at_tau
 
 
 def nb_working_mle(data: PairData) -> MleResult:
     """Maximise the overdispersed-count likelihood treating pairs as independent.
 
-    A log-linear mean with intercept is fitted by alternating scoring steps
-    for the coefficients with a profile step for the dispersion tau.  The
-    profile step finds the root of the profile score
+    Its beta equations are those of ``FrmModel("exp", WorkingVariance("nb"))``,
+    so it runs on one binding of that model, every pass on the fit's worker
+    set.  Each round solves them at fixed tau with the solver of
+    ``solve_ugee``, then sets tau to the root in log tau over [1e-3,
+    NB_TAU_MAX] of the profile score (``_nb_profile_tau``)
 
-        sum[psi(f + tau) - psi(tau) + log(tau / (tau + mu)) + (mu - f) / (tau + mu)]
+        sum[psi(f + tau) - psi(tau) + log(tau / (tau + mu)) + (mu - f) / (tau + mu)],
 
-    in log tau over [1e-3, NB_TAU_MAX] with Brent's method, on a bracket
-    that starts at the previous round's tau and widens until the score
-    changes sign; without a sign change the root is the bound.  The score
-    is summed in a form that keeps its sign up to NB_TAU_MAX, with its
-    digamma terms evaluated once per distinct count (``_nb_profile_score``).
-    The dispersion is reported as inf (variance equals mean) when the
-    Poisson-limit log-likelihood, summed pair by pair, is within 1e-3 of
-    the log-likelihood at the root.  The reported covariance is the inverse
-    observed information for the coefficients at the optimum (dispersion
-    held fixed), a benchmark convention.  ``converged`` is false when beta
-    still moves by 1e-9 or log tau by 1e-6 after ``MLE_MAX_ROUNDS`` rounds.
-    All-zero counts, whose likelihood grows without bound as the intercept
-    falls, are an EvaluationError, as is an information matrix that turns
-    singular on the way to a maximum that does not exist (a count whose
-    covariate separates it from all others sends the slope to infinity).
+    or to inf (variance equals mean) when the Poisson-limit log-likelihood,
+    summed pair by pair, is within 1e-3 of that at the root.  The
+    covariance is the inverse observed information for beta with tau held
+    fixed, a benchmark convention.  ``iterations`` counts the rounds;
+    ``converged`` is false when beta still moves by 1e-9 or log tau by 1e-6
+    after ``ADAPTIVE_MAX_ROUNDS``; a solve that does not converge raises
+    NonConvergence.  All-zero counts, whose likelihood grows without bound
+    as the intercept falls, are an EvaluationError, as is an information
+    matrix that turns singular on the way to a maximum that does not exist
+    (a count whose covariate separates it from all others).
     """
-    # scipy.special is imported in the functions that use it, as
-    # scipy.optimize is: its import costs about 0.35 s of start-up
-    from scipy.special import gammaln
+    from scipy.special import gammaln   # on use: its import takes about 0.35 s
 
     f = data.f
     if np.any(f < 0):
         raise InputError("count likelihood needs nonnegative responses")
     if not np.any(f > 0):
         raise EvaluationError("count likelihood has no maximum: every count is zero")
-    X = np.column_stack([np.ones(data.n_pairs), data.x])
-    q = X.shape[1]
-    beta = np.zeros(q)
-    fbar = float(f.mean())
-    beta[0] = np.log(fbar) if fbar > 0 else 0.0
-    # moment start for the dispersion
-    mu = np.exp(X @ beta)
-    excess = float(np.sum((f - mu) ** 2 - mu))
-    tau = float(np.clip(np.sum(mu * mu) / excess, 1e-2, NB_TAU_MAX)) \
-        if excess > 0 else float("inf")
-    log_f_fact = gammaln(f + 1.0)
     counts, weights = np.unique(f, return_counts=True)
-
-    converged = False
-    it = 0
-    for it in range(1, MLE_MAX_ROUNDS + 1):
-        beta_old, tau_old = beta.copy(), tau
-        # scoring steps for beta at fixed tau
-        for _ in range(50):
-            mu = np.exp(np.clip(X @ beta, -700, 700))
-            p = 1.0 / (1.0 + mu / tau)
-            score = X.T @ ((f - mu) * p)
-            info = (X * (mu * p)[:, None]).T @ X
-            step = _information_solve(info, score)
-            beta = beta + step
-            if np.max(np.abs(step)) < MLE_STEP_TOL:
-                break
-        mu = np.exp(X @ beta)
-        tau = _nb_profile_tau(f, mu, tau, log_f_fact, counts, weights)
-        tau_moved = (abs(np.log(tau) - np.log(tau_old)) > 1e-6
-                     if np.isfinite(tau) and np.isfinite(tau_old)
-                     else np.isfinite(tau) != np.isfinite(tau_old))
-        if np.max(np.abs(beta - beta_old)) < 1e-9 and not tau_moved:
-            converged = True
-            break
-
-    mu = np.exp(X @ beta)
-    p = 1.0 / (1.0 + mu / tau)
-    curvature = mu * p * (1.0 + np.where(np.isinf(tau), 0.0,
-                                         (f - mu) / (tau + mu)))
-    obs_info = (X * curvature[:, None]).T @ X
-    cov = _information_solve(obs_info)
-    names = tuple(f"beta{k}" for k in range(q))
-    return MleResult(beta=beta, cov_beta=cov, tau=tau,
-                     loglik=_nb_loglik(f, mu, tau, log_f_fact), iterations=it,
-                     converged=converged, param_names=names)
+    try:
+        with _bind(FrmModel("exp", WorkingVariance("nb")), data) as bound:
+            beta = bound.beta
+            # moment start for the dispersion, at the start's constant mean
+            mu = float(np.exp(beta[0]))
+            excess = float(np.sum((f - mu) ** 2 - mu))
+            tau = float(np.clip(len(f) * mu * mu / excess, 1e-2, NB_TAU_MAX)) \
+                if excess > 0 else float("inf")
+            for it in range(1, ADAPTIVE_MAX_ROUNDS + 1):
+                beta_old, tau_old = beta, tau
+                solve = bound._replace(beta=beta, value=tau)
+                sums = solve.evaluate(beta)   # the solve's start, passed on to it
+                tol = _MLE_REL_TOL * float(np.max(np.diag(sums[2]))) / bound.n_pairs
+                beta = _solve(solve, FitConfig(tol_eq=tol, max_iter=400), sums).beta
+                start = _nuisance("nb", bound, beta) if it == 1 else tau
+                tau, loglik = _nb_profile_tau(bound, beta, start, counts, weights)
+                tau_moved = (abs(np.log(tau) - np.log(tau_old)) > 1e-6
+                             if np.isfinite(tau) and np.isfinite(tau_old)
+                             else np.isfinite(tau) != np.isfinite(tau_old))
+                converged = bool(np.max(np.abs(beta - beta_old)) < 1e-9) and not tau_moved
+                if converged:
+                    break
+            info = bound.reduce("information", beta, tau)[0]
+            _check_conditioning(info, "information matrix")
+    except SingularInformation as exc:
+        raise EvaluationError("count likelihood has no maximum in reach: its "
+                              "information matrix is singular") from exc
+    return MleResult(beta=beta, cov_beta=np.linalg.inv(info), tau=tau,
+                     loglik=loglik - float(weights @ gammaln(counts + 1.0)),
+                     iterations=it, converged=converged, param_names=bound.names)
 
 
 # --------------------------------------------------------------------------- #

@@ -576,6 +576,29 @@ def test_pair_pass_matches_the_per_pair_loop_at_any_chunk_size(name, chunk):
         _check_pass_against_oracle(name)
 
 
+def _mww_fit_bytes(data):
+    """The bytes of a probitc rank fit's estimates, or its error."""
+    model = FrmModel("probitc", WorkingVariance("bernoulli"), intercept=False)
+    try:
+        res = adaptive_fit(model, data)
+    except (EvaluationError, NonConvergence, SingularInformation) as exc:
+        return repr(exc)
+    return [a.tobytes() for a in (res.beta, res.cov_beta, res.sigma_u, res.b_matrix)]
+
+
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1))
+def test_mww_tie_conventions_agree_on_tie_free_outcomes(n, seed):
+    # the conventions differ on tied outcomes alone, where "le" counts 1
+    # and "midrank" 1/2
+    d = gen_mww_probit(n, seed, beta=[1.0, -0.5])
+    assert len(np.unique(d.y)) == n
+    subjects = [SubjectRecord(k, y=[d.y[k]], x=d.x[k]) for k in range(n)]
+    le, midrank = (build_pairs(subjects, Kernel.mww(ties), PairCovariate("difference"))
+                   for ties in ("le", "midrank"))
+    assert le.f.tobytes() == midrank.f.tobytes()
+    assert _mww_fit_bytes(le) == _mww_fit_bytes(midrank)
+
+
 def test_intercept_only_identity_fit_is_the_mean_response():
     model, data, _ = _pass_case("intercept-only")
     res = adaptive_fit(model, data)

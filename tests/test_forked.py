@@ -24,7 +24,8 @@ from pairgee import (EvaluationError, FitConfig, FrmModel, Kernel, NonConvergenc
                      PairCovariate, PairData, SingularInformation, SubjectRecord,
                      WorkingVariance, adaptive_fit, assemble_ugee, build_pairs,
                      enumerate_pairs, estimate_nuisance, gen_mww_probit,
-                     gen_nb_scenario, make_rng, sandwich_variance, solve_ugee)
+                     gen_nb_scenario, make_rng, nb_working_mle, sandwich_variance,
+                     solve_ugee)
 from pairgee.simulate import mww_pair_data
 from pairgee.ustat import pair_indices, pass_workers
 
@@ -85,6 +86,7 @@ def _fit_case(case):
         "onehot-k4": (FrmModel(link="identity", intercept=False,
                                working_variance=WorkingVariance("constant")),
                       _onehot_data()),
+        "mle-nb": (None, nb),   # the working MLE, nb_working_mle
     }
     return cases[case]
 
@@ -96,6 +98,12 @@ def _reduce(fn, n_items):
 
 
 def _fit_bytes(model, data):
+    """The bytes of ``adaptive_fit``'s estimates, or with no model those of
+    the working MLE's."""
+    if model is None:
+        res = nb_working_mle(data)
+        return [np.asarray(a).tobytes() for a in (res.beta, res.cov_beta, res.tau,
+                                                  res.loglik)]
     res = adaptive_fit(model, data)
     return [a.tobytes() for a in (res.beta, res.cov_beta, res.sigma_u, res.b_matrix)]
 
@@ -103,7 +111,7 @@ def _fit_bytes(model, data):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("case", ["nb", "propmean", "constant", "userfixed",
                                   "mww-probitc-constant", "mww-probitc-bernoulli",
-                                  "onehot-k4"])
+                                  "onehot-k4", "mle-nb"])
 def test_forked_fits_equal_the_serial_fit_byte_for_byte(forking, case, workers):
     model, data = _fit_case(case)
     forking(None)

@@ -10,11 +10,11 @@ from scipy.special import ndtr
 
 import pairgee.simulate
 import pairgee.ustat
-from pairgee import (EvaluationError, InputError, Kernel, McConfig,
-                     NonConvergence, PairCovariate, gen_icc_ratings,
-                     gen_linear_exogenous, gen_mww_probit, gen_nb_scenario,
-                     linear_pair_data, make_rng, mww_pair_data, nb_working_mle,
-                     run_monte_carlo)
+from pairgee import (EvaluationError, FitConfig, FrmModel, InputError, Kernel,
+                     McConfig, NonConvergence, PairCovariate, WorkingVariance,
+                     assemble_ugee, gen_icc_ratings, gen_linear_exogenous,
+                     gen_mww_probit, gen_nb_scenario, linear_pair_data, make_rng,
+                     mww_pair_data, nb_working_mle, run_monte_carlo, solve_ugee)
 
 from oracles import (full_array_linear_pair_data, full_array_nb_scenario,
                      full_array_subject_pairs, nb_working_mle_bounded)
@@ -289,6 +289,35 @@ def test_nb_working_mle_matches_bounded_search_reference():
         assert res.converged == converged, name
 
 
+@pytest.mark.parametrize("rep", range(5))
+def test_nb_working_mle_solves_the_ugee_nb_equations_at_its_tau(rep):
+    # the likelihood's beta equations are the ugee:nb equations with an
+    # intercept (Lawless 1987), so a tight solve of those at the MLE's tau
+    # is its beta
+    data = gen_nb_scenario(100, make_rng(11, rep))
+    mle = nb_working_mle(data)
+    model = FrmModel("exp", WorkingVariance("nb", value=mle.tau), intercept=True)
+    beta = solve_ugee(model, data, FitConfig(tol_eq=1e-12)).beta
+    assert np.max(np.abs(mle.beta - beta) / np.abs(beta)) <= 1e-10
+
+
+@pytest.mark.parametrize("n,stream,tau,beta0", [
+    (12, (77, 3), 0.05, -1.0), (12, (5, 12), 10.0, 14.0), (40, (5, 40), 1e6, 10.0)],
+    ids=["slow-scoring", "cancelling-merit", "rounding-floor"])
+def test_nb_working_mle_reaches_the_root_where_solving_is_hard(n, stream, tau, beta0):
+    # 66 pairs whose tau estimate is 0.14, where each scoring step shrinks
+    # the equations by about 0.85 only; mean counts up to 1e7 at tau = 10, where the two
+    # sums of the nb quasi-likelihood cancel to rounding noise that the
+    # line search must not read as a decrease; and up to 1e6 near the
+    # Poisson limit, where the equations' rounding floor passes 1e-12 per
+    # pair
+    data = gen_nb_scenario(n, make_rng(*stream), tau=tau, beta0=beta0, beta1=2.0)
+    res = nb_working_mle(data)
+    model = FrmModel("exp", WorkingVariance("nb", value=res.tau), intercept=True)
+    U, J = assemble_ugee(model, data, res.beta)
+    assert res.converged and np.max(np.abs(np.linalg.solve(J, U))) <= 1e-10
+
+
 def test_nb_working_mle_rejects_negative_counts():
     data = gen_nb_scenario(20, 1)
     bad = dataclasses.replace(data, f=data.f - 1000.0)
@@ -316,7 +345,7 @@ def test_nb_working_mle_on_a_separated_count_is_an_evaluation_error():
 
 
 def test_run_monte_carlo_counts_a_working_mle_that_does_not_converge(monkeypatch):
-    monkeypatch.setattr(pairgee.simulate, "MLE_MAX_ROUNDS", 1)
+    monkeypatch.setattr(pairgee.simulate, "ADAPTIVE_MAX_ROUNDS", 1)
     config = McConfig(scenario="nb", n=20, replicates=1, seed=0, methods=("mle:nb",))
     report = run_monte_carlo(config)
     assert report.invalid and [row.failures for row in report.rows] == [1]
