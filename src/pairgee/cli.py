@@ -30,7 +30,7 @@ from . import __version__, simulate
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .fit import FitConfig, adaptive_fit, build_pairs, fit_icc
 from .io import LAYOUTS, load_dataset
-from .kernels import KERNEL_KINDS, Kernel, _close_counts, pairwise_responses
+from .kernels import KERNEL_KINDS, Kernel, _close_counts, _responses_of
 from .links import LINK_KINDS
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     stack_subjects)
@@ -186,18 +186,18 @@ def _write_distances(fh, ids, comps: np.ndarray, full: bool) -> None:
     diagonal filled from them."""
     n = len(ids)
     chunks = pair_chunks(n)
+    distances = _responses_of(Kernel.aitchison(), comps)
     if full:
         matrix = np.zeros((n, n))
         for _, i1, i2 in chunks:
-            matrix[i1, i2] = matrix[i2, i1] = pairwise_responses(
-                Kernel.aitchison(), comps, i1, i2)
+            matrix[i1, i2] = matrix[i2, i1] = distances(i1, i2)
         fh.write("id," + ",".join(str(s) for s in ids) + "\n")
         for sid, row in zip(ids, matrix):
             fh.write(f"{sid}," + ",".join(map(repr, row.tolist())) + "\n")
         return
     fh.write("i1,i2,distance\n")
     for _, i1, i2 in chunks:
-        dist = pairwise_responses(Kernel.aitchison(), comps, i1, i2)
+        dist = distances(i1, i2)
         fh.write("".join(f"{ids[a]},{ids[b]},{d!r}\n" for a, b, d
                          in zip(i1.tolist(), i2.tolist(), dist.tolist())))
 

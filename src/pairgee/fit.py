@@ -39,10 +39,11 @@ The two-dimensional moment models (``IccModel``, ``MeanVarianceModel``)
 have the same mean h and gradient D for every pair, so their pair sums
 factor through four sufficient statistics of the (N, 2) responses R: N,
 the mean, the centred cross-products and the (n, 2) per-subject sums.
-One pass over the pair chunks gathers them (``_moment_stats``); every
-pass of the binding, for a scoring iterate or the sandwich, is then an
-O(n) closed form (``_moment_bind``).  ``fit_icc`` feeds that pass from
-the rating matrix directly, without a ``PairData``.
+One pass of a ``pass_workers`` set gathers them, its chunks' parts merged
+in chunk order (``_moment_stats``); every pass of the binding, for a
+scoring iterate or the sandwich, is then an O(n) closed form
+(``_moment_bind``).  ``fit_icc`` feeds that pass from the rating matrix
+directly, without a ``PairData``.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
-from .kernels import Kernel, _close_counts, pairwise_responses
+from .kernels import Kernel, _close_counts, _responses_of
 from .links import link_complement, link_mean_deriv
 from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
-from .ustat import (canonical_order, interleaved_accumulate, pair_chunks, pair_count,
-                    pair_indices, pair_rows, pass_workers, projection_variance)
+from .ustat import (canonical_order, checked_pair_count, interleaved_accumulate, pair_chunks,
+                    pair_count, pair_indices, pair_rows, pass_workers, projection_variance)
 
 COND_LIMIT = 1e12
 NB_TAU_MAX = 1e8
@@ -189,15 +190,18 @@ def build_pairs(subjects, kernel: Kernel, pair_covariate=None,
 def _subject_pairs(kernel: Kernel, Y: np.ndarray, X=None, pair_covariate=None,
                    subject_ids: tuple | None = None) -> PairData:
     """The complete PairData of the subjects in the rows of ``Y``: ``kernel``
-    responses and, unless it is None, the ``pair_covariate`` of ``X``,
-    evaluated one ``ustat.CHUNK_PAIRS``-pair chunk at a time into the rows."""
+    responses (the kernel set up once) and, unless it is None, the
+    ``pair_covariate`` of ``X``, a ``ustat.CHUNK_PAIRS``-pair chunk at a time."""
     N = pair_count(len(Y))
     f = np.empty(N if kernel.output_dim == 1 else (N, kernel.output_dim))
     x = np.empty((N, 0 if pair_covariate is None
                   else pair_covariate.output_dim(X.shape[1])))
-    for sl, i1, i2 in pair_chunks(len(Y)):
-        with np.errstate(over="ignore", invalid="ignore"):   # PairData rejects it
-            f[sl] = pairwise_responses(kernel, Y, i1, i2)
+    chunks = pair_chunks(len(Y))
+    with np.errstate(over="ignore", invalid="ignore"):   # PairData rejects it
+        responses = _responses_of(kernel, Y)
+    for sl, i1, i2 in chunks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            f[sl] = responses(i1, i2)
         if pair_covariate is not None:
             x[sl] = pair_covariate_matrix(pair_covariate, X, i1, i2)
     return PairData(n=len(Y), x=x, f=f, subject_ids=subject_ids)
@@ -380,9 +384,8 @@ def _bind(model, data: PairData, beta=None):
     apart.
     """
     if model.working_variance is None:   # a moment model
-        chunks = ((i1, i2, model.responses(data.f[sl]))
-                  for sl, i1, i2 in pair_chunks(data.n))
-        yield _moment_bind(model, data.n, chunks, beta)
+        yield _moment_bind(model, data.n, lambda sl, i1, i2: model.responses(data.f[sl]),
+                           beta)
         return
     if data.f.ndim != 1:
         raise InputError(f"a scalar model needs one response per pair; the data "
@@ -427,32 +430,42 @@ def _response_variance(N: int, variance, what: str):
     return V
 
 
-def _moment_stats(n: int, chunks):
-    """Sufficient statistics of the (N, 2) responses R of a moment model,
-    from one pass over ``chunks``, an iterable of (i1, i2, R rows).
+def _moment_stats(n: int, rows):
+    """Sufficient statistics of the (N, 2) responses R of a moment model
+    on n subjects, from one pass of a ``pass_workers`` set; ``rows(sl, i1,
+    i2)`` gives the R rows of the chunk ``sl`` of pairs (i1, i2).
 
     Returns (N, Rbar, C, T): the pair count, the mean response, the
     centred cross-products sum (R - Rbar)'(R - Rbar), and the (n, 2)
-    per-subject sums of R over own pairs.  Each chunk's mean and centred
-    cross-products are merged into the running ones as in Chan, Golub and
-    LeVeque (1979), so no array beyond a chunk's rows is made.
+    per-subject sums of R over own pairs.  Each chunk's part is merged
+    into the running ones in chunk order as in Chan, Golub and LeVeque
+    (1979), so no array beyond a chunk's rows is made.
     """
-    N, Rbar, C, T = 0, 0.0, 0.0, 0.0    # the first chunk's merge sets them
-    for i1, i2, R in chunks:
-        m = len(R)
-        mean = R.sum(axis=0) / m
-        dev = R - mean
-        delta = mean - Rbar
-        Rbar = Rbar + delta * (m / (N + m))
-        C = C + dev.T @ dev + np.outer(delta, delta) * (N * m / (N + m))
-        T = T + interleaved_accumulate(n, i1, i2, R)
-        N += m
-    return N, Rbar, C, T
+    with pass_workers(lambda: partial(_moment_part, n, rows),
+                      checked_pair_count(n)) as workers:
+        return workers.fold(_moment_merge, (0, 0.0, 0.0, 0.0))   # the first part sets them
 
 
-def _moment_bind(model, n: int, chunks, beta=None) -> _Bound:
-    """``_bind`` of a moment model whose responses arrive as ``chunks``
-    (see ``_moment_stats``).
+def _moment_part(n: int, rows, sl: slice):
+    i1, i2 = pair_indices(n, sl.start, sl.stop)
+    R = rows(sl, i1, i2)
+    # the sequential sum of R.sum(axis=0), without its strided reduction
+    mean = np.cumsum(R, axis=0)[-1] / len(R)
+    dev = R - mean
+    return len(R), mean, dev.T @ dev, interleaved_accumulate(n, i1, i2, R)
+
+
+def _moment_merge(stats, part):
+    N, Rbar, C, T = stats
+    m, mean, dev2, sums = part
+    delta = mean - Rbar
+    return (N + m, Rbar + delta * (m / (N + m)),
+            C + dev2 + np.outer(delta, delta) * (N * m / (N + m)), T + sums)
+
+
+def _moment_bind(model, n: int, rows, beta=None) -> _Bound:
+    """``_bind`` of a moment model whose responses are ``rows`` (see
+    ``_moment_stats``).
 
     With V = diag(C) / (N - 1), the working variance of each component,
     and W = D' V^-1, every pair quantity sums in closed form:
@@ -462,7 +475,7 @@ def _moment_bind(model, n: int, chunks, beta=None) -> _Bound:
         per-subject score sums (T - (n - 1) h) W',
         Z2 = W [C + N (Rbar - h)(Rbar - h)'] W'.
     """
-    N, Rbar, C, T = _moment_stats(n, chunks)
+    N, Rbar, C, T = _moment_stats(n, rows)
     V = _response_variance(N, lambda: np.diag(C) / (N - 1), "the moment model")
     names = model.param_names
     beta = model.init_theta(Rbar) if beta is None else beta
@@ -604,40 +617,50 @@ def _collinearity_check(x: np.ndarray, intercept: bool) -> None:
 
 
 def _check_conditioning(M: np.ndarray, what: str) -> None:
-    cond = np.linalg.cond(M)
+    # np.linalg.cond without its wrapper: the singular values descend, and
+    # a smallest one of 0, or NaN (an infinite entry), gives its inf
+    s = np.linalg.svd(M, compute_uv=False)
+    cond = s[0] / s[-1] if s[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularInformation(
             f"{what} is numerically singular (cond={cond:.3g})", cond=cond)
 
 
 def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
-            start=None):
+            start=None, sandwich: bool = False):
     """Scoring loop; steps are halved while the quasi-objective decreases.
 
-    ``evaluate(beta)`` returns (quasi-objective, U, J) from one pass, so
-    the accepted candidate's U and J are already at hand; ``start`` is
-    that triple at ``beta0`` when the caller has it already.  A point
-    whose quasi-objective or J is not finite is an EvaluationError; at a
-    trial step it is halved.
+    ``evaluate(beta, sandwich)`` is one pass (``_Bound.evaluate``), so the
+    accepted candidate's U and J are already at hand; ``start`` is that
+    pass at ``beta0`` when the caller has it already.  With ``sandwich`` a
+    step predicted to converge (eq_norm^2 / the last eq_norm <= tol_eq)
+    evaluates its first candidate with the sandwich sums, returned last
+    when a pass at the returned beta made them (else None).  A point whose
+    quasi-objective or J is not finite is an EvaluationError; at a trial
+    step it is halved.
     """
-    def point(beta, sums=None):
+    def point(beta, sums=None, sandwich=False):
         # an overflow in the residuals' squares and products gives a
         # non-finite quasi-objective or J, raised here, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            m, U, J = evaluate(beta) if sums is None else sums
+            sums = evaluate(beta, sandwich) if sums is None else sums
+        m, U, J = sums[:3]
         if not np.isfinite(m):
             raise EvaluationError("quasi-objective is not finite")
         if not np.all(np.isfinite(J)):
             raise EvaluationError("scoring matrix is not finite")
-        return m, U, J
+        return m, U, J, sums if len(sums) > 3 else None
 
     beta = beta0.copy()
-    m, U, J = point(beta, start)
+    m, U, J, sums = point(beta, start)
     flagged = 0
     for iterations in range(config.max_iter + 1):
         eq_norm = float(np.max(np.abs(U))) / n_pairs
         if eq_norm <= config.tol_eq or iterations == config.max_iter:
             break
+        predicted = (sandwich and iterations > 0   # the first step has no last
+                     and eq_norm * eq_norm / previous <= config.tol_eq)
+        previous = eq_norm
         _check_conditioning(J, "scoring matrix")
         step = np.linalg.solve(J, U)
         lam = 1.0
@@ -650,7 +673,7 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
                 lam *= 0.5
                 continue
             try:
-                m2, U2, J2 = point(cand)
+                m2, U2, J2, sums2 = point(cand, sandwich=predicted and halving == 0)
             except EvaluationError as exc:
                 last_err = exc
                 lam *= 0.5
@@ -658,14 +681,14 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
             if m2 >= m - slack or halving == MAX_HALVINGS:
                 if m2 < m - slack:
                     flagged += 1
-                accepted = (cand, m2, U2, J2)
+                accepted = (cand, m2, U2, J2, sums2)
                 break
             lam *= 0.5
         if accepted is None:
             raise last_err if last_err is not None else EvaluationError(
                 "step halving failed to produce an evaluable iterate")
-        beta, m, U, J = accepted
-    return beta, eq_norm, iterations, eq_norm <= config.tol_eq, flagged
+        beta, m, U, J, sums = accepted
+    return beta, eq_norm, iterations, eq_norm <= config.tol_eq, flagged, sums
 
 
 def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitResult:
@@ -683,29 +706,30 @@ def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitRes
 
 def _fit(bound: _Bound, config: FitConfig) -> FitResult:
     """``_solve`` and the sandwich, both from the one binding ``bound``."""
-    return _with_sandwich(bound, _solve(bound, config))
+    return _with_sandwich(bound, *_solve(bound, config, sandwich=True))
 
 
-def _solve(bound: _Bound, config: FitConfig, start=None) -> FitResult:
+def _solve(bound: _Bound, config: FitConfig, start=None, sandwich: bool = False):
     """``solve_ugee`` from the start ``bound.beta`` up to the sandwich: a
     converged result comes back with ``cov_beta``, ``b_matrix`` and
-    ``sigma_u`` left None for the caller to fill; NonConvergence still
+    ``sigma_u`` left None for the caller to fill, with the sums of
+    ``_newton``, whose ``start`` and ``sandwich`` these are; NonConvergence
     carries a result with its sandwich.  Of ``config`` only the tolerance
-    and the iteration budget are read; ``start`` is as for ``_newton``."""
+    and the iteration budget are read."""
     q = len(bound.names)
     if bound.n < q + 1:
         raise InputError(f"need at least {q + 1} subjects to fit {q} parameters")
-    beta, eq_norm, iterations, converged, flagged = _newton(
-        bound.evaluate, bound.beta, bound.n_pairs, config, start)
+    beta, eq_norm, iterations, converged, flagged, sums = _newton(
+        bound.evaluate, bound.beta, bound.n_pairs, config, start, sandwich)
     result = FitResult(
         beta=beta, cov_beta=None, b_matrix=None, sigma_u=None, eq_norm=eq_norm,
         iterations=iterations, converged=converged, n_subjects=bound.n,
         n_pairs=bound.n_pairs, flagged_steps=flagged, param_names=bound.names)
 
     if converged:
-        return result
+        return result, sums
     try:
-        result = _with_sandwich(bound, result)
+        result = _with_sandwich(bound, result, sums)
     except (EvaluationError, SingularInformation):
         result = None
     raise NonConvergence(
@@ -862,8 +886,8 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     estimation alternates with re-solving until it settles; NonConvergence
     carries the trace of its iterates if it does not.  ``iterations`` is
     summed over all solves.  One worker set serves every pass, and the
-    last nb round's start, whose solve usually takes no step, is evaluated
-    with the sandwich sums, which are then reused.
+    last round's solve ends in the sandwich sums (see ``_newton``), from
+    its start on for nb, whose last solve usually takes no step.
 
     An nb fit over at least ``WARM_PAIRS`` pairs without a given
     ``init_beta`` starts warm: from the beta and tau at which the rounds
@@ -920,14 +944,15 @@ def _adaptive(bound: _Bound, kind: str, config: FitConfig,
     """``adaptive_fit`` of a model with a ``kind`` nuisance on ``bound``,
     whose checks ran once, from the nuisance ``bound.value`` on.  Each
     round is ``bound`` with the new nuisance and the last solution as its
-    start.  With ``sandwich`` the last nb round's start is evaluated with
-    the sandwich sums, which the sandwich reuses when that round takes no
-    step; without, no sandwich pass is made and the result (also that of
-    the NonConvergence of rounds that do not settle) has no sandwich."""
+    start.  With ``sandwich`` the one solve of constant and the settled nb
+    round's, from its start on, end in the sandwich sums (propmean's is
+    at the new tau2); without, no sandwich pass is made and the result
+    (also that of the NonConvergence of rounds that do not settle) has no
+    sandwich."""
     trace = [bound.value]
-    result = _solve(bound, config)
+    result, sums = _solve(bound, config, sandwich=sandwich and kind == "constant")
     iterations = result.iterations
-    rounds, done, sums = 1, True, None
+    rounds, done = 1, True
     if kind == "propmean":
         bound = bound._replace(value=_nuisance(kind, bound, result.beta), beta=result.beta)
     elif kind == "nb":
@@ -936,14 +961,12 @@ def _adaptive(bound: _Bound, kind: str, config: FitConfig,
             trace.append(new)
             done = _nuisance_close(new, bound.value)
             bound = bound._replace(value=new, beta=result.beta)
-            if done and sandwich:
-                sums = bound.evaluate(bound.beta, sandwich=True)
-            result = _solve(bound, config, None if sums is None else sums[:3])
+            last = done and sandwich
+            start = bound.evaluate(bound.beta, sandwich=True) if last else None
+            result, sums = _solve(bound, config, start, last)
             iterations += result.iterations
             if done:
                 break
-    if result.iterations:   # the sums are at the start, not at the solution
-        sums = None
     result = dataclasses.replace(result, iterations=iterations)
     if sandwich:
         result = _with_sandwich(bound, result, sums)
@@ -974,23 +997,24 @@ def fit_icc(ratings: np.ndarray, config: FitConfig | None = None) -> FitResult:
     """Agreement fit: returns (tau2, rho) with sandwich covariance.
 
     The result equals ``solve_ugee(IccModel(K), icc_pair_data(ratings))``
-    bit for bit, but the agreement responses are evaluated one pair chunk
-    at a time into the model's sufficient statistics, so no ``PairData``
-    is built and the fit holds O(n + ``ustat.CHUNK_PAIRS``) values.
+    bit for bit, but the agreement responses are evaluated a pair chunk at
+    a time into the sufficient statistics (``_moment_stats``), so no
+    ``PairData`` is built and the fit holds O(n + ``CHUNK_PAIRS``) values.
     """
     ratings = _rating_matrix(ratings)
-    model, kernel = IccModel(raters=ratings.shape[1]), Kernel.icc()
+    model = IccModel(raters=ratings.shape[1])
     config = config or FitConfig()
+    with np.errstate(over="ignore", invalid="ignore"):   # raised below
+        responses = _responses_of(Kernel.icc(), ratings)
 
-    def chunks():
-        for _, i1, i2 in pair_chunks(len(ratings)):
-            with np.errstate(over="ignore", invalid="ignore"):   # raised below
-                f = pairwise_responses(kernel, ratings, i1, i2)
-            if not np.all(np.isfinite(f)):
-                raise InputError("pair data must be finite")
-            yield i1, i2, model.responses(f)
+    def rows(sl, i1, i2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = responses(i1, i2)
+        if not np.all(np.isfinite(f)):
+            raise InputError("pair data must be finite")
+        return model.responses(f)
 
-    return _fit(_moment_bind(model, len(ratings), chunks(), config.init_beta), config)
+    return _fit(_moment_bind(model, len(ratings), rows, config.init_beta), config)
 
 
 def fit_mean_variance(data: PairData, config: FitConfig | None = None) -> FitResult:

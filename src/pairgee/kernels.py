@@ -178,22 +178,30 @@ def pairwise_responses(kernel: Kernel, Y: np.ndarray,
     """Evaluate a kernel over an index array of pairs.
 
     Returns shape (n_pairs,) for scalar kernels and (n_pairs, d) otherwise.
-    A built-in kernel computes its per-call transform once (``clr`` for
-    aitchison, the row means for icc) and fills one preallocated output
-    ``ustat.CHUNK_PAIRS`` pairs at a time, so its temporaries are O(chunk x
-    outcome length) for any pair count.  Custom kernels run per pair and
-    wrap failures with the offending pair index.  The ``mww`` and
-    ``sqhalfdiff`` kernels take one outcome column; a 1-d ``Y`` is read as
-    one.  An index outside the rows of ``Y`` is an InputError.
+    A built-in kernel fills one preallocated output ``ustat.CHUNK_PAIRS``
+    pairs at a time, so its temporaries are O(chunk x outcome length) for
+    any pair count.  Custom kernels run per pair and wrap failures with
+    the offending pair index.  The ``mww`` and ``sqhalfdiff`` kernels take
+    one outcome column; a 1-d ``Y`` is read as one.  An index outside the
+    rows of ``Y`` is an InputError.
     """
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
     lo = min(i1.min(initial=0), i2.min(initial=0))
     hi = max(i1.max(initial=0), i2.max(initial=0))
     if lo < 0 or hi >= len(Y):
         raise InputError(f"pair index {lo if lo < 0 else hi} is outside the "
                          f"{len(Y)} subjects")
+    return _responses_of(kernel, Y)(i1, i2)
+
+
+def _responses_of(kernel: Kernel, Y: np.ndarray):
+    """``responses(i1, i2)``: ``pairwise_responses(kernel, Y, i1, i2)`` for
+    indices known to be rows of ``Y``, with the kernel's checks of ``Y``
+    and its per-call transform (``clr`` for aitchison, the row means and
+    rater columns for icc) made once, here, for all the chunks of a build."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
     if kernel.kind in ("mww", "sqhalfdiff") and Y.shape[1] != 1:
         raise InputError(f"{kernel.kind} kernel needs one outcome column, "
                          f"got {Y.shape[1]}")
@@ -224,29 +232,42 @@ def pairwise_responses(kernel: Kernel, Y: np.ndarray,
     elif kernel.kind == "icc":
         if Y.shape[1] < 2:
             raise InputError("agreement kernel needs at least 2 raters")
-        m1 = Y.mean(axis=1)
+        m1, raters = Y.mean(axis=1), np.ascontiguousarray(Y.T)
 
         def part(a, b):
+            # one 1-d gather per rater and the squares added in rater order:
+            # the bits of np.mean((Y[a] - Y[b]) ** 2, axis=1) up to 7 raters
+            d = raters[0][a] - raters[0][b]
+            total = d * d
+            for col in raters[1:]:
+                d = col[a] - col[b]
+                total += d * d
             return np.column_stack([0.5 * (m1[a] - m1[b]) ** 2,
-                                    0.5 * np.mean((Y[a] - Y[b]) ** 2, axis=1)])
+                                    0.5 * (total / len(raters))])
     else:
-        out = np.empty((len(i1), kernel.output_dim))
-        for k in range(len(i1)):
-            a, b = int(i1[k]), int(i2[k])
-            try:
-                val = kernel.func(Y[a], Y[b])
-            except Exception as exc:  # noqa: BLE001 - propagate with pair context
-                raise EvaluationError(f"custom kernel failed on pair ({a}, {b}): "
-                                      f"{exc}", pair=(a, b)) from exc
-            out[k] = val
-        if not np.all(np.isfinite(out)):
-            bad = int(np.argmax(~np.isfinite(out).all(axis=1)))
-            raise EvaluationError(
-                f"custom kernel returned a non-finite value on pair "
-                f"({int(i1[bad])}, {int(i2[bad])})", pair=(int(i1[bad]), int(i2[bad])))
-        return out[:, 0] if kernel.output_dim == 1 else out
-    out = np.empty((len(i1), 2) if kernel.kind == "icc" else len(i1))
-    for lo in range(0, len(i1), ustat.CHUNK_PAIRS):
-        sl = slice(lo, lo + ustat.CHUNK_PAIRS)
-        out[sl] = part(i1[sl], i2[sl])
-    return out
+        def responses(i1, i2):
+            out = np.empty((len(i1), kernel.output_dim))
+            for k in range(len(i1)):
+                a, b = int(i1[k]), int(i2[k])
+                try:
+                    val = kernel.func(Y[a], Y[b])
+                except Exception as exc:  # noqa: BLE001 - propagate with pair context
+                    raise EvaluationError(f"custom kernel failed on pair ({a}, {b}): "
+                                          f"{exc}", pair=(a, b)) from exc
+                out[k] = val
+            if not np.all(np.isfinite(out)):
+                bad = int(np.argmax(~np.isfinite(out).all(axis=1)))
+                raise EvaluationError(
+                    f"custom kernel returned a non-finite value on pair "
+                    f"({int(i1[bad])}, {int(i2[bad])})", pair=(int(i1[bad]), int(i2[bad])))
+            return out[:, 0] if kernel.output_dim == 1 else out
+        return responses
+
+    def responses(i1, i2):
+        out = np.empty((len(i1), 2) if kernel.kind == "icc" else len(i1))
+        for lo in range(0, len(i1), ustat.CHUNK_PAIRS):
+            sl = slice(lo, lo + ustat.CHUNK_PAIRS)
+            out[sl] = part(i1[sl], i2[sl])
+        return out
+
+    return responses

@@ -133,10 +133,12 @@ def pair_covariate_matrix(spec: PairCovariate, X: np.ndarray,
     order within a pair is irrelevant.
     """
     X = np.asarray(X, dtype=float)
-    if spec.transform == "difference":
-        return X[i1] - X[i2]
-    if spec.transform == "sum":
-        return X[i1] + X[i2]
+    if spec.transform in ("difference", "sum"):   # a 1-d gather per column, not per row
+        op = np.subtract if spec.transform == "difference" else np.add
+        out = np.empty((len(i1), X.shape[1]))
+        for j, col in enumerate(X.T):
+            op(col[i1], col[i2], out=out[:, j])
+        return out
     if spec.transform == "concatenate":
         return np.hstack([X[i1], X[i2]])
     if X.shape[1] != 1:

@@ -352,7 +352,7 @@ def nb_working_mle(data: PairData) -> MleResult:
                 solve = bound._replace(beta=beta, value=tau)
                 sums = solve.evaluate(beta)   # the solve's start, passed on to it
                 tol = _MLE_REL_TOL * float(np.max(np.diag(sums[2]))) / bound.n_pairs
-                beta = _solve(solve, FitConfig(tol_eq=tol, max_iter=400), sums).beta
+                beta = _solve(solve, FitConfig(tol_eq=tol, max_iter=400), sums)[0].beta
                 start = _nuisance("nb", bound, beta) if it == 1 else tau
                 tau, loglik = _nb_profile_tau(bound, beta, start, counts, weights)
                 tau_moved = (abs(np.log(tau) - np.log(tau_old)) > 1e-6

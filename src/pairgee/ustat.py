@@ -17,8 +17,9 @@ Determinism
 Reductions over pairs run in fixed-size chunks (``CHUNK_PAIRS`` pairs)
 whose partial sums are added to a running total in chunk order, with
 numpy's bundled OpenBLAS on one thread (a multithreaded BLAS splits a dot
-product's sum by thread).  Each is a pass of a ``pass_workers`` set, the
-one that ``fit._bind`` opens for all the passes of a call.  With that
+product's sum by thread).  Each is a pass of a ``pass_workers`` set: the
+one that ``fit._bind`` opens for all the passes of a call, or the one of
+a moment model's statistics (``fit._moment_stats``).  With that
 OpenBLAS, the passes over at least ``FORK_PAIRS`` pairs have their chunks
 evaluated on the usable CPUs, chunk k by worker k mod W, worker 0 being
 the calling process and the others children that the set forks once, at
@@ -66,13 +67,18 @@ def enumerate_pairs(n: int) -> np.ndarray:
 
     Returns an (n(n-1)/2, 2) int array.
     """
-    if n < 2:
-        raise InputError(f"need at least 2 subjects to form pairs, got {n}")
-    return np.column_stack(pair_indices(n, 0, pair_count(n)))
+    return np.column_stack(pair_indices(n, 0, checked_pair_count(n)))
 
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def checked_pair_count(n: int) -> int:
+    """``pair_count(n)``; fewer than 2 subjects is an InputError."""
+    if n < 2:
+        raise InputError(f"need at least 2 subjects to form pairs, got {n}")
+    return pair_count(n)
 
 
 def _row_start(n: int, a):
@@ -123,10 +129,8 @@ def pair_chunks(n: int):
     """An iterator of (slice, i1, i2) over the ``chunk_slices`` of
     ``enumerate_pairs(n)`` in order, decoding one slice at a time.  Fewer
     than 2 subjects is an InputError at the call."""
-    if n < 2:
-        raise InputError(f"need at least 2 subjects to form pairs, got {n}")
     return ((sl, *pair_indices(n, sl.start, sl.stop))
-            for sl in chunk_slices(pair_count(n)))
+            for sl in chunk_slices(checked_pair_count(n)))
 
 
 def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray,
@@ -164,9 +168,11 @@ def pass_workers(bind, n_items: int):
     """A set of workers for the passes of one fit over ``n_items`` items.
 
     ``bind(*task)`` returns the chunk function of a pass, ``fn(slice)``,
-    a tuple of arrays (or scalars); ``reduce(*task)`` adds those of the
-    ``chunk_slices`` of ``range(n_items)`` in chunk order and raises the
-    first exception in chunk order.  The block runs with numpy's bundled
+    whose part is a tuple of arrays (or scalars); ``reduce(*task)`` adds
+    the parts of the ``chunk_slices`` of ``range(n_items)`` in chunk
+    order, and ``fold(merge, total, *task)`` merges them into ``total`` in
+    chunk order, ``total = merge(total, part)``.  Both raise the first
+    exception in chunk order.  The block runs with numpy's bundled
     OpenBLAS on one thread.
 
     At the first pass over at least ``FORK_PAIRS`` items, with that
@@ -190,11 +196,8 @@ def pass_workers(bind, n_items: int):
             workers.close()
 
 
-def _add_in_order(parts):
-    total = None
-    for part in parts:
-        total = part if total is None else tuple(t + p for t, p in zip(total, part))
-    return tuple(total)
+def _add(total, part):
+    return part if total is None else tuple(t + p for t, p in zip(total, part))
 
 
 class _Workers:
@@ -209,6 +212,9 @@ class _Workers:
         self.size, self.children = 0, []
 
     def reduce(self, *task):
+        return tuple(self.fold(_add, None, *task))
+
+    def fold(self, merge, total, *task):
         if self.n_items == 0:
             raise InputError("nothing to reduce over")
         slices = chunk_slices(self.n_items)
@@ -219,7 +225,9 @@ class _Workers:
                     _send(tasks, (task, np.geterr()))
                 except BrokenPipeError:
                     pass   # an ended worker: reading its first part says so
-            return _add_in_order(self._parts(self.bind(*task), slices))
+            for part in self._parts(self.bind(*task), slices):
+                total = merge(total, part)
+            return total
         except BaseException:
             self.close()
             raise
@@ -426,18 +434,20 @@ def ustatistic_mean(kernel, data) -> float | np.ndarray:
     """Average of a pairwise kernel over all subject pairs.
 
     ``data`` is a sequence of SubjectRecord or an outcome array with one
-    subject per row (1-d: one outcome per subject).  Each ``CHUNK_PAIRS``-pair slice is evaluated by one
-    ``pairwise_responses`` call and summed, and the sums are added in
-    chunk order.  Returns a float for scalar kernels, else a vector.
+    subject per row (1-d: one outcome per subject).  The kernel is set up
+    once, each ``CHUNK_PAIRS``-pair slice is evaluated and summed, and the
+    sums are added in chunk order.  Returns a float or, else, a vector.
     """
-    from .kernels import pairwise_responses
+    from .kernels import _responses_of
     from .model import SubjectRecord, stack_subjects
 
     Y = (stack_subjects(data)[1] if len(data) and isinstance(data[0], SubjectRecord)
          else np.asarray(data, dtype=float))
+    chunks = pair_chunks(Y.shape[0])
+    responses = _responses_of(kernel, Y)
     total = None
-    for _, i1, i2 in pair_chunks(Y.shape[0]):
-        part = np.sum(pairwise_responses(kernel, Y, i1, i2).reshape(len(i1), -1), axis=0)
+    for _, i1, i2 in chunks:
+        part = np.sum(responses(i1, i2).reshape(len(i1), -1), axis=0)
         total = part if total is None else total + part
     mean = total / pair_count(Y.shape[0])
     return float(mean[0]) if kernel.output_dim == 1 else mean

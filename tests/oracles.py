@@ -321,16 +321,35 @@ def pair_covariate_by_hand(transform, x1, x2, levels=0):
 # of ``np.triu_indices``.  The chunked builders must match them byte for
 # byte.
 
+def icc_rows_gathered(Y, i1, i2):
+    """The agreement responses of the pairs (i1, i2) from gathers of whole
+    rating rows, as the kernel first evaluated them: np.mean over each
+    pair's squared rater gaps."""
+    m1 = Y.mean(axis=1)
+    return np.column_stack([0.5 * (m1[i1] - m1[i2]) ** 2,
+                            0.5 * np.mean((Y[i1] - Y[i2]) ** 2, axis=1)])
+
+
+def pair_sums_gathered(transform, X, i1, i2):
+    """The ``difference`` or ``sum`` covariates of the pairs (i1, i2) from
+    gathers of whole covariate rows, as they were first built."""
+    return X[i1] - X[i2] if transform == "difference" else X[i1] + X[i2]
+
+
 def full_array_subject_pairs(kernel, Y, X=None, pair_covariate=None):
-    """(x, f) of the complete dataset of the subjects in the rows of Y."""
+    """(x, f) of the complete dataset of the subjects in the rows of Y; the
+    icc responses and the difference and sum covariates by row gathers."""
     from pairgee.kernels import pairwise_responses
     from pairgee.model import pair_covariate_matrix
 
     i1, i2 = np.triu_indices(len(Y), k=1)
-    f = pairwise_responses(kernel, Y, i1, i2)
-    x = (np.empty((len(i1), 0)) if pair_covariate is None
-         else pair_covariate_matrix(pair_covariate, X, i1, i2))
-    return x, f
+    f = (icc_rows_gathered(Y, i1, i2) if kernel.kind == "icc"
+         else pairwise_responses(kernel, Y, i1, i2))
+    if pair_covariate is None:
+        return np.empty((len(i1), 0)), f
+    if pair_covariate.transform in ("difference", "sum"):
+        return pair_sums_gathered(pair_covariate.transform, X, i1, i2), f
+    return pair_covariate_matrix(pair_covariate, X, i1, i2), f
 
 
 def full_array_nb_scenario(n, seed, tau=10.0, beta0=3.0, beta1=3.0, a=0.0, b=1.0):
@@ -341,10 +360,10 @@ def full_array_nb_scenario(n, seed, tau=10.0, beta0=3.0, beta1=3.0, a=0.0, b=1.0
     rng = make_rng(seed)
     xs = rng.uniform(a, b, size=n)
     i1, i2 = np.triu_indices(n, k=1)
-    xp = xs[i1] + xs[i2]
-    mu = np.exp(beta0 + beta1 * xp)
+    xp = pair_sums_gathered("sum", xs[:, None], i1, i2)
+    mu = np.exp(beta0 + beta1 * xp[:, 0])
     f = rng.poisson(rng.gamma(shape=tau, scale=mu / tau)).astype(float)
-    return xp[:, None], f
+    return xp, f
 
 
 def full_array_linear_pair_data(d):

@@ -372,14 +372,20 @@ def test_distance_cells_are_the_repr_of_each_distance(tmp_path, monkeypatch, ful
                                                       chunk_pairs):
     # a chunk size that splits both layouts into at least 3 chunks
     chunk_pairs(5)
-    evaluated, sizes = [], []
+    evaluated, sizes, setups = [], [], []
+    responses_of = pairgee.cli._responses_of
 
-    def counting(kernel, Y, i1, i2):
-        evaluated.extend(zip(np.asarray(i1).tolist(), np.asarray(i2).tolist()))
-        sizes.append(len(i1))
-        return pairwise_responses(kernel, Y, i1, i2)
+    def counting(kernel, Y):
+        setups.append(kernel)
+        responses = responses_of(kernel, Y)
 
-    monkeypatch.setattr(pairgee.cli, "pairwise_responses", counting)
+        def evaluate(i1, i2):
+            evaluated.extend(zip(np.asarray(i1).tolist(), np.asarray(i2).tolist()))
+            sizes.append(len(i1))
+            return responses(i1, i2)
+        return evaluate
+
+    monkeypatch.setattr(pairgee.cli, "_responses_of", counting)
     counts = make_rng(5).poisson(3.0, size=(7, 4)) + np.eye(7, 4, dtype=int)
     ids = [f"s{k}" for k in range(7)]
     path = _write(tmp_path, "ab.csv", "id,t1,t2,t3,t4\n" + "".join(
@@ -402,9 +408,9 @@ def test_distance_cells_are_the_repr_of_each_distance(tmp_path, monkeypatch, ful
                 i1, i2, pairwise_responses(Kernel.aitchison(), comps, i1, i2).tolist())]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
     # each of the n(n-1)/2 distances is computed once, also for --full, one
-    # chunk of pairs per kernel call
+    # chunk of pairs per kernel call, from a kernel set up once
     assert sorted(evaluated) == list(zip(*np.triu_indices(7, k=1)))
-    assert sizes == [5, 5, 5, 5, 1]
+    assert sizes == [5, 5, 5, 5, 1] and setups == [Kernel.aitchison()]
 
 
 @pytest.mark.parametrize("module", ["pairgee"] + sorted(

@@ -351,13 +351,16 @@ def test_ustat_chunk_size_alone_sets_every_pass_over_pairs(monkeypatch, tmp_path
             self.gamma = recording(self.rng.gamma, lambda shape, scale: len(scale))
             self.poisson = recording(self.rng.poisson, len)
 
+    def recording_kernel(setup):
+        # the kernel is set up once per call; its evaluations are recorded
+        return lambda kernel, Y: recording(setup(kernel, Y), lambda i1, i2: len(i1))
+
     for owner, name, pairs_of in [
             (pairgee.fit, "link_mean_deriv", lambda kind, eta: len(eta)),
-            (pairgee.fit, "pairwise_responses", lambda k, Y, i1, i2: len(i1)),
-            (pairgee.fit, "pair_covariate_matrix", lambda s, X, i1, i2: len(i1)),
-            (pairgee.kernels, "pairwise_responses", lambda k, Y, i1, i2: len(i1)),
-            (pairgee.cli, "pairwise_responses", lambda k, Y, i1, i2: len(i1))]:
+            (pairgee.fit, "pair_covariate_matrix", lambda s, X, i1, i2: len(i1))]:
         monkeypatch.setattr(owner, name, recording(getattr(owner, name), pairs_of))
+    for owner in (pairgee.fit, pairgee.kernels, pairgee.cli):
+        monkeypatch.setattr(owner, "_responses_of", recording_kernel(owner._responses_of))
     nb = gen_nb_scenario(30, 2)
     model = FrmModel(link="exp", working_variance=WorkingVariance("nb", 4.0),
                      intercept=True)
@@ -1031,9 +1034,9 @@ def test_adaptive_nb_iterations_sum_over_rounds(monkeypatch):
     original = fit_module._solve
 
     def recording(*args, **kwargs):
-        res = original(*args, **kwargs)
+        res, sums = original(*args, **kwargs)
         per_round.append(res.iterations)
-        return res
+        return res, sums
 
     monkeypatch.setattr(fit_module, "_solve", recording)
     res = adaptive_fit(model, data)
@@ -1181,8 +1184,10 @@ def test_kernel_responses_that_overflow_are_non_finite_pair_data(call):
 
 @pytest.mark.parametrize("name", ["icc", "mean-variance"])
 def test_a_moment_fit_reads_its_responses_once(name, monkeypatch):
-    # the solve and the sandwich share one pass of sufficient statistics
+    # the solve and the sandwich share one pass of sufficient statistics;
+    # it stays in this process, the only one whose chunks are recorded
     monkeypatch.setattr(pairgee.ustat, "CHUNK_PAIRS", 7)
+    monkeypatch.setattr(pairgee.ustat, "FORK_PAIRS", 1 << 62)
     if name == "icc":
         model, data = IccModel(raters=3), icc_pair_data(gen_icc_ratings(20, 3, 4).ratings)
     else:
@@ -1476,6 +1481,36 @@ def test_a_singular_bread_matrix_stops_the_sandwich():
     assert err.value.cond == np.inf
 
 
+@pytest.mark.parametrize("M", [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.ones((3, 3))],
+                         ids=["zero", "rank-1-diagonal", "rank-1"])
+def test_a_singular_matrix_raises_without_a_runtime_warning(M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularInformation, match="^test matrix is numerically "
+                                                      "singular") as err:
+            pairgee.fit._check_conditioning(M, "test matrix")
+    assert err.value.cond > pairgee.fit.COND_LIMIT
+
+
+@pytest.mark.parametrize("M", [np.array([[2.0, 0.3], [0.3, 1e-3]]),
+                               np.diag([1.0, 1e-13]), np.zeros((2, 2)), np.ones((3, 3)),
+                               np.array([[np.inf, 1.0], [1.0, 1.0]]),
+                               np.array([[np.nan, 1.0], [1.0, 1.0]])],
+                         ids=["spd", "near-singular", "zero", "rank-1", "inf", "nan"])
+def test_the_condition_number_is_that_of_np_linalg_cond(M, monkeypatch):
+    # with every matrix over the limit, each raises with its number
+    monkeypatch.setattr(pairgee.fit, "COND_LIMIT", -1.0)
+    try:
+        expect = np.linalg.cond(M)
+    except np.linalg.LinAlgError:   # a NaN entry: the SVD does not converge
+        with pytest.raises(np.linalg.LinAlgError):
+            pairgee.fit._check_conditioning(M, "test matrix")
+        return
+    with pytest.raises(SingularInformation) as err:
+        pairgee.fit._check_conditioning(M, "test matrix")
+    assert np.float64(err.value.cond).tobytes() == np.float64(expect).tobytes()
+
+
 def test_nonconvergence_without_a_sandwich_carries_no_result():
     model, data = _vanishing_gradient_case()
     with pytest.raises(NonConvergence) as err:
@@ -1540,6 +1575,72 @@ def test_a_last_nb_round_that_steps_takes_a_fresh_sandwich(monkeypatch):
     fresh = sandwich_variance(_model("exp", "nb", True, res.nuisance), data, res.beta)
     assert [a.tobytes() for a in fresh] == [
         a.tobytes() for a in (res.cov_beta, res.b_matrix, res.sigma_u)]
+
+
+def _fresh_sandwich_bytes(model, data, res):
+    value = res.nuisance if model.working_variance.has_nuisance else None
+    model = _model(model.link, model.working_variance.kind, model.intercept, value)
+    return [a.tobytes() for a in sandwich_variance(model, data, res.beta)]
+
+
+def _sandwich_bytes(res):
+    return [a.tobytes() for a in (res.cov_beta, res.b_matrix, res.sigma_u)]
+
+
+_LAST_STEP_FITS = {
+    "solve_ugee": lambda data: (_model("exp", "poisson", True), data),
+    "adaptive-constant": lambda data: (_model("exp", "constant", True), data),
+}
+
+
+@pytest.mark.parametrize("fit", list(_LAST_STEP_FITS))
+def test_a_last_step_predicted_to_converge_ends_in_the_sandwich(fit, passes):
+    # its pass is the sandwich pass, so no sandwich pass trails the solve
+    model, data = _LAST_STEP_FITS[fit](gen_nb_scenario(40, 7))
+    res = adaptive_fit(model, data)
+    assert [kind for kind, _ in passes] == ["terms"] * res.iterations + ["sandwich"]
+    assert res.iterations > 1 and _sandwich_bytes(res) == _fresh_sandwich_bytes(
+        model, data, res)
+
+
+@pytest.mark.parametrize("fit", list(_LAST_STEP_FITS))
+def test_a_missed_prediction_costs_the_sandwich_extras_only(fit, passes, monkeypatch):
+    # the first step predicted to converge lowers the quasi-objective here,
+    # so it is halved: the solve goes on past its sandwich pass
+    pass_chunks = pairgee.fit._pass_chunks
+    missed = []
+
+    def lowered(model, data, kind, beta, value):
+        fn = pass_chunks(model, data, kind, beta, value)
+        if kind != "sandwich" or missed:
+            return fn
+        missed.append(beta)
+        return lambda sl: (fn(sl)[0] - 1e6, *fn(sl)[1:])
+
+    monkeypatch.setattr(pairgee.fit, "_pass_chunks", lowered)
+    model, data = _LAST_STEP_FITS[fit](gen_nb_scenario(40, 7))
+    res = adaptive_fit(model, data)
+    kinds = [kind for kind, _ in passes]
+    first = kinds.index("sandwich")
+    assert missed and kinds[first + 1] == "terms"
+    # the start, one pass per step, the halved candidate and, as without the
+    # prediction, a sandwich pass after the solve: here the step after the
+    # halving is not predicted to converge
+    assert len(kinds) == res.iterations + 3 and kinds[-2:] == ["terms", "sandwich"]
+    assert _sandwich_bytes(res) == _fresh_sandwich_bytes(model, data, res)
+
+
+def test_a_last_nb_round_that_steps_ends_in_the_sandwich(passes, monkeypatch):
+    # the settled round starts from its sandwich sums and its last step,
+    # predicted to converge, makes them again at the solution
+    monkeypatch.setattr(pairgee.fit, "_nuisance_close", lambda new, old: True)
+    model, data = _model("exp", "nb", True), gen_nb_scenario(40, 7)
+    res = adaptive_fit(model, data)
+    kinds = [kind for kind, _ in passes]
+    last_round = kinds[kinds.index("nuisance") + 1:]
+    steps = len(last_round) - 1
+    assert steps > 1 and last_round == ["sandwich"] + ["terms"] * (steps - 1) + ["sandwich"]
+    assert _sandwich_bytes(res) == _fresh_sandwich_bytes(model, data, res)
 
 
 # ------------------------------------------------------------- warm start

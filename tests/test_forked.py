@@ -23,9 +23,9 @@ import pairgee.ustat
 from pairgee import (EvaluationError, FitConfig, FrmModel, Kernel, NonConvergence,
                      PairCovariate, PairData, SingularInformation, SubjectRecord,
                      WorkingVariance, adaptive_fit, assemble_ugee, build_pairs,
-                     enumerate_pairs, estimate_nuisance, gen_mww_probit,
-                     gen_nb_scenario, make_rng, nb_working_mle, sandwich_variance,
-                     solve_ugee)
+                     enumerate_pairs, estimate_nuisance, fit_icc, gen_icc_ratings,
+                     gen_mww_probit, gen_nb_scenario, make_rng, nb_working_mle,
+                     sandwich_variance, solve_ugee)
 from pairgee.simulate import mww_pair_data
 from pairgee.ustat import pair_indices, pass_workers
 
@@ -87,6 +87,8 @@ def _fit_case(case):
                                working_variance=WorkingVariance("constant")),
                       _onehot_data()),
         "mle-nb": (None, nb),   # the working MLE, nb_working_mle
+        # the one pass of the moment statistics, 780 pairs in 16 chunks
+        "fit_icc": ("fit_icc", gen_icc_ratings(40, 4, 12).ratings),
     }
     return cases[case]
 
@@ -98,20 +100,23 @@ def _reduce(fn, n_items):
 
 
 def _fit_bytes(model, data):
-    """The bytes of ``adaptive_fit``'s estimates, or with no model those of
-    the working MLE's."""
-    if model is None:
+    """The bytes of ``adaptive_fit``'s estimates, with no model those of the
+    working MLE's, and with "fit_icc" those of ``fit_icc`` of the ratings."""
+    if model == "fit_icc":
+        res = fit_icc(data)
+    elif model is None:
         res = nb_working_mle(data)
         return [np.asarray(a).tobytes() for a in (res.beta, res.cov_beta, res.tau,
                                                   res.loglik)]
-    res = adaptive_fit(model, data)
+    else:
+        res = adaptive_fit(model, data)
     return [a.tobytes() for a in (res.beta, res.cov_beta, res.sigma_u, res.b_matrix)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("case", ["nb", "propmean", "constant", "userfixed",
                                   "mww-probitc-constant", "mww-probitc-bernoulli",
-                                  "onehot-k4", "mle-nb"])
+                                  "onehot-k4", "mle-nb", "fit_icc"])
 def test_forked_fits_equal_the_serial_fit_byte_for_byte(forking, case, workers):
     model, data = _fit_case(case)
     forking(None)
@@ -373,6 +378,14 @@ def test_an_nb_fit_forks_its_workers_once(forking, forks, passes):
     passes.clear()
     assert _fit_bytes(model, data) == serial
     assert len(forks) == 2 and len(passes) > 2 * len(forks)
+
+
+def test_fit_icc_forks_its_statistics_workers_once(forking, forks):
+    # the moment fit's one pass over pairs runs on a worker set of its own
+    ratings = _fit_case("fit_icc")[1]
+    forking(3)
+    fit_icc(ratings)
+    assert len(forks) == 2
 
 
 class Injected(Exception):

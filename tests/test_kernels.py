@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import pairgee.ustat
 from pairgee import (Composition, EvaluationError, InputError, Kernel,
-                     aitchison_distance, apply_pseudocount, pairwise_responses,
-                     ustatistic_mean)
+                     aitchison_distance, apply_pseudocount, icc_pair_data,
+                     pairwise_responses, ustatistic_mean)
 from pairgee.kernels import _close_counts
 
-from oracles import (aitchison_by_hand, icc_pair_by_hand, mww_by_hand,
+from oracles import (aitchison_by_hand, icc_pair_by_hand, icc_rows_gathered, mww_by_hand,
                      sq_half_diff_by_hand)
 
 
@@ -186,6 +186,20 @@ def test_icc_pair_kernel_values_and_symmetry():
 
 
 # ---------------------------------------------------- vectorised evaluation
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "chunkN"])
+@pytest.mark.parametrize("raters", [2, 3, 5])
+def test_icc_kernel_equals_the_row_gather_mean_byte_for_byte(raters, chunk, chunk_pairs):
+    # one gather per rater column, the squares added in rater order, gives
+    # the bits of np.mean over gathered rating rows
+    ratings = np.random.default_rng(raters).normal(size=(23, raters)) * [
+        10.0 ** k for k in range(raters)]
+    i1, i2 = np.triu_indices(23, k=1)
+    chunk_pairs(chunk or len(i1))
+    expect = icc_rows_gathered(ratings, i1, i2).tobytes()
+    assert pairwise_responses(Kernel.icc(), ratings, i1, i2).tobytes() == expect
+    assert icc_pair_data(ratings).f.tobytes() == expect
+
 
 def test_pairwise_responses_match_scalar_functions():
     rng = np.random.default_rng(5)

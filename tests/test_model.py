@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from pairgee import (EvaluationError, FrmModel, IccModel, InputError,
+from pairgee import (EvaluationError, FrmModel, IccModel, InputError, Kernel,
                      PairCovariate, PairData, SubjectRecord, WorkingVariance,
-                     icc_mean_map, link_mean_deriv, meanvar_mean_map,
+                     build_pairs, icc_mean_map, link_mean_deriv, meanvar_mean_map,
                      onehot_pair_labels, stack_subjects)
 from pairgee.fit import _chunk_mean
 from pairgee.links import link_complement
 from pairgee.model import augment, pair_covariate_matrix, variance_eval
 
-from oracles import central_diff, mean_and_gradient_by_hand, pair_covariate_by_hand
+from oracles import (central_diff, mean_and_gradient_by_hand, pair_covariate_by_hand,
+                     pair_sums_gathered)
 
 
 # ------------------------------------------------------------------ links
@@ -193,6 +194,24 @@ def test_pair_covariate_matrix_matches_per_pair():
     for k in range(len(i1)):
         assert np.array_equal(mat[k], pair_covariate_by_hand(
             "onehot", levels[i1[k]], levels[i2[k]], levels=3))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "chunkN"])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("transform", ["difference", "sum"])
+def test_difference_and_sum_equal_the_row_gathers_byte_for_byte(transform, p, chunk,
+                                                                 chunk_pairs):
+    # one gather per covariate column gives the bits of gathering whole rows
+    rng = np.random.default_rng(p)
+    X = rng.normal(size=(23, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+    i1, i2 = np.triu_indices(23, k=1)
+    chunk_pairs(chunk or len(i1))
+    expect = pair_sums_gathered(transform, X, i1, i2)
+    out = pair_covariate_matrix(PairCovariate(transform), X, i1, i2)
+    assert out.shape == expect.shape and out.tobytes() == expect.tobytes()
+    subjects = [SubjectRecord(k, y=[float(k % 5)], x=X[k]) for k in range(23)]
+    data = build_pairs(subjects, Kernel.mww(), PairCovariate(transform))
+    assert data.x.tobytes() == expect.tobytes()
 
 
 # ------------------------------------------------------ mean and gradient

@@ -192,7 +192,7 @@ def test_mww_pair_data_equal_covariates_probability_half():
 
 # ------------------------------------------------- pair data chunk by chunk
 
-@pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "default"])
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
 def test_pair_data_generators_match_the_full_array_oracle(chunk, chunk_pairs):
     # the rows are filled a chunk at a time, the nb draws included: the
     # bytes and the random stream equal drawing over all pairs at once
