@@ -4,8 +4,10 @@ The estimator solves
 
     sum over pairs of  D_i' V_i^-1 (f_i - h_i(beta))  =  0
 
-by Fisher scoring with step halving, where f_i is the pairwise response,
-h_i the model mean, D_i its beta-gradient and V_i a working variance.
+by Fisher scoring with step halving, or Newton's method for exp-link nb at
+finite tau, from one IRLS step for the exp link; f_i is the pairwise
+response, h_i the model mean, D_i its beta-gradient and V_i a working
+variance.
 Because every subject appears in n-1 pairs the pair scores are dependent;
 the covariance of the estimate is the sandwich built from per-subject
 projected scores (see ``ustat``), rescaled by the subject count.
@@ -215,7 +217,8 @@ def _subject_pairs(kernel: Kernel, Y: np.ndarray, X=None, pair_covariate=None,
 class FitConfig:
     """Settings of the scoring loop.
 
-    ``init_beta`` is the starting value (default: the model's own start).
+    ``init_beta`` is the starting value (default: the model's own start,
+    one IRLS step for the exp link, see ``_default_start``).
     An iterate has converged when max|U| / N <= ``tol_eq``, with U the
     estimating equations and N the pair count; the CLI's ``--tol`` sets
     it.  ``max_iter`` bounds the scoring iterations of one solve.
@@ -300,24 +303,29 @@ def _check_pairs(ok: np.ndarray, data: PairData, sl: slice, what: str,
 # increase when the response sits far above the fitted mean).
 
 def _quasi_objective(wv, f: np.ndarray, h: np.ndarray, r: np.ndarray,
-                     V: np.ndarray, comp: np.ndarray | None = None) -> float:
-    """Quasi-likelihood Q of one pair chunk; r = f - h, V = V(h) and, for
-    the bernoulli kind, comp = 1 - h."""
+                     V: np.ndarray, comp: np.ndarray | None = None):
+    """Quasi-likelihood Q of one pair chunk and a chunk array free to reuse;
+    r = f - h, V = V(h) and, for the bernoulli kind, comp = 1 - h."""
     if wv.kind in ("constant", "userfixed"):
-        return float(np.sum(-0.5 * r ** 2 / V))
+        t = -0.5 * r ** 2 / V
+        return float(t.sum()), t
     if wv.kind == "bernoulli":
         # V = h comp > 0 was checked, so both logs are finite; comp comes
         # from eta (links.link_complement), so it keeps its relative
         # precision where h rounds to 1
-        return float(np.sum(f * np.log(h) + (1.0 - f) * np.log(comp)))
+        t = f * np.log(h) + (1.0 - f) * np.log(comp)
+        return float(t.sum()), t
     if wv.kind == "nb" and wv.value is not None and np.isfinite(wv.value):
         # f log(h) - (f + tau) log(tau + h) without two sums that cancel at large f
         tau = wv.value
         t = tau + h
-        return float(f @ np.log(h / t) - tau * np.sum(np.log(t)))
+        u = np.log(h / t)
+        return float(f @ u - tau * np.log(t, out=t).sum()), t
     # poisson, propmean, and nb in its variance-equals-mean limit
     scale = (wv.value or 1.0) if wv.kind == "propmean" else 1.0
-    return float(np.sum(f * np.log(h) - h) / scale)
+    t = f * np.log(h)
+    t -= h
+    return float(t.sum() / scale), t
 
 
 def _chunk_mean(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
@@ -328,24 +336,47 @@ def _chunk_mean(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
     xt = augment(data.x[sl], model.intercept)
     eta = beta @ xt
     h, g = link_mean_deriv(model.link, eta)
-    _check_pairs(np.isfinite(h), data, sl, "non-finite mean", eta)
+    if not (np.isfinite(h.min()) and np.isfinite(h.max())):   # a NaN fails both
+        _check_pairs(np.isfinite(h), data, sl, "non-finite mean", eta)
     return xt, eta, h, g
 
 
-def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
-    """Quasi-objective, (q, chunk) pair scores and (q, q) scoring matrix of
-    one pair chunk, all three from one ``_chunk_mean`` and one working
-    variance."""
+def _nb_information(w: np.ndarray, r: np.ndarray, mu: np.ndarray, tau: float):
+    """The nb scoring weights ``w`` = mu tau / (tau + mu) scaled in place by
+    1 + r / (tau + mu), r = f - mu, to the observed information's, mu tau
+    (tau + f) / (tau + mu)^2; a pair with f < -tau, a negative factor, keeps w."""
+    d = tau + mu
+    np.divide(r, d, out=d)
+    d += 1.0
+    if d.min() < 0:
+        d[d < 0] = 1.0
+    w *= d
+    return w
+
+
+def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice,
+                 newton: bool = False):
+    """Quasi-objective, (q, chunk) pair scores and (q, q) matrix J of one
+    pair chunk, all three from one ``_chunk_mean`` and one working variance:
+    J = D'V^-1 D, or with ``newton`` (exp-link nb at finite tau) the observed
+    information -dU/dbeta (``_nb_information``): quadratic convergence."""
     xt, eta, h, g = _chunk_mean(model, data, beta, sl)
     wv = model.working_variance
     comp = link_complement(model.link, eta, h) if wv.kind == "bernoulli" else None
     V = variance_eval(wv, h, rows=sl, complement=comp)
-    _check_pairs(np.isfinite(V) & (V > 0), data, sl, "nonpositive working variance")
+    if not (V.min() > 0 and V.max() < np.inf):   # a NaN fails the first test
+        _check_pairs(np.isfinite(V) & (V > 0), data, sl, "nonpositive working variance")
     f = data.f[sl]
     r = f - h
-    s = xt * (g * r / V)
-    J = (xt * (g * g / V)) @ xt.T
-    return _quasi_objective(wv, f, h, r, V, comp), s, J
+    merit, w = _quasi_objective(wv, f, h, r, V, comp)
+    np.multiply(g, r, out=w)   # g r / V
+    w /= V
+    s = xt * w
+    np.multiply(g, g, out=w)   # g^2 / V
+    w /= V
+    if newton:
+        _nb_information(w, r, h, wv.value)
+    return merit, s, (xt * w) @ xt.T
 
 
 class _Bound(NamedTuple):
@@ -400,8 +431,9 @@ def _bind(model, data: PairData, beta=None):
     _collinearity_check(data.x, model.intercept)
     slopes = [f"beta{k + 1}" for k in range(data.x.shape[1])]
     names = tuple((["beta0"] if model.intercept else []) + slopes)
-    beta = _start(_default_init(model, data, q) if beta is None else beta, names)
+    given = None if beta is None else _start(beta, names)
     with pass_workers(partial(_pass_chunks, model, data), data.n_pairs) as workers:
+        beta = _default_start(model, data, q, workers.reduce) if given is None else given
         yield _Bound(workers.reduce, names, beta, data.n, data.n_pairs, wv.value)
 
 
@@ -499,27 +531,36 @@ def _pass_chunks(model: FrmModel, data: PairData, kind: str, beta: np.ndarray,
     """The chunk function of one pass of ``model`` on ``data`` at ``beta``,
     with the working variance's nuisance at ``value``.
 
-    ``kind`` "terms" gives each chunk's quasi-objective, score sum and J;
-    "sandwich" adds the chunk's per-subject score sums, its pairs decoded
-    by ``pair_indices``, and its Z2; "nuisance" gives the two sums of
-    ``_nuisance``; "profile", "likelihood" and "information" give sums of
-    the count likelihood at tau = ``value`` (``_likelihood_part``).
+    ``kind`` "terms" gives each chunk's quasi-objective, score sum and J
+    (the observed information for exp-link nb at finite tau); "sandwich"
+    gives J = D'V^-1 D and adds the chunk's per-subject score sums, its
+    pairs decoded by ``pair_indices``, and its Z2; "nuisance" gives the
+    two sums of ``_nuisance``; "profile", "likelihood" and "information"
+    give sums of the count likelihood at tau = ``value``
+    (``_likelihood_part``), "start" those of ``_start_part``.
     ``_chunk_terms`` gives each chunk's scores as a (q, chunk) array, so U
     and Z2 reduce contiguous rows.  The workers of a fit inherit ``model``
     and ``data``, so a pass sends them only kind, beta and value.
     """
     if kind in ("profile", "likelihood", "information"):
         return partial(_likelihood_part, model, data, beta, value, kind)
+    if kind == "start":
+        return partial(_start_part, model, data, value)
     if value != model.working_variance.value:
         model = _with_nuisance(model, value)
     if kind == "nuisance":
         return partial(_nuisance_part, model, data, beta)
-    return partial(_terms_part, model, data, beta, kind == "sandwich")
+    wv = model.working_variance
+    newton = (kind == "terms" and model.link == "exp" and wv.kind == "nb"
+              and (value or math.inf) < math.inf)
+    return partial(_terms_part, model, data, beta, kind == "sandwich", newton)
 
 
 def _terms_part(model: FrmModel, data: PairData, beta: np.ndarray, sandwich: bool,
-                sl: slice):
-    merit, s, J = _chunk_terms(model, data, beta, sl)
+                newton: bool, sl: slice):
+    # a stand-in for _chunk_terms with its four arguments serves all but nb
+    merit, s, J = (_chunk_terms(model, data, beta, sl, newton=True) if newton
+                   else _chunk_terms(model, data, beta, sl))
     if not sandwich:
         return merit, s.sum(axis=1), J
     i1, i2 = pair_indices(data.n, sl.start, sl.stop)
@@ -546,7 +587,7 @@ def _likelihood_part(model: FrmModel, data: PairData, beta: np.ndarray, tau: flo
         return np.sum(np.log1p(z) - z), np.sum(z * z / (tau + f))
     p = 1.0 / (1.0 + mu / tau)
     if kind == "information":
-        return ((xt * (mu * p * (1.0 + (f - mu) / (tau + mu)))) @ xt.T,)
+        return ((xt * _nb_information(mu * p, f - mu, mu, tau)) @ xt.T,)
     from scipy.special import gammaln
 
     return (np.sum(gammaln(f + tau) - gammaln(tau) + tau * np.log(p) + f * np.log1p(-p)),
@@ -578,10 +619,11 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray):
     (U, J).
 
     U = sum_i D_i' V_i^-1 (f_i - h_i)   and   J = sum_i D_i' V_i^-1 D_i,
-    accumulated over ``ustat.CHUNK_PAIRS``-pair chunks in index order.
+    accumulated over ``ustat.CHUNK_PAIRS``-pair chunks in index order by
+    a sandwich pass, whose J is D'V^-1 D for nb too (see ``_pass_chunks``).
     """
     with _bind(model, data, beta) as bound:
-        _, U, J = bound.evaluate(bound.beta)
+        _, U, J = bound.evaluate(bound.beta, sandwich=True)[:3]
     return U, J
 
 
@@ -589,20 +631,33 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray):
 # The scoring iteration
 # --------------------------------------------------------------------------- #
 
-def _default_init(model, data: PairData, q: int) -> np.ndarray:
+def _default_start(model: FrmModel, data: PairData, q: int, reduce) -> np.ndarray:
+    """Zeros, or for the exp link one IRLS step from mu0 = f + fbar / 100
+    (a "start" pass of ``reduce``); where fbar <= 0, some f < 0, or X'WX
+    is singular or the step not finite, log fbar on an intercept."""
     beta = np.zeros(q)
-    if model.link == "exp":
-        fbar = float(np.mean(data.f))
-        if fbar > 0:
-            if model.intercept:
-                beta[0] = np.log(fbar)
-            else:
-                x = data.x
-                onehot_like = (x.size and np.all((x == 0) | (x == 1))
-                               and np.allclose(x.sum(axis=1), 1.0))
-                if onehot_like:
-                    beta[:] = np.log(fbar)
+    fbar = float(np.mean(data.f)) if model.link == "exp" else 0.0
+    if fbar > 0 and data.f.min() >= 0:
+        A, b = reduce("start", None, 0.01 * fbar)
+        try:
+            _check_conditioning(A, "the start's X'WX")
+            start = np.linalg.solve(A, b)
+            if np.all(np.isfinite(start)):
+                return start
+        except (SingularInformation, np.linalg.LinAlgError):
+            pass
+    if fbar > 0 and model.intercept:
+        beta[0] = np.log(fbar)
     return beta
+
+
+def _start_part(model: FrmModel, data: PairData, offset: float, sl: slice):
+    """One chunk's X'WX and X'Wz at mu0 = f + ``offset``, W = mu0, z = log
+    mu0: f and offset scaled by c move the intercept by log c, no slope."""
+    xt = augment(data.x[sl], model.intercept)
+    mu = data.f[sl] + offset
+    xw = xt * mu
+    return xw @ xt.T, xw @ np.log(mu)
 
 
 def _collinearity_check(x: np.ndarray, intercept: bool) -> None:
@@ -628,7 +683,8 @@ def _check_conditioning(M: np.ndarray, what: str) -> None:
 
 def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
             start=None, sandwich: bool = False):
-    """Scoring loop; steps are halved while the quasi-objective decreases.
+    """Scoring loop, whose steps solve J step = U with the J of each pass
+    (``_chunk_terms``); steps are halved while the quasi-objective decreases.
 
     ``evaluate(beta, sandwich)`` is one pass (``_Bound.evaluate``), so the
     accepted candidate's U and J are already at hand; ``start`` is that
@@ -692,7 +748,8 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
 
 
 def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitResult:
-    """Solve the weighted pairwise estimating equations by Fisher scoring.
+    """Solve the weighted pairwise estimating equations by Fisher scoring,
+    or for nb at finite tau by Newton's method, from the model's own start.
 
     Raises NonConvergence (carrying the last iterate packaged as a
     ``FitResult`` with its sandwich) when the iteration budget is

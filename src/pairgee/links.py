@@ -58,11 +58,12 @@ def link_mean_deriv(kind: str, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if kind == "identity":
         return eta.copy(), np.ones_like(eta)
     if kind == "exp":
-        if not np.all(np.isfinite(eta)):
-            raise EvaluationError("non-finite linear predictor under exp link",
-                                  eta=float(np.max(np.abs(eta))))
-        hi = float(np.max(eta, initial=-np.inf))
-        if hi > _EXP_ETA_MAX:
+        # two reductions check every eta: a NaN fails the first, -inf the second
+        hi = float(eta.max(initial=-np.inf))
+        if not (hi <= _EXP_ETA_MAX and np.isfinite(eta.min(initial=0.0))):
+            if not np.all(np.isfinite(eta)):
+                raise EvaluationError("non-finite linear predictor under exp link",
+                                      eta=float(np.max(np.abs(eta))))
             raise EvaluationError(
                 f"exp-link overflow: eta={hi:.6g} exceeds {_EXP_ETA_MAX:g}", eta=hi)
         h = np.exp(eta)

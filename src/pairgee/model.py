@@ -236,9 +236,11 @@ def variance_eval(wv: WorkingVariance, h: np.ndarray,
     if wv.kind == "propmean":
         tau2 = 1.0 if wv.value is None else wv.value
         return tau2 * h
-    if wv.kind == "nb":
-        tau = np.inf if wv.value is None else wv.value
-        return h * (1.0 + h / tau)
+    if wv.kind == "nb":   # h * (1 + h / tau), built in one array
+        V = h / (np.inf if wv.value is None else wv.value)
+        V += 1.0
+        V *= h
+        return V
     if wv.kind == "bernoulli":
         return h * (1.0 - h if complement is None else complement)
     vals = wv.per_pair

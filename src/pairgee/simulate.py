@@ -342,8 +342,8 @@ def nb_working_mle(data: PairData) -> MleResult:
     try:
         with _bind(FrmModel("exp", WorkingVariance("nb")), data) as bound:
             beta = bound.beta
-            # moment start for the dispersion, at the start's constant mean
-            mu = float(np.exp(beta[0]))
+            # moment start for the dispersion, at the constant mean of the counts
+            mu = float(np.mean(f))
             excess = float(np.sum((f - mu) ** 2 - mu))
             tau = float(np.clip(len(f) * mu * mu / excess, 1e-2, NB_TAU_MAX)) \
                 if excess > 0 else float("inf")

@@ -700,13 +700,127 @@ def test_a_model_without_parameters_is_an_input_error():
         solve_ugee(model, data)
 
 
-def test_an_exp_fit_on_onehot_slots_without_intercept_starts_at_the_log_mean():
+def test_an_exp_fit_on_onehot_slots_without_intercept_starts_at_each_slots_irls_step():
+    # one IRLS step from mu0 = f + fbar / 100 with W = mu0: on onehot slots
+    # each slot's start is its mu0-weighted mean of log mu0
     x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     data = PairData(n=3, x=x, f=[2.0, 3.0, 7.0])
     model = FrmModel("exp", WorkingVariance("poisson"), intercept=False)
+    mu0 = np.array([2.04, 3.04, 7.04])
     with _bind(model, data) as bound:
-        assert np.array_equal(bound.beta, np.log([4.0, 4.0]))
+        np.testing.assert_allclose(bound.beta, [np.log(2.04), mu0[1:] @ np.log(mu0[1:])
+                                                / mu0[1:].sum()], rtol=1e-15)
     assert np.allclose(np.exp(solve_ugee(model, data).beta), [2.0, 5.0])
+
+
+def _start_of(model, data):
+    with _bind(model, data) as bound:
+        return bound.beta
+
+
+def _onehot_counts(seed, levels=3):
+    """Counts on a complete onehot design of ``levels`` groups, every slot taken."""
+    rng = make_rng(seed, 0)
+    n = 12
+    groups = np.arange(n) % levels + 1.0
+    subjects = [SubjectRecord(k, y=[rng.poisson(5.0 + 3.0 * groups[k])], x=[groups[k]])
+                for k in range(n)]
+    data = build_pairs(subjects, Kernel.sqhalfdiff(), PairCovariate("onehot", levels=levels))
+    return dataclasses.replace(data, f=np.round(data.f))
+
+
+@given(design=st.sampled_from(["intercept", "onehot"]), k=st.integers(-30, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_exp_link_start_is_scale_equivariant(design, k, seed):
+    # mu0 = f + fbar / 100 and W = mu0 scale with f, and z = log mu0 moves
+    # by log c: scaling f by c = 2^k moves the intercept (every slot of a
+    # saturated onehot design) by k log 2 and no slope
+    if design == "intercept":
+        model, data = _model("exp", "poisson", intercept=True), gen_nb_scenario(15, seed)
+        shift = np.array([1.0, 0.0])
+    else:
+        model, data = _model("exp", "poisson"), _onehot_counts(seed)
+        shift = np.ones(data.x.shape[1])
+    start = _start_of(model, data)
+    scaled = _start_of(model, dataclasses.replace(data, f=data.f * 2.0 ** k))
+    np.testing.assert_allclose(scaled, start + k * math.log(2.0) * shift, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("wv", ["nb", "poisson", "propmean", "constant"])
+def test_exp_fits_from_the_default_start_land_on_a_tight_root(wv):
+    """Each fit's beta is within 1e-7 relative of the root at tol_eq = 1e-11.
+
+    The stopping rule max|U| / N <= tol_eq is absolute (ROADMAP item 3), so
+    it stops the constant fit, whose U carries 1 / var(f), furthest from
+    the root: 4.2e-8 from the one-IRLS-step start, against 1.7e-9 from
+    (log fbar, 0).  The others land within 1e-10.
+    """
+    model, data = _model("exp", wv, intercept=True), gen_nb_scenario(300, 11)
+    res = adaptive_fit(model, data)
+    ref = adaptive_fit(model, data, FitConfig(tol_eq=1e-11))
+    assert res.converged and ref.converged
+    np.testing.assert_allclose(res.beta, ref.beta, rtol=1e-7, atol=0)
+
+
+def _equation_norms(model, data, config, monkeypatch):
+    """max|U| / N of every pass that ``solve_ugee`` makes, in order."""
+    norms = []
+    terms_part = pairgee.fit._terms_part
+
+    def recording(model, data, beta, sandwich, newton, sl):
+        part = terms_part(model, data, beta, sandwich, newton, sl)
+        norms.append(float(np.max(np.abs(part[1]))) / data.n_pairs)
+        return part
+
+    monkeypatch.setattr(pairgee.fit, "_terms_part", recording)
+    res = solve_ugee(model, data, config)
+    return res, norms
+
+
+def test_nb_solves_step_with_the_observed_information(monkeypatch):
+    # Newton's equation norms fall quadratically, e_k+1 <= 0.1 e_k^2 while
+    # above the rounding floor (0.05 e_k^2 here), where scoring's fall by a
+    # constant factor; the bread is still D'V^-1 D, as a fresh sandwich's
+    data = gen_nb_scenario(40, 7)
+    model = _model("exp", "nb", intercept=True, value=10.0)
+    res, norms = _equation_norms(model, data, FitConfig(tol_eq=1e-12), monkeypatch)
+    steps = [(a, b) for a, b in zip(norms, norms[1:]) if a > 1e-7]
+    assert res.converged and len(steps) >= 2
+    assert all(b <= 0.1 * a * a for a, b in steps)
+    assert _sandwich_bytes(res) == [a.tobytes() for a in sandwich_variance(
+        model, data, res.beta)]
+    h = np.exp(res.beta[0] + res.beta[1] * data.x[:, 0])
+    X = np.column_stack([np.ones(data.n_pairs), data.x])
+    np.testing.assert_allclose(res.b_matrix, (X * (10.0 * h / (10.0 + h))[:, None]).T @ X
+                               / data.n_pairs, rtol=1e-12)
+
+
+def test_nb_under_another_link_keeps_its_scoring_steps():
+    # the observed information of _nb_information is the log link's
+    data, beta = gen_nb_scenario(40, 7), np.array([20.0, 30.0])
+    with _bind(_model("identity", "nb", True, 10.0), data, beta) as bound:
+        terms, sandwich = bound.evaluate(beta), bound.evaluate(beta, sandwich=True)
+    assert terms[2].tobytes() == sandwich[2].tobytes()
+
+
+def test_an_nb_pair_below_minus_tau_keeps_its_scoring_weight():
+    # its observed-information weight h tau (tau + f) / (tau + h)^2 is
+    # negative, and large enough here to make that J indefinite
+    tau, beta = 2.0, np.array([1.0, 0.5])
+    x = np.linspace(0.0, 1.0, 15)[:, None]
+    f = np.arange(15.0)
+    f[3] = -1e4
+    data = PairData(n=6, x=x, f=f)
+    with _bind(_model("exp", "nb", True, tau), data, beta) as bound:
+        J = bound.evaluate(beta)[2]
+    h = np.exp(beta[0] + beta[1] * x[:, 0])
+    w = h * tau * (tau + f) / (tau + h) ** 2
+    w[3] = h[3] * tau / (tau + h[3])
+    X = np.column_stack([np.ones(15), x])
+    np.testing.assert_allclose(J, (X * w[:, None]).T @ X, rtol=1e-12)
+    assert np.linalg.eigvalsh(J).min() > 0
+    w[3] = h[3] * tau * (tau + f[3]) / (tau + h[3]) ** 2
+    assert np.linalg.eigvalsh((X * w[:, None]).T @ X).min() < 0
 
 
 def test_solver_exp_link_recovers_log_linear_mean():
@@ -1297,10 +1411,17 @@ def test_fit_result_wald_z_and_p():
 
 # ---------------------------------------------------- scoring-loop branches
 
+# the start of the scoring-loop cases below: from the exp link's own start,
+# one IRLS step, the first full step lands near the root and takes none of
+# the branches that these tests drive
+_FROM_ZERO = FitConfig(init_beta=np.zeros(1))
+
+
 def _exp_constant_case(f_of_x, x=None, seed=1):
     """An exp-link, constant-variance (c = 1) model without intercept on 12
     subjects, with one covariate in [0.4, 0.6] (or ``x``) per pair and the
-    response ``f_of_x(x)``.  The scoring loop starts at beta = 0."""
+    response ``f_of_x(x)``.  With ``_FROM_ZERO`` the scoring loop starts at
+    beta = 0."""
     rng = make_rng(seed, 0)
     i1, i2 = enumerate_pairs(12).T
     x = rng.uniform(0.4, 0.6, size=(len(i1), 1)) if x is None else x
@@ -1330,7 +1451,7 @@ def test_solver_halves_past_evaluation_errors(monkeypatch):
 
     monkeypatch.setattr(pairgee.fit, "_chunk_terms", recording)
     with np.errstate(over="ignore"):
-        res = solve_ugee(model, data)
+        res = solve_ugee(model, data, _FROM_ZERO)
     assert res.converged and res.flagged_steps == 0
     assert "exp-link overflow" in str(seen[1]) and seen[1].eta > 700
     assert -np.inf in seen   # a finite candidate whose quasi-objective is not
@@ -1343,10 +1464,10 @@ def test_an_overflowing_trial_step_emits_no_warning():
     # errstate: the solver evaluates trial steps with overflow silenced
     model, data = _overshooting_case()
     with np.errstate(all="ignore"):
-        expected = solve_ugee(model, data)
+        expected = solve_ugee(model, data, _FROM_ZERO)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = solve_ugee(model, data)
+        res = solve_ugee(model, data, _FROM_ZERO)
     assert res.converged
     assert res.beta.tobytes() == expected.beta.tobytes()
 
@@ -1355,7 +1476,7 @@ def test_evaluation_error_of_the_last_halving_is_raised(monkeypatch):
     monkeypatch.setattr(pairgee.fit, "MAX_HALVINGS", 0)
     model, data = _overshooting_case()
     with pytest.raises(EvaluationError, match="exp-link overflow") as err:
-        solve_ugee(model, data)
+        solve_ugee(model, data, _FROM_ZERO)
     assert err.value.eta > 700
 
 
@@ -1363,9 +1484,9 @@ def test_a_step_that_lowers_the_quasi_objective_is_flagged(monkeypatch):
     # the full first step lands at eta near 9 for responses near 10, a
     # worse fit than the start; without halvings it is taken and counted
     model, data = _exp_constant_case(lambda x, rng: 10.0 * np.exp(0.1 * rng.normal(size=len(x))))
-    reference = solve_ugee(model, data)
+    reference = solve_ugee(model, data, _FROM_ZERO)
     monkeypatch.setattr(pairgee.fit, "MAX_HALVINGS", 0)
-    res = solve_ugee(model, data)
+    res = solve_ugee(model, data, _FROM_ZERO)
     assert reference.flagged_steps == 0 and res.flagged_steps == 1
     assert res.converged and res.iterations > reference.iterations
     assert res.beta == pytest.approx(reference.beta, rel=1e-8)
@@ -1384,7 +1505,7 @@ def test_a_non_finite_step_fails_halving(monkeypatch):
 
     monkeypatch.setattr(pairgee.fit, "_chunk_terms", infinite_scores)
     with pytest.raises(EvaluationError, match="step halving failed"):
-        solve_ugee(model, data)
+        solve_ugee(model, data, _FROM_ZERO)
     assert len(calls) == 1   # the start; no candidate was evaluated
 
 
@@ -1425,7 +1546,7 @@ def test_a_trial_step_with_a_non_finite_scoring_matrix_is_halved(monkeypatch):
         return merit, s, J * np.inf if len(calls) == 2 else J
 
     monkeypatch.setattr(pairgee.fit, "_chunk_terms", infinite_first_trial)
-    res = solve_ugee(model, data)
+    res = solve_ugee(model, data, _FROM_ZERO)
     assert res.converged and res.flagged_steps == 0
     start, full, half = calls[:3]
     assert np.array_equal(half, start + 0.5 * (full - start))
@@ -1548,9 +1669,11 @@ def test_the_last_nb_round_reuses_its_start_pass_for_the_sandwich(monkeypatch):
     monkeypatch.setattr(pairgee.fit, "_pass_chunks", recording)
     data = gen_nb_scenario(40, 7)
     res = adaptive_fit(_model("exp", "nb", intercept=True), data)
-    # 4 nuisance passes, 17 solve passes and the sandwich, one of which is
-    # the last solve's start, where 23 passes were made before the reuse
-    assert len(kinds) == 22 and kinds.count("nuisance") == res.nuisance_rounds == 4
+    # the start pass, 4 nuisance passes, 13 solve passes and the sandwich,
+    # one of which is the last solve's start, where 19 passes were made
+    # before the reuse
+    assert len(kinds) == 18 and kinds[0] == "start"
+    assert kinds.count("nuisance") == res.nuisance_rounds == 4
     assert kinds[-2:] == ["nuisance", "sandwich"] and kinds.count("sandwich") == 1
     fresh = sandwich_variance(_model("exp", "nb", True, res.nuisance), data, res.beta)
     assert [a.tobytes() for a in fresh] == [
@@ -1587,6 +1710,13 @@ def _sandwich_bytes(res):
     return [a.tobytes() for a in (res.cov_beta, res.b_matrix, res.sigma_u)]
 
 
+def _log_mean_start(data):
+    """(log fbar, 0): the start of the cases below, from which their solves
+    take the steps the tests drive; the exp link's own start, one IRLS step
+    further on, lands where poisson's last step is not predicted."""
+    return FitConfig(init_beta=np.array([np.log(np.mean(data.f)), 0.0]))
+
+
 _LAST_STEP_FITS = {
     "solve_ugee": lambda data: (_model("exp", "poisson", True), data),
     "adaptive-constant": lambda data: (_model("exp", "constant", True), data),
@@ -1597,7 +1727,7 @@ _LAST_STEP_FITS = {
 def test_a_last_step_predicted_to_converge_ends_in_the_sandwich(fit, passes):
     # its pass is the sandwich pass, so no sandwich pass trails the solve
     model, data = _LAST_STEP_FITS[fit](gen_nb_scenario(40, 7))
-    res = adaptive_fit(model, data)
+    res = adaptive_fit(model, data, _log_mean_start(data))
     assert [kind for kind, _ in passes] == ["terms"] * res.iterations + ["sandwich"]
     assert res.iterations > 1 and _sandwich_bytes(res) == _fresh_sandwich_bytes(
         model, data, res)
@@ -1619,7 +1749,7 @@ def test_a_missed_prediction_costs_the_sandwich_extras_only(fit, passes, monkeyp
 
     monkeypatch.setattr(pairgee.fit, "_pass_chunks", lowered)
     model, data = _LAST_STEP_FITS[fit](gen_nb_scenario(40, 7))
-    res = adaptive_fit(model, data)
+    res = adaptive_fit(model, data, _log_mean_start(data))
     kinds = [kind for kind, _ in passes]
     first = kinds.index("sandwich")
     assert missed and kinds[first + 1] == "terms"
@@ -1685,8 +1815,9 @@ def test_a_warm_nb_fit_makes_half_the_full_data_passes(nb_2000, passes, monkeypa
     passes.clear()
     monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1 << 62)
     cold = adaptive_fit(model, nb_2000)
-    assert len(passes) == 16 and all(n == nb_2000.n_pairs for _, n in passes)
-    assert cold.converged and (cold.iterations, cold.nuisance_rounds) == (9, 3)
+    assert len(passes) == 14 and all(n == nb_2000.n_pairs for _, n in passes)
+    assert passes[0][0] == "start"
+    assert cold.converged and (cold.iterations, cold.nuisance_rounds) == (6, 3)
     np.testing.assert_allclose(warm.beta, cold.beta, rtol=1e-9)
     np.testing.assert_allclose(warm.se, cold.se, rtol=1e-9)
 

@@ -75,6 +75,7 @@ def _fit_case(case):
         "nb": (_nb_model("nb"), nb),
         "propmean": (_nb_model("propmean"), nb),
         "constant": (_nb_model("constant"), nb),
+        "poisson": (_nb_model("poisson"), nb),   # one cold solve: its start pass and steps
         "userfixed": (_nb_model("userfixed", per_pair=np.linspace(
             0.5, 2.0, nb.n_pairs)), nb),
         "mww-probitc-constant": (FrmModel(link="probitc", intercept=False,
@@ -99,9 +100,10 @@ def _reduce(fn, n_items):
         return workers.reduce()
 
 
-def _fit_bytes(model, data):
-    """The bytes of ``adaptive_fit``'s estimates, with no model those of the
-    working MLE's, and with "fit_icc" those of ``fit_icc`` of the ratings."""
+def _fit_bytes(model, data, config=None):
+    """The bytes of ``adaptive_fit``'s estimates under ``config``, with no
+    model those of the working MLE's, and with "fit_icc" those of
+    ``fit_icc`` of the ratings."""
     if model == "fit_icc":
         res = fit_icc(data)
     elif model is None:
@@ -109,12 +111,12 @@ def _fit_bytes(model, data):
         return [np.asarray(a).tobytes() for a in (res.beta, res.cov_beta, res.tau,
                                                   res.loglik)]
     else:
-        res = adaptive_fit(model, data)
+        res = adaptive_fit(model, data, config)
     return [a.tobytes() for a in (res.beta, res.cov_beta, res.sigma_u, res.b_matrix)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("case", ["nb", "propmean", "constant", "userfixed",
+@pytest.mark.parametrize("case", ["nb", "propmean", "constant", "poisson", "userfixed",
                                   "mww-probitc-constant", "mww-probitc-bernoulli",
                                   "onehot-k4", "mle-nb", "fit_icc"])
 def test_forked_fits_equal_the_serial_fit_byte_for_byte(forking, case, workers):
@@ -457,8 +459,9 @@ def test_a_trial_step_that_raises_in_a_child_is_halved_as_in_one_process(forking
         forking(workers)
         chunk_pairs(10)
         # with RuntimeWarning an error, as in this suite, a child that did
-        # not take the solver's silenced overflow from the pass would raise
-        fits.append(_fit_bytes(model, data))
+        # not take the solver's silenced overflow from the pass would raise;
+        # from beta = 0, as the exp link's own start takes no such step
+        fits.append(_fit_bytes(model, data, FitConfig(init_beta=np.zeros(1))))
     assert fits[0] == fits[1]
     # only a raising pass ends a set before the fit does, and chunk 0 cannot
     # raise, so a child's chunk raised and the next trial step forked again
@@ -467,11 +470,11 @@ def test_a_trial_step_that_raises_in_a_child_is_halved_as_in_one_process(forking
 
 def test_a_child_evaluates_a_trial_step_under_the_solvers_error_state(forking, forks,
                                                                       chunk_pairs):
-    # the first full step puts eta near 500 on the pairs of chunks 1-6:
-    # within the exp link's range, but the residuals' squares overflow.  The
-    # solver silences that for trial steps, and the child, forked at the
-    # start pass, must take the silencing from the pass; RuntimeWarning is
-    # an error in this suite
+    # from beta = 0 the first full step puts eta near 500 on the pairs of
+    # chunks 1-6: within the exp link's range, but the residuals' squares
+    # overflow.  The solver silences that for trial steps, and the child,
+    # forked at the start pass, must take the silencing from the pass;
+    # RuntimeWarning is an error in this suite
     rng = make_rng(1, 0)
     i1, i2 = enumerate_pairs(12).T
     x = rng.uniform(0.4, 0.6, size=(len(i1), 1))
@@ -483,7 +486,7 @@ def test_a_child_evaluates_a_trial_step_under_the_solvers_error_state(forking, f
     for workers in (None, 2):
         forking(workers)
         chunk_pairs(10)
-        fits.append(_fit_bytes(model, data))
+        fits.append(_fit_bytes(model, data, FitConfig(init_beta=np.zeros(1))))
     assert fits[0] == fits[1] and len(forks) == 1
 
 
