@@ -22,8 +22,7 @@ from .simulate import (McConfig, McReport, MleResult, gen_icc_ratings,
                        gen_linear_exogenous, gen_mww_probit, gen_nb_scenario,
                        linear_pair_data, make_rng, mww_pair_data,
                        nb_working_mle, run_monte_carlo)
-from .ustat import (PairScoreTable, dump_pair_scores, enumerate_pairs,
-                    hajek_scores, load_pair_scores, pair_count,
+from .ustat import (PairScoreTable, enumerate_pairs, hajek_scores, pair_count,
                     projection_variance, ustatistic_mean)
 
 __version__ = "0.1.0"
@@ -35,12 +34,11 @@ __all__ = [
     "PairData", "PairScoreTable", "SingularInformation", "SubjectRecord",
     "WorkingVariance", "adaptive_fit", "aitchison_distance",
     "apply_pseudocount", "assemble_ugee", "build_pairs", "clr",
-    "dump_pair_scores", "enumerate_pairs", "estimate_nuisance", "fit_icc",
-    "fit_mean_variance", "gen_icc_ratings", "gen_linear_exogenous",
-    "gen_mww_probit", "gen_nb_scenario", "hajek_scores", "icc_mean_map",
-    "icc_pair_data", "linear_pair_data", "link_mean_deriv", "load_pair_scores",
-    "make_rng", "meanvar_mean_map", "mww_pair_data", "nb_working_mle",
-    "onehot_pair_labels", "pair_count", "pairwise_responses",
-    "projection_variance", "run_monte_carlo", "sandwich_variance", "solve_ugee",
-    "stack_subjects", "ustatistic_mean",
+    "enumerate_pairs", "estimate_nuisance", "fit_icc", "fit_mean_variance",
+    "gen_icc_ratings", "gen_linear_exogenous", "gen_mww_probit",
+    "gen_nb_scenario", "hajek_scores", "icc_mean_map", "icc_pair_data",
+    "linear_pair_data", "link_mean_deriv", "make_rng", "meanvar_mean_map",
+    "mww_pair_data", "nb_working_mle", "onehot_pair_labels", "pair_count",
+    "pairwise_responses", "projection_variance", "run_monte_carlo",
+    "sandwich_variance", "solve_ugee", "stack_subjects", "ustatistic_mean",
 ]

@@ -136,8 +136,10 @@ class PairData:
             raise InputError("pair arrays have inconsistent lengths")
         if self.n < 2:
             raise InputError("need at least 2 subjects")
+        if self.subject_ids is not None and len(self.subject_ids) != self.n:
+            raise InputError(f"{len(self.subject_ids)} subject ids for n={self.n}")
         if indexed:
-            order = canonical_order(self.n, i1, i2, "dataset")
+            order = canonical_order(self.n, i1, i2)
             if order is not None:
                 x, f = x[order], f[order]
         elif m != pair_count(self.n):
@@ -558,9 +560,7 @@ def _pass_chunks(model: FrmModel, data: PairData, kind: str, beta: np.ndarray,
 
 def _terms_part(model: FrmModel, data: PairData, beta: np.ndarray, sandwich: bool,
                 newton: bool, sl: slice):
-    # a stand-in for _chunk_terms with its four arguments serves all but nb
-    merit, s, J = (_chunk_terms(model, data, beta, sl, newton=True) if newton
-                   else _chunk_terms(model, data, beta, sl))
+    merit, s, J = _chunk_terms(model, data, beta, sl, newton)
     if not sandwich:
         return merit, s.sum(axis=1), J
     i1, i2 = pair_indices(data.n, sl.start, sl.stop)

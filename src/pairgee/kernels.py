@@ -250,10 +250,14 @@ def _responses_of(kernel: Kernel, Y: np.ndarray):
             for k in range(len(i1)):
                 a, b = int(i1[k]), int(i2[k])
                 try:
-                    val = kernel.func(Y[a], Y[b])
+                    val = np.asarray(kernel.func(Y[a], Y[b]), dtype=float).ravel()
                 except Exception as exc:  # noqa: BLE001 - propagate with pair context
                     raise EvaluationError(f"custom kernel failed on pair ({a}, {b}): "
                                           f"{exc}", pair=(a, b)) from exc
+                if val.size != kernel.output_dim:
+                    raise EvaluationError(
+                        f"custom kernel on pair ({a}, {b}) returned a value of size "
+                        f"{val.size}, not output_dim={kernel.output_dim}", pair=(a, b))
                 out[k] = val
             if not np.all(np.isfinite(out)):
                 bad = int(np.argmax(~np.isfinite(out).all(axis=1)))

@@ -7,10 +7,10 @@ empirical covariance estimates the projection variance that drives the
 asymptotics of pair-based estimators.
 
 Pair indices are 0-based with i1 < i2, enumerated lexicographically;
-this ordering is fixed project-wide and shared with the binary dump format.
-It is determined by n alone, so no pass needs index arrays over all pairs:
-``pair_indices`` decodes the pairs of any linear range [lo, hi) in
-O(hi - lo), and ``pair_chunks`` decodes them one chunk at a time.
+this ordering is fixed project-wide.  It is determined by n alone, so no
+pass needs index arrays over all pairs: ``pair_indices`` decodes the
+pairs of any linear range [lo, hi) in O(hi - lo), and ``pair_chunks``
+decodes them one chunk at a time.
 
 Determinism
 -----------
@@ -133,19 +133,19 @@ def pair_chunks(n: int):
             for sl in chunk_slices(checked_pair_count(n)))
 
 
-def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray,
-                    what: str) -> np.ndarray | None:
+def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray) -> np.ndarray | None:
     """Stable permutation that puts the complete pair set (i1, i2) of n
-    subjects in lexicographic order, or None when it is in that order.
+    subjects in lexicographic order, or None when it is in that order: the
+    check of the rows of a ``fit.PairData`` given with their indices.
 
-    The pairs are numbered by ``pair_rows``.  Raises InputError naming
-    ``what`` when an index pair is out of range, when the count is not
-    n(n-1)/2, or when a pair occurs twice.
+    The pairs are numbered by ``pair_rows``.  Raises InputError when an
+    index pair is out of range, when the count is not n(n-1)/2, or when a
+    pair occurs twice.
     """
     if np.any(i1 >= i2) or i1.min(initial=0) < 0 or i2.max(initial=0) >= n:
         raise InputError("pair indices must satisfy 0 <= i1 < i2 < n")
     if len(i1) != pair_count(n):
-        raise InputError(f"incomplete {what}: {len(i1)} of {pair_count(n)} pairs "
+        raise InputError(f"incomplete dataset: {len(i1)} of {pair_count(n)} pairs "
                          f"for n={n}")
     rows = pair_rows(n, i1, i2)
     if np.all(rows[1:] > rows[:-1]):
@@ -153,7 +153,7 @@ def canonical_order(n: int, i1: np.ndarray, i2: np.ndarray,
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
     if np.any(rows[1:] == rows[:-1]):
-        raise InputError(f"duplicate pair in {what}")
+        raise InputError("duplicate pair in dataset")
     return order
 
 
@@ -411,24 +411,6 @@ class PairScoreTable:
         if not np.all(np.isfinite(scores)):
             raise InputError("pair scores must all be finite")
 
-    @property
-    def q(self) -> int:
-        return self.scores.shape[1]
-
-    @staticmethod
-    def from_pairs(n: int, i1: np.ndarray, i2: np.ndarray,
-                   scores: np.ndarray) -> "PairScoreTable":
-        """Build a canonical table from pairs given in arbitrary order."""
-        i1 = np.asarray(i1, dtype=np.int64)
-        i2 = np.asarray(i2, dtype=np.int64)
-        scores = np.asarray(scores, dtype=float)
-        if scores.ndim == 1:
-            scores = scores[:, None]
-        if len(i1) != len(i2) or scores.shape[0] != len(i1):
-            raise InputError("pair arrays have inconsistent lengths")
-        order = canonical_order(n, i1, i2, "score table")
-        return PairScoreTable(n, scores if order is None else scores[order])
-
 
 def ustatistic_mean(kernel, data) -> float | np.ndarray:
     """Average of a pairwise kernel over all subject pairs.
@@ -505,35 +487,3 @@ def projection_variance(hajek: np.ndarray) -> np.ndarray:
     vbar = np.cumsum(v, axis=0)[-1] / n
     d = v - vbar
     return np.cumsum(d[:, :, None] * d[:, None, :], axis=0)[-1] / n
-
-
-# --------------------------------------------------------------------------- #
-# Binary dump (debugging aid)
-# --------------------------------------------------------------------------- #
-
-def _row_dtype(q: int) -> np.dtype:
-    return np.dtype([("i1", "<u4"), ("i2", "<u4"), ("score", "<f8", (q,))])
-
-
-def dump_pair_scores(table: PairScoreTable, path) -> None:
-    """Write a pair score table as packed little-endian rows: i1, i2, q doubles."""
-    rows = np.empty(len(table.scores), dtype=_row_dtype(table.q))
-    rows["i1"], rows["i2"] = pair_indices(table.n, 0, len(table.scores))
-    rows["score"] = table.scores
-    rows.tofile(path)
-
-
-def load_pair_scores(path, q: int = 1) -> PairScoreTable:
-    """Read a table written by ``dump_pair_scores`` (q must be known); a
-    file that is not a whole number of rows is an InputError."""
-    size, width = Path(path).stat().st_size, _row_dtype(q).itemsize
-    if size % width:
-        raise InputError(f"pair score dump {path} has {size} bytes, not a whole "
-                         f"number of {width}-byte rows of q={q}")
-    rows = np.fromfile(path, dtype=_row_dtype(q))
-    if rows.size == 0:
-        raise InputError(f"empty pair score dump: {path}")
-    # recover n from the triangular count
-    n = int(round(0.5 * (1 + np.sqrt(1 + 8 * rows.size))))
-    return PairScoreTable.from_pairs(n, rows["i1"].astype(np.int64),
-                                     rows["i2"].astype(np.int64), rows["score"])

@@ -211,22 +211,25 @@ def test_icc_pair_data_matches_the_full_array_oracle(chunk, chunk_pairs):
                        *full_array_subject_pairs(Kernel.icc(), ratings))
 
 
-@pytest.mark.parametrize("i1,i2,message", [
-    ([0, 0], [1, 2], "incomplete dataset: 2 of 3 pairs for n=3"),
-    ([0, 0, 1, 1], [1, 2, 2, 2], "incomplete dataset: 4 of 3 pairs for n=3"),
-    ([0, 1, 0], [1, 2, 1], "duplicate pair in dataset"),
-    ([1, 0, 1], [0, 2, 2], "pair indices must satisfy 0 <= i1 < i2 < n"),
-    ([0, 0, 1], [1, 1, 2], "duplicate pair in dataset"),
-    ([0, 0, 2], [1, 2, 2], "pair indices must satisfy 0 <= i1 < i2 < n"),
-    ([0, 0, 1], [1, 3, 2], "pair indices must satisfy 0 <= i1 < i2 < n"),
-    ([-1, 0, 1], [1, 2, 2], "pair indices must satisfy 0 <= i1 < i2 < n"),
-    ([0, 0], [1, 5], "pair indices must satisfy 0 <= i1 < i2 < n"),   # range first
-    ([0, 0, 1], [1, 2], "pair arrays have inconsistent lengths"),
+@pytest.mark.parametrize("i1,i2,ids,message", [
+    ([0, 0], [1, 2], None, "incomplete dataset: 2 of 3 pairs for n=3"),
+    ([0, 0, 1, 1], [1, 2, 2, 2], None, "incomplete dataset: 4 of 3 pairs for n=3"),
+    ([0, 1, 0], [1, 2, 1], None, "duplicate pair in dataset"),
+    ([1, 0, 1], [0, 2, 2], None, "pair indices must satisfy 0 <= i1 < i2 < n"),
+    ([0, 0, 1], [1, 1, 2], None, "duplicate pair in dataset"),
+    ([0, 0, 2], [1, 2, 2], None, "pair indices must satisfy 0 <= i1 < i2 < n"),
+    ([0, 0, 1], [1, 3, 2], None, "pair indices must satisfy 0 <= i1 < i2 < n"),
+    ([-1, 0, 1], [1, 2, 2], None, "pair indices must satisfy 0 <= i1 < i2 < n"),
+    ([0, 0], [1, 5], None, "pair indices must satisfy 0 <= i1 < i2 < n"),   # range first
+    ([0, 0, 1], [1, 2], None, "pair arrays have inconsistent lengths"),
+    # one id for three subjects was accepted
+    ([0, 0, 1], [1, 2, 2], ("a",), "1 subject ids for n=3"),
 ], ids=["incomplete", "too-many", "duplicate", "i1>i2", "duplicate-first-row",
-        "i1==i2", "i2>=n", "i1<0", "range-before-count", "lengths"])
-def test_pair_data_rejects_index_faults_with_their_message(i1, i2, message):
+        "i1==i2", "i2>=n", "i1<0", "range-before-count", "lengths", "subject-ids"])
+def test_pair_data_rejects_index_faults_with_their_message(i1, i2, ids, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        PairData(n=3, i1=i1, i2=i2, x=np.zeros((len(i1), 1)), f=np.ones(len(i1)))
+        PairData(n=3, i1=i1, i2=i2, x=np.zeros((len(i1), 1)), f=np.ones(len(i1)),
+                 subject_ids=ids)
 
 
 def test_pair_data_checks_in_order_and_without_indices():
@@ -718,10 +721,9 @@ def _start_of(model, data):
         return bound.beta
 
 
-def _onehot_counts(seed, levels=3):
+def _onehot_counts(seed, levels=3, n=12):
     """Counts on a complete onehot design of ``levels`` groups, every slot taken."""
     rng = make_rng(seed, 0)
-    n = 12
     groups = np.arange(n) % levels + 1.0
     subjects = [SubjectRecord(k, y=[rng.poisson(5.0 + 3.0 * groups[k])], x=[groups[k]])
                 for k in range(n)]
@@ -760,6 +762,62 @@ def test_exp_fits_from_the_default_start_land_on_a_tight_root(wv):
     ref = adaptive_fit(model, data, FitConfig(tol_eq=1e-11))
     assert res.converged and ref.converged
     np.testing.assert_allclose(res.beta, ref.beta, rtol=1e-7, atol=0)
+
+
+def _relabelling_subjects(case, seed):
+    """30 subjects: compositions in 3 groups, or a scalar outcome whose
+    spread grows with a scalar covariate."""
+    rng = make_rng(seed, 0)
+    if case == "aitchison-onehot":
+        groups = np.arange(30) % 3 + 1.0
+        return [SubjectRecord(k, y=rng.dirichlet(np.full(4, 2.0 + groups[k])), x=[groups[k]])
+                for k in range(30)]
+    x = rng.uniform(size=30)
+    y = rng.normal(size=30) * np.exp(0.5 + 0.5 * x)
+    return [SubjectRecord(k, y=[y[k]], x=[x[k]]) for k in range(30)]
+
+
+_RELABELLING_CASES = {
+    "sqhalfdiff-sum-constant": (Kernel.sqhalfdiff(), PairCovariate("sum"),
+                                _model("identity", "constant", intercept=True)),
+    "sqhalfdiff-sum-nb": (Kernel.sqhalfdiff(), PairCovariate("sum"),
+                          _model("exp", "nb", intercept=True)),
+    "aitchison-onehot": (Kernel.aitchison(), PairCovariate("onehot", levels=3),
+                         _model("identity", "constant")),
+}
+
+
+@given(case=st.sampled_from(sorted(_RELABELLING_CASES)), seed=st.integers(0, 2**32 - 1),
+       perm=st.permutations(range(30)))
+def test_relabelling_subjects_leaves_the_fit_unchanged(case, seed, perm):
+    # a symmetric kernel and pair covariate give every pair the same row
+    # under any subject order; only the order of the sums moves
+    kernel, covariate, model = _RELABELLING_CASES[case]
+    subjects = _relabelling_subjects(case, seed)
+    res = adaptive_fit(model, build_pairs(subjects, kernel, covariate))
+    relabelled = adaptive_fit(model, build_pairs([subjects[k] for k in perm],
+                                                 kernel, covariate))
+    assert res.converged and relabelled.converged
+    for got, want in ((relabelled.beta, res.beta), (relabelled.cov_beta, res.cov_beta)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@given(levels=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_every_working_variance_gives_the_slot_log_means_on_a_saturated_design(levels, seed):
+    """Without an intercept each onehot slot has its own equation, whose root
+    is the log of the slot's mean response whatever the working variance.
+
+    The fits solve to tol_eq = 1e-12: at the default tol_eq the absolute
+    stopping rule (ROADMAP item 3) stops the constant fit, whose U carries
+    1 / var(f), up to about 1e-7 from the root on these designs, an
+    iteration before the others.
+    """
+    data = _onehot_counts(seed, levels, n=30)
+    slot_log_means = np.log((data.x.T @ data.f) / data.x.sum(axis=0))
+    for wv in ("constant", "poisson", "propmean", "nb"):
+        res = adaptive_fit(_model("exp", wv), data, FitConfig(tol_eq=1e-12))
+        assert res.converged
+        assert np.max(np.abs(res.beta - slot_log_means)) <= 1e-10 * np.max(np.abs(slot_log_means))
 
 
 def _equation_norms(model, data, config, monkeypatch):
@@ -1440,9 +1498,9 @@ def test_solver_halves_past_evaluation_errors(monkeypatch):
     seen = []
     chunk_terms = pairgee.fit._chunk_terms
 
-    def recording(model, data, beta, sl):
+    def recording(model, data, beta, sl, newton=False):
         try:
-            out = chunk_terms(model, data, beta, sl)
+            out = chunk_terms(model, data, beta, sl, newton)
         except EvaluationError as exc:
             seen.append(exc)
             raise
@@ -1498,9 +1556,9 @@ def test_a_non_finite_step_fails_halving(monkeypatch):
     chunk_terms = pairgee.fit._chunk_terms
     calls = []
 
-    def infinite_scores(model, data, beta, sl):
+    def infinite_scores(model, data, beta, sl, newton=False):
         calls.append(beta)
-        merit, s, J = chunk_terms(model, data, beta, sl)
+        merit, s, J = chunk_terms(model, data, beta, sl, newton)
         return merit, np.full_like(s, np.inf), J
 
     monkeypatch.setattr(pairgee.fit, "_chunk_terms", infinite_scores)
@@ -1540,9 +1598,9 @@ def test_a_trial_step_with_a_non_finite_scoring_matrix_is_halved(monkeypatch):
     chunk_terms = pairgee.fit._chunk_terms
     calls = []
 
-    def infinite_first_trial(model, data, beta, sl):
+    def infinite_first_trial(model, data, beta, sl, newton=False):
         calls.append(beta)
-        merit, s, J = chunk_terms(model, data, beta, sl)
+        merit, s, J = chunk_terms(model, data, beta, sl, newton)
         return merit, s, J * np.inf if len(calls) == 2 else J
 
     monkeypatch.setattr(pairgee.fit, "_chunk_terms", infinite_first_trial)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,28 @@ def test_custom_kernel_failure_carries_pair():
     with pytest.raises(EvaluationError) as err:
         pairwise_responses(Kernel.custom(bad), y, np.array([0, 1]), np.array([1, 2]))
     assert err.value.pair == (1, 2)
+
+
+@pytest.mark.parametrize("func,output_dim,message", [
+    (lambda a, b: 1.0, 2, "on pair (0, 1) returned a value of size 1, not output_dim=2"),
+    (lambda a, b: (1.0, 2.0), 1, "on pair (0, 1) returned a value of size 2, not output_dim=1"),
+    (lambda a, b: "near", 1, "failed on pair (0, 1): could not convert string to float"),
+], ids=["scalar-for-2", "pair-for-1", "string"])
+def test_a_custom_kernel_return_that_is_not_output_dim_floats_carries_pair(
+        func, output_dim, message):
+    # a scalar filled both columns, and the others escaped as numpy's bare
+    # ValueError without the pair
+    y = np.array([[0.1], [0.9]])
+    with pytest.raises(EvaluationError, match=re.escape(message)) as err:
+        pairwise_responses(Kernel.custom(func, output_dim), y, np.array([0]), np.array([1]))
+    assert err.value.pair == (0, 1)
+
+
+def test_a_custom_kernel_of_one_output_may_return_a_length_1_array():
+    y = np.array([[0.1], [0.9], [0.3]])
+    out = pairwise_responses(Kernel.custom(lambda a, b: np.array([a[0] + b[0]])), y,
+                             np.array([0, 1]), np.array([1, 2]))
+    assert out.shape == (2,) and np.array_equal(out, [0.1 + 0.9, 0.9 + 0.3])
 
 
 def test_custom_kernel_nonfinite_rejected():

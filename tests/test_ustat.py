@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairgee import (InputError, Kernel, PairScoreTable, dump_pair_scores,
-                     enumerate_pairs, hajek_scores, load_pair_scores,
-                     make_rng, pair_count, projection_variance,
+from pairgee import (InputError, Kernel, PairScoreTable, enumerate_pairs,
+                     hajek_scores, make_rng, pair_count, projection_variance,
                      ustatistic_mean)
 from pairgee.ustat import (canonical_order, pair_chunks, pair_indices, pair_rows,
                            pass_workers)
@@ -185,41 +184,17 @@ def test_hajek_double_counting_identity():
 def test_incomplete_table_rejected():
     with pytest.raises(InputError):
         PairScoreTable(4, np.ones(5))
-    with pytest.raises(InputError, match="duplicate pair in score table"):
-        PairScoreTable.from_pairs(3, [0, 0, 1], [1, 1, 2], [1.0, 2.0, 3.0])
-    with pytest.raises(InputError, match="inconsistent lengths"):
-        PairScoreTable.from_pairs(3, [0, 0], [1, 2, 2], [1.0, 2.0, 3.0])
-    with pytest.raises(InputError, match="inconsistent lengths"):
-        PairScoreTable.from_pairs(3, [0, 0, 1], [1, 2, 2], [1.0, 2.0])
-
-
-def test_table_from_unordered_pairs():
-    rng = np.random.default_rng(14)
-    n = 6
-    pairs = enumerate_pairs(n)
-    scores = rng.normal(size=len(pairs))
-    perm = rng.permutation(len(pairs))
-    table = PairScoreTable.from_pairs(n, pairs[perm, 0], pairs[perm, 1],
-                                      scores[perm])
-    assert np.array_equal(table.scores[:, 0], scores)
-
-
-def test_a_table_from_canonical_pairs_keeps_the_scores_as_given():
-    pairs = enumerate_pairs(6)
-    scores = np.random.default_rng(15).normal(size=(len(pairs), 2))
-    table = PairScoreTable.from_pairs(6, pairs[:, 0], pairs[:, 1], scores)
-    assert table.scores is scores
 
 
 @pytest.mark.parametrize("n", [3, 7, 40])
 def test_canonical_order_is_none_in_order_and_the_stable_sort_otherwise(n):
     pairs = enumerate_pairs(n)
-    assert canonical_order(n, pairs[:, 0], pairs[:, 1], "set") is None
+    assert canonical_order(n, pairs[:, 0], pairs[:, 1]) is None
     N = len(pairs)
     rng = np.random.default_rng(n)
     for perm in (np.arange(N)[::-1], np.roll(np.arange(N), 1), rng.permutation(N)):
         i1, i2 = pairs[perm, 0], pairs[perm, 1]
-        assert np.array_equal(canonical_order(n, i1, i2, "set"),
+        assert np.array_equal(canonical_order(n, i1, i2),
                               np.argsort(i1 * n + i2, kind="stable"))
 
 
@@ -266,7 +241,7 @@ def test_degenerate_kernel_projection_shrinks():
     assert np.var(scores) > 0.5
 
 
-# ----------------------------------------------------- chunking and dumps
+# ----------------------------------------------------- chunking
 
 def test_a_pass_matches_plain_sum(chunk_pairs):
     rng = np.random.default_rng(31)
@@ -283,36 +258,6 @@ def test_a_pass_matches_plain_sum(chunk_pairs):
         whole = workers.reduce()
     assert chunked[0] == pytest.approx(whole[0], rel=1e-10)
     assert chunked[1] == pytest.approx(whole[1], rel=1e-10)
-
-
-def test_dump_and_load_pair_scores_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    table = PairScoreTable(7, rng.normal(size=(pair_count(7), 3)))
-    path = tmp_path / "scores.bin"
-    dump_pair_scores(table, path)
-    # row layout: two little-endian uint32 indices + q doubles
-    assert path.stat().st_size == pair_count(7) * (8 + 3 * 8)
-    loaded = load_pair_scores(path, q=3)
-    assert loaded.n == 7
-    assert np.array_equal(loaded.scores, table.scores)
-
-
-def test_a_pair_score_dump_with_a_partial_row_is_rejected(tmp_path):
-    # the trailing bytes were ignored, so this file loaded as n = 5
-    path = tmp_path / "scores.bin"
-    dump_pair_scores(PairScoreTable(5, np.ones((pair_count(5), 2))), path)
-    with open(path, "ab") as fh:
-        fh.write(b"\0" * 5)
-    with pytest.raises(InputError, match="245 bytes, not a whole number of "
-                                         "24-byte rows of q=2"):
-        load_pair_scores(path, q=2)
-
-
-def test_an_empty_pair_score_dump_is_rejected(tmp_path):
-    path = tmp_path / "empty.bin"
-    path.write_bytes(b"")
-    with pytest.raises(InputError, match="empty pair score dump"):
-        load_pair_scores(path)
 
 
 @pytest.mark.parametrize("make,message", [
