@@ -62,7 +62,7 @@ import numpy as np
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .kernels import Kernel, _close_counts, _responses_of
 from .links import link_complement, link_mean_deriv
-from .model import (FrmModel, IccModel, MeanVarianceModel, augment,
+from .model import (FrmModel, IccModel, MeanVarianceModel, _integer_setting, augment,
                     pair_covariate_matrix, stack_subjects, variance_eval)
 from .ustat import (canonical_order, checked_pair_count, interleaved_accumulate, pair_chunks,
                     pair_count, pair_indices, pair_rows, pass_workers, projection_variance)
@@ -70,8 +70,6 @@ from .ustat import (canonical_order, checked_pair_count, interleaved_accumulate,
 COND_LIMIT = 1e12
 NB_TAU_MAX = 1e8
 NB_TAU_MIN = 1e-8
-# the dispersion from which the nb profile score takes its excess form
-NB_EXCESS_TAU = 1e3
 # step halvings per scoring iteration; the last candidate is accepted
 # (and counted as flagged) even when it lowers the quasi-objective
 MAX_HALVINGS = 20
@@ -138,6 +136,8 @@ class PairData:
             raise InputError("need at least 2 subjects")
         if self.subject_ids is not None and len(self.subject_ids) != self.n:
             raise InputError(f"{len(self.subject_ids)} subject ids for n={self.n}")
+        if self.subject_ids is not None and len(set(self.subject_ids)) < self.n:
+            raise InputError("duplicate subject ids in dataset")
         if indexed:
             order = canonical_order(self.n, i1, i2)
             if order is not None:
@@ -233,7 +233,7 @@ class FitConfig:
     def __post_init__(self):
         if not 0 < self.tol_eq < math.inf:   # inf stops at the start, nan never
             raise InputError(f"tol_eq must be positive and finite, got {self.tol_eq}")
-        if self.max_iter < 1:
+        if _integer_setting("max_iter", self.max_iter) < 1:
             raise InputError("max_iter must be >= 1")
 
 
@@ -343,25 +343,13 @@ def _chunk_mean(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
     return xt, eta, h, g
 
 
-def _nb_information(w: np.ndarray, r: np.ndarray, mu: np.ndarray, tau: float):
-    """The nb scoring weights ``w`` = mu tau / (tau + mu) scaled in place by
-    1 + r / (tau + mu), r = f - mu, to the observed information's, mu tau
-    (tau + f) / (tau + mu)^2; a pair with f < -tau, a negative factor, keeps w."""
-    d = tau + mu
-    np.divide(r, d, out=d)
-    d += 1.0
-    if d.min() < 0:
-        d[d < 0] = 1.0
-    w *= d
-    return w
-
-
 def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice,
                  newton: bool = False):
     """Quasi-objective, (q, chunk) pair scores and (q, q) matrix J of one
     pair chunk, all three from one ``_chunk_mean`` and one working variance:
     J = D'V^-1 D, or with ``newton`` (exp-link nb at finite tau) the observed
-    information -dU/dbeta (``_nb_information``): quadratic convergence."""
+    information -dU/dbeta, weights scaled by 1 + r / (tau + h) (by 1 where
+    that is negative, f < -tau): quadratic convergence."""
     xt, eta, h, g = _chunk_mean(model, data, beta, sl)
     wv = model.working_variance
     comp = link_complement(model.link, eta, h) if wv.kind == "bernoulli" else None
@@ -377,7 +365,12 @@ def _chunk_terms(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice,
     np.multiply(g, g, out=w)   # g^2 / V
     w /= V
     if newton:
-        _nb_information(w, r, h, wv.value)
+        d = wv.value + h
+        np.divide(r, d, out=d)
+        d += 1.0
+        if d.min() < 0:
+            d[d < 0] = 1.0
+        w *= d
     return merit, s, (xt * w) @ xt.T
 
 
@@ -385,7 +378,7 @@ class _Bound(NamedTuple):
     """A model bound to its data: the one state of a fit.  An adaptive
     round replaces only its nuisance ``value`` and its start ``beta``."""
 
-    reduce: Callable     # reduce(kind, theta, value): one pass (see ``_bind``)
+    reduce: Callable     # reduce(kind, theta, value): one pass, a kind of ``_pass_chunks``
     names: tuple         # the q parameter names
     beta: np.ndarray     # the start: the given beta, or the model's default
     n: int               # subjects
@@ -528,8 +521,7 @@ def _moment_bind(model, n: int, rows, beta=None) -> _Bound:
     return _Bound(reduce, names, _start(beta, names), n, N, None)
 
 
-def _pass_chunks(model: FrmModel, data: PairData, kind: str, beta: np.ndarray,
-                 value):
+def _pass_chunks(model: FrmModel, data: PairData, kind, beta: np.ndarray, value):
     """The chunk function of one pass of ``model`` on ``data`` at ``beta``,
     with the working variance's nuisance at ``value``.
 
@@ -537,15 +529,14 @@ def _pass_chunks(model: FrmModel, data: PairData, kind: str, beta: np.ndarray,
     (the observed information for exp-link nb at finite tau); "sandwich"
     gives J = D'V^-1 D and adds the chunk's per-subject score sums, its
     pairs decoded by ``pair_indices``, and its Z2; "nuisance" gives the
-    two sums of ``_nuisance``; "profile", "likelihood" and "information"
-    give sums of the count likelihood at tau = ``value``
-    (``_likelihood_part``), "start" those of ``_start_part``.
+    two sums of ``_nuisance``; "start" those of ``_start_part``; a function
+    (the working MLE's) runs as ``kind(model, data, beta, value, sl)``.
     ``_chunk_terms`` gives each chunk's scores as a (q, chunk) array, so U
     and Z2 reduce contiguous rows.  The workers of a fit inherit ``model``
     and ``data``, so a pass sends them only kind, beta and value.
     """
-    if kind in ("profile", "likelihood", "information"):
-        return partial(_likelihood_part, model, data, beta, value, kind)
+    if callable(kind):
+        return partial(kind, model, data, beta, value)
     if kind == "start":
         return partial(_start_part, model, data, value)
     if value != model.working_variance.value:
@@ -566,52 +557,6 @@ def _terms_part(model: FrmModel, data: PairData, beta: np.ndarray, sandwich: boo
     i1, i2 = pair_indices(data.n, sl.start, sl.stop)
     acc = interleaved_accumulate(data.n, i1, i2, s.T)
     return merit, s.sum(axis=1), J, acc, s @ s.T
-
-
-def _likelihood_part(model: FrmModel, data: PairData, beta: np.ndarray, tau: float,
-                     kind: str, sl: slice):
-    """One chunk's sums of the count likelihood at means mu, dispersion
-    ``tau`` and p = 1 / (1 + mu / tau): "information", the observed
-    information x x' mu p (1 + (f - mu) / (tau + mu)) (tau = inf included);
-    "profile", the pair part of d loglik / d tau in ``_count_score``'s form
-    and its tau-derivative; "likelihood", the log-likelihood at tau and in
-    the Poisson limit, less their log f! terms."""
-    xt, _, mu, _ = _chunk_mean(model, data, beta, sl)
-    f = data.f[sl]
-    if kind == "profile":
-        if tau < NB_EXCESS_TAU:
-            d = tau + mu
-            return (np.sum((mu - f) / d - np.log1p(mu / tau)),
-                    np.sum(((f - mu) / d + mu / tau) / d))
-        z = (f - mu) / (tau + mu)
-        return np.sum(np.log1p(z) - z), np.sum(z * z / (tau + f))
-    p = 1.0 / (1.0 + mu / tau)
-    if kind == "information":
-        return ((xt * _nb_information(mu * p, f - mu, mu, tau)) @ xt.T,)
-    from scipy.special import gammaln
-
-    return (np.sum(gammaln(f + tau) - gammaln(tau) + tau * np.log(p) + f * np.log1p(-p)),
-            np.sum(f * np.log(mu) - mu))
-
-
-def _count_score(counts: np.ndarray, weights: np.ndarray, tau: float) -> float:
-    """The count part of the profile score d loglik / d tau, psi(f + tau) -
-    psi(tau), over the distinct ``counts`` of f with their frequencies.
-    The score's O(1 / tau) terms cancel to O(1 / tau^2), rounding noise
-    near NB_TAU_MAX, so from NB_EXCESS_TAU on this part is psi(f + tau) -
-    psi(tau) - log1p(f / tau), the series psi(x) - log(x) = -1/(2x) -
-    1/(12x^2) + 1/(120x^4) - ... differenced term by term (the first
-    omitted term is below 1e-16 of it), and the pair part log1p(z) - z."""
-    if tau < NB_EXCESS_TAU:
-        from scipy.special import digamma
-
-        return float(weights @ (digamma(counts + tau) - digamma(tau)))
-    # with ia = 1/tau and ib = 1/(f + tau), ia - ib = f ia ib and the excess
-    # is (ia - ib)/2 + (ia^2 - ib^2)/12 - (ia^4 - ib^4)/120
-    ia = 1.0 / tau
-    ib = 1.0 / (counts + tau)
-    return float(weights @ (counts * ia * ib * (
-        0.5 + (ia + ib) * (1.0 - (ia * ia + ib * ib) / 10.0) / 12.0)))
 
 
 def assemble_ugee(model, data: PairData, beta: np.ndarray):

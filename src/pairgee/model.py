@@ -28,6 +28,13 @@ VARIANCE_FLAGS = {"const": "constant", "poisson": "poisson", "propmean": "propme
                   "nb": "nb", "bernoulli": "bernoulli"}
 
 
+def _integer_setting(name: str, value) -> int:
+    """``value``, a Python or numpy integer, as an int; else an InputError naming ``name``."""
+    if not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # --------------------------------------------------------------------------- #
 # Subject-level data
 # --------------------------------------------------------------------------- #
@@ -300,7 +307,7 @@ def icc_mean_map(theta: Sequence[float], raters: int) -> tuple[np.ndarray, np.nd
     tau2, rho = float(theta[0]), float(theta[1])
     if tau2 <= 0:
         raise InputError(f"tau2 must be positive, got {tau2}")
-    K = int(raters)
+    K = _integer_setting("raters", raters)
     if K < 2:
         raise InputError("rater-agreement model needs at least 2 raters")
     c = (1.0 + (K - 1) * rho) / K
@@ -330,6 +337,9 @@ class IccModel:
     raters: int
     param_names: ClassVar[tuple[str, str]] = ("tau2", "rho")
     working_variance: ClassVar[None] = None   # a moment model has none
+
+    def __post_init__(self):
+        _integer_setting("raters", self.raters)
 
     def mean_map(self, theta):
         return icc_mean_map(theta, self.raters)

@@ -1,4 +1,4 @@
-"""Data generators and the Monte Carlo harness.
+"""Data generators, the working MLE and the Monte Carlo harness.
 
 Each scenario generates one dataset per replicate from an independent
 counter-based random stream (Philox keyed by (seed, replicate)), fits the
@@ -12,7 +12,7 @@ its generator's keyword arguments.  Methods: ``ugee:<variance>`` (a key of
 icc; any other parameter or method is an input error.  ``mle:nb`` is
 ``nb_working_mle``: the ``ugee:nb`` equations with an intercept, solved on
 the fit's binding and worker set, alternated with a profile-likelihood
-step for the dispersion.
+step for the dispersion, its count-likelihood sums passes of that binding.
 
 Scenarios
 ---------
@@ -39,11 +39,11 @@ import numpy as np
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .fit import (ADAPTIVE_MAX_ROUNDS, NB_TAU_MAX, FitConfig, PairData, _bind,
-                  _check_conditioning, _count_score, _nuisance, _solve,
+                  _check_conditioning, _chunk_mean, _nuisance, _solve,
                   _subject_pairs, adaptive_fit, fit_icc)
 from .kernels import Kernel
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
-                    pair_covariate_matrix)
+                    _integer_setting, pair_covariate_matrix)
 from .ustat import (_one_blas_thread, _serial_reductions, _usable_cpus, chunk_slices,
                     pair_chunks, pair_count)
 
@@ -181,7 +181,7 @@ def gen_icc_ratings(n: int, raters: int, seed_or_rng, mu: float = 0.0,
                   gamma=0.0 if gamma is None else gamma)
     if min(sigma_b2, sigma_bg2, sigma_e2) < 0:
         raise InputError("variance components must be nonnegative")
-    K = int(raters)
+    K = _integer_setting("raters", raters)
     if K < 2:
         raise InputError("need at least 2 raters")
     if gamma is None:
@@ -255,6 +255,8 @@ class MleResult:
 _LOG_TAU_BOUNDS = (float(np.log(1e-3)), float(np.log(NB_TAU_MAX)))
 _LOG_TAU_TOL = 1e-5
 _MLE_REL_TOL = 1e-13
+# the dispersion from which the nb profile score takes its excess form
+NB_EXCESS_TAU = 1e3
 
 
 def _profile_root(score, u: float) -> float:
@@ -286,6 +288,49 @@ def _profile_root(score, u: float) -> float:
     return u
 
 
+def _profile_part(model: FrmModel, data: PairData, beta, tau: float, sl: slice):
+    """One chunk's pair part of d loglik / d tau in ``_count_score``'s form
+    and its tau-derivative, at means mu."""
+    mu, f = _chunk_mean(model, data, beta, sl)[2], data.f[sl]
+    if tau < NB_EXCESS_TAU:
+        d = tau + mu
+        return (np.sum((mu - f) / d - np.log1p(mu / tau)),
+                np.sum(((f - mu) / d + mu / tau) / d))
+    z = (f - mu) / (tau + mu)
+    return np.sum(np.log1p(z) - z), np.sum(z * z / (tau + f))
+
+
+def _likelihood_part(model: FrmModel, data: PairData, beta, tau: float, sl: slice):
+    """One chunk's count log-likelihood at means mu, p = 1 / (1 + mu / tau),
+    and in the Poisson limit, less their log f! terms."""
+    from scipy.special import gammaln
+
+    mu, f = _chunk_mean(model, data, beta, sl)[2], data.f[sl]
+    p = 1.0 / (1.0 + mu / tau)
+    return (np.sum(gammaln(f + tau) - gammaln(tau) + tau * np.log(p) + f * np.log1p(-p)),
+            np.sum(f * np.log(mu) - mu))
+
+
+def _count_score(counts: np.ndarray, weights: np.ndarray, tau: float) -> float:
+    """The count part of the profile score d loglik / d tau, psi(f + tau) -
+    psi(tau), over the distinct ``counts`` of f with their frequencies.
+    The score's O(1 / tau) terms cancel to O(1 / tau^2), rounding noise
+    near NB_TAU_MAX, so from NB_EXCESS_TAU on this part is psi(f + tau) -
+    psi(tau) - log1p(f / tau), the series psi(x) - log(x) = -1/(2x) -
+    1/(12x^2) + 1/(120x^4) - ... differenced term by term (the first
+    omitted term is below 1e-16 of it), and the pair part log1p(z) - z."""
+    if tau < NB_EXCESS_TAU:
+        from scipy.special import digamma
+
+        return float(weights @ (digamma(counts + tau) - digamma(tau)))
+    # with ia = 1/tau and ib = 1/(f + tau), ia - ib = f ia ib and the excess
+    # is (ia - ib)/2 + (ia^2 - ib^2)/12 - (ia^4 - ib^4)/120
+    ia = 1.0 / tau
+    ib = 1.0 / (counts + tau)
+    return float(weights @ (counts * ia * ib * (
+        0.5 + (ia + ib) * (1.0 - (ia * ia + ib * ib) / 10.0) / 12.0)))
+
+
 def _nb_profile_tau(bound, beta: np.ndarray, tau_start: float, counts: np.ndarray,
                     weights: np.ndarray) -> tuple[float, float]:
     """The dispersion maximising the count likelihood at ``beta``, and the
@@ -294,7 +339,7 @@ def _nb_profile_tau(bound, beta: np.ndarray, tau_start: float, counts: np.ndarra
     tau), from ``tau_start`` on, by passes of ``bound``."""
     def score(u):   # the count part's slope in log tau is a difference quotient
         tau = float(np.exp(u))
-        s, slope = bound.reduce("profile", beta, tau)
+        s, slope = bound.reduce(_profile_part, beta, tau)
         count = _count_score(counts, weights, tau)
         s += count
         ahead = _count_score(counts, weights, float(np.exp(u + 1e-6)))
@@ -303,7 +348,7 @@ def _nb_profile_tau(bound, beta: np.ndarray, tau_start: float, counts: np.ndarra
     tau = float(np.exp(_profile_root(score, np.log(tau_start))))
     # the sentinel sums pair by pair: sums of hoisted or per-count terms reach
     # 1e9 near NB_TAU_MAX, and their rounding swamps the 1e-3 margin
-    at_tau, limit = bound.reduce("likelihood", beta, tau)
+    at_tau, limit = bound.reduce(_likelihood_part, beta, tau)
     if limit >= at_tau - 1e-3:
         return float("inf"), limit
     return tau, at_tau
@@ -361,7 +406,7 @@ def nb_working_mle(data: PairData) -> MleResult:
                 converged = bool(np.max(np.abs(beta - beta_old)) < 1e-9) and not tau_moved
                 if converged:
                     break
-            info = bound.reduce("information", beta, tau)[0]
+            info = bound._replace(value=tau).evaluate(beta)[2]   # the Newton steps' J
             _check_conditioning(info, "information matrix")
     except SingularInformation as exc:
         raise EvaluationError("count likelihood has no maximum in reach: its "
@@ -429,11 +474,11 @@ class McConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise InputError(f"unknown scenario {self.scenario!r}")
-        if self.n < 10:
+        if _integer_setting("n", self.n) < 10:
             raise InputError("scenarios need n >= 10 subjects")
-        if self.replicates < 1:
+        if _integer_setting("replicates", self.replicates) < 1:
             raise InputError("need at least one replicate")
-        if self.seed < 0:
+        if _integer_setting("seed", self.seed) < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         row = SCENARIOS[self.scenario]
         taken = row.parameters()

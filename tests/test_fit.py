@@ -222,10 +222,12 @@ def test_icc_pair_data_matches_the_full_array_oracle(chunk, chunk_pairs):
     ([-1, 0, 1], [1, 2, 2], None, "pair indices must satisfy 0 <= i1 < i2 < n"),
     ([0, 0], [1, 5], None, "pair indices must satisfy 0 <= i1 < i2 < n"),   # range first
     ([0, 0, 1], [1, 2], None, "pair arrays have inconsistent lengths"),
-    # one id for three subjects was accepted
+    # one id for three subjects, and a repeated id, were accepted
     ([0, 0, 1], [1, 2, 2], ("a",), "1 subject ids for n=3"),
+    ([0, 0, 1], [1, 2, 2], ("a", "a", "b"), "duplicate subject ids in dataset"),
 ], ids=["incomplete", "too-many", "duplicate", "i1>i2", "duplicate-first-row",
-        "i1==i2", "i2>=n", "i1<0", "range-before-count", "lengths", "subject-ids"])
+        "i1==i2", "i2>=n", "i1<0", "range-before-count", "lengths", "subject-ids",
+        "repeated-subject-id"])
 def test_pair_data_rejects_index_faults_with_their_message(i1, i2, ids, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         PairData(n=3, i1=i1, i2=i2, x=np.zeros((len(i1), 1)), f=np.ones(len(i1)),
@@ -721,6 +723,27 @@ def _start_of(model, data):
         return bound.beta
 
 
+def test_an_exp_start_with_a_negative_response_is_log_fbar_on_the_intercept():
+    # mu0 = f + fbar / 100 of a negative f may be nonpositive, so no IRLS step
+    rng = make_rng(3, 0)
+    f = rng.uniform(1.0, 5.0, size=66)
+    f[7] = -0.5
+    data = PairData(n=12, x=rng.uniform(size=(66, 1)), f=f)
+    start = _start_of(_model("exp", "constant", intercept=True), data)
+    np.testing.assert_array_equal(start, [np.log(np.mean(f)), 0.0])
+
+
+def test_a_singular_start_matrix_falls_back_to_log_fbar_and_the_solve_stops_there():
+    # a duplicated covariate column makes X'WX singular, and J after it
+    rng = make_rng(4, 0)
+    x = rng.uniform(size=(66, 1))
+    data = PairData(n=12, x=np.hstack([x, x]), f=rng.uniform(1.0, 5.0, size=66))
+    model = _model("exp", "constant", intercept=True)
+    np.testing.assert_array_equal(_start_of(model, data), [np.log(np.mean(data.f)), 0.0, 0.0])
+    with pytest.raises(SingularInformation, match="^scoring matrix is numerically singular"):
+        solve_ugee(model, data)
+
+
 def _onehot_counts(seed, levels=3, n=12):
     """Counts on a complete onehot design of ``levels`` groups, every slot taken."""
     rng = make_rng(seed, 0)
@@ -854,7 +877,7 @@ def test_nb_solves_step_with_the_observed_information(monkeypatch):
 
 
 def test_nb_under_another_link_keeps_its_scoring_steps():
-    # the observed information of _nb_information is the log link's
+    # the observed information of the Newton steps is the log link's
     data, beta = gen_nb_scenario(40, 7), np.array([20.0, 30.0])
     with _bind(_model("identity", "nb", True, 10.0), data, beta) as bound:
         terms, sandwich = bound.evaluate(beta), bound.evaluate(beta, sandwich=True)

@@ -10,11 +10,13 @@ from scipy.special import ndtr
 
 import pairgee.simulate
 import pairgee.ustat
-from pairgee import (EvaluationError, FitConfig, FrmModel, InputError, Kernel,
-                     McConfig, NonConvergence, PairCovariate, WorkingVariance,
+from pairgee import (EvaluationError, FitConfig, FrmModel, IccModel, InputError,
+                     Kernel, McConfig, NonConvergence, PairCovariate, WorkingVariance,
                      assemble_ugee, gen_icc_ratings, gen_linear_exogenous,
-                     gen_mww_probit, gen_nb_scenario, linear_pair_data, make_rng,
-                     mww_pair_data, nb_working_mle, run_monte_carlo, solve_ugee)
+                     gen_mww_probit, gen_nb_scenario, icc_mean_map, linear_pair_data,
+                     make_rng, mww_pair_data, nb_working_mle, run_monte_carlo,
+                     solve_ugee)
+from pairgee.simulate import _profile_root
 
 from oracles import (full_array_linear_pair_data, full_array_nb_scenario,
                      full_array_subject_pairs, nb_working_mle_bounded)
@@ -226,6 +228,23 @@ def test_pair_data_generators_need_two_subjects():
 
 # ----------------------------------------------------------- working MLE
 
+def test_profile_root_bisects_where_a_newton_step_leaves_the_bracket():
+    # a slope a fifth of the true one: from -3 the search widens to 0.1,
+    # where the score turns negative, steps to 6.73 and then bisects
+    points = []
+
+    def score(u):
+        points.append(u)
+        return -math.atan(u - 1.0), -0.2 / (1.0 + (u - 1.0) ** 2)
+
+    root = _profile_root(score, -3.0)
+    assert abs(root - 1.0) <= 1e-5 and len(points) == 30
+    np.testing.assert_allclose(points[:7], [-3.0, -2.9, -2.7, -2.3, -1.5, 0.1, 6.73],
+                               atol=5e-3)
+    midpoints = [0.5 * (points[5] + points[k]) for k in (6, 7, 8)]
+    np.testing.assert_allclose(points[7:10], midpoints, rtol=1e-14)
+
+
 def test_nb_working_mle_recovers_parameters():
     data = gen_nb_scenario(120, 55, tau=10.0)
     res = nb_working_mle(data)
@@ -423,6 +442,32 @@ def test_mc_config_validation():
         McConfig(scenario="nb", n=5, replicates=2, seed=0)
     with pytest.raises(InputError):
         McConfig(scenario="nb", n=30, replicates=0, seed=0)
+
+
+# each was truncated (seed 1.5 ran seed 1's stream, 3.9 raters drew 3) or
+# failed inside the run with numpy's bare TypeError
+@pytest.mark.parametrize("setting,make", [
+    ("n", lambda: McConfig("nb", n=20.5, replicates=2, seed=1)),
+    ("replicates", lambda: McConfig("nb", n=20, replicates=2.5, seed=1)),
+    ("seed", lambda: McConfig("nb", n=20, replicates=2, seed=1.5)),
+    ("max_iter", lambda: FitConfig(max_iter=2.5)),
+    ("max_iter", lambda: FitConfig(max_iter=math.nan)),
+    ("raters", lambda: gen_icc_ratings(5, 3.9, 0)),
+    ("raters", lambda: IccModel(raters=2.5)),
+    ("raters", lambda: icc_mean_map((1.0, 0.2), 2.5)),
+], ids=["mc-n", "mc-replicates", "mc-seed", "max-iter", "max-iter-nan", "gen-icc-raters",
+        "icc-model-raters", "icc-mean-map-raters"])
+def test_an_integer_setting_that_is_not_an_integer_is_named(setting, make):
+    with pytest.raises(InputError, match=f"^{setting} must be an integer, got "):
+        make()
+
+
+def test_integer_settings_accept_numpy_integers():
+    config = McConfig("nb", n=np.int64(20), replicates=np.int32(2), seed=np.uint8(1))
+    assert config.n == 20 and config.replicates == 2 and config.seed == 1
+    assert FitConfig(max_iter=np.int64(5)).max_iter == 5
+    assert gen_icc_ratings(5, np.int64(3), 0).ratings.shape == (5, 3)
+    assert IccModel(np.int16(3)).mean_map((1.0, 0.5))[0].tolist() == [2.0 / 3.0, 1.0]
 
 
 @pytest.mark.parametrize("scenario,method", [
