@@ -339,7 +339,8 @@ class IccModel:
     working_variance: ClassVar[None] = None   # a moment model has none
 
     def __post_init__(self):
-        _integer_setting("raters", self.raters)
+        if _integer_setting("raters", self.raters) < 2:
+            raise InputError("rater-agreement model needs at least 2 raters")
 
     def mean_map(self, theta):
         return icc_mean_map(theta, self.raters)

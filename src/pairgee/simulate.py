@@ -32,7 +32,6 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +43,7 @@ from .fit import (ADAPTIVE_MAX_ROUNDS, NB_TAU_MAX, FitConfig, PairData, _bind,
 from .kernels import Kernel
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     _integer_setting, pair_covariate_matrix)
-from .ustat import (_one_blas_thread, _serial_reductions, _usable_cpus, chunk_slices,
-                    pair_chunks, pair_count)
+from .ustat import _one_blas_thread, chunk_slices, pair_chunks, pair_count, spread
 
 
 # the largest mean count that ``gen_nb_scenario`` draws: numpy's Poisson
@@ -474,11 +472,15 @@ class McConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise InputError(f"unknown scenario {self.scenario!r}")
-        if _integer_setting("n", self.n) < 10:
+        # stored as int, so that a report of numpy integers serialises
+        object.__setattr__(self, "n", _integer_setting("n", self.n))
+        if self.n < 10:
             raise InputError("scenarios need n >= 10 subjects")
-        if _integer_setting("replicates", self.replicates) < 1:
+        object.__setattr__(self, "replicates", _integer_setting("replicates", self.replicates))
+        if self.replicates < 1:
             raise InputError("need at least one replicate")
-        if _integer_setting("seed", self.seed) < 0:
+        object.__setattr__(self, "seed", _integer_setting("seed", self.seed))
+        if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         row = SCENARIOS[self.scenario]
         taken = row.parameters()
@@ -595,54 +597,24 @@ def _one_replicate(config: McConfig, rep: int):
     return record, fits
 
 
-def _replicate_fits(config: McConfig, rep: int) -> dict:
-    """Replicate ``rep``'s fits without its record: what a pool worker returns."""
-    return _one_replicate(config, rep)[1]
-
-
-def _later_fits(config: McConfig) -> list:
-    """The fits of replicates 1 .. M-1 in replicate order, from a pool of
-    forked processes, one per usable CPU but at most M - 1, or in this
-    process with one such CPU or where ``fork`` is not available.
-
-    The workers are forked, not spawned: they inherit the modules that
-    replicate 0 loaded in this process (scipy's among them) and the BLAS
-    thread count set by ``_one_blas_thread``.  Their reductions stay in
-    them, since the pool already keeps every usable CPU busy.  Leaving the
-    pool joins every worker, also when a replicate raised.
-    """
-    # imported here, not at module level: a process pool's modules cost
-    # about 30 ms of start-up that a CLI fit would pay
-    import multiprocessing
-
-    workers = min(_usable_cpus(), config.replicates - 1)
-    reps = range(1, config.replicates)
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_replicate_fits(config, rep) for rep in reps]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_serial_reductions) as pool:
-        return list(pool.map(_replicate_fits, repeat(config), reps))
-
-
 def run_monte_carlo(config: McConfig) -> McReport:
     """Run the study and aggregate Est / Asy / Emp per method and parameter.
 
     Replicate r uses the independent stream (seed, r), so results do not
-    depend on execution order.  Replicate 0 runs in this process; the others
-    run on one process per usable CPU (at most M - 1) and come back in
-    replicate order.  All of them run with numpy's BLAS on one thread, so
-    the report's bytes depend neither on the number of CPUs nor on the
-    host's BLAS thread setting.  Replicates where a method fails to
-    evaluate, converge or invert its information are excluded from that
-    method's aggregates and counted; any other exception propagates.  The
-    report is flagged invalid when any method loses more than 10% of
-    replicates.
+    depend on execution order.  Replicate 0 runs first, alone in this
+    process, whose scipy import the forked workers inherit; the others are
+    shared by it and those workers (``ustat.spread``) and come back in
+    replicate order.  All run with numpy's BLAS on one thread, so the
+    report's bytes depend neither on the number of CPUs nor on the host's
+    BLAS thread setting.  Replicates where a method fails to evaluate,
+    converge or invert its information are excluded from that method's
+    aggregates and counted; any other exception propagates.  The report
+    is flagged invalid when any method loses more than 10% of replicates.
     """
     with _one_blas_thread():
         truth, first = _one_replicate(config, 0)
-        results = [first] + _later_fits(config)
+        results = [first] + spread(lambda k: _one_replicate(config, k + 1)[1],
+                                   config.replicates - 1)
 
     rows: list[McRow] = []
     invalid = False

@@ -24,9 +24,11 @@ OpenBLAS, the passes over at least ``FORK_PAIRS`` pairs have their chunks
 evaluated on the usable CPUs, chunk k by worker k mod W, worker 0 being
 the calling process and the others children that the set forks once, at
 its first pass, and that serve its every later pass; the parts are still
-added in chunk order.  So a result depends on the chunk size, and not on the
-number of CPUs or the host's BLAS threads.  With another BLAS nothing is
-forked, and the last bits may follow that BLAS's own thread setting.
+added in chunk order.  So a result depends on the chunk size, and not on
+the number of CPUs or the host's BLAS threads.  ``spread`` shares a list's
+items (the Monte Carlo replicates) so too; while its set has children,
+their passes fork nothing.  With another BLAS nothing is forked, and the
+last bits may follow that BLAS's own thread setting.
 ``CHUNK_PAIRS`` is the package's one chunk size: ``chunk_slices``,
 ``pair_chunks`` and ``pass_workers`` take no size argument and read it
 when they are called, as does the bounded loop of
@@ -42,7 +44,7 @@ import math
 import os
 import pickle
 import signal
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 # Not used here: the benchmark tracer (bench/spans.py) counts thread pools
 # by replacing this module attribute.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -58,7 +60,7 @@ CHUNK_PAIRS = 16384
 # over fewer costs less in one process than its forks and pipes.  It was
 # measured for two workers, so each worker gets at least half of it.
 FORK_PAIRS = 1 << 20
-# False in a process whose reductions stay in it (see ``_serial_reductions``)
+# False in a set's workers, and in its caller's slices while it has children
 _may_fork = True
 
 
@@ -186,14 +188,28 @@ def pass_workers(bind, n_items: int):
     of the block every child is killed and reaped.  Without that OpenBLAS
     nothing is forked: another BLAS keeps its own threads, which may not
     survive a fork and would round the parent's parts differently from
-    the children's.
+    the children's.  Nor is anything forked in a worker of another set,
+    or for an item of a ``spread`` evaluated by its calling process.
     """
-    workers = _Workers(bind, n_items)
-    with _one_blas_thread():
-        try:
-            yield workers
-        finally:
-            workers.close()
+    workers = _Workers(bind, lambda: chunk_slices(n_items), FORK_PAIRS // 2)
+    with _one_blas_thread(), closing(workers):
+        yield workers
+
+
+def spread(fn, n: int) -> list:
+    """``[fn(k) for k in range(n)]`` on a set of workers with one slice per
+    item and W = min(usable CPUs, n), forked at the call as a pass of
+    ``pass_workers`` forks: item k is evaluated by worker k mod W, worker
+    0 being this process, and each result must pickle.  The results come
+    back in item order, and the first exception in item order is raised.
+    While the set has children, the passes inside ``fn`` fork nothing.
+    """
+    parts = []
+    with closing(_Workers(lambda: lambda sl: fn(sl.start),
+                          lambda: [slice(k, k + 1) for k in range(n)], 1)) as workers:
+        if n:
+            workers.fold(lambda _, part: parts.append(part), None)
+    return parts
 
 
 def _add(total, part):
@@ -201,42 +217,49 @@ def _add(total, part):
 
 
 class _Workers:
-    """The running set of a ``pass_workers`` block: ``size`` is its W (0
-    before its first pass), and ``children`` holds (pid, task pipe, part
-    pipe) of workers 1, 2, ...  A worker whose pipe or fork fails (no
-    process to spare) and the ones after it are not started: this process
-    evaluates their slices too, and the next pass tries again."""
+    """The running set of a ``pass_workers`` block or of ``spread``, whose
+    passes run over the slices ``slices()`` in order, each worker taking at
+    least ``least`` items: ``size`` is its W (0 before its first pass),
+    and ``children`` holds (pid, task pipe, part pipe) of workers 1, 2, ...
+    A worker whose pipe or fork fails (no process to spare) and the ones
+    after it are not started: this process evaluates their slices too, and
+    the next pass tries again."""
 
-    def __init__(self, bind, n_items: int):
-        self.bind, self.n_items = bind, n_items
+    def __init__(self, bind, slices, least: int):
+        self.bind, self.slices, self.least = bind, slices, least
         self.size, self.children = 0, []
 
     def reduce(self, *task):
         return tuple(self.fold(_add, None, *task))
 
     def fold(self, merge, total, *task):
-        if self.n_items == 0:
+        global _may_fork
+        slices = self.slices()
+        if not slices:
             raise InputError("nothing to reduce over")
-        slices = chunk_slices(self.n_items)
         self._start(slices)
+        may_fork = _may_fork
         try:
             for _, tasks, _ in self.children:
                 try:
                     _send(tasks, (task, np.geterr()))
                 except BrokenPipeError:
                     pass   # an ended worker: reading its first part says so
+            _may_fork = may_fork and not self.children
             for part in self._parts(self.bind(*task), slices):
                 total = merge(total, part)
             return total
         except BaseException:
             self.close()
             raise
+        finally:
+            _may_fork = may_fork
 
     def _start(self, slices: list) -> None:
         """Size a new set, and fork the workers it lacks."""
         if not self.size:
             self.size = max(1, min(_usable_cpus(), len(slices),
-                                   self.n_items // (FORK_PAIRS // 2))
+                                   slices[-1].stop // self.least)
                             if _may_fork and hasattr(os, "fork")
                             and _openblas() is not None else 1)
         for w in range(len(self.children) + 1, self.size):
@@ -250,6 +273,7 @@ class _Workers:
         ``_serve``); returns its pid, the write end of its task pipe and
         the read end of its part pipe.  A pipe or fork that fails raises
         OSError and leaves no descriptor open."""
+        global _may_fork
         fds = []
         try:
             fds += os.pipe()
@@ -260,7 +284,8 @@ class _Workers:
                 os.close(fd)
             raise
         task_read, task_write, part_read, part_write = fds
-        if pid == 0:   # the child never returns from here
+        if pid == 0:   # the child never returns from here, nor forks a set
+            _may_fork = False
             code = 1
             try:
                 os.close(task_write)
@@ -330,13 +355,6 @@ def _send(file, message) -> None:
     file.flush()
 
 
-def _serial_reductions() -> None:
-    """Keep every later reduction of this process in it: the initializer of
-    a process pool that already runs one worker per usable CPU."""
-    global _may_fork
-    _may_fork = False
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -366,8 +384,8 @@ def _one_blas_thread():
     last bits of a fit would depend on the host's thread setting, and its
     idle threads spin against the processes of a forked reduction; without
     a bundled OpenBLAS this does nothing.  A count already at one is left
-    alone: in a forked process, as a pool worker is, setting it starts a
-    BLAS thread that spins for about 0.1 s of CPU."""
+    alone: in a forked process, as a worker of a set is, setting it starts
+    a BLAS thread that spins for about 0.1 s of CPU."""
     blas = _openblas()
     before = blas[0]() if blas else 1
     if before == 1:

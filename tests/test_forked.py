@@ -1,4 +1,5 @@
-"""Reductions split across forked processes (``ustat.pass_workers``).
+"""Reductions split across forked processes (``ustat.pass_workers``), and
+items shared by forked processes (``ustat.spread``).
 
 Each test sets ``ustat.FORK_PAIRS`` low and a small chunk size, so that
 small datasets span many chunks and every fit or bare ``pass_workers``
@@ -27,7 +28,7 @@ from pairgee import (EvaluationError, FitConfig, FrmModel, Kernel, NonConvergenc
                      gen_mww_probit, gen_nb_scenario, make_rng, nb_working_mle,
                      sandwich_variance, solve_ugee)
 from pairgee.simulate import mww_pair_data
-from pairgee.ustat import pair_indices, pass_workers
+from pairgee.ustat import pair_indices, pass_workers, spread
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -342,7 +343,7 @@ def test_nothing_is_forked_without_the_bundled_openblas(forking, monkeypatch, fo
 
 def test_a_blas_thread_count_of_one_is_left_alone(monkeypatch):
     # setting the count starts a spinning BLAS thread in a forked process,
-    # such as a Monte Carlo pool worker, whose count is one already
+    # such as a worker of a Monte Carlo study, whose count is one already
     calls = []
     for count in (1, 2):
         calls.clear()
@@ -530,3 +531,53 @@ def test_a_pass_sends_its_workers_a_task_whose_size_does_not_grow_with_the_pairs
         assert len(sizes) > 2
         largest.append(max(sizes))
     assert largest[0] == largest[1] < 1024
+
+
+# --------------------------------------------------------------------- spread
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_spread_evaluates_item_k_on_worker_k_mod_w_and_forks_no_pass(forking, forks,
+                                                                     workers):
+    # each item runs a pass that would fork on its own: none does, neither
+    # in this process nor in a child
+    def item(k):
+        made = len(forks)
+        total = _reduce(lambda sl: (float(sl.stop - sl.start),), 1000)
+        return k * k, os.getpid(), total, len(forks) - made
+
+    forking(workers)
+    parts = spread(item, 7)
+    pids = [os.getpid(), *forks]
+    assert len(pids) == workers
+    assert parts == [(k * k, pids[k % workers], (1000.0,), 0) for k in range(7)]
+
+
+@pytest.mark.parametrize("first", [3, 4], ids=["a-childs", "this-process's"])
+def test_spread_raises_the_first_error_in_item_order(forking, first):
+    def item(k):
+        if k >= first:   # with two workers, odd items are the child's
+            raise ValueError(f"item {k}")
+        return k
+
+    for workers in (None, 2):
+        forking(workers)
+        with pytest.raises(ValueError, match=f"item {first}$"):
+            spread(item, 6)
+
+
+def test_a_spread_child_that_dies_is_an_error_not_a_hang(forking):
+    def item(k):
+        if os.getpid() != parent:
+            os._exit(3)
+        return k
+
+    parent = os.getpid()
+    forking(2)
+    with pytest.raises(RuntimeError, match="ended before sending the part of chunk 1$"):
+        spread(item, 4)
+
+
+def test_spread_of_no_items_is_empty(forking, forks):
+    forking(2)
+    assert spread(lambda k: 1 / 0, 0) == []
+    assert forks == []

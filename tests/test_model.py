@@ -360,9 +360,11 @@ def test_stack_subjects_enforces_homogeneity_and_unique_ids():
     (lambda: FrmModel("exp", None), "must be a WorkingVariance, got None"),
     (lambda: FrmModel("exp", "nb"), "must be a WorkingVariance, got 'nb'"),
     (lambda: icc_mean_map([1.0, 0.2], raters=1), "needs at least 2 raters"),
+    (lambda: IccModel(raters=1), "^rater-agreement model needs at least 2 raters$"),
     (lambda: IccModel(3).responses(np.ones(4)), "needs two-component responses")],
     ids=["empty-y", "no-records", "transform", "levels", "per-pair", "link",
-         "no-working-variance", "working-variance-name", "raters", "responses"])
+         "no-working-variance", "working-variance-name", "raters", "icc-model-raters",
+         "responses"])
 def test_model_pieces_reject_a_malformed_value(make, message):
     with pytest.raises(InputError, match=message):
         make()

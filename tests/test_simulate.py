@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import multiprocessing
 import os
 import re
 
@@ -470,6 +469,18 @@ def test_integer_settings_accept_numpy_integers():
     assert IccModel(np.int16(3)).mean_map((1.0, 0.5))[0].tolist() == [2.0 / 3.0, 1.0]
 
 
+def test_a_report_of_numpy_integer_settings_writes_the_plain_int_bytes(tmp_path):
+    # the report carried the numpy integers, which json cannot write
+    files = []
+    for kind in (int, np.int64):
+        report = run_monte_carlo(McConfig("linear", n=kind(12), replicates=kind(2),
+                                          seed=kind(1)))
+        report.to_json(tmp_path / "report.json")
+        report.to_csv(tmp_path / "report.csv")
+        files.append([(tmp_path / f"report.{ext}").read_bytes() for ext in ("json", "csv")])
+    assert files[0] == files[1]
+
+
 @pytest.mark.parametrize("scenario,method", [
     ("nb", "ugee:foo"), ("nb", "ugee:userfixed"), ("icc", "ugee:poisson"),
     ("nb", "icc"), ("linear", "icc"), ("icc", "mle:nb"), ("mww", "mle:nb"),
@@ -514,7 +525,12 @@ def test_run_monte_carlo_icc_true_rho_is_the_generators():
     assert report.extras == {"true_rho": expected}
 
 
-# ------------------------------------------------------ replicates on a pool
+# ---------------------------------------------------- replicates on workers
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 @pytest.mark.parametrize("scenario", sorted(pairgee.simulate.SCENARIOS))
 def test_run_monte_carlo_reports_do_not_depend_on_the_cpu_count(tmp_path,
@@ -530,7 +546,7 @@ def test_run_monte_carlo_reports_do_not_depend_on_the_cpu_count(tmp_path,
         files.append([(tmp_path / f"c{cpus}.{ext}").read_bytes()
                       for ext in ("json", "csv")])
     assert files[0] == files[1]
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def _failing_in(monkeypatch, config, rep, error_of_method):
@@ -552,10 +568,10 @@ def test_run_monte_carlo_raises_a_workers_programming_error_as_is(monkeypatch,
     limit_cpus(2)
     config = McConfig(scenario="nb", n=20, replicates=6, seed=1,
                       methods=("ugee:poisson",))
-    _failing_in(monkeypatch, config, 3, {"ugee:poisson": TypeError("bug in a fit")})
+    _failing_in(monkeypatch, config, 4, {"ugee:poisson": TypeError("bug in a fit")})
     with pytest.raises(TypeError, match="bug in a fit"):
         run_monte_carlo(config)
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_run_monte_carlo_counts_a_workers_fit_failures(monkeypatch, limit_cpus):
@@ -574,7 +590,7 @@ def test_run_monte_carlo_counts_a_workers_fit_failures(monkeypatch, limit_cpus):
     assert report.details[4]["ugee:nb"] is None
     assert [row for row in report.rows if row.method == "ugee:const"] == \
         [row for row in reference.rows if row.method == "ugee:const"]
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_run_monte_carlo_runs_every_replicate_on_one_blas_thread(monkeypatch,
@@ -602,16 +618,20 @@ def test_run_monte_carlo_runs_every_replicate_on_one_blas_thread(monkeypatch,
         set_(before)
     threads, pids = zip(*(fits["ugee:poisson"][0] for fits in report.details))
     assert threads == (1.0,) * 5
-    assert pids[0] == os.getpid()
+    # replicate 0 alone here, then 1 .. 4 on worker (r - 1) mod 2
     if len(os.sched_getaffinity(0)) >= 2:
-        assert os.getpid() not in pids[1:]
-    assert multiprocessing.active_children() == []
+        assert pids[0] == pids[1] == pids[3] == os.getpid()
+        assert pids[2] == pids[4] != os.getpid()
+    else:
+        assert set(pids) == {os.getpid()}
+    _no_child_left()
 
 
-def test_pool_workers_keep_their_reductions_in_process(monkeypatch, limit_cpus,
-                                                       chunk_pairs, tmp_path):
-    # every reduction of more than one 16-pair chunk may fork, but only in
-    # this process (replicate 0): a pool worker forks no grandchild
+def test_replicate_workers_keep_their_passes_in_process(monkeypatch, limit_cpus,
+                                                        chunk_pairs, tmp_path):
+    # every pass of more than one 16-pair chunk may fork, but only in this
+    # process and only in replicate 0: after it, this process forks the
+    # replicates' W - 1 children, and they fork no grandchild
     config = McConfig(scenario="nb", n=20, replicates=5, seed=8)
     chunk_pairs(16)
     limit_cpus(1)
@@ -630,13 +650,22 @@ def test_pool_workers_keep_their_reductions_in_process(monkeypatch, limit_cpus,
             forks.append(pid)
         return pid
 
+    spread, after_first = pairgee.simulate.spread, []
+
+    def marking(fn, n):
+        after_first.append(len(forks))
+        return spread(fn, n)
+
     monkeypatch.setattr(os, "fork", recording)
+    monkeypatch.setattr(pairgee.simulate, "spread", marking)
     monkeypatch.setattr(pairgee.ustat, "FORK_PAIRS", 2)
     limit_cpus(2)
     report = run_monte_carlo(config)
     report.to_json(tmp_path / "forked.json")
     assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
     assert not grandchildren.exists()
-    if len(os.sched_getaffinity(0)) >= 2:
-        assert len(forks) > 2   # the pool's two workers and replicate 0's reductions
-    assert multiprocessing.active_children() == []
+    workers = min(len(os.sched_getaffinity(0)), config.replicates - 1)
+    if workers >= 2:   # one fork per fit of replicate 0, one per method
+        assert after_first == [len(config.methods)]
+    assert len(forks) - after_first[0] == workers - 1
+    _no_child_left()
