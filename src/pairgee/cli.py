@@ -20,13 +20,12 @@ normal p-value erfc(|z| / sqrt 2), so this module loads no scipy: an
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
 import numpy as np
 
-from . import __version__, simulate
+from . import __version__
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
 from .fit import FitConfig, adaptive_fit, build_pairs, fit_icc
 from .io import LAYOUTS, load_dataset
@@ -42,13 +41,11 @@ _PAIR_FLAGS = {"diff": "difference", "sum": "sum", "concat": "concatenate"}
 
 def _scenario_params() -> tuple:
     """The simulate flags as (dest, type): one per scenario-generator keyword
-    whose default, from the generator's signature or the scenario's
-    ``defaults``, is an int or a float, typed as that default."""
+    whose default (``Scenario.parameters``) is an int or a float, typed as
+    that default."""
     flags = {}
     for row in SCENARIOS.values():
-        signature = inspect.signature(getattr(simulate, row.generator))
-        for name, param in signature.parameters.items():
-            default = row.defaults.get(name, param.default)
+        for name, default in row.parameters().items():
             if type(default) in (int, float):
                 flags.setdefault(name, type(default))
     return tuple(flags.items())

@@ -132,6 +132,7 @@ class PairData:
             x = np.empty((m, 0))
         if (indexed and len(i1) != len(i2)) or x.shape[0] != m or f.shape[0] != m:
             raise InputError("pair arrays have inconsistent lengths")
+        object.__setattr__(self, "n", _integer_setting("n", self.n))
         if self.n < 2:
             raise InputError("need at least 2 subjects")
         if self.subject_ids is not None and len(self.subject_ids) != self.n:
@@ -378,7 +379,7 @@ class _Bound(NamedTuple):
     """A model bound to its data: the one state of a fit.  An adaptive
     round replaces only its nuisance ``value`` and its start ``beta``."""
 
-    reduce: Callable     # reduce(kind, theta, value): one pass, a kind of ``_pass_chunks``
+    reduce: Callable     # reduce(part, theta, value): one pass of the chunk function ``part``
     names: tuple         # the q parameter names
     beta: np.ndarray     # the start: the given beta, or the model's default
     n: int               # subjects
@@ -388,8 +389,8 @@ class _Bound(NamedTuple):
     def evaluate(self, theta, sandwich: bool = False):
         """The quasi-objective, U and J at ``theta``, and with ``sandwich``
         the (n, q) per-subject sums of the pair scores and Z2 = sum of their
-        outer products: one pass with the nuisance at ``value``."""
-        return self.reduce("sandwich" if sandwich else "terms", theta, self.value)
+        outer products: a ``_terms_part`` or ``_sandwich_part`` pass at ``value``."""
+        return self.reduce(_sandwich_part if sandwich else _terms_part, theta, self.value)
 
 
 @contextmanager
@@ -397,16 +398,16 @@ def _bind(model, data: PairData, beta=None):
     """The model-specific side of a fit on ``data``, with start ``beta``,
     as a context whose block runs the fit's passes.
 
-    ``reduce(kind, theta, value)`` is one pass at theta with the working
-    variance's nuisance at ``value``, of a kind of ``_pass_chunks``.  For
-    the scalar model it is the pass of the one ``pass_workers`` set that
-    the block opens, the only route of a pass over pair chunks, and the
-    binding's ``value`` is the model's own.  The two-dimensional moment
-    models, whose mean h and gradient D are the same for every pair, read
-    ``data`` once here, in ``_moment_bind``, and answer "terms" and
-    "sandwich" in closed form, ignoring ``value``.  A ``beta`` of None is
-    the model's default start; one other than q finite values is an
-    InputError.  This is the only code that tells the two kinds of model
+    ``reduce(part, theta, value)`` is one pass of the chunk function
+    ``part`` at theta with the working variance's nuisance at ``value``
+    (see ``_pass_chunks``).  For the scalar model it is the pass of the one
+    ``pass_workers`` set that the block opens, the only route of a pass
+    over pair chunks, and the binding's ``value`` is the model's own.  The
+    two-dimensional moment models, whose mean h and gradient D are the same
+    for every pair, read ``data`` once here, in ``_moment_bind``, and answer
+    ``_terms_part`` and ``_sandwich_part`` in closed form, ignoring
+    ``value``.  A ``beta`` of None is the model's default start; one other
+    than q finite values is an InputError.  This is the only code that tells the two kinds of model
     apart.
     """
     if model.working_variance is None:   # a moment model
@@ -507,13 +508,13 @@ def _moment_bind(model, n: int, rows, beta=None) -> _Bound:
     names = model.param_names
     beta = model.init_theta(Rbar) if beta is None else beta
 
-    def reduce(kind, theta, value):
+    def reduce(part, theta, value):
         h, D = model.mean_map(theta)
         W = D.T / V                    # (q, 2)
         d = Rbar - h
         merit = -0.5 * float(np.sum(np.diag(C) / V) + N * np.sum(d * d / V))
         U, J = N * (W @ d), N * (W @ D)
-        if kind == "terms":
+        if part is _terms_part:
             return merit, U, J
         return (merit, U, J, (T - (n - 1) * h) @ W.T,
                 W @ (C + N * np.outer(d, d)) @ W.T)
@@ -521,39 +522,30 @@ def _moment_bind(model, n: int, rows, beta=None) -> _Bound:
     return _Bound(reduce, names, _start(beta, names), n, N, None)
 
 
-def _pass_chunks(model: FrmModel, data: PairData, kind, beta: np.ndarray, value):
-    """The chunk function of one pass of ``model`` on ``data`` at ``beta``,
-    with the working variance's nuisance at ``value``.
-
-    ``kind`` "terms" gives each chunk's quasi-objective, score sum and J
-    (the observed information for exp-link nb at finite tau); "sandwich"
-    gives J = D'V^-1 D and adds the chunk's per-subject score sums, its
-    pairs decoded by ``pair_indices``, and its Z2; "nuisance" gives the
-    two sums of ``_nuisance``; "start" those of ``_start_part``; a function
-    (the working MLE's) runs as ``kind(model, data, beta, value, sl)``.
-    ``_chunk_terms`` gives each chunk's scores as a (q, chunk) array, so U
-    and Z2 reduce contiguous rows.  The workers of a fit inherit ``model``
-    and ``data``, so a pass sends them only kind, beta and value.
-    """
-    if callable(kind):
-        return partial(kind, model, data, beta, value)
-    if kind == "start":
-        return partial(_start_part, model, data, value)
+def _pass_chunks(model: FrmModel, data: PairData, part, theta, value):
+    """The chunk function ``part(model, data, theta, sl)`` of a pass, with
+    the working variance's nuisance at ``value``.  A part is a module-level
+    function, which pickles by name: the workers of a fit inherit ``model``
+    and ``data``, so a pass sends them only part, theta and value."""
     if value != model.working_variance.value:
         model = _with_nuisance(model, value)
-    if kind == "nuisance":
-        return partial(_nuisance_part, model, data, beta)
+    return partial(part, model, data, theta)
+
+
+def _terms_part(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
+    """One chunk's quasi-objective, score sum and J: the observed
+    information for exp-link nb at finite tau, else D'V^-1 D."""
     wv = model.working_variance
-    newton = (kind == "terms" and model.link == "exp" and wv.kind == "nb"
-              and (value or math.inf) < math.inf)
-    return partial(_terms_part, model, data, beta, kind == "sandwich", newton)
-
-
-def _terms_part(model: FrmModel, data: PairData, beta: np.ndarray, sandwich: bool,
-                newton: bool, sl: slice):
+    newton = model.link == "exp" and wv.kind == "nb" and (wv.value or math.inf) < math.inf
     merit, s, J = _chunk_terms(model, data, beta, sl, newton)
-    if not sandwich:
-        return merit, s.sum(axis=1), J
+    return merit, s.sum(axis=1), J
+
+
+def _sandwich_part(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
+    """One chunk's quasi-objective, score sum and J = D'V^-1 D, its
+    per-subject score sums (its pairs decoded by ``pair_indices``) and Z2;
+    ``_chunk_terms``' (q, chunk) scores make U and Z2 reduce contiguous rows."""
+    merit, s, J = _chunk_terms(model, data, beta, sl)
     i1, i2 = pair_indices(data.n, sl.start, sl.stop)
     acc = interleaved_accumulate(data.n, i1, i2, s.T)
     return merit, s.sum(axis=1), J, acc, s @ s.T
@@ -565,7 +557,7 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray):
 
     U = sum_i D_i' V_i^-1 (f_i - h_i)   and   J = sum_i D_i' V_i^-1 D_i,
     accumulated over ``ustat.CHUNK_PAIRS``-pair chunks in index order by
-    a sandwich pass, whose J is D'V^-1 D for nb too (see ``_pass_chunks``).
+    a ``_sandwich_part`` pass, whose J is D'V^-1 D for nb too.
     """
     with _bind(model, data, beta) as bound:
         _, U, J = bound.evaluate(bound.beta, sandwich=True)[:3]
@@ -578,12 +570,12 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray):
 
 def _default_start(model: FrmModel, data: PairData, q: int, reduce) -> np.ndarray:
     """Zeros, or for the exp link one IRLS step from mu0 = f + fbar / 100
-    (a "start" pass of ``reduce``); where fbar <= 0, some f < 0, or X'WX
-    is singular or the step not finite, log fbar on an intercept."""
+    (a ``_start_part`` pass at fbar / 100); where fbar <= 0, some f < 0, or
+    X'WX is singular or the step not finite, log fbar on an intercept."""
     beta = np.zeros(q)
     fbar = float(np.mean(data.f)) if model.link == "exp" else 0.0
     if fbar > 0 and data.f.min() >= 0:
-        A, b = reduce("start", None, 0.01 * fbar)
+        A, b = reduce(_start_part, 0.01 * fbar, model.working_variance.value)
         try:
             _check_conditioning(A, "the start's X'WX")
             start = np.linalg.solve(A, b)
@@ -834,7 +826,7 @@ def estimate_nuisance(model, data: PairData, beta: np.ndarray) -> float:
 def _nuisance(kind: str, bound: _Bound, beta: np.ndarray) -> float:
     """``estimate_nuisance`` of a propmean or nb model at ``beta``, without
     its checks: one pass of ``bound``, with its nuisance at ``bound.value``."""
-    num, denom = bound.reduce("nuisance", beta, bound.value)
+    num, denom = bound.reduce(_nuisance_part, beta, bound.value)
     if denom <= 0:
         raise EvaluationError(f"cannot estimate the {kind} nuisance: "
                               f"fitted means are all zero")
@@ -880,7 +872,8 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     """Fit with the working-variance nuisance estimated from the data.
 
     Working variances without a nuisance parameter are solved directly
-    (zero adaptive rounds).  The scale nuisances, c of ``constant`` and
+    (zero adaptive rounds).  A nuisance given on the model is an
+    InputError: ``solve_ugee`` holds it fixed.  The scale nuisances, c of ``constant`` and
     tau2 of ``propmean``, cancel from the estimating equations and from
     the sandwich, so they take one solve (one round): c is var(f) at any
     beta and is set before it, tau2 starts at 1 and is estimated once at
@@ -905,6 +898,9 @@ def adaptive_fit(model, data: PairData, config: FitConfig | None = None) -> FitR
     wv = model.working_variance
     if wv is None or not wv.has_nuisance:
         return solve_ugee(model, data, config)
+    if wv.value is not None:
+        raise InputError(f"adaptive_fit estimates the {wv.kind} nuisance, and the model "
+                         f"gives it as {wv.value!r}; solve_ugee holds it fixed")
     # c of constant is var(f) at every beta; nb starts at variance-equals-mean
     value = (_constant_nuisance(data) if wv.kind == "constant"
              else 1.0 if wv.kind == "propmean" else float("inf"))

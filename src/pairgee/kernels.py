@@ -23,6 +23,7 @@ import numpy as np
 
 from . import ustat
 from .errors import EvaluationError, InputError
+from .model import _integer_setting
 
 KERNEL_KINDS = ("aitchison", "mww", "sqhalfdiff", "icc", "custom")
 
@@ -143,9 +144,9 @@ class Kernel:
         if self.ties != "le" and self.kind != "mww":
             raise InputError(f"{self.kind} kernel takes no ties")
         dim = 2 if self.kind == "icc" else 1
-        if self.output_dim is None:
-            object.__setattr__(self, "output_dim", dim)
-        elif self.output_dim != dim and self.kind != "custom":
+        object.__setattr__(self, "output_dim", dim if self.output_dim is None
+                           else _integer_setting("output_dim", self.output_dim))
+        if self.output_dim != dim and self.kind != "custom":
             raise InputError(f"{self.kind} kernel has output_dim {dim}, "
                              f"got {self.output_dim}")
         elif self.output_dim < 1:

@@ -115,6 +115,7 @@ class PairCovariate:
     def __post_init__(self):
         if self.transform not in PAIR_TRANSFORMS:
             raise InputError(f"unknown pair transform {self.transform!r}")
+        object.__setattr__(self, "levels", _integer_setting("levels", self.levels))
         if self.transform == "onehot" and self.levels < 1:
             raise InputError("onehot transform requires levels >= 1")
         if self.transform != "onehot" and self.levels:

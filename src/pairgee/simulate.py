@@ -90,6 +90,7 @@ def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
     on the covariate range [2a, 2b], or a rate drawn above what the
     Poisson draw takes, is an InputError.
     """
+    n = _integer_setting("n", n)
     _check_finite(tau=tau, beta0=beta0, beta1=beta1, a=a, b=b)
     if tau <= 0 or b <= a:
         raise InputError("need tau > 0 and b > a")
@@ -136,6 +137,7 @@ def gen_linear_exogenous(n: int, seed_or_rng, beta: float = 1.0,
     the reference variance for the slope estimate is sigma_eps^2 / sigma_x^2
     divided by the subject count.
     """
+    n = _integer_setting("n", n)
     _check_finite(beta=beta, sigma_x=sigma_x, sigma_eps=sigma_eps)
     if sigma_x <= 0 or sigma_eps <= 0:
         raise InputError("scale parameters must be positive")
@@ -175,6 +177,7 @@ def gen_icc_ratings(n: int, raters: int, seed_or_rng, mu: float = 0.0,
     The recorded agreement index is
         rho = (sigma_b2 - sigma_bg2 / (K - 1)) / (sigma_b2 + sigma_bg2 + sigma_e2).
     """
+    n = _integer_setting("n", n)
     _check_finite(mu=mu, sigma_b2=sigma_b2, sigma_bg2=sigma_bg2, sigma_e2=sigma_e2,
                   gamma=0.0 if gamma is None else gamma)
     if min(sigma_b2, sigma_bg2, sigma_e2) < 0:
@@ -214,6 +217,7 @@ def gen_mww_probit(n: int, seed_or_rng, beta=1.0) -> MwwData:
     of two noise terms is standard normal, so
     P(Y1 <= Y2 | X) = Phi(-beta'(x1 - x2)) exactly.
     """
+    n = _integer_setting("n", n)
     _check_finite(beta=beta)
     rng = _rng(seed_or_rng)
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -286,9 +290,10 @@ def _profile_root(score, u: float) -> float:
     return u
 
 
-def _profile_part(model: FrmModel, data: PairData, beta, tau: float, sl: slice):
+def _profile_part(model: FrmModel, data: PairData, beta, sl: slice):
     """One chunk's pair part of d loglik / d tau in ``_count_score``'s form
-    and its tau-derivative, at means mu."""
+    and its tau-derivative, at means mu and the model's tau."""
+    tau = model.working_variance.value
     mu, f = _chunk_mean(model, data, beta, sl)[2], data.f[sl]
     if tau < NB_EXCESS_TAU:
         d = tau + mu
@@ -298,11 +303,12 @@ def _profile_part(model: FrmModel, data: PairData, beta, tau: float, sl: slice):
     return np.sum(np.log1p(z) - z), np.sum(z * z / (tau + f))
 
 
-def _likelihood_part(model: FrmModel, data: PairData, beta, tau: float, sl: slice):
-    """One chunk's count log-likelihood at means mu, p = 1 / (1 + mu / tau),
-    and in the Poisson limit, less their log f! terms."""
+def _likelihood_part(model: FrmModel, data: PairData, beta, sl: slice):
+    """One chunk's count log-likelihood at means mu and the model's tau, p =
+    1 / (1 + mu / tau), and in the Poisson limit, less their log f! terms."""
     from scipy.special import gammaln
 
+    tau = model.working_variance.value
     mu, f = _chunk_mean(model, data, beta, sl)[2], data.f[sl]
     p = 1.0 / (1.0 + mu / tau)
     return (np.sum(gammaln(f + tau) - gammaln(tau) + tau * np.log(p) + f * np.log1p(-p)),
@@ -433,10 +439,13 @@ class Scenario(NamedTuple):
     methods: tuple          # default methods; the only non-ugee ones that apply
     defaults: dict = {}     # generator arguments its signature leaves unset
 
-    def parameters(self) -> frozenset:
-        """The generator's keyword arguments, the names ``McConfig.params`` may use."""
-        names = inspect.signature(globals()[self.generator]).parameters
-        return frozenset(names) - {"n", "seed_or_rng"}
+    def parameters(self) -> dict:
+        """The generator's keyword arguments, the names ``McConfig.params``
+        may use, each with its default: the row's ``defaults``, else the
+        signature's (``inspect.Parameter.empty`` where it has none)."""
+        params = inspect.signature(globals()[self.generator]).parameters
+        return {name: self.defaults.get(name, param.default)
+                for name, param in params.items() if name not in ("n", "seed_or_rng")}
 
     def applies(self, method: str) -> bool:
         if method.startswith("ugee:"):

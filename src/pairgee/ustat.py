@@ -54,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
+from .model import _integer_setting
 
 CHUNK_PAIRS = 16384
 # pairs from which a reduction is split across the usable CPUs; a pass
@@ -419,6 +420,7 @@ class PairScoreTable:
         if scores.ndim == 1:
             scores = scores[:, None]
         object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "n", _integer_setting("n", self.n))
         if self.n < 2:
             raise InputError("pair score table needs n >= 2 subjects")
         expect = pair_count(self.n)

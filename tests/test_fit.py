@@ -848,8 +848,8 @@ def _equation_norms(model, data, config, monkeypatch):
     norms = []
     terms_part = pairgee.fit._terms_part
 
-    def recording(model, data, beta, sandwich, newton, sl):
-        part = terms_part(model, data, beta, sandwich, newton, sl)
+    def recording(model, data, beta, sl):
+        part = terms_part(model, data, beta, sl)
         norms.append(float(np.max(np.abs(part[1]))) / data.n_pairs)
         return part
 
@@ -1658,7 +1658,19 @@ def test_a_scalar_model_on_two_component_responses_is_an_input_error(entry):
     args = (np.zeros(1),) if entry is estimate_nuisance else ()
     with pytest.raises(InputError, match="one response per pair; the data have 2 "
                                          "components"):
-        entry(_model("identity", "constant", intercept=True, value=1.0), data, *args)
+        entry(_model("identity", "constant", intercept=True), data, *args)
+
+
+@pytest.mark.parametrize("wv,value", [("nb", 5.0), ("constant", 123.0), ("propmean", 2.0)])
+def test_adaptive_fit_rejects_a_nuisance_given_on_the_model(wv, value):
+    # the given value was dropped: nb at tau = 5 gave the fit of an unset tau
+    model, data = _model("exp", wv, True, value), gen_nb_scenario(40, 7)
+    with pytest.raises(InputError, match=f"^adaptive_fit estimates the {wv} nuisance, "
+                                         f"and the model gives it as {value}; "
+                                         f"solve_ugee holds it fixed$"):
+        adaptive_fit(model, data)
+    held = solve_ugee(model, data)
+    assert held.converged and held.nuisance is None
 
 
 def _vanishing_gradient_case():
@@ -1737,15 +1749,21 @@ def test_adaptive_nb_loop_that_does_not_settle_raises(monkeypatch):
     assert np.array_equal(res.cov_beta, again.cov_beta)
 
 
+def _kind(part):
+    """The name by which the tests below record a pass: "terms" for a pass
+    of ``_terms_part``, "sandwich" for one of ``_sandwich_part``, ..."""
+    return part.__name__.removeprefix("_").removesuffix("_part")
+
+
 def test_the_last_nb_round_reuses_its_start_pass_for_the_sandwich(monkeypatch):
     # the last round's solve takes no step, so the sandwich sums come from
     # that round's one pass, evaluated with them, and equal a fresh sandwich
     kinds = []
     pass_chunks = pairgee.fit._pass_chunks
 
-    def recording(model, data, kind, beta, value):
-        kinds.append(kind)
-        return pass_chunks(model, data, kind, beta, value)
+    def recording(model, data, part, beta, value):
+        kinds.append(_kind(part))
+        return pass_chunks(model, data, part, beta, value)
 
     monkeypatch.setattr(pairgee.fit, "_pass_chunks", recording)
     data = gen_nb_scenario(40, 7)
@@ -1767,9 +1785,9 @@ def test_a_last_nb_round_that_steps_takes_a_fresh_sandwich(monkeypatch):
     pass_chunks = pairgee.fit._pass_chunks
     monkeypatch.setattr(pairgee.fit, "_nuisance_close", lambda new, old: True)
 
-    def recording(model, data, kind, beta, value):
-        kinds.append(kind)
-        return pass_chunks(model, data, kind, beta, value)
+    def recording(model, data, part, beta, value):
+        kinds.append(_kind(part))
+        return pass_chunks(model, data, part, beta, value)
 
     monkeypatch.setattr(pairgee.fit, "_pass_chunks", recording)
     data = gen_nb_scenario(40, 7)
@@ -1821,9 +1839,9 @@ def test_a_missed_prediction_costs_the_sandwich_extras_only(fit, passes, monkeyp
     pass_chunks = pairgee.fit._pass_chunks
     missed = []
 
-    def lowered(model, data, kind, beta, value):
-        fn = pass_chunks(model, data, kind, beta, value)
-        if kind != "sandwich" or missed:
+    def lowered(model, data, part, beta, value):
+        fn = pass_chunks(model, data, part, beta, value)
+        if part is not pairgee.fit._sandwich_part or missed:
             return fn
         missed.append(beta)
         return lambda sl: (fn(sl)[0] - 1e6, *fn(sl)[1:])
@@ -1858,13 +1876,14 @@ def test_a_last_nb_round_that_steps_ends_in_the_sandwich(passes, monkeypatch):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The (kind, pair count) of every pass that fits make, in order."""
+    """The (kind, pair count) of every pass that fits make, in order; the
+    kind is ``_kind`` of its chunk function."""
     made = []
     pass_chunks = pairgee.fit._pass_chunks
 
-    def recording(model, data, kind, beta, value):
-        made.append((kind, data.n_pairs))
-        return pass_chunks(model, data, kind, beta, value)
+    def recording(model, data, part, beta, value):
+        made.append((_kind(part), data.n_pairs))
+        return pass_chunks(model, data, part, beta, value)
 
     monkeypatch.setattr(pairgee.fit, "_pass_chunks", recording)
     return made
@@ -1939,10 +1958,10 @@ def test_a_failing_warm_subsample_gives_the_cold_fit(error, monkeypatch, passes)
     monkeypatch.setattr(pairgee.fit, "WARM_PAIRS", 1)
     pass_chunks = pairgee.fit._pass_chunks
 
-    def failing(model, sub, kind, beta, value):
+    def failing(model, sub, part, beta, value):
         if sub.n_pairs == 190:
             raise error("subsample")
-        return pass_chunks(model, sub, kind, beta, value)
+        return pass_chunks(model, sub, part, beta, value)
 
     monkeypatch.setattr(pairgee.fit, "_pass_chunks", failing)
     assert _nb_bytes(adaptive_fit(model, data)) == cold

@@ -355,15 +355,16 @@ def test_a_blas_thread_count_of_one_is_left_alone(monkeypatch):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The kinds of the passes that fits make in this process, in order."""
+    """The names of the chunk functions of the passes that fits make in this
+    process, in order."""
     kinds = []
     pass_chunks = pairgee.fit._pass_chunks
     parent = os.getpid()
 
-    def recording(model, data, kind, beta, value):
+    def recording(model, data, part, beta, value):
         if os.getpid() == parent:
-            kinds.append(kind)
-        return pass_chunks(model, data, kind, beta, value)
+            kinds.append(part.__name__)
+        return pass_chunks(model, data, part, beta, value)
 
     monkeypatch.setattr(pairgee.fit, "_pass_chunks", recording)
     return kinds
@@ -453,7 +454,7 @@ def test_a_trial_step_that_raises_in_a_child_is_halved_as_in_one_process(forking
     x = rng.uniform(0.4, 0.6, size=(len(i1), 1))
     x[:10] = 0.0
     data = PairData(n=12, i1=i1, i2=i2, x=x, f=500.0 * np.exp(2.0 * x[:, 0]))
-    model = FrmModel(link="exp", working_variance=WorkingVariance("constant", 1.0),
+    model = FrmModel(link="exp", working_variance=WorkingVariance("constant"),
                      intercept=False)
     fits = []
     for workers in (None, 2):
@@ -481,7 +482,7 @@ def test_a_child_evaluates_a_trial_step_under_the_solvers_error_state(forking, f
     x = rng.uniform(0.4, 0.6, size=(len(i1), 1))
     x[:10] = 0.0
     data = PairData(n=12, i1=i1, i2=i2, x=x, f=300.0 * (1.0 + x[:, 0]))
-    model = FrmModel(link="exp", working_variance=WorkingVariance("constant", 1.0),
+    model = FrmModel(link="exp", working_variance=WorkingVariance("constant"),
                      intercept=False)
     fits = []
     for workers in (None, 2):
@@ -506,6 +507,26 @@ def test_a_worker_killed_between_passes_is_an_error_not_a_hang(forking, forks,
     with pytest.raises(RuntimeError, match="ended before sending the part of chunk 1$"):
         adaptive_fit(model, data)
     assert len(forks) == 1 and _open_fds() == fds
+
+
+def test_a_worker_that_ended_between_passes_is_named_and_the_next_pass_forks_afresh(
+        forking, forks):
+    # waited for but not reaped, the worker has closed its task pipe, so the
+    # next task's send finds it broken; reading its first part names it
+    def part(sl):
+        return (np.arange(sl.start, sl.stop).sum(),)
+
+    forking(2)
+    with pass_workers(lambda: part, 1000) as workers:
+        assert workers.reduce() == (sum(range(1000)),)
+        child = forks[0]
+        os.kill(child, signal.SIGKILL)
+        os.waitid(os.P_PID, child, os.WEXITED | os.WNOWAIT)
+        with pytest.raises(RuntimeError, match=f"^reduction worker {child} ended before "
+                                               f"sending the part of chunk 1$"):
+            workers.reduce()
+        assert workers.reduce() == (sum(range(1000)),)
+        assert len(forks) == 2
 
 
 def test_a_pass_sends_its_workers_a_task_whose_size_does_not_grow_with_the_pairs(

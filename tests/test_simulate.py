@@ -10,7 +10,8 @@ from scipy.special import ndtr
 import pairgee.simulate
 import pairgee.ustat
 from pairgee import (EvaluationError, FitConfig, FrmModel, IccModel, InputError,
-                     Kernel, McConfig, NonConvergence, PairCovariate, WorkingVariance,
+                     Kernel, McConfig, NonConvergence, PairCovariate, PairData,
+                     PairScoreTable, WorkingVariance,
                      assemble_ugee, gen_icc_ratings, gen_linear_exogenous,
                      gen_mww_probit, gen_nb_scenario, icc_mean_map, linear_pair_data,
                      make_rng, mww_pair_data, nb_working_mle, run_monte_carlo,
@@ -444,7 +445,8 @@ def test_mc_config_validation():
 
 
 # each was truncated (seed 1.5 ran seed 1's stream, 3.9 raters drew 3) or
-# failed inside the run with numpy's bare TypeError
+# failed inside the run with numpy's bare TypeError (a PairData, pair
+# covariate, kernel or score table was built, and its first use failed)
 @pytest.mark.parametrize("setting,make", [
     ("n", lambda: McConfig("nb", n=20.5, replicates=2, seed=1)),
     ("replicates", lambda: McConfig("nb", n=20, replicates=2.5, seed=1)),
@@ -454,8 +456,19 @@ def test_mc_config_validation():
     ("raters", lambda: gen_icc_ratings(5, 3.9, 0)),
     ("raters", lambda: IccModel(raters=2.5)),
     ("raters", lambda: icc_mean_map((1.0, 0.2), 2.5)),
+    ("n", lambda: PairData(n=20.0, x=np.zeros((190, 0)), f=np.ones(190))),
+    ("levels", lambda: PairCovariate("onehot", levels=2.5)),
+    ("output_dim", lambda: Kernel.custom(lambda a, b: a - b, output_dim=1.5)),
+    ("output_dim", lambda: Kernel.custom(lambda a, b: a - b, output_dim=2.0)),
+    ("n", lambda: PairScoreTable(3.0, np.ones(3))),
+    ("n", lambda: gen_nb_scenario(10.5, 1)),
+    ("n", lambda: gen_linear_exogenous(10.5, 1)),
+    ("n", lambda: gen_icc_ratings(10.5, 3, 1)),
+    ("n", lambda: gen_mww_probit(10.5, 1)),
 ], ids=["mc-n", "mc-replicates", "mc-seed", "max-iter", "max-iter-nan", "gen-icc-raters",
-        "icc-model-raters", "icc-mean-map-raters"])
+        "icc-model-raters", "icc-mean-map-raters", "pair-data-n", "onehot-levels",
+        "custom-output-dim", "custom-output-dim-float", "score-table-n", "gen-nb-n",
+        "gen-linear-n", "gen-icc-n", "gen-mww-n"])
 def test_an_integer_setting_that_is_not_an_integer_is_named(setting, make):
     with pytest.raises(InputError, match=f"^{setting} must be an integer, got "):
         make()
@@ -467,6 +480,11 @@ def test_integer_settings_accept_numpy_integers():
     assert FitConfig(max_iter=np.int64(5)).max_iter == 5
     assert gen_icc_ratings(5, np.int64(3), 0).ratings.shape == (5, 3)
     assert IccModel(np.int16(3)).mean_map((1.0, 0.5))[0].tolist() == [2.0 / 3.0, 1.0]
+    # stored as int, as the settings above are
+    assert type(PairData(n=np.int64(3), x=np.zeros((3, 0)), f=np.ones(3)).n) is int
+    assert type(PairCovariate("onehot", levels=np.int32(2)).levels) is int
+    assert type(Kernel.custom(lambda a, b: a - b, output_dim=np.int8(2)).output_dim) is int
+    assert type(PairScoreTable(np.uint16(3), np.ones(3)).n) is int
 
 
 def test_a_report_of_numpy_integer_settings_writes_the_plain_int_bytes(tmp_path):
@@ -504,6 +522,14 @@ def test_mc_config_rejects_a_repeated_method():
 def test_mc_config_rejects_parameter_its_generator_does_not_take(scenario, params):
     with pytest.raises(InputError, match="takes no parameter"):
         McConfig(scenario=scenario, n=30, replicates=2, seed=0, params=params)
+
+
+def test_a_scenario_parameter_defaults_to_its_rows_value_else_its_signatures():
+    scenarios = pairgee.simulate.SCENARIOS
+    assert scenarios["nb"].parameters() == {"tau": 10.0, "beta0": 3.0, "beta1": 3.0,
+                                            "a": 0.0, "b": 1.0}
+    icc = scenarios["icc"].parameters()
+    assert icc["raters"] == 4 and icc["gamma"] is None and "seed_or_rng" not in icc
 
 
 def test_run_monte_carlo_lets_programming_errors_propagate(monkeypatch):
