@@ -571,30 +571,60 @@ def assemble_ugee(model, data: PairData, beta: np.ndarray):
 def _default_start(model: FrmModel, data: PairData, q: int, reduce) -> np.ndarray:
     """Zeros, or for the exp link one IRLS step from mu0 = f + fbar / 100
     (a ``_start_part`` pass at fbar / 100); where fbar <= 0, some f < 0, or
-    X'WX is singular or the step not finite, log fbar on an intercept."""
+    X'WX is singular or the step not finite, log fbar on an intercept.
+    Under the identity link a working variance that is zero at h = 0
+    (poisson, propmean, nb, bernoulli) has no zero start: least squares (a
+    ``_start_part`` pass), or where X'X is singular or a fitted mean is
+    outside the variance's domain (a ``_domain_part`` pass), fbar on an
+    intercept."""
     beta = np.zeros(q)
+    wv = model.working_variance
+    if model.link == "identity" and wv.kind in ("poisson", "propmean", "nb", "bernoulli"):
+        start = _start_solve(*reduce(_start_part, 0.0, wv.value))
+        if start is not None and not reduce(_domain_part, start, wv.value)[0]:
+            return start
+        if model.intercept:
+            beta[0] = np.mean(data.f)
+        return beta
     fbar = float(np.mean(data.f)) if model.link == "exp" else 0.0
     if fbar > 0 and data.f.min() >= 0:
-        A, b = reduce(_start_part, 0.01 * fbar, model.working_variance.value)
-        try:
-            _check_conditioning(A, "the start's X'WX")
-            start = np.linalg.solve(A, b)
-            if np.all(np.isfinite(start)):
-                return start
-        except (SingularInformation, np.linalg.LinAlgError):
-            pass
+        start = _start_solve(*reduce(_start_part, 0.01 * fbar, wv.value))
+        if start is not None:
+            return start
     if fbar > 0 and model.intercept:
         beta[0] = np.log(fbar)
     return beta
 
 
+def _start_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The start that solves X'WX beta = X'Wz, or None where X'WX is
+    singular or the solution not finite."""
+    try:
+        _check_conditioning(A, "the start's X'WX")
+        start = np.linalg.solve(A, b)
+    except (SingularInformation, np.linalg.LinAlgError):
+        return None
+    return start if np.all(np.isfinite(start)) else None
+
+
 def _start_part(model: FrmModel, data: PairData, offset: float, sl: slice):
-    """One chunk's X'WX and X'Wz at mu0 = f + ``offset``, W = mu0, z = log
-    mu0: f and offset scaled by c move the intercept by log c, no slope."""
+    """One chunk's X'WX and X'Wz.  For the exp link W = mu0 and z = log mu0
+    at mu0 = f + ``offset``: f and offset scaled by c move the intercept by
+    log c, no slope.  For the identity link W = 1 and z = f, least squares."""
     xt = augment(data.x[sl], model.intercept)
+    if model.link == "identity":
+        return xt @ xt.T, xt @ data.f[sl]
     mu = data.f[sl] + offset
     xw = xt * mu
     return xw @ xt.T, xw @ np.log(mu)
+
+
+def _domain_part(model: FrmModel, data: PairData, beta: np.ndarray, sl: slice):
+    """One chunk's count of pairs whose working variance is not positive."""
+    _, eta, h, _ = _chunk_mean(model, data, beta, sl)
+    V = variance_eval(model.working_variance, h, rows=sl,
+                      complement=link_complement(model.link, eta, h))
+    return (np.count_nonzero(~(V > 0)),)
 
 
 def _collinearity_check(x: np.ndarray, intercept: bool) -> None:
@@ -619,13 +649,15 @@ def _check_conditioning(M: np.ndarray, what: str) -> None:
 
 
 def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
-            start=None, sandwich: bool = False):
+            start=None, sandwich: bool = False, done=None):
     """Scoring loop, whose steps solve J step = U with the J of each pass
     (``_chunk_terms``); steps are halved while the quasi-objective decreases.
 
     ``evaluate(beta, sandwich)`` is one pass (``_Bound.evaluate``), so the
     accepted candidate's U and J are already at hand; ``start`` is that
-    pass at ``beta0`` when the caller has it already.  With ``sandwich`` a
+    pass at ``beta0`` when the caller has it already.  ``done(beta, U, J)``
+    is the stopping test at each iterate, by default max|U| / N <=
+    ``tol_eq``; the returned flag is its last answer.  With ``sandwich`` a
     step predicted to converge (eq_norm^2 / the last eq_norm <= tol_eq)
     evaluates its first candidate with the sandwich sums, returned last
     when a pass at the returned beta made them (else None).  A point whose
@@ -649,7 +681,8 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
     flagged = 0
     for iterations in range(config.max_iter + 1):
         eq_norm = float(np.max(np.abs(U))) / n_pairs
-        if eq_norm <= config.tol_eq or iterations == config.max_iter:
+        converged = eq_norm <= config.tol_eq if done is None else done(beta, U, J)
+        if converged or iterations == config.max_iter:
             break
         predicted = (sandwich and iterations > 0   # the first step has no last
                      and eq_norm * eq_norm / previous <= config.tol_eq)
@@ -681,7 +714,7 @@ def _newton(evaluate, beta0: np.ndarray, n_pairs: int, config: FitConfig,
             raise last_err if last_err is not None else EvaluationError(
                 "step halving failed to produce an evaluable iterate")
         beta, m, U, J, sums = accepted
-    return beta, eq_norm, iterations, eq_norm <= config.tol_eq, flagged, sums
+    return beta, eq_norm, iterations, converged, flagged, sums
 
 
 def solve_ugee(model, data: PairData, config: FitConfig | None = None) -> FitResult:

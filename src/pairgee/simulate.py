@@ -10,9 +10,9 @@ variance of the estimates across replicates (emp).
 its generator's keyword arguments.  Methods: ``ugee:<variance>`` (a key of
 ``VARIANCE_FLAGS``) for nb, linear and mww, ``mle:nb`` for nb, ``icc`` for
 icc; any other parameter or method is an input error.  ``mle:nb`` is
-``nb_working_mle``: the ``ugee:nb`` equations with an intercept, solved on
-the fit's binding and worker set, alternated with a profile-likelihood
-step for the dispersion, its count-likelihood sums passes of that binding.
+``nb_working_mle``: Newton steps on the count log-likelihood in (beta, log
+tau) together, whose beta equations are the ``ugee:nb`` equations with an
+intercept, each step one pass of the fit's binding and worker set.
 
 Scenarios
 ---------
@@ -32,18 +32,20 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EvaluationError, InputError, NonConvergence, SingularInformation
-from .fit import (ADAPTIVE_MAX_ROUNDS, NB_TAU_MAX, FitConfig, PairData, _bind,
-                  _check_conditioning, _chunk_mean, _nuisance, _solve,
+from .fit import (ADAPTIVE_MAX_ROUNDS, COND_LIMIT, NB_TAU_MAX, FitConfig, PairData,
+                  _bind, _check_conditioning, _chunk_mean, _newton, _nuisance, _solve,
                   _subject_pairs, adaptive_fit, fit_icc)
 from .kernels import Kernel
 from .model import (VARIANCE_FLAGS, FrmModel, PairCovariate, WorkingVariance,
                     _integer_setting, pair_covariate_matrix)
-from .ustat import _one_blas_thread, chunk_slices, pair_chunks, pair_count, spread
+from .ustat import (_one_blas_thread, checked_pair_count, chunk_slices, pair_chunks,
+                    pair_count, spread)
 
 
 # the largest mean count that ``gen_nb_scenario`` draws: numpy's Poisson
@@ -72,11 +74,23 @@ def _rng(seed_or_rng) -> np.random.Generator:
     return make_rng(seed_or_rng)
 
 
+def _subjects(n) -> int:
+    """A generator's subject count ``n`` as an int; fewer than the 2 that
+    form a pair is an InputError."""
+    n = _integer_setting("n", n)
+    checked_pair_count(n)
+    return n
+
+
 def _check_finite(**params) -> None:
     """InputError naming the first of the generator parameters ``params``
-    (numbers or arrays) that is not finite."""
+    (numbers or arrays) that is not a number or not finite."""
     for name, value in params.items():
-        if not np.all(np.isfinite(value)):
+        try:
+            finite = np.all(np.isfinite(value))
+        except TypeError:   # numpy's isfinite takes no strings or objects
+            raise InputError(f"{name} must be numeric, got {value!r}") from None
+        if not finite:
             raise InputError(f"{name} must be finite, got {value}")
 
 
@@ -90,7 +104,7 @@ def gen_nb_scenario(n: int, seed_or_rng, tau: float = 10.0, beta0: float = 3.0,
     on the covariate range [2a, 2b], or a rate drawn above what the
     Poisson draw takes, is an InputError.
     """
-    n = _integer_setting("n", n)
+    n = _subjects(n)
     _check_finite(tau=tau, beta0=beta0, beta1=beta1, a=a, b=b)
     if tau <= 0 or b <= a:
         raise InputError("need tau > 0 and b > a")
@@ -137,7 +151,7 @@ def gen_linear_exogenous(n: int, seed_or_rng, beta: float = 1.0,
     the reference variance for the slope estimate is sigma_eps^2 / sigma_x^2
     divided by the subject count.
     """
-    n = _integer_setting("n", n)
+    n = _subjects(n)
     _check_finite(beta=beta, sigma_x=sigma_x, sigma_eps=sigma_eps)
     if sigma_x <= 0 or sigma_eps <= 0:
         raise InputError("scale parameters must be positive")
@@ -177,7 +191,7 @@ def gen_icc_ratings(n: int, raters: int, seed_or_rng, mu: float = 0.0,
     The recorded agreement index is
         rho = (sigma_b2 - sigma_bg2 / (K - 1)) / (sigma_b2 + sigma_bg2 + sigma_e2).
     """
-    n = _integer_setting("n", n)
+    n = _subjects(n)
     _check_finite(mu=mu, sigma_b2=sigma_b2, sigma_bg2=sigma_bg2, sigma_e2=sigma_e2,
                   gamma=0.0 if gamma is None else gamma)
     if min(sigma_b2, sigma_bg2, sigma_e2) < 0:
@@ -217,7 +231,7 @@ def gen_mww_probit(n: int, seed_or_rng, beta=1.0) -> MwwData:
     of two noise terms is standard normal, so
     P(Y1 <= Y2 | X) = Phi(-beta'(x1 - x2)) exactly.
     """
-    n = _integer_setting("n", n)
+    n = _subjects(n)
     _check_finite(beta=beta)
     rng = _rng(seed_or_rng)
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -290,17 +304,40 @@ def _profile_root(score, u: float) -> float:
     return u
 
 
+def _tau_sums(tau: float, f: np.ndarray, mu: np.ndarray, z: np.ndarray, lp: np.ndarray):
+    """The pair part of d loglik / d tau in ``_count_score``'s form and its
+    tau-derivative, at means mu, with z = (f - mu) / (tau + mu) and lp =
+    log1p(mu / tau)."""
+    if tau < NB_EXCESS_TAU:
+        return np.sum(-z - lp), np.sum((z + mu / tau) / (tau + mu))
+    return np.sum(np.log1p(z) - z), np.sum(z * z / (tau + f))
+
+
 def _profile_part(model: FrmModel, data: PairData, beta, sl: slice):
-    """One chunk's pair part of d loglik / d tau in ``_count_score``'s form
-    and its tau-derivative, at means mu and the model's tau."""
+    """One chunk's ``_tau_sums`` at means mu and the model's tau."""
     tau = model.working_variance.value
     mu, f = _chunk_mean(model, data, beta, sl)[2], data.f[sl]
-    if tau < NB_EXCESS_TAU:
-        d = tau + mu
-        return (np.sum((mu - f) / d - np.log1p(mu / tau)),
-                np.sum(((f - mu) / d + mu / tau) / d))
-    z = (f - mu) / (tau + mu)
-    return np.sum(np.log1p(z) - z), np.sum(z * z / (tau + f))
+    return _tau_sums(tau, f, mu, (f - mu) / (tau + mu), np.log1p(mu / tau))
+
+
+def _joint_part(model: FrmModel, data: PairData, beta, sl: slice):
+    """One chunk's pair parts of the count log-likelihood and of its
+    derivatives at means mu and the model's tau: the log-likelihood's, f
+    log mu - (tau + f) log1p(mu / tau) (its -f log tau is in
+    ``_count_loglik``), the beta score sum x (f - mu) tau / (tau + mu), the
+    observed information sum x x' mu tau (tau + f) / (tau + mu)^2,
+    ``_tau_sums``, and the cross term sum x mu (f - mu) / (tau + mu)^2,
+    the score's tau-derivative."""
+    tau = model.working_variance.value
+    xt, eta, mu, _ = _chunk_mean(model, data, beta, sl)
+    f = data.f[sl]
+    d = tau + mu
+    z = (f - mu) / d
+    a = mu / d
+    lp = np.log1p(mu / tau)
+    w = tau * a * (1.0 + z)
+    return (f @ eta - (tau + f) @ lp, xt @ (tau * z), (xt * w) @ xt.T,
+            *_tau_sums(tau, f, mu, z, lp), xt @ (a * z))
 
 
 def _likelihood_part(model: FrmModel, data: PairData, beta, sl: slice):
@@ -315,15 +352,16 @@ def _likelihood_part(model: FrmModel, data: PairData, beta, sl: slice):
             np.sum(f * np.log(mu) - mu))
 
 
-def _count_score(counts: np.ndarray, weights: np.ndarray, tau: float) -> float:
+def _count_score(counts: np.ndarray, weights: np.ndarray, tau: float, excess: bool) -> float:
     """The count part of the profile score d loglik / d tau, psi(f + tau) -
     psi(tau), over the distinct ``counts`` of f with their frequencies.
     The score's O(1 / tau) terms cancel to O(1 / tau^2), rounding noise
-    near NB_TAU_MAX, so from NB_EXCESS_TAU on this part is psi(f + tau) -
-    psi(tau) - log1p(f / tau), the series psi(x) - log(x) = -1/(2x) -
-    1/(12x^2) + 1/(120x^4) - ... differenced term by term (the first
-    omitted term is below 1e-16 of it), and the pair part log1p(z) - z."""
-    if tau < NB_EXCESS_TAU:
+    near NB_TAU_MAX, so in its ``excess`` form, taken from NB_EXCESS_TAU on,
+    this part is psi(f + tau) - psi(tau) - log1p(f / tau), the series
+    psi(x) - log(x) = -1/(2x) - 1/(12x^2) + 1/(120x^4) - ... differenced
+    term by term (the first omitted term is below 1e-16 of it), and the
+    pair part log1p(z) - z."""
+    if not excess:
         from scipy.special import digamma
 
         return float(weights @ (digamma(counts + tau) - digamma(tau)))
@@ -335,27 +373,85 @@ def _count_score(counts: np.ndarray, weights: np.ndarray, tau: float) -> float:
         0.5 + (ia + ib) * (1.0 - (ia * ia + ib * ib) / 10.0) / 12.0)))
 
 
-def _nb_profile_tau(bound, beta: np.ndarray, tau_start: float, counts: np.ndarray,
-                    weights: np.ndarray) -> tuple[float, float]:
-    """The dispersion maximising the count likelihood at ``beta``, and the
-    log-likelihood there less its log f! terms: the root of d loglik / d
-    log tau = tau S, S the profile score, whose slope is tau (S + dS / d log
-    tau), from ``tau_start`` on, by passes of ``bound``."""
-    def score(u):   # the count part's slope in log tau is a difference quotient
+def _count_sums(counts: np.ndarray, weights: np.ndarray, u: float):
+    """``_count_score`` at tau = e^u and its slope in log tau, a central
+    difference quotient in the form of tau, within 1e-10 of the slope (a
+    trigamma evaluation costs more than a pass at n = 100)."""
+    tau = float(np.exp(u))
+    score = partial(_count_score, counts, weights, excess=tau >= NB_EXCESS_TAU)
+    return score(tau), (score(float(np.exp(u + 1e-5))) - score(float(np.exp(u - 1e-5)))) / 2e-5
+
+
+def _count_loglik(counts: np.ndarray, weights: np.ndarray, tau: float) -> float:
+    """The count part of the log-likelihood, lgamma(f + tau) - lgamma(tau)
+    - f log tau, over the distinct ``counts``.  From NB_EXCESS_TAU on,
+    where the first two terms reach 1e9, it is (b - 1/2) log1p(f / tau) -
+    f, b = f + tau, plus the series lgamma(x) - (x - 1/2) log x + x =
+    log(2 pi)/2 + 1/(12x) - 1/(360x^3) + ... differenced term by term (the
+    first omitted term is below 1e-18)."""
+    if tau < NB_EXCESS_TAU:
+        from scipy.special import gammaln
+
+        return float(weights @ (gammaln(counts + tau) - gammaln(tau) - counts * math.log(tau)))
+    b = counts + tau
+    return float(weights @ ((b - 0.5) * np.log1p(counts / tau) - counts
+                            - counts / (12.0 * b * tau) + (tau ** -3 - b ** -3) / 360.0))
+
+
+def _joint_sums(bound, counts: np.ndarray, weights: np.ndarray, theta: np.ndarray):
+    """The count log-likelihood less its log f! terms, its score and its
+    observed information in theta = (beta, log tau): one ``_joint_part``
+    pass of ``bound`` and the count parts over the distinct ``counts``."""
+    q = len(theta) - 1
+    u = float(theta[q])
+    tau = float(np.exp(u))
+    loglik, U, J, score, slope, cross = bound.reduce(_joint_part, theta[:q], tau)
+    count, count_slope = _count_sums(counts, weights, u)
+    score += count   # d loglik / d tau
+    info = np.empty((q + 1, q + 1))
+    info[:q, :q] = J
+    info[:q, q] = info[q, :q] = -tau * cross
+    info[q, q] = -tau * (score + tau * slope + count_slope)
+    return (loglik + _count_loglik(counts, weights, tau), np.append(U, tau * score), info)
+
+
+def _joint_step(theta: np.ndarray, U: np.ndarray, J: np.ndarray):
+    """The Newton step J^-1 U of ``_joint_sums`` at theta; None where J is
+    not positive definite within a condition number of COND_LIMIT, or where
+    the step would take log tau out of ``_LOG_TAU_BOUNDS``."""
+    w = np.linalg.eigvalsh(J)
+    if not (w[0] > 0 and w[-1] <= COND_LIMIT * w[0]):
+        return None
+    step = np.linalg.solve(J, U)
+    lo, hi = _LOG_TAU_BOUNDS
+    return step if lo <= theta[-1] + step[-1] <= hi else None
+
+
+def _solve_at(bound, beta: np.ndarray, tau: float) -> np.ndarray:
+    """beta solved at fixed ``tau`` from ``beta`` on, with the solver of
+    ``solve_ugee``, to an equation norm of _MLE_REL_TOL of J / N's largest
+    diagonal entry at ``beta``."""
+    solve = bound._replace(beta=beta, value=tau)
+    sums = solve.evaluate(beta)   # the solve's start, passed on to it
+    tol = _MLE_REL_TOL * float(np.max(np.diag(sums[2]))) / bound.n_pairs
+    return _solve(solve, FitConfig(tol_eq=tol, max_iter=400), sums)[0].beta
+
+
+def _profile_round(bound, theta: np.ndarray, counts: np.ndarray, weights: np.ndarray):
+    """The round that the joint steps fall back on: beta solved at fixed
+    tau = e^u (``_solve_at``), then the root in log tau of the profile
+    score at that beta, from u on (``_profile_root``)."""
+    u = float(theta[-1])
+    beta = _solve_at(bound, theta[:-1], float(np.exp(u)))
+
+    def score(u):   # the root of d loglik / d log tau = tau S, S the profile score
         tau = float(np.exp(u))
         s, slope = bound.reduce(_profile_part, beta, tau)
-        count = _count_score(counts, weights, tau)
+        count, count_slope = _count_sums(counts, weights, u)
         s += count
-        ahead = _count_score(counts, weights, float(np.exp(u + 1e-6)))
-        return s, s + tau * slope + (ahead - count) / 1e-6
+        return s, s + tau * slope + count_slope
 
-    tau = float(np.exp(_profile_root(score, np.log(tau_start))))
-    # the sentinel sums pair by pair: sums of hoisted or per-count terms reach
-    # 1e9 near NB_TAU_MAX, and their rounding swamps the 1e-3 margin
-    at_tau, limit = bound.reduce(_likelihood_part, beta, tau)
-    if limit >= at_tau - 1e-3:
-        return float("inf"), limit
-    return tau, at_tau
+    return np.append(beta, _profile_root(score, u))
 
 
 def nb_working_mle(data: PairData) -> MleResult:
@@ -363,22 +459,33 @@ def nb_working_mle(data: PairData) -> MleResult:
 
     Its beta equations are those of ``FrmModel("exp", WorkingVariance("nb"))``,
     so it runs on one binding of that model, every pass on the fit's worker
-    set.  Each round solves them at fixed tau with the solver of
-    ``solve_ugee``, then sets tau to the root in log tau over [1e-3,
-    NB_TAU_MAX] of the profile score (``_nb_profile_tau``)
+    set.  From that binding's start, with tau the least-squares estimate
+    of ``estimate_nuisance`` there, it takes Newton steps on the
+    log-likelihood in (beta, log tau) together (Lawless 1987), each one
+    ``_joint_part`` pass, with the solver of ``solve_ugee`` and its step
+    halving.  They stop where the beta equations are within 1e-13 of the
+    largest diagonal entry of the information and the step in log tau is
+    below 1e-5.  Where the joint information is not positive definite, or
+    a step would take tau out of [1e-3, NB_TAU_MAX], a round takes the
+    step instead: beta solved at fixed tau, then tau set to the root in
+    log tau of the profile score
 
-        sum[psi(f + tau) - psi(tau) + log(tau / (tau + mu)) + (mu - f) / (tau + mu)],
+        sum[psi(f + tau) - psi(tau) + log(tau / (tau + mu)) + (mu - f) / (tau + mu)];
 
-    or to inf (variance equals mean) when the Poisson-limit log-likelihood,
-    summed pair by pair, is within 1e-3 of that at the root.  The
-    covariance is the inverse observed information for beta with tau held
-    fixed, a benchmark convention.  ``iterations`` counts the rounds;
-    ``converged`` is false when beta still moves by 1e-9 or log tau by 1e-6
-    after ``ADAPTIVE_MAX_ROUNDS``; a solve that does not converge raises
-    NonConvergence.  All-zero counts, whose likelihood grows without bound
-    as the intercept falls, are an EvaluationError, as is an information
-    matrix that turns singular on the way to a maximum that does not exist
-    (a count whose covariate separates it from all others).
+    a round that moves beta by less than 1e-9 and log tau by at most 1e-6
+    ends the fit there.  At the end tau is set to inf (variance equals
+    mean), and beta solved again there, when the Poisson-limit
+    log-likelihood, summed pair by pair, is within 1e-3 of that at tau.
+
+    The covariance is the inverse observed information for beta with tau
+    held fixed, a benchmark convention: the beta block of the last pass's.
+    ``iterations`` counts the Newton steps and the rounds; ``converged``
+    is false when ``ADAPTIVE_MAX_ROUNDS`` of them do not end the fit; a
+    solve in a round that does not converge raises NonConvergence.
+    All-zero counts, whose likelihood grows without bound as the intercept
+    falls, are an EvaluationError, as is an information matrix that turns
+    singular on the way to a maximum that does not exist (a count whose
+    covariate separates it from all others).
     """
     from scipy.special import gammaln   # on use: its import takes about 0.35 s
 
@@ -390,34 +497,54 @@ def nb_working_mle(data: PairData) -> MleResult:
     counts, weights = np.unique(f, return_counts=True)
     try:
         with _bind(FrmModel("exp", WorkingVariance("nb")), data) as bound:
-            beta = bound.beta
-            # moment start for the dispersion, at the constant mean of the counts
-            mu = float(np.mean(f))
-            excess = float(np.sum((f - mu) ** 2 - mu))
-            tau = float(np.clip(len(f) * mu * mu / excess, 1e-2, NB_TAU_MAX)) \
-                if excess > 0 else float("inf")
-            for it in range(1, ADAPTIVE_MAX_ROUNDS + 1):
-                beta_old, tau_old = beta, tau
-                solve = bound._replace(beta=beta, value=tau)
-                sums = solve.evaluate(beta)   # the solve's start, passed on to it
-                tol = _MLE_REL_TOL * float(np.max(np.diag(sums[2]))) / bound.n_pairs
-                beta = _solve(solve, FitConfig(tol_eq=tol, max_iter=400), sums)[0].beta
-                start = _nuisance("nb", bound, beta) if it == 1 else tau
-                tau, loglik = _nb_profile_tau(bound, beta, start, counts, weights)
-                tau_moved = (abs(np.log(tau) - np.log(tau_old)) > 1e-6
-                             if np.isfinite(tau) and np.isfinite(tau_old)
-                             else np.isfinite(tau) != np.isfinite(tau_old))
-                converged = bool(np.max(np.abs(beta - beta_old)) < 1e-9) and not tau_moved
-                if converged:
+            q = len(bound.names)
+            step = info = None
+
+            def stop(theta, U, J):   # at each iterate: converged, or its step unsafe
+                nonlocal step, info
+                step, info = _joint_step(theta, U, J), J
+                return step is None or (
+                    np.max(np.abs(U[:q])) <= _MLE_REL_TOL * np.max(np.diag(J)[:q])
+                    and abs(step[q]) <= _LOG_TAU_TOL)
+
+            tau = _nuisance("nb", bound, bound.beta)
+            theta = np.append(bound.beta, np.clip(np.log(tau), *_LOG_TAU_BOUNDS))
+            iterations, settled = 0, False
+            while True:
+                theta, _, steps, stopped, _, _ = _newton(
+                    lambda theta, sandwich: _joint_sums(bound, counts, weights, theta),
+                    theta, bound.n_pairs,
+                    FitConfig(max_iter=ADAPTIVE_MAX_ROUNDS - iterations), done=stop)
+                iterations += steps
+                # the test stopped the steps where they converged, or where a
+                # step is unsafe: there a round that moved nothing has converged
+                converged = stopped and (step is not None or (settled and not steps))
+                # a round needs a pass after it: the first of the next steps
+                if converged or not stopped or iterations + 1 >= ADAPTIVE_MAX_ROUNDS:
                     break
-            info = bound._replace(value=tau).evaluate(beta)[2]   # the Newton steps' J
+                last, theta = theta, _profile_round(bound, theta, counts, weights)
+                iterations += 1
+                settled = (np.max(np.abs(theta[:q] - last[:q])) < 1e-9
+                           and abs(theta[q] - last[q]) <= 1e-6)
+            if converged and step is not None:   # the end of the last step is the root
+                theta = theta + step
+            beta, tau, info = theta[:q], float(np.exp(theta[q])), info[:q, :q]
+            # the sentinel sums pair by pair: sums of hoisted or per-count terms
+            # reach 1e9 near NB_TAU_MAX, and their rounding swamps the 1e-3 margin
+            loglik, limit = bound.reduce(_likelihood_part, beta, tau)
+            if limit >= loglik - 1e-3:
+                tau = float("inf")
+                beta = _solve_at(bound, beta, tau)
+                # a pass at tau = inf: its merit is the Poisson log-likelihood
+                # less its log f! terms, summed as _likelihood_part sums it
+                loglik, _, info = bound._replace(value=tau).evaluate(beta)
             _check_conditioning(info, "information matrix")
     except SingularInformation as exc:
         raise EvaluationError("count likelihood has no maximum in reach: its "
                               "information matrix is singular") from exc
     return MleResult(beta=beta, cov_beta=np.linalg.inv(info), tau=tau,
                      loglik=loglik - float(weights @ gammaln(counts + 1.0)),
-                     iterations=it, converged=converged, param_names=bound.names)
+                     iterations=iterations, converged=converged, param_names=bound.names)
 
 
 # --------------------------------------------------------------------------- #

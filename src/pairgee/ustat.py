@@ -463,19 +463,22 @@ def interleaved_accumulate(n: int, i1: np.ndarray, i2: np.ndarray,
                            scores: np.ndarray) -> np.ndarray:
     """Per-subject sums of the scores of own pairs, shape (n, q).
 
-    ``scores`` is (pairs, q) and is read one column at a time, so the
-    transpose of a row-major (q, pairs) array serves without a copy, each
-    of its columns contiguous.  Each pair score is added to both members'
-    sums, starting from zero, in the sequential order (i1[0], i2[0],
-    i1[1], i2[1], ...), which makes the result bit-identical to a plain
-    loop over pairs.
+    ``(i1, i2)`` is a contiguous range of the canonical pair order (that of
+    ``pair_indices``), such as a chunk's.  ``scores`` is (pairs, q) and is
+    read one column at a time, so the transpose of a row-major (q, pairs)
+    array serves without a copy, each of its columns contiguous.  Each pair
+    score is added to both members' sums, starting from zero, in pair
+    order, which makes the result bit-identical to a plain loop over the
+    pairs.  In such a range a subject's pairs as i2 (rows before its own)
+    all come before its pairs as i1 (its own row), so one ``np.bincount``
+    per column over the i2 entries and then the i1 entries adds them in
+    that order.
     """
-    idx = np.empty(2 * len(i1), dtype=np.int64)
-    idx[0::2] = i1
-    idx[1::2] = i2
+    idx = np.concatenate((i2, i1))
     acc = np.empty((n, scores.shape[1]))
     for j in range(scores.shape[1]):
-        acc[:, j] = np.bincount(idx, weights=np.repeat(scores[:, j], 2), minlength=n)
+        col = scores[:, j]
+        acc[:, j] = np.bincount(idx, weights=np.concatenate((col, col)), minlength=n)
     return acc
 
 

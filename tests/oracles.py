@@ -198,6 +198,18 @@ def nb_loglik(f, mu, tau):
                         + tau * np.log(p) + f * np.log1p(-p)))
 
 
+def nb_loglik_by_terms(f, mu, tau):
+    """``nb_loglik`` of integer counts at a finite tau, with lgamma(f + tau)
+    - lgamma(tau) - f log tau summed as log1p(k / tau) over k < f, pair by
+    pair and then over pairs, each sum exactly rounded (``math.fsum``).
+    It has no difference of two lgamma values, each near tau log tau, so
+    it keeps its precision at a large tau."""
+    terms = [math.fsum(np.log1p(np.arange(int(fi)) / tau)) + fi * math.log(mi)
+             - (tau + fi) * math.log1p(mi / tau) - math.lgamma(fi + 1.0)
+             for fi, mi in zip(f, mu)]
+    return math.fsum(terms)
+
+
 def nb_working_mle_bounded(f, x, tau_max=1e8, max_iter=200, tol=1e-10):
     """Reference working MLE: a bounded search over log tau from scratch.
 

@@ -744,6 +744,57 @@ def test_a_singular_start_matrix_falls_back_to_log_fbar_and_the_solve_stops_ther
         solve_ugee(model, data)
 
 
+def _squared_gaps(n=30, seed=0):
+    """Half squared outcome gaps of |N(0, 1)| + 1 outcomes on the sum of
+    U(0, 1) covariates: positive responses whose least-squares means are
+    positive on every pair."""
+    rng = np.random.default_rng(seed)
+    subjects = [SubjectRecord(k, abs(rng.normal()) + 1.0, rng.uniform()) for k in range(n)]
+    return build_pairs(subjects, Kernel.sqhalfdiff(), PairCovariate("sum"))
+
+
+@pytest.mark.parametrize("wv", ["poisson", "propmean", "nb"])
+def test_an_identity_fit_whose_variance_is_zero_at_zero_starts_and_converges(wv):
+    # the zero start gave h = 0 and V(0) = 0: "nonpositive working variance
+    # on pair (0, 1)"
+    data = _squared_gaps()
+    res = adaptive_fit(FrmModel("identity", WorkingVariance(wv)), data)
+    assert res.converged
+    tight = adaptive_fit(FrmModel("identity", WorkingVariance(wv)), data,
+                         FitConfig(tol_eq=1e-12))
+    np.testing.assert_allclose(res.beta, tight.beta, rtol=1e-6)
+
+
+def test_an_identity_start_is_least_squares_where_its_means_are_in_the_domain():
+    data = _squared_gaps()
+    lsq = pairwise_least_squares(data.x, data.f, intercept=True)
+    for wv in ("poisson", "propmean", "nb"):
+        np.testing.assert_allclose(_start_of(_model("identity", wv, True), data), lsq,
+                                   rtol=1e-12)
+    # a linear probability on [0, 2]: the bernoulli means are inside (0, 1)
+    rng = np.random.default_rng(1)
+    xs = rng.uniform(size=40)
+    i1, i2 = enumerate_pairs(40).T
+    x = xs[i1] + xs[i2]
+    f = (rng.uniform(size=len(x)) < 0.2 + 0.3 * x).astype(float)
+    data = PairData(40, i1, i2, x=x[:, None], f=f)
+    model = _model("identity", "bernoulli", True)
+    np.testing.assert_allclose(_start_of(model, data),
+                               pairwise_least_squares(data.x, f, intercept=True), rtol=1e-12)
+    assert solve_ugee(model, data).converged
+
+
+def test_an_identity_start_whose_means_leave_the_domain_is_fbar_on_the_intercept():
+    # rank indicators on covariate gaps up to 7.4: the least-squares means
+    # leave (0, 1), so the bernoulli start is the mean indicator; the
+    # constant variance keeps its zero start
+    data = pairgee.simulate.mww_pair_data(gen_mww_probit(40, 3, beta=0.3))
+    np.testing.assert_array_equal(_start_of(_model("identity", "bernoulli", True), data),
+                                  [np.mean(data.f), 0.0])
+    np.testing.assert_array_equal(_start_of(_model("identity", "constant", True), data),
+                                  [0.0, 0.0])
+
+
 def _onehot_counts(seed, levels=3, n=12):
     """Counts on a complete onehot design of ``levels`` groups, every slot taken."""
     rng = make_rng(seed, 0)

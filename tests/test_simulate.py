@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import pairgee.fit
 import pairgee.simulate
 import pairgee.ustat
 from pairgee import (EvaluationError, FitConfig, FrmModel, IccModel, InputError,
@@ -16,10 +17,12 @@ from pairgee import (EvaluationError, FitConfig, FrmModel, IccModel, InputError,
                      gen_mww_probit, gen_nb_scenario, icc_mean_map, linear_pair_data,
                      make_rng, mww_pair_data, nb_working_mle, run_monte_carlo,
                      solve_ugee)
-from pairgee.simulate import _profile_root
+from pairgee.fit import _bind
+from pairgee.simulate import _joint_sums, _profile_root
 
-from oracles import (full_array_linear_pair_data, full_array_nb_scenario,
-                     full_array_subject_pairs, nb_working_mle_bounded)
+from oracles import (central_diff, full_array_linear_pair_data, full_array_nb_scenario,
+                     full_array_subject_pairs, nb_loglik, nb_loglik_by_terms,
+                     nb_working_mle_bounded)
 
 
 # ----------------------------------------------------------------- streams
@@ -226,6 +229,28 @@ def test_pair_data_generators_need_two_subjects():
             build()
 
 
+@pytest.mark.parametrize("generator,args", [
+    (gen_nb_scenario, (-3, 1)), (gen_mww_probit, (-2, 1)), (gen_linear_exogenous, (1, 1)),
+    (gen_mww_probit, (1, 1)), (gen_icc_ratings, (0, 3, 1))],
+    ids=["nb-negative", "mww-negative", "linear-one", "mww-one", "icc-none"])
+def test_generators_need_two_subjects(generator, args):
+    # a negative n raised numpy's ValueError, and 0 or 1 subjects gave a
+    # record with no pair
+    with pytest.raises(InputError, match=f"need at least 2 subjects to form pairs, "
+                                         f"got {args[0]}$"):
+        generator(*args)
+
+
+@pytest.mark.parametrize("generator,args,params", [
+    (gen_nb_scenario, (20, 1), {"tau": "x"}), (gen_linear_exogenous, (5, 1), {"beta": "a"})],
+    ids=["nb-tau", "linear-beta"])
+def test_generators_name_a_parameter_that_is_not_numeric(generator, args, params):
+    # numpy's isfinite raised TypeError
+    name, value = next(iter(params.items()))
+    with pytest.raises(InputError, match=f"^{name} must be numeric, got '{value}'$"):
+        generator(*args, **params)
+
+
 # ----------------------------------------------------------- working MLE
 
 def test_profile_root_bisects_where_a_newton_step_leaves_the_bracket():
@@ -335,6 +360,76 @@ def test_nb_working_mle_reaches_the_root_where_solving_is_hard(n, stream, tau, b
     model = FrmModel("exp", WorkingVariance("nb", value=res.tau), intercept=True)
     U, J = assemble_ugee(model, data, res.beta)
     assert res.converged and np.max(np.abs(np.linalg.solve(J, U))) <= 1e-10
+
+
+@pytest.fixture
+def mle_passes(monkeypatch):
+    """The name of the chunk function of each pass, as ``fit._pass_chunks`` sees them."""
+    names = []
+    pass_chunks = pairgee.fit._pass_chunks
+
+    def recording(model, data, part, theta, value):
+        names.append(part.__name__)
+        return pass_chunks(model, data, part, theta, value)
+
+    monkeypatch.setattr(pairgee.fit, "_pass_chunks", recording)
+    return names
+
+
+def test_nb_working_mle_averages_at_most_ten_passes_per_fit(mle_passes):
+    # joint (beta, log tau) Newton steps of one _joint_part pass each: 8.7
+    # passes per fit over these replicates, where alternating beta solves
+    # with profile tau steps made 22.8
+    for r in range(40):
+        assert nb_working_mle(gen_nb_scenario(100, make_rng(11, r))).converged
+    assert len(mle_passes) <= 10 * 40
+    # the start, the start's tau and the Poisson-limit sentinel, once each
+    for name in ("_start_part", "_nuisance_part", "_likelihood_part"):
+        assert mle_passes.count(name) == 40
+    assert set(mle_passes) == {"_start_part", "_nuisance_part", "_joint_part",
+                               "_likelihood_part"}
+
+
+@pytest.mark.parametrize("tau", [0.5, 10.0, 5e3])
+def test_the_mle_joint_sums_are_the_log_likelihoods_derivatives(tau):
+    # in theta = (beta, log tau): the log-likelihood and the score against
+    # the count log-likelihood summed pair by pair and its central
+    # differences, and the information against the score's; 5e3 is past
+    # NB_EXCESS_TAU, where the count parts take their excess forms
+    data = gen_nb_scenario(30, make_rng(7, 0), tau=1.0, beta0=1.0, beta1=1.0)
+    counts, weights = np.unique(data.f, return_counts=True)
+    x = np.column_stack([np.ones(data.n_pairs), data.x[:, 0]])
+
+    with _bind(FrmModel("exp", WorkingVariance("nb")), data) as bound:
+        def sums(theta):
+            return _joint_sums(bound, counts, weights, theta)
+
+        def along(fn, k):   # d fn / d theta_k
+            return central_diff(lambda t: fn(np.insert(np.delete(theta, k), k, t)),
+                                theta[k])
+
+        theta = np.array([0.9, 1.1, math.log(tau)])
+        ll, U, J = sums(theta)
+        info = -np.column_stack([along(lambda t: sums(t)[1], k) for k in range(3)])
+
+    def loglik(theta):
+        return nb_loglik_by_terms(data.f, np.exp(x @ theta[:2]), math.exp(theta[2]))
+
+    log_fact = math.fsum(math.lgamma(c + 1.0) for c in data.f)
+    assert ll - log_fact == pytest.approx(loglik(theta), rel=1e-12)
+    assert ll - log_fact == pytest.approx(nb_loglik(data.f, np.exp(x @ theta[:2]), tau),
+                                          rel=1e-12)
+    np.testing.assert_allclose(U, [along(loglik, k) for k in range(3)], rtol=1e-6)
+    np.testing.assert_allclose(J, info, rtol=1e-6)
+
+
+def test_an_mle_whose_joint_step_is_unsafe_takes_a_profile_round(mle_passes):
+    # the slow-scoring case of the hard roots (66 pairs, tau estimate 0.14):
+    # at the start, tau = 1.5, the joint information is not positive definite
+    data = gen_nb_scenario(12, make_rng(77, 3), tau=0.05, beta0=-1.0, beta1=2.0)
+    res = nb_working_mle(data)
+    assert res.converged and mle_passes.count("_profile_part") >= 1
+    assert mle_passes.count("_likelihood_part") == 1
 
 
 def test_nb_working_mle_rejects_negative_counts():

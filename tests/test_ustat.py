@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from pairgee import (InputError, Kernel, PairScoreTable, enumerate_pairs,
                      hajek_scores, make_rng, pair_count, projection_variance,
                      ustatistic_mean)
-from pairgee.ustat import (canonical_order, pair_chunks, pair_indices, pair_rows,
-                           pass_workers)
+from pairgee.ustat import (canonical_order, interleaved_accumulate, pair_chunks,
+                           pair_indices, pair_rows, pass_workers)
 
 from oracles import (brute_hajek, brute_pairs, brute_projection_variance,
                      brute_ustat_mean)
@@ -169,6 +169,24 @@ def test_hajek_matches_brute_force(n):
     fast = hajek_scores(table)
     brute = brute_hajek(n, scores)
     assert np.array_equal(fast, brute)
+
+
+@pytest.mark.parametrize("n,lo,hi", [
+    (7, 0, 21), (7, 3, 17), (7, 8, 9), (13, 5, 70), (13, 0, 1), (13, 77, 78),
+    (40, 17, 779), (40, 500, 780)])
+def test_accumulate_equals_a_loop_over_the_pairs_of_a_range(n, lo, hi):
+    # ranges that start and end mid-row, as a chunk's do: each subject's
+    # sums are the scores of its pairs added in pair order, from zero
+    i1, i2 = pair_indices(n, lo, hi)
+    # magnitudes from 1e-8 to 1e8, so that any other order of addition rounds differently
+    rng = np.random.default_rng(n + lo)
+    scores = rng.normal(size=(2, hi - lo)) * 10.0 ** rng.integers(-8, 9, size=(2, hi - lo))
+    loop = np.zeros((n, 2))
+    for k, (a, b) in enumerate(zip(i1, i2)):
+        loop[a] = loop[a] + scores[:, k]
+        loop[b] = loop[b] + scores[:, k]
+    fast = interleaved_accumulate(n, i1, i2, scores.T)
+    assert fast.tobytes() == loop.tobytes()
 
 
 def test_hajek_double_counting_identity():
